@@ -29,6 +29,7 @@ from .frenet import (
     RocofDecomposition,
     frame,
     invariants,
+    invariants_batch,
     omega_dot_direct,
     rho_prime,
     rocof,

@@ -1,36 +1,10 @@
-"""Per-sample analysis rows shared by the CLI and the demos."""
-
-from dataclasses import dataclass
-from typing import Optional
+"""The analysis table of ``geomfreq analyze``: one row per sample, one
+column per invariant, computed as column arrays."""
 
 import numpy as np
 
 from . import frenet
-from .errors import DegenerateInput, DegenerateSpeed
-
-
-@dataclass(frozen=True)
-class AnalysisRow:
-    """One analyzed sample.  Fields that are undefined at the sample
-    (degenerate speed, or RoCoF without rotation) are None and are
-    written as empty CSV cells."""
-
-    t: float
-    v: Optional[float] = None
-    rho: Optional[float] = None
-    w1: Optional[float] = None
-    w2: Optional[float] = None
-    w3: Optional[float] = None
-    w: Optional[float] = None
-    xi: Optional[float] = None
-    kappa: Optional[float] = None
-    tau: Optional[float] = None
-    eta: Optional[float] = None
-    rocof1: Optional[float] = None
-    rocof2: Optional[float] = None
-    rocof3: Optional[float] = None
-    rotation_defined: Optional[int] = None
-
+from .errors import DegenerateInput
 
 COLUMNS = (
     "t",
@@ -51,42 +25,32 @@ COLUMNS = (
 )
 
 
-def row_from_jet(jet, eps_v=frenet.EPS_V, eps_w=frenet.EPS_W):
-    """Invariants and RoCoF decomposition of one jet, None on degeneracy."""
-    try:
-        g = frenet.invariants(jet, eps_v, eps_w)
-    except DegenerateSpeed:
-        return AnalysisRow(t=jet.t)
-    if g.rotation_defined:
-        rc = frenet.rocof(jet, eps_v, eps_w)
-        eta = rc.eta
-        rocof_vec = rc.omega_dot
-    else:
-        eta = None
-        rocof_vec = (None, None, None)
-    return AnalysisRow(
-        t=jet.t,
-        v=g.v_mag,
-        rho=g.rho,
-        w1=g.omega_vec[0],
-        w2=g.omega_vec[1],
-        w3=g.omega_vec[2],
-        w=g.omega_mag,
-        xi=g.xi,
-        kappa=g.kappa,
-        tau=g.tau,
-        eta=eta,
-        rocof1=rocof_vec[0],
-        rocof2=rocof_vec[1],
-        rocof3=rocof_vec[2],
-        rotation_defined=int(g.rotation_defined),
-    )
+def analyze(t, v, dv, ddv, eps_v=frenet.EPS_V, eps_w=frenet.EPS_W):
+    """Analysis columns of N samples given as (N, 3) derivative arrays.
 
-
-def analyze_jets(jets, eps_v=frenet.EPS_V, eps_w=frenet.EPS_W):
-    """Analyze a jet sequence; returns (rows, degenerate_speed_count)."""
-    rows = [row_from_jet(j, eps_v, eps_w) for j in jets]
-    degenerate = sum(1 for r in rows if r.v is None)
-    if rows and degenerate == len(rows):
+    Returns (columns, degenerate_speed_count): one float array per
+    name in COLUMNS, NaN where a cell is undefined (every cell but t on
+    a degenerate-speed row; eta and RoCoF on a row without rotation).
+    ``rotation_defined`` holds 1.0 or 0.0.  Raises DegenerateInput when
+    every sample is degenerate.
+    """
+    b = frenet.invariants_batch(v, dv, ddv, eps_v, eps_w)
+    degenerate = int(np.count_nonzero(b.degenerate))
+    if degenerate and degenerate == b.degenerate.size:
         raise DegenerateInput("every sample is degenerate")
-    return rows, degenerate
+    rotation = np.where(b.no_rotation, 0.0, 1.0)
+    rotation[b.degenerate] = np.nan
+    columns = (
+        np.asarray(t, dtype=np.float64),
+        b.v_mag,
+        b.rho,
+        *b.omega_vec.T,
+        b.omega_mag,
+        b.xi,
+        b.kappa,
+        b.tau,
+        b.eta,
+        *b.omega_dot.T,
+        rotation,
+    )
+    return columns, degenerate

@@ -49,6 +49,12 @@ def _sampling(args, cfg):
     return t0, t1, dt
 
 
+def _check_step(dt):
+    """Reject a non-positive (or NaN) sample step before it divides."""
+    if not dt > 0:
+        raise InvalidRange(f"dt must be positive, got {dt}")
+
+
 def _scenario_overrides(args):
     over = {}
     if getattr(args, "vdc", None) is not None:
@@ -80,14 +86,24 @@ def cmd_analyze(args):
             raise UnknownScenario("analytic mode needs --scenario")
         t0, t1, dt = _sampling(args, cfg)
         model = signals.make_scenario(scenario)
-        n = int(round((t1 - t0) / dt)) + 1
-        if dt <= 0 or n < 2:
+        _check_step(dt)
+        span = (t1 - t0) / dt
+        if not 0.5 < span < math.inf:  # fewer than 2 samples, NaN or infinite
             raise InvalidRange(f"bad range [{t0}, {t1}] with dt {dt}")
-        jets = [signals.eval_jet(model, t0 + k * dt) for k in range(n)]
+        n = int(round(span)) + 1
+        times = t0 + np.arange(n) * dt
+        columns, degenerate = analysis.analyze(
+            times, *signals.eval_arrays(model, times)
+        )
     else:
         if args.csv is None:
             raise MalformedCsv("numeric mode needs --csv")
         series = cli_io.read_waveform_csv(args.csv)
+        if len(series) < 2 * numdiff.TRIM + 1:
+            raise MalformedCsv(
+                f"{args.csv}: the 5-point stencil needs at least "
+                f"{2 * numdiff.TRIM + 1} samples, got {len(series)}"
+            )
         if args.remove_zero_seq:
             series = numdiff.remove_zero_sequence(series)
         filter_tau = (
@@ -97,10 +113,9 @@ def cmd_analyze(args):
         )
         if filter_tau is not None:
             series = numdiff.lowpass_first_order(series, filter_tau)
-        jets = numdiff.differentiate(series)
-    rows, degenerate = analysis.analyze_jets(jets)
-    cli_io.write_analysis_csv(args.out, rows, degenerate)
-    print(f"wrote {len(rows)} rows to {args.out} ({degenerate} degenerate)")
+        columns, degenerate = analysis.analyze(*numdiff.differentiate_arrays(series))
+    cli_io.write_analysis_csv(args.out, columns, degenerate)
+    print(f"wrote {columns[0].size} rows to {args.out} ({degenerate} degenerate)")
     return EXIT_OK
 
 
@@ -128,6 +143,7 @@ def cmd_park(args):
     w_dq = args.wdq if args.wdq is not None else _cfg_float(cfg, "park.wdq", 100.0 * math.pi)
     theta0 = args.theta0 if args.theta0 is not None else _cfg_float(cfg, "park.theta0", 0.0)
     t0, t1, dt = _sampling(args, cfg)
+    _check_step(dt)
     model = signals.make_scenario(scenario)
     pcfg = park.ParkConfig(w_dq=w_dq, theta0=theta0)
     n = int(round((t1 - t0) / dt)) + 1
@@ -158,6 +174,12 @@ def cmd_park(args):
 
 
 def cmd_hilbert(args):
+    if args.dt is not None:
+        _check_step(args.dt)
+    if not args.freq > 0:
+        raise InvalidRange(f"--freq must be positive, got {args.freq}")
+    if args.channel not in (0, 1, 2):
+        raise InvalidRange(f"--channel must be 0, 1 or 2, got {args.channel}")
     if args.csv:
         series = cli_io.read_waveform_csv(args.csv)
         u = series.values[:, args.channel]

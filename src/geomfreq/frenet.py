@@ -1,10 +1,11 @@
 """Geometric invariants, Frenet frame, and RoCoF decomposition of a
 voltage vector given together with its first two time derivatives.
 
-All operations are pure per-sample functions: the input is a second
-order jet (value, first and second derivative at one instant) and the
-output is a value object.  Degenerate samples raise explicit errors
-instead of returning NaN.
+The per-sample functions take a second order jet (value, first and
+second derivative at one instant) and return a value object; degenerate
+samples raise explicit errors instead of returning NaN.  They are the
+reference for ``invariants_batch``, which evaluates the same formulas
+over ``(N, 3)`` arrays of samples and marks degenerate rows with NaN.
 """
 
 from dataclasses import dataclass, field
@@ -74,6 +75,28 @@ class RocofDecomposition:
     sym_part: np.ndarray  # eta * omega
     antisym_part: np.ndarray  # tau * (v x omega)
     residual: np.ndarray  # omega_dot - sym - antisym
+
+
+@dataclass(frozen=True)
+class BatchInvariants:
+    """Invariants and RoCoF of N samples, one array entry per sample.
+
+    On a ``degenerate`` row (|v| <= eps_v) every value is NaN.  On a
+    ``no_rotation`` row (|omega| <= eps_w) omega, kappa, tau and xi are
+    exact zeros and eta and omega_dot are NaN.  The masks are disjoint.
+    """
+
+    v_mag: np.ndarray  # (N,) V
+    rho: np.ndarray  # (N,) 1/s
+    omega_vec: np.ndarray  # (N, 3) rad/s
+    omega_mag: np.ndarray  # (N,) rad/s
+    kappa: np.ndarray  # (N,) 1/(V s)
+    tau: np.ndarray  # (N,) 1/(V s)
+    xi: np.ndarray  # (N,) 1/s
+    eta: np.ndarray  # (N,) 1/s
+    omega_dot: np.ndarray  # (N, 3) rad/s^2
+    degenerate: np.ndarray  # (N,) bool
+    no_rotation: np.ndarray  # (N,) bool
 
 
 @dataclass(frozen=True)
@@ -254,4 +277,67 @@ def second_derivative_decomposition(j, eps_v=EPS_V, eps_w=EPS_W, match_tol=1e-6)
         c2_candidate=c2_cand,
         matches_minus=abs(b2 - b2_minus) <= match_tol * scale,
         matches_plus=abs(b2 - b2_plus) <= match_tol * scale,
+    )
+
+
+def _rowdot(a, b):
+    """Row-wise inner products of (N, 3) arrays.  A stacked matmul sums
+    each row in the order ``np.dot`` sums one 3-vector (so norms, rho
+    and omega match the per-sample functions bit for bit with numpy
+    2.4), where an einsum or a column sum differs in the last bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _as_rows(a):
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"expected shape (N, 3), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite vector component")
+    return a
+
+
+def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
+    """``invariants`` and ``rocof`` of every row of (N, 3) arrays.
+
+    Same formulas and thresholds as the per-sample functions; instead
+    of raising on a degenerate sample it flags the row (see
+    ``BatchInvariants``).
+    """
+    v, dv, ddv = _as_rows(v), _as_rows(dv), _as_rows(ddv)
+    if not v.shape == dv.shape == ddv.shape:
+        raise ValueError(f"shape mismatch {v.shape}, {dv.shape}, {ddv.shape}")
+    v_mag = np.sqrt(_rowdot(v, v))
+    degenerate = v_mag <= eps_v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v2 = v_mag * v_mag
+        rho = _rowdot(v, dv) / v2
+        vxdv = np.cross(v, dv)
+        omega_vec = vxdv / v2[:, None]
+        omega_mag = np.sqrt(_rowdot(omega_vec, omega_vec))
+        tau = _rowdot(v, np.cross(dv, ddv)) / _rowdot(vxdv, vxdv)
+        omega_dot = np.cross(v, ddv) / v2[:, None] - 2.0 * rho[:, None] * omega_vec
+        eta = _rowdot(omega_vec, omega_dot) / omega_mag**2
+        kappa = omega_mag / v_mag
+        xi = v_mag * tau
+    rotating = ~degenerate & (omega_mag > eps_w)
+    no_rotation = ~degenerate & ~rotating
+    for col in (omega_vec, omega_mag, kappa, tau, xi):
+        col[no_rotation] = 0.0
+    for col in (v_mag, rho, omega_vec, omega_mag, kappa, tau, xi):
+        col[degenerate] = np.nan
+    eta[~rotating] = np.nan
+    omega_dot[~rotating] = np.nan
+    return BatchInvariants(
+        v_mag=v_mag,
+        rho=rho,
+        omega_vec=omega_vec,
+        omega_mag=omega_mag,
+        kappa=kappa,
+        tau=tau,
+        xi=xi,
+        eta=eta,
+        omega_dot=omega_dot,
+        degenerate=degenerate,
+        no_rotation=no_rotation,
     )

@@ -35,18 +35,23 @@ def stencil_derivatives(values, dt):
     return d1, d2
 
 
-def differentiate(series):
-    """Estimate second-order jets from a 3-channel voltage series."""
+def differentiate_arrays(series):
+    """Retained times and (N, 3) arrays v, v', v'' of a 3-channel
+    voltage series, N = len(series) - 2 * TRIM."""
     if len(series.channels) != 3:
         raise WrongChannelCount(
             f"expected 3 channels, got {len(series.channels)}"
         )
     d1, d2 = stencil_derivatives(series.values, series.dt)
-    core = series.values[TRIM:-TRIM]
-    times = series.times[TRIM:-TRIM]
+    return series.times[TRIM:-TRIM], series.values[TRIM:-TRIM], d1, d2
+
+
+def differentiate(series):
+    """Estimate second-order jets from a 3-channel voltage series."""
+    times, v, dv, ddv = differentiate_arrays(series)
     return [
-        Jet2(t=float(times[k]), v=core[k], dv=d1[k], ddv=d2[k])
-        for k in range(core.shape[0])
+        Jet2(t=float(times[k]), v=v[k], dv=dv[k], ddv=ddv[k])
+        for k in range(times.size)
     ]
 
 

@@ -48,9 +48,10 @@ class Profile:
     rate: float = 0.0
     phase: float = 0.0
 
-    def eval(self, t):
-        s = math.sin(self.rate * t + self.phase)
-        c = math.cos(self.rate * t + self.phase)
+    def eval(self, t, xp=math):
+        """(f, f', f'') at t: a float with xp=math, an array with xp=np."""
+        s = xp.sin(self.rate * t + self.phase)
+        c = xp.cos(self.rate * t + self.phase)
         f = self.offset + self.amplitude * s
         df = self.amplitude * self.rate * c
         ddf = -self.amplitude * self.rate**2 * s
@@ -66,9 +67,10 @@ class AngleProfile:
     mod_amplitude: float = 0.0
     mod_rate: float = 0.0
 
-    def eval(self, t):
-        s = math.sin(self.mod_rate * t)
-        c = math.cos(self.mod_rate * t)
+    def eval(self, t, xp=math):
+        """(theta, theta', theta'') at t, as ``Profile.eval``."""
+        s = xp.sin(self.mod_rate * t)
+        c = xp.cos(self.mod_rate * t)
         th = self.slope * t + self.intercept + self.mod_amplitude * s
         dth = self.slope + self.mod_amplitude * self.mod_rate * c
         ddth = -self.mod_amplitude * self.mod_rate**2 * s
@@ -97,13 +99,14 @@ class SignalModel:
         )
 
 
-def _eval_channel(components, t):
-    """Value and first two derivatives of sum_k m_k sin(theta_k)."""
+def _eval_channel(components, t, xp=math):
+    """Value and first two derivatives of sum_k m_k sin(theta_k), at a
+    float t with xp=math or at every entry of an array t with xp=np."""
     f = df = ddf = 0.0
     for comp in components:
-        m, dm, ddm = comp.magnitude.eval(t)
-        th, dth, ddth = comp.angle.eval(t)
-        s, c = math.sin(th), math.cos(th)
+        m, dm, ddm = comp.magnitude.eval(t, xp)
+        th, dth, ddth = comp.angle.eval(t, xp)
+        s, c = xp.sin(th), xp.cos(th)
         f += m * s
         df += dm * s + m * dth * c
         ddf += (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c
@@ -119,6 +122,16 @@ def eval_jet(model, t):
         dv=[x[1] for x in vals],
         ddv=[x[2] for x in vals],
     )
+
+
+def eval_arrays(model, times):
+    """Exact analytic v, v', v'' at each of N times, as (N, 3) arrays."""
+    times = np.asarray(times, dtype=np.float64)
+    out = np.empty((3, times.size, 3))
+    for c, ch in enumerate(model.channels):
+        for d, x in enumerate(_eval_channel(ch, times, np)):
+            out[d, :, c] = x  # a scalar 0.0 for a channel without components
+    return out[0], out[1], out[2]
 
 
 def phase_jet(components, t, eps=1e-12):

@@ -239,3 +239,53 @@ def test_hilbert_subcommand(tmp_path, capsys):
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
     assert out.read_text().splitlines()[0] == "t,rho,w,xi,phi_dot"
+
+
+# ------------------------------------------------------------- exit codes
+
+
+def _waveform(path, rows, cell="1.0"):
+    """A waveform CSV of ``rows`` samples; the last sample's vb is ``cell``."""
+    lines = ["t,va,vb,vc"]
+    for k in range(rows):
+        vb = cell if k == rows - 1 else "-0.5"
+        lines.append(f"{k * 1e-4!r},{math.cos(0.0314 * k)!r},{vb},-0.5")
+    path.write_text("\n".join(lines) + "\n")
+
+
+BAD_INPUT = [
+    # sample step: a usage error before it divides anything
+    ("analyze-dt-zero", ["analyze", "--scenario", "E0", "--dt", "0"], 2),
+    ("analyze-dt-nan", ["analyze", "--scenario", "E0", "--dt", "nan"], 2),
+    ("park-dt-zero", ["park", "--scenario", "E0", "--dt", "0"], 2),
+    ("park-dt-negative", ["park", "--scenario", "E0", "--dt=-1e-3"], 2),
+    ("hilbert-dt-zero", ["hilbert", "--dt", "0"], 2),
+    ("hilbert-dt-negative", ["hilbert", "--dt=-1e-4"], 2),
+    # hilbert channel and frequency ranges
+    ("hilbert-channel-3", ["hilbert", "--csv", "{good}", "--channel", "3"], 2),
+    ("hilbert-channel-negative", ["hilbert", "--csv", "{good}", "--channel", "-1"], 2),
+    ("hilbert-freq-zero", ["hilbert", "--freq", "0"], 2),
+    ("hilbert-freq-negative", ["hilbert", "--freq", "-50"], 2),
+    # waveform files the numeric path cannot use: a format error
+    ("csv-nan-cell", ["analyze", "--csv", "{nan}", "--mode", "numeric"], 3),
+    ("csv-inf-cell", ["analyze", "--csv", "{inf}", "--mode", "numeric"], 3),
+    ("hilbert-csv-nan-cell", ["hilbert", "--csv", "{nan}"], 3),
+    ("csv-four-rows", ["analyze", "--csv", "{short}", "--mode", "numeric"], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [case[1:] for case in BAD_INPUT], ids=[case[0] for case in BAD_INPUT]
+)
+def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
+    files = {"good": 64, "nan": 64, "inf": 64, "short": 4}
+    cells = {"nan": "nan", "inf": "inf"}
+    paths = {}
+    for name, rows in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        _waveform(paths[name], rows, cells.get(name, "1.0"))
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] == "analyze":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")

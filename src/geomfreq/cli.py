@@ -49,10 +49,10 @@ def _sampling(args, cfg):
     return t0, t1, dt
 
 
-def _check_step(dt):
-    """Reject a non-positive (or NaN) sample step before it divides."""
-    if not dt > 0:
-        raise InvalidRange(f"dt must be positive, got {dt}")
+def _check_positive(flag, x):
+    """Reject a non-positive, infinite or NaN value before it is used."""
+    if not 0 < x < math.inf:
+        raise InvalidRange(f"{flag} must be positive and finite, got {x}")
 
 
 def _scenario_overrides(args):
@@ -86,12 +86,7 @@ def cmd_analyze(args):
             raise UnknownScenario("analytic mode needs --scenario")
         t0, t1, dt = _sampling(args, cfg)
         model = signals.make_scenario(scenario)
-        _check_step(dt)
-        span = (t1 - t0) / dt
-        if not 0.5 < span < math.inf:  # fewer than 2 samples, NaN or infinite
-            raise InvalidRange(f"bad range [{t0}, {t1}] with dt {dt}")
-        n = int(round(span)) + 1
-        times = t0 + np.arange(n) * dt
+        times = signals.sample_times(t0, t1, dt)
         columns, degenerate = analysis.analyze(
             times, *signals.eval_arrays(model, times)
         )
@@ -112,6 +107,7 @@ def cmd_analyze(args):
             else (float(cfg["filter.tau"]) if "filter.tau" in cfg else None)
         )
         if filter_tau is not None:
+            _check_positive("--filter-tau", filter_tau)
             series = numdiff.lowpass_first_order(series, filter_tau)
         columns, degenerate = analysis.analyze(*numdiff.differentiate_arrays(series))
     cli_io.write_analysis_csv(args.out, columns, degenerate)
@@ -143,15 +139,13 @@ def cmd_park(args):
     w_dq = args.wdq if args.wdq is not None else _cfg_float(cfg, "park.wdq", 100.0 * math.pi)
     theta0 = args.theta0 if args.theta0 is not None else _cfg_float(cfg, "park.theta0", 0.0)
     t0, t1, dt = _sampling(args, cfg)
-    _check_step(dt)
+    times = signals.sample_times(t0, t1, dt)
     model = signals.make_scenario(scenario)
     pcfg = park.ParkConfig(w_dq=w_dq, theta0=theta0)
-    n = int(round((t1 - t0) / dt)) + 1
     worst_sum = 0.0
     worst_balanced = 0.0
     lines = []
-    for k in range(n):
-        t = t0 + k * dt
+    for t in times.tolist():
         dq = park.to_dq0(signals.eval_jet(model, t), pcfg)
         rep = park.derivative_frame_check(dq, pcfg)
         worst_sum = max(worst_sum, rep.sum_rel_err)
@@ -175,9 +169,8 @@ def cmd_park(args):
 
 def cmd_hilbert(args):
     if args.dt is not None:
-        _check_step(args.dt)
-    if not args.freq > 0:
-        raise InvalidRange(f"--freq must be positive, got {args.freq}")
+        _check_positive("--dt", args.dt)
+    _check_positive("--freq", args.freq)
     if args.channel not in (0, 1, 2):
         raise InvalidRange(f"--channel must be 0, 1 or 2, got {args.channel}")
     if args.csv:
@@ -187,8 +180,7 @@ def cmd_hilbert(args):
     else:
         dt = args.dt if args.dt is not None else 1e-4
         t1 = args.t1 if args.t1 is not None else 0.4096
-        n = int(round(t1 / dt))
-        t = dt * np.arange(n)
+        t = signals.sample_times(0.0, t1, dt)[:-1]  # half-open [0, t1)
         u = np.cos(2.0 * math.pi * args.freq * t)
     pair = hilbert.analytic_embed(u, dt)
     report = hilbert.geometric_equivalence(pair)

@@ -5,7 +5,9 @@ theta(t) = w_dq * t + theta0 and axis kinematics e_d' = w_dq e_q,
 e_q' = -w_dq e_d, e_o' = 0.  Within the rotating coordinates the
 (e_d, e_q, e_o) triad is treated as orthonormal, which is the natural
 setting for the rho/omega expressions and the derivative-frame
-identities checked here.
+identities checked here.  The transform scales the dq plane by
+sqrt(2/3) and the zero-sequence axis by 1/sqrt(3), so rho and omega in
+dq0 equal those of the abc curve only when v_o = 0.
 """
 
 import math
@@ -14,11 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateSpeed
+from . import frenet
 from .frenet import EPS_V, Jet2
 from .geometry import cross, norm
 
 _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
+_ZERO3 = np.zeros(3)  # v'' stand-in: rho and omega do not depend on it
 
 
 @dataclass(frozen=True)
@@ -159,31 +162,26 @@ def inertial_derivative(j, cfg):
 
 
 def dq0_invariants(j, cfg, eps_v=EPS_V, balance_tol=1e-9):
-    """rho and omega of the voltage curve, expressed in dq0 components.
+    """rho and omega of the voltage curve, expressed in dq0 components:
+    ``frenet.invariants`` of v = (v_d, v_q, v_o) and its inertial
+    derivative.  Raises ``DegenerateSpeed`` when |v| <= eps_v.
 
     For v_o = 0 this reduces to rho = (v_d v_d' + v_q v_q')/v^2 and
     omega = (delta_omega + w_dq) e_o, with delta_omega the frequency
     deviation (v_d v_q' - v_q v_d')/v^2 from the frame speed.
     """
-    v = j.vdq0
-    v2 = float(v @ v)
-    if math.sqrt(v2) <= eps_v:
-        raise DegenerateSpeed(f"|v| <= {eps_v} in dq0 at t = {j.t}")
-    vd, vq, vo = v
-    dvd, dvq, dvo = j.dvdq0
-    w = cfg.w_dq
-    rho = float(v @ j.dvdq0) / v2
-    omega_vec = np.array(
-        [
-            (vq * dvo - vo * dvq - w * vo * vd) / v2,
-            (vo * dvd - vd * dvo - w * vo * vq) / v2,
-            (vd * dvq - vq * dvd + w * (vd**2 + vq**2)) / v2,
-        ]
+    # eps_w=0: omega is reported however small it is, never zeroed
+    g = frenet.invariants(
+        Jet2(t=j.t, v=j.vdq0, dv=inertial_derivative(j, cfg), ddv=_ZERO3),
+        eps_v=eps_v,
+        eps_w=0.0,
     )
+    vd, vq, vo = j.vdq0
+    dvd, dvq, _ = j.dvdq0
     delta_omega = None
-    if abs(vo) <= balance_tol * math.sqrt(v2):
+    if abs(vo) <= balance_tol * g.v_mag:
         delta_omega = (vd * dvq - vq * dvd) / (vd**2 + vq**2)
-    return Dq0Invariants(rho=rho, omega_vec=omega_vec, delta_omega=delta_omega)
+    return Dq0Invariants(rho=g.rho, omega_vec=g.omega_vec, delta_omega=delta_omega)
 
 
 def derivative_frame_check(j, cfg, eps_v=EPS_V, term_tol=1e-9):

@@ -166,18 +166,20 @@ def phase_jets(model, t):
     return tuple(phase_jet(ch, t) for ch in model.channels)
 
 
+def sample_times(t0, t1, dt):
+    """The uniform grid t0 + k*dt, k = 0..n-1, whose last point is the
+    one nearest t1; at least 2 points, all finite."""
+    if not dt > 0:
+        raise InvalidRange(f"dt must be positive, got {dt}")
+    span = (t1 - t0) / dt
+    if not 0.5 < span < math.inf:  # fewer than 2 samples, NaN or infinite
+        raise InvalidRange(f"bad range [{t0}, {t1}] with dt {dt}")
+    return t0 + dt * np.arange(int(round(span)) + 1)
+
+
 def sample(model, t0, t1, dt):
     """Uniformly sampled voltage values (no derivatives) on [t0, t1]."""
-    if dt <= 0:
-        raise InvalidRange(f"dt must be positive, got {dt}")
-    if t1 <= t0:
-        raise InvalidRange(f"empty range [{t0}, {t1}]")
-    n = int(round((t1 - t0) / dt)) + 1
-    times = t0 + dt * np.arange(n)
-    values = np.empty((n, 3))
-    for k, t in enumerate(times):
-        for c, ch in enumerate(model.channels):
-            values[k, c] = _eval_channel(ch, t)[0]
+    values = eval_arrays(model, sample_times(t0, t1, dt))[0]
     return TimeSeries(t0=t0, dt=dt, channels=("va", "vb", "vc"), values=values)
 
 

@@ -1,6 +1,11 @@
 """Self-check suites: each module's invariants evaluated on generated
 data, with the worst observed deviation reported per property.
 
+The frenet_core, threephase_forms, signals and numdiff suites check the
+kernel ``analyze`` runs, ``frenet.invariants_batch`` over the arrays of
+``signals.eval_arrays`` or ``numdiff.differentiate_arrays``; the other
+suites and the closed-form oracle work one instant at a time.
+
 The CLI ``validate`` subcommand runs these and exits nonzero on any
 failure; the pytest suite asserts the same properties with finer
 granularity.
@@ -57,92 +62,54 @@ def check_geometry(seed=11):
     ]
 
 
-def _tau_arclength(j):
+def _dot(a, b):
+    """Row-wise inner products of (N, 3) arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _norm(a):
+    """Row-wise magnitudes of an (N, 3) array."""
+    return np.linalg.norm(a, axis=1)
+
+
+def _worst(*xs):
+    """Largest entry of the arrays or numbers xs (0.0 if all are empty).
+    A NaN anywhere makes it NaN, so an undefined value fails its
+    property instead of passing it (``max`` would drop it)."""
+    return float(np.max(np.concatenate([np.ravel(x) for x in xs]), initial=0.0))
+
+
+def _rel(err, ref, floor):
+    """Worst relative error err / max(ref, floor), as ``_worst``."""
+    return _worst(err / np.maximum(ref, floor))
+
+
+def _batch(model, times):
+    """Analytic v, v', v'' of a model at the given times, and their
+    invariants from the batch kernel that ``analyze`` runs."""
+    v, dv, ddv = signals.eval_arrays(model, times)
+    return v, dv, ddv, frenet.invariants_batch(v, dv, ddv)
+
+
+def _tau_arclength(v, dv, ddv):
     """Torsion from the arc-length derivatives of the underlying curve."""
-    v = norm(j.v)
-    dv_scalar = inner(j.v, j.dv) / v  # d|v|/dt
+    vm = _norm(v)[:, None]
+    dv_scalar = _dot(v, dv)[:, None] / vm  # d|v|/dt
     ddv_scalar = (
-        inner(j.dv, j.dv) + inner(j.v, j.ddv) - dv_scalar**2
-    ) / v  # d2|v|/dt2 is not needed below; kept for x'''
-    xd = j.v / v
-    xdd = j.dv / v**2 - dv_scalar * j.v / v**3
+        _dot(dv, dv)[:, None] + _dot(v, ddv)[:, None] - dv_scalar**2
+    ) / vm  # d2|v|/dt2
+    xd = v / vm
+    xdd = dv / vm**2 - dv_scalar * v / vm**3
     xddd = (
-        j.ddv / v**3
-        - 3.0 * dv_scalar * j.dv / v**4
-        + 3.0 * dv_scalar**2 * j.v / v**5
-        - ddv_scalar * j.v / v**4
+        ddv / vm**3
+        - 3.0 * dv_scalar * dv / vm**4
+        + 3.0 * dv_scalar**2 * v / vm**5
+        - ddv_scalar * v / vm**4
     )
-    kappa2 = inner(xdd, xdd)
-    return triple_scalar(xd, xdd, xddd) / kappa2
+    return _dot(xd, np.cross(xdd, xddd)) / _dot(xdd, xdd)
 
 
 def check_frenet():
-    worst = {
-        "orthogonality of {v, n, omega}": 0.0,
-        "normal magnitude |n| = |omega||v|": 0.0,
-        "v from n x omega": 0.0,
-        "omega from v x n": 0.0,
-        "torsion equals arc-length definition": 0.0,
-        "reconstruction v' = rho v + omega x v": 0.0,
-        "RoCoF decomposition residual": 0.0,
-        "torsional frequency only with rotation": 0.0,
-        "planarity of stationary balanced scenarios": 0.0,
-    }
-    for sid in THREE_PHASE_SCENARIOS:
-        model = signals.make_scenario(sid)
-        for t in _sample_times():
-            j = signals.eval_jet(model, t)
-            g = frenet.invariants(j)
-            if not g.rotation_defined:
-                if abs(g.xi) > 0.0:
-                    worst["torsional frequency only with rotation"] = math.inf
-                continue
-            pn = norm(j.v) * g.n_mag
-            po = norm(j.v) * g.omega_mag
-            pno = g.n_mag * g.omega_mag
-            worst["orthogonality of {v, n, omega}"] = max(
-                worst["orthogonality of {v, n, omega}"],
-                abs(inner(j.v, g.n_vec)) / pn,
-                abs(inner(j.v, g.omega_vec)) / po,
-                abs(inner(g.n_vec, g.omega_vec)) / pno,
-            )
-            worst["normal magnitude |n| = |omega||v|"] = max(
-                worst["normal magnitude |n| = |omega||v|"],
-                abs(g.n_mag - g.omega_mag * g.v_mag) / (g.omega_mag * g.v_mag),
-            )
-            v_rec = cross(g.n_vec, g.omega_vec) / g.omega_mag**2
-            worst["v from n x omega"] = max(
-                worst["v from n x omega"], norm(v_rec - j.v) / g.v_mag
-            )
-            o_rec = cross(j.v, g.n_vec) / g.v_mag**2
-            worst["omega from v x n"] = max(
-                worst["omega from v x n"], norm(o_rec - g.omega_vec) / g.omega_mag
-            )
-            # relative comparison is meaningful only when the torsion is
-            # not itself a cancellation residue of a planar curve
-            if abs(g.xi) >= 1e-3:
-                tau_ii = _tau_arclength(j)
-                worst["torsion equals arc-length definition"] = max(
-                    worst["torsion equals arc-length definition"],
-                    abs(g.tau - tau_ii) / abs(g.tau),
-                )
-            res = j.dv - (g.rho * j.v + cross(g.omega_vec, j.v))
-            worst["reconstruction v' = rho v + omega x v"] = max(
-                worst["reconstruction v' = rho v + omega x v"],
-                norm(res) / max(norm(j.dv), 1e-300),
-            )
-            rc = frenet.rocof(j)
-            scale = max(norm(rc.omega_dot), g.omega_mag)
-            worst["RoCoF decomposition residual"] = max(
-                worst["RoCoF decomposition residual"], norm(rc.residual) / scale
-            )
-        if sid in ("E0", "E1", "E2", "E3", "E6"):
-            for t in _sample_times(40):
-                g = frenet.invariants(signals.eval_jet(model, t))
-                worst["planarity of stationary balanced scenarios"] = max(
-                    worst["planarity of stationary balanced scenarios"],
-                    abs(g.tau),
-                )
     tols = {
         "orthogonality of {v, n, omega}": 1e-9,
         "normal magnitude |n| = |omega||v|": 1e-9,
@@ -154,6 +121,50 @@ def check_frenet():
         "torsional frequency only with rotation": 0.0,
         "planarity of stationary balanced scenarios": 1e-8,
     }
+    worst = dict.fromkeys(tols, 0.0)
+
+    def update(name, *values):
+        worst[name] = _worst(worst[name], *values)
+
+    for sid in THREE_PHASE_SCENARIOS:
+        model = signals.make_scenario(sid)
+        v, dv, ddv, b = _batch(model, _sample_times())
+        if np.any(b.xi[b.no_rotation] != 0.0):
+            worst["torsional frequency only with rotation"] = math.inf
+        rot = ~(b.no_rotation | b.degenerate)
+        v, dv, ddv = v[rot], dv[rot], ddv[rot]
+        vm, rho, tau, xi = b.v_mag[rot], b.rho[rot], b.tau[rot], b.xi[rot]
+        w, wm = b.omega_vec[rot], b.omega_mag[rot]
+        n = dv - rho[:, None] * v
+        nm = _norm(n)
+        update(
+            "orthogonality of {v, n, omega}",
+            np.abs(_dot(v, n)) / (vm * nm),
+            np.abs(_dot(v, w)) / (vm * wm),
+            np.abs(_dot(n, w)) / (nm * wm),
+        )
+        update("normal magnitude |n| = |omega||v|", np.abs(nm - wm * vm) / (wm * vm))
+        v_rec = np.cross(n, w) / (wm**2)[:, None]
+        update("v from n x omega", _norm(v_rec - v) / vm)
+        w_rec = np.cross(v, n) / (vm**2)[:, None]
+        update("omega from v x n", _norm(w_rec - w) / wm)
+        # relative comparison is meaningful only when the torsion is
+        # not itself a cancellation residue of a planar curve
+        twisted = np.abs(xi) >= 1e-3
+        tau_ii = _tau_arclength(v[twisted], dv[twisted], ddv[twisted])
+        update(
+            "torsion equals arc-length definition",
+            np.abs(tau[twisted] - tau_ii) / np.abs(tau[twisted]),
+        )
+        res = dv - (rho[:, None] * v + np.cross(w, v))
+        dv_mag = np.maximum(_norm(dv), 1e-300)
+        update("reconstruction v' = rho v + omega x v", _norm(res) / dv_mag)
+        w_dot = b.omega_dot[rot]
+        res = w_dot - b.eta[rot][:, None] * w - tau[:, None] * np.cross(v, w)
+        update("RoCoF decomposition residual", _norm(res) / np.maximum(_norm(w_dot), wm))
+        if sid in ("E0", "E1", "E2", "E3", "E6"):
+            b = _batch(model, _sample_times(40))[3]
+            update("planarity of stationary balanced scenarios", np.abs(b.tau))
     return [
         PropertyResult("frenet_core", name, worst[name], tols[name])
         for name in worst
@@ -164,20 +175,21 @@ def check_threephase():
     worst_rho = worst_omega = worst_xi = 0.0
     for sid in THREE_PHASE_SCENARIOS:
         model = signals.make_scenario(sid)
-        for t in _sample_times():
-            j = signals.eval_jet(model, t)
-            g = frenet.invariants(j)
-            cf = threephase.closed_form_invariants(signals.phase_jets(model, t))
-            worst_rho = max(
-                worst_rho, abs(cf.rho - g.rho) / max(abs(g.rho), 1e-6)
-            )
-            worst_omega = max(
-                worst_omega,
-                norm(cf.omega_vec - g.omega_vec) / max(g.omega_mag, 1e-6),
-            )
-            worst_xi = max(
-                worst_xi, abs(cf.xi - g.xi) / max(abs(g.xi), 1e-6)
-            )
+        times = _sample_times()
+        b = _batch(model, times)[3]
+        # the closed-form oracle works one instant at a time
+        cf = [
+            threephase.closed_form_invariants(signals.phase_jets(model, t))
+            for t in times
+        ]
+        cf_rho = np.array([c.rho for c in cf])
+        cf_omega = np.array([c.omega_vec for c in cf])
+        cf_xi = np.array([c.xi for c in cf])
+        worst_rho = _worst(worst_rho, _rel(np.abs(cf_rho - b.rho), np.abs(b.rho), 1e-6))
+        worst_omega = _worst(
+            worst_omega, _rel(_norm(cf_omega - b.omega_vec), b.omega_mag, 1e-6)
+        )
+        worst_xi = _worst(worst_xi, _rel(np.abs(cf_xi - b.xi), np.abs(b.xi), 1e-6))
     return [
         PropertyResult("threephase_forms", "closed-form rho vs Frenet", worst_rho, 1e-6),
         PropertyResult("threephase_forms", "closed-form omega vs Frenet", worst_omega, 1e-6),
@@ -185,43 +197,41 @@ def check_threephase():
     ]
 
 
+def _fd_error(model, times, h, order):
+    """Worst relative error of the analytic derivative of the given
+    order (1 or 2) against the 5-point stencil with step h."""
+    grid = times + h * np.arange(-2, 3)[:, None]  # (5, N), row k+2 is t + k*h
+    v = signals.eval_arrays(model, grid.ravel())[0].reshape(5, times.size, 3)
+    fd = numdiff.stencil_derivatives(v, h)[order - 1][0]
+    exact = signals.eval_arrays(model, times)[order]
+    return _rel(_norm(exact - fd), _norm(exact), 1e-300)
+
+
 def check_signals():
     rng = np.random.default_rng(3)
-    worst_d1 = worst_d2 = 0.0
     # power-of-two steps with snapped times keep t + k*h exactly
     # representable, so the stencil sees a perfectly uniform grid; the
     # second derivative divides by h^2 and needs the larger step to stay
     # above the sin(w_o t) argument-rounding noise floor
     h1 = 2.0**-23  # ~1.2e-7 s
     h2 = 2.0**-19  # ~1.9e-6 s
+    draws = {}
     for _ in range(100):
-        sid = rng.choice(THREE_PHASE_SCENARIOS)
-        model = signals.make_scenario(str(sid))
-        t = round(float(rng.uniform(0.01, 2.0)) / h2) * h2
-        j = signals.eval_jet(model, t)
-        vs1 = np.array(
-            [signals.eval_jet(model, t + k * h1).v for k in (-2, -1, 0, 1, 2)]
+        sid = str(rng.choice(THREE_PHASE_SCENARIOS))
+        draws.setdefault(sid, []).append(round(float(rng.uniform(0.01, 2.0)) / h2) * h2)
+    worst_d1 = worst_d2 = 0.0
+    for sid, times in draws.items():
+        model, times = signals.make_scenario(sid), np.array(times)
+        worst_d1 = _worst(worst_d1, _fd_error(model, times, h1, 1))
+        worst_d2 = _worst(worst_d2, _fd_error(model, times, h2, 2))
+    b = _batch(signals.make_scenario("E6"), np.linspace(0.0, 5.0, 200))[3]
+    worst_e6 = _worst(np.abs(b.rho), np.abs(b.xi))
+    worst_plane = _worst(
+        *(
+            np.abs(_batch(signals.make_scenario(sid), _sample_times(40))[3].xi)
+            for sid in ("E0", "E1", "E2")
         )
-        vs2 = np.array(
-            [signals.eval_jet(model, t + k * h2).v for k in (-2, -1, 0, 1, 2)]
-        )
-        d1 = (vs1[0] - 8 * vs1[1] + 8 * vs1[3] - vs1[4]) / (12 * h1)
-        d2 = (-vs2[0] + 16 * vs2[1] - 30 * vs2[2] + 16 * vs2[3] - vs2[4]) / (
-            12 * h2**2
-        )
-        worst_d1 = max(worst_d1, norm(j.dv - d1) / max(norm(j.dv), 1e-300))
-        worst_d2 = max(worst_d2, norm(j.ddv - d2) / max(norm(j.ddv), 1e-300))
-    worst_e6 = 0.0
-    model = signals.make_scenario("E6")
-    for t in np.linspace(0.0, 5.0, 200):
-        g = frenet.invariants(signals.eval_jet(model, float(t)))
-        worst_e6 = max(worst_e6, abs(g.rho), abs(g.xi))
-    worst_plane = 0.0
-    for sid in ("E0", "E1", "E2"):
-        model = signals.make_scenario(sid)
-        for t in _sample_times(40):
-            g = frenet.invariants(signals.eval_jet(model, t))
-            worst_plane = max(worst_plane, abs(g.xi))
+    )
     return [
         PropertyResult("signals", "analytic first derivative vs FD", worst_d1, 1e-5),
         PropertyResult("signals", "analytic second derivative vs FD", worst_d2, 1e-5),
@@ -235,27 +245,20 @@ def check_numdiff():
     errs = {}
     model = signals.make_scenario("E0")
     for dt in (2e-4, 1e-4):
-        series = signals.sample(model, 0.0, 0.1, dt)
-        jets = numdiff.differentiate(series)
-        errs[dt] = max(
-            abs(frenet.invariants(j).omega_mag - w_true) for j in jets
-        )
+        _, v, dv, ddv = numdiff.differentiate_arrays(signals.sample(model, 0.0, 0.1, dt))
+        errs[dt] = _worst(np.abs(frenet.invariants_batch(v, dv, ddv).omega_mag - w_true))
     gain = errs[2e-4] / errs[1e-4]
     worst_conv = 0.0 if gain >= 8.0 else 8.0 - gain
 
-    series = signals.sample(signals.make_scenario("E6"), 0.0, 1.0, 1e-4)
-    jets = numdiff.differentiate(series)
-    worst_num = 0.0
     model6 = signals.make_scenario("E6")
-    for j in jets[5:-5]:
-        g_num = frenet.invariants(j)
-        g_ana = frenet.invariants(signals.eval_jet(model6, j.t))
-        worst_num = max(
-            worst_num,
-            abs(g_num.omega_mag - g_ana.omega_mag) / g_ana.omega_mag,
-            abs(g_num.rho - g_ana.rho) / max(abs(g_ana.rho), 1.0),
-            abs(g_num.xi - g_ana.xi) / max(abs(g_ana.xi), 1.0),
-        )
+    t, v, dv, ddv = numdiff.differentiate_arrays(signals.sample(model6, 0.0, 1.0, 1e-4))
+    num = frenet.invariants_batch(v, dv, ddv)
+    ana = _batch(model6, t[5:-5])[3]
+    worst_num = _worst(
+        _rel(np.abs(num.omega_mag[5:-5] - ana.omega_mag), ana.omega_mag, 0.0),
+        _rel(np.abs(num.rho[5:-5] - ana.rho), np.abs(ana.rho), 1.0),
+        _rel(np.abs(num.xi[5:-5] - ana.xi), np.abs(ana.xi), 1.0),
+    )
 
     # causality: perturbing sample k must not change filtered samples < k
     base = signals.sample(model, 0.0, 0.01, 1e-4)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geomfreq import cli, cli_io, frenet, signals, validate
+from geomfreq import cli, cli_io, frenet, numdiff, signals, validate
 from geomfreq.errors import MalformedCsv
 
 from conftest import W_O
@@ -197,19 +197,51 @@ def test_validate_cli_exit_codes(capsys):
     assert cli.main(["validate", "nonsense"]) == 2
 
 
-def test_validate_detects_flipped_omega_sign(monkeypatch, capsys):
-    original = frenet.invariants
+@pytest.mark.parametrize(
+    "scope, prop",
+    [("frenet_core", "reconstruction"),
+     ("threephase_forms", "closed-form omega vs Frenet")],
+    ids=["frenet_core", "threephase_forms"],
+)
+def test_validate_detects_flipped_omega_sign(monkeypatch, capsys, scope, prop):
+    original = frenet.invariants_batch
 
-    def flipped(j, eps_v=frenet.EPS_V, eps_w=frenet.EPS_W):
-        g = original(j, eps_v, eps_w)
-        return dataclasses.replace(g, omega_vec=-g.omega_vec)
+    def flipped(*args, **kwargs):
+        b = original(*args, **kwargs)
+        return dataclasses.replace(b, omega_vec=-b.omega_vec)
 
-    monkeypatch.setattr(frenet, "invariants", flipped)
-    rc = cli.main(["validate", "frenet_core"])
+    monkeypatch.setattr(frenet, "invariants_batch", flipped)
+    rc = cli.main(["validate", scope])
     out = capsys.readouterr().out
     assert rc == 1
     failed = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
-    assert any("reconstruction" in ln for ln in failed)
+    assert any(prop in ln for ln in failed)
+
+
+def test_validate_fails_on_nan_from_the_kernel(monkeypatch):
+    original = frenet.invariants_batch
+
+    def poisoned(*args, **kwargs):
+        b = original(*args, **kwargs)
+        rho = b.rho.copy()
+        rho[0] = np.nan
+        return dataclasses.replace(b, rho=rho)
+
+    monkeypatch.setattr(frenet, "invariants_batch", poisoned)
+    failed = [r.name for r in validate.run("threephase_forms") if not r.passed]
+    assert failed == ["closed-form rho vs Frenet"]
+
+
+@pytest.mark.parametrize("scope", ["frenet_core", "threephase_forms", "signals", "numdiff"])
+def test_validate_suites_read_the_array_route(monkeypatch, scope):
+    def unused(*args, **kwargs):
+        raise AssertionError("per-sample reference called by an array suite")
+
+    monkeypatch.setattr(frenet, "invariants", unused)
+    monkeypatch.setattr(frenet, "rocof", unused)
+    monkeypatch.setattr(numdiff, "differentiate", unused)
+    results = validate.run(scope)
+    assert results and all(r.passed for r in results)
 
 
 # ------------------------------------------------------------ park/hilbert
@@ -241,6 +273,15 @@ def test_hilbert_subcommand(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "t,rho,w,xi,phi_dot"
 
 
+def test_hilbert_grid_is_half_open(tmp_path):
+    out = tmp_path / "hb.csv"
+    rc = cli.main(["hilbert", "--t1", "0.01", "--dt", "1e-4", "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 100 - 4  # samples on [0, t1), less the stencil trim
+    assert rows[0].startswith("0.0002,")
+
+
 # ------------------------------------------------------------- exit codes
 
 
@@ -255,29 +296,51 @@ def _waveform(path, rows, cell="1.0"):
 
 BAD_INPUT = [
     # sample step: a usage error before it divides anything
-    ("analyze-dt-zero", ["analyze", "--scenario", "E0", "--dt", "0"], 2),
-    ("analyze-dt-nan", ["analyze", "--scenario", "E0", "--dt", "nan"], 2),
-    ("park-dt-zero", ["park", "--scenario", "E0", "--dt", "0"], 2),
-    ("park-dt-negative", ["park", "--scenario", "E0", "--dt=-1e-3"], 2),
-    ("hilbert-dt-zero", ["hilbert", "--dt", "0"], 2),
-    ("hilbert-dt-negative", ["hilbert", "--dt=-1e-4"], 2),
+    ("analyze-dt-zero", ["analyze", "--scenario", "E0", "--dt", "0"], 2,
+     "dt must be positive"),
+    ("analyze-dt-nan", ["analyze", "--scenario", "E0", "--dt", "nan"], 2,
+     "dt must be positive"),
+    ("park-dt-zero", ["park", "--scenario", "E0", "--dt", "0"], 2, "dt must be positive"),
+    ("park-dt-negative", ["park", "--scenario", "E0", "--dt=-1e-3"], 2, "dt must be positive"),
+    ("hilbert-dt-zero", ["hilbert", "--dt", "0"], 2, "dt must be positive"),
+    ("hilbert-dt-negative", ["hilbert", "--dt=-1e-4"], 2, "dt must be positive"),
+    # sampling range: at least 2 finite samples
+    ("generate-t1-nan", ["generate", "E0", "--t1", "nan"], 2, "bad range"),
+    ("generate-t1-inf", ["generate", "E0", "--t1", "inf"], 2, "bad range"),
+    ("park-t1-nan", ["park", "--scenario", "E0", "--t1", "nan"], 2, "bad range"),
+    ("park-t0-inf", ["park", "--scenario", "E0", "--t0", "inf"], 2, "bad range"),
+    ("park-t1-negative", ["park", "--scenario", "E0", "--t1=-1"], 2, "bad range"),
+    ("hilbert-t1-nan", ["hilbert", "--t1", "nan"], 2, "bad range"),
+    ("hilbert-t1-inf", ["hilbert", "--t1", "inf"], 2, "bad range"),
+    # filter time constant: positive and finite, checked before the filter runs
+    ("filter-tau-zero", ["analyze", "--csv", "{good}", "--filter-tau", "0"], 2,
+     "--filter-tau"),
+    ("filter-tau-negative", ["analyze", "--csv", "{good}", "--filter-tau=-1e-3"], 2,
+     "--filter-tau"),
+    ("filter-tau-nan", ["analyze", "--csv", "{good}", "--filter-tau", "nan"], 2,
+     "--filter-tau"),
+    ("filter-tau-inf", ["analyze", "--csv", "{good}", "--filter-tau", "inf"], 2,
+     "--filter-tau"),
     # hilbert channel and frequency ranges
-    ("hilbert-channel-3", ["hilbert", "--csv", "{good}", "--channel", "3"], 2),
-    ("hilbert-channel-negative", ["hilbert", "--csv", "{good}", "--channel", "-1"], 2),
-    ("hilbert-freq-zero", ["hilbert", "--freq", "0"], 2),
-    ("hilbert-freq-negative", ["hilbert", "--freq", "-50"], 2),
+    ("hilbert-channel-3", ["hilbert", "--csv", "{good}", "--channel", "3"], 2, "--channel"),
+    ("hilbert-channel-negative", ["hilbert", "--csv", "{good}", "--channel", "-1"], 2,
+     "--channel"),
+    ("hilbert-freq-zero", ["hilbert", "--freq", "0"], 2, "--freq"),
+    ("hilbert-freq-negative", ["hilbert", "--freq", "-50"], 2, "--freq"),
+    ("hilbert-freq-inf", ["hilbert", "--freq", "inf"], 2, "--freq"),
     # waveform files the numeric path cannot use: a format error
-    ("csv-nan-cell", ["analyze", "--csv", "{nan}", "--mode", "numeric"], 3),
-    ("csv-inf-cell", ["analyze", "--csv", "{inf}", "--mode", "numeric"], 3),
-    ("hilbert-csv-nan-cell", ["hilbert", "--csv", "{nan}"], 3),
-    ("csv-four-rows", ["analyze", "--csv", "{short}", "--mode", "numeric"], 3),
+    ("csv-nan-cell", ["analyze", "--csv", "{nan}", "--mode", "numeric"], 3, "NaN or infinite"),
+    ("csv-inf-cell", ["analyze", "--csv", "{inf}", "--mode", "numeric"], 3, "NaN or infinite"),
+    ("hilbert-csv-nan-cell", ["hilbert", "--csv", "{nan}"], 3, "NaN or infinite"),
+    ("csv-four-rows", ["analyze", "--csv", "{short}", "--mode", "numeric"], 3,
+     "at least 5 samples"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, code", [case[1:] for case in BAD_INPUT], ids=[case[0] for case in BAD_INPUT]
+    "argv, code, says", [case[1:] for case in BAD_INPUT], ids=[case[0] for case in BAD_INPUT]
 )
-def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
+def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
     files = {"good": 64, "nan": 64, "inf": 64, "short": 4}
     cells = {"nan": "nan", "inf": "inf"}
     paths = {}
@@ -285,7 +348,8 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
         paths[name] = tmp_path / f"{name}.csv"
         _waveform(paths[name], rows, cells.get(name, "1.0"))
     argv = [a.format(**paths) for a in argv]
-    if argv[0] == "analyze":
+    if argv[0] in ("analyze", "generate"):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert cli.main(argv) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err

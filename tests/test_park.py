@@ -88,6 +88,32 @@ def test_invariants_match_frenet_route(rng):
         )
 
 
+# The amplitude-invariant transform scales the dq plane by sqrt(2/3) and
+# the zero-sequence axis by 1/sqrt(3), so with v_o != 0 it is not a scaled
+# rotation and does not keep rho and omega.  Stretching v_o by sqrt(2)
+# makes it one (and commutes with the frame rotation about e_o).
+_CONFORMAL = np.array([1.0, 1.0, math.sqrt(2.0)])
+
+
+@pytest.mark.parametrize(
+    "cfg", [SYNC, ParkConfig(w_dq=0.7 * W_O, theta0=0.3)], ids=["sync", "async"]
+)
+@pytest.mark.parametrize("sid", ["E0", "E5", "E8"])
+def test_dq0_invariants_equal_abc_frenet(sid, cfg):
+    model = signals.make_scenario(sid)
+    for t in np.linspace(0.01, 1.9, 25):
+        j = signals.eval_jet(model, float(t))
+        ref = frenet.invariants(j)
+        dq = park.to_dq0(j, cfg)
+        g = park.dq0_invariants(
+            DqoJet(t=dq.t, vdq0=dq.vdq0 * _CONFORMAL, dvdq0=dq.dvdq0 * _CONFORMAL),
+            cfg,
+        )
+        tol = 1e-9 * ref.omega_mag
+        assert abs(g.rho - ref.rho) <= tol
+        assert abs(np.linalg.norm(g.omega_vec) - ref.omega_mag) <= tol
+
+
 def test_invariants_degenerate_speed():
     j = DqoJet(t=0.0, vdq0=(0, 0, 0), dvdq0=(1, 0, 0))
     with pytest.raises(DegenerateSpeed):

@@ -39,7 +39,12 @@ def _load_config(path):
 
 
 def _cfg_float(cfg, key, fallback):
-    return float(cfg[key]) if key in cfg else fallback
+    if key not in cfg:
+        return fallback
+    try:
+        return float(cfg[key])
+    except ValueError:
+        raise InvalidParameter(f"config {key} = {cfg[key]} is not a number") from None
 
 
 def _sampling(args, cfg):
@@ -104,7 +109,7 @@ def cmd_analyze(args):
         filter_tau = (
             args.filter_tau
             if args.filter_tau is not None
-            else (float(cfg["filter.tau"]) if "filter.tau" in cfg else None)
+            else _cfg_float(cfg, "filter.tau", None)
         )
         if filter_tau is not None:
             _check_positive("--filter-tau", filter_tau)
@@ -142,24 +147,20 @@ def cmd_park(args):
     times = signals.sample_times(t0, t1, dt)
     model = signals.make_scenario(scenario)
     pcfg = park.ParkConfig(w_dq=w_dq, theta0=theta0)
-    worst_sum = 0.0
-    worst_balanced = 0.0
-    lines = []
+    sum_errs, balanced_errs, vdq0 = [], [], []
     for t in times.tolist():
         dq = park.to_dq0(signals.eval_jet(model, t), pcfg)
         rep = park.derivative_frame_check(dq, pcfg)
-        worst_sum = max(worst_sum, rep.sum_rel_err)
+        sum_errs.append(rep.sum_rel_err)
         if rep.balanced_identity_err is not None:
-            worst_balanced = max(worst_balanced, rep.balanced_identity_err)
-        lines.append((t, dq.vdq0))
+            balanced_errs.append(rep.balanced_identity_err)
+        vdq0.append(dq.vdq0)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("t,vd,vq,vo\n")
-            for t, vdq0 in lines:
-                fh.write(
-                    ",".join(repr(float(x)) for x in (t, *vdq0)) + "\n"
-                )
-        print(f"wrote {len(lines)} dq0 samples to {args.out}")
+        cli_io.write_table(args.out, ("t", "vd", "vq", "vo"), (times, *np.array(vdq0).T))
+        print(f"wrote {times.size} dq0 samples to {args.out}")
+    # a NaN error must fail the check, so fold without dropping NaN
+    worst_sum = validate._worst(sum_errs)
+    worst_balanced = validate._worst(balanced_errs)
     print(f"sum identity worst relative error: {worst_sum:.3e}")
     print(f"balanced rotating-derivative identity worst error: {worst_balanced:.3e}")
     ok = worst_sum <= 1e-9
@@ -185,22 +186,11 @@ def cmd_hilbert(args):
     pair = hilbert.analytic_embed(u, dt)
     report = hilbert.geometric_equivalence(pair)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("t,rho,w,xi,phi_dot\n")
-            for k in range(report.times.size):
-                fh.write(
-                    ",".join(
-                        repr(float(x))
-                        for x in (
-                            report.times[k],
-                            report.rho[k],
-                            report.omega_mag[k],
-                            report.xi[k],
-                            report.phi_dot[k],
-                        )
-                    )
-                    + "\n"
-                )
+        cli_io.write_table(
+            args.out,
+            ("t", "rho", "w", "xi", "phi_dot"),
+            (report.times, report.rho, report.omega_mag, report.xi, report.phi_dot),
+        )
         print(f"wrote {report.times.size} rows to {args.out}")
     print(f"max |omega_z - phi'| relative deviation (mid-window): {report.max_rel_dev:.3e}")
     print(f"max |xi|: {report.max_abs_xi:.3e}")

@@ -1,9 +1,13 @@
 """CSV and config file formats used by the command line.
 
-Waveform CSV: optional '#' comment lines, then the exact header
-``t,va,vb,vc``, comma separated, LF line endings.  Floats are written
-with Python's shortest round-trip repr so identical inputs yield
-byte-identical files.
+Every CSV the command line writes (waveform, analysis, dq0 and Hilbert
+tables) has one format, written by ``write_table``: a header row of
+column names, comma separated, LF line endings, floats in Python's
+shortest round-trip ``repr`` so identical inputs yield byte-identical
+files, NaN as an empty cell, a ``rotation_defined`` column as a 0/1
+flag, and an optional trailing ``# key=value`` comment line.  The
+waveform reader accepts '#' comment lines and needs the exact header
+``t,va,vb,vc``.
 """
 
 import configparser
@@ -19,18 +23,9 @@ DT_JITTER_REL = 1e-9
 BLOCK_ROWS = 256  # rows per write; at 1024 a 5000-row analysis peaked 2.5 MiB higher
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def write_waveform_csv(path, series):
     """Write a three-channel waveform with header t,va,vb,vc."""
-    times = series.times
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(WAVEFORM_HEADER) + "\n")
-        for k in range(len(series)):
-            row = [_fmt(times[k])] + [_fmt(x) for x in series.values[k]]
-            fh.write(",".join(row) + "\n")
+    write_table(path, WAVEFORM_HEADER, (series.times, *series.values.T))
 
 
 def read_waveform_csv(path):
@@ -87,32 +82,41 @@ def _flag(x):
     return str(int(x))
 
 
-def write_analysis_csv(path, columns, degenerate_count):
-    """Write analysis columns (one array per name in COLUMNS) as rows;
-    NaN cells are left empty, and a footer comment records how many
-    samples were degenerate.  Rows are formatted in blocks of
-    BLOCK_ROWS, so the text held at once stays bounded."""
-    fmts = [_flag if name == "rotation_defined" else repr for name in COLUMNS]
+def write_table(path, header, columns, footer=None):
+    """Write equal-length float arrays, one per name in ``header``, as
+    CSV rows, then ``# footer`` if given.  Rows are formatted in blocks
+    of BLOCK_ROWS, so the text held at once stays bounded."""
+    fmts = [_flag if name == "rotation_defined" else repr for name in header]
     n = len(columns[0])
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
+        fh.write(",".join(header) + "\n")
         for lo in range(0, n, BLOCK_ROWS):
             cells = [
                 _cells(col[lo : lo + BLOCK_ROWS], fmt)
                 for col, fmt in zip(columns, fmts)
             ]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-        fh.write(f"# degenerate_samples={degenerate_count}\n")
+        if footer is not None:
+            fh.write(f"# {footer}\n")
+
+
+def write_analysis_csv(path, columns, degenerate_count):
+    """Write analysis columns (one array per name in COLUMNS), with a
+    footer comment recording how many samples were degenerate."""
+    write_table(path, COLUMNS, columns, f"degenerate_samples={degenerate_count}")
 
 
 def read_config(path):
     """Read an INI-style config into a flat {section.key: value} dict."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        out = {}
+        for section in parser.sections():
+            for key, value in parser.items(section):
+                out[f"{section}.{key}"] = value
+    except configparser.Error as exc:
+        raise MalformedCsv(f"{path}: {exc}") from exc
     if not read:
         raise FileNotFoundError(path)
-    out = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            out[f"{section}.{key}"] = value
     return out

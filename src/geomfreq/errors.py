@@ -44,7 +44,8 @@ class DegenerateEnvelope(GeomfreqError):
 
 
 class MalformedCsv(GeomfreqError):
-    """Waveform CSV has a wrong header or non-uniform time grid."""
+    """An input file is malformed: a waveform CSV with a wrong header,
+    bad cells or a non-uniform time grid, or an unparsable config."""
 
 
 class DegenerateInput(GeomfreqError):

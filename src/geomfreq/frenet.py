@@ -126,11 +126,16 @@ def speed(j):
     return norm(j.v)
 
 
-def _check_speed(j, eps_v):
+def _radial_azimuthal(j, eps_v):
+    """|v|, rho = (v . v') / |v|^2 and omega = (v x v') / |v|^2 of a jet.
+
+    Raises ``DegenerateSpeed`` when |v| <= eps_v.
+    """
     v_mag = norm(j.v)
     if v_mag <= eps_v:
         raise DegenerateSpeed(f"|v| = {v_mag} <= {eps_v} at t = {j.t}")
-    return v_mag
+    v2 = v_mag * v_mag
+    return v_mag, inner(j.v, j.dv) / v2, cross(j.v, j.dv) / v2
 
 
 def invariants(j, eps_v=EPS_V, eps_w=EPS_W):
@@ -143,10 +148,7 @@ def invariants(j, eps_v=EPS_V, eps_w=EPS_W):
     xi   = |v| * tau
     n    = v' - rho v
     """
-    v_mag = _check_speed(j, eps_v)
-    v2 = v_mag * v_mag
-    rho = inner(j.v, j.dv) / v2
-    omega_vec = cross(j.v, j.dv) / v2
+    v_mag, rho, omega_vec = _radial_azimuthal(j, eps_v)
     omega_mag = norm(omega_vec)
     if omega_mag > eps_w:
         vxdv = cross(j.v, j.dv)
@@ -197,29 +199,20 @@ def frame(j, eps_v=EPS_V, eps_w=EPS_W):
 def velocity_identity_residual(j, eps_v=EPS_V):
     """Residual of v' = rho v + omega x v; numerically zero for any
     jet that actually came from a differentiable curve."""
-    v_mag = _check_speed(j, eps_v)
-    v2 = v_mag * v_mag
-    rho = inner(j.v, j.dv) / v2
-    omega_vec = cross(j.v, j.dv) / v2
+    _, rho, omega_vec = _radial_azimuthal(j, eps_v)
     return j.dv - (rho * j.v + cross(omega_vec, j.v))
 
 
 def rho_prime(j, eps_v=EPS_V):
     """Time derivative of rho: (v . v'') / |v|^2 + omega^2 - rho^2."""
-    v_mag = _check_speed(j, eps_v)
-    v2 = v_mag * v_mag
-    rho = inner(j.v, j.dv) / v2
-    omega_mag = norm(cross(j.v, j.dv)) / v2
-    return inner(j.v, j.ddv) / v2 + omega_mag**2 - rho**2
+    v_mag, rho, omega_vec = _radial_azimuthal(j, eps_v)
+    return inner(j.v, j.ddv) / (v_mag * v_mag) + norm(omega_vec) ** 2 - rho**2
 
 
 def omega_dot_direct(j, eps_v=EPS_V):
     """Analytic omega' = (v x v'') / |v|^2 - 2 rho omega."""
-    v_mag = _check_speed(j, eps_v)
-    v2 = v_mag * v_mag
-    rho = inner(j.v, j.dv) / v2
-    omega_vec = cross(j.v, j.dv) / v2
-    return cross(j.v, j.ddv) / v2 - 2.0 * rho * omega_vec
+    v_mag, rho, omega_vec = _radial_azimuthal(j, eps_v)
+    return cross(j.v, j.ddv) / (v_mag * v_mag) - 2.0 * rho * omega_vec
 
 
 def rocof(j, eps_v=EPS_V, eps_w=EPS_W):

@@ -8,6 +8,13 @@ setting for the rho/omega expressions and the derivative-frame
 identities checked here.  The transform scales the dq plane by
 sqrt(2/3) and the zero-sequence axis by 1/sqrt(3), so rho and omega in
 dq0 equal those of the abc curve only when v_o = 0.
+
+The frame rotation enters through one term, r x x with r = w_dq e_o
+(``_spin``).  With P the Park matrix, the inertial derivative in dq0
+components is P v' = v_hat' + r x v, and once more
+P v'' = v_hat'' + r x (P v' + v_hat'), where v_hat', v_hat'' are the
+derivatives of the dq0 component functions.  ``to_dq0``, ``from_dq0``,
+``inertial_derivative`` and ``derivative_frame_check`` all use it.
 """
 
 import math
@@ -92,73 +99,44 @@ def park_matrix(theta):
     )
 
 
-def _park_matrix_dtheta(theta):
-    ang = theta + _SHIFTS
-    return np.array(
-        [
-            -2.0 / 3.0 * np.sin(ang),
-            -2.0 / 3.0 * np.cos(ang),
-            np.zeros(3),
-        ]
-    )
-
-
 def inverse_park_matrix(theta):
     """dq0 -> abc; columns are the rotating axes expressed in abc."""
     ang = theta + _SHIFTS
     return np.column_stack([np.cos(ang), -np.sin(ang), np.ones(3)])
 
 
+def _spin(w, x):
+    """(w e_o) x x: the rotation term of a frame spinning at w about e_o."""
+    return np.array([-w * x[1], w * x[0], 0.0])
+
+
 def to_dq0(abc, cfg):
-    """Transform an abc jet into dq0 coordinates by chain rule."""
-    theta = cfg.w_dq * abc.t + cfg.theta0
-    P = park_matrix(theta)
-    dP = cfg.w_dq * _park_matrix_dtheta(theta)
-    # second derivative of the cos/sin rows; the zero-sequence row is constant
-    ang = theta + _SHIFTS
-    ddP = cfg.w_dq**2 * np.array(
-        [
-            -2.0 / 3.0 * np.cos(ang),
-            2.0 / 3.0 * np.sin(ang),
-            np.zeros(3),
-        ]
-    )
+    """Transform an abc jet into dq0 coordinates.
+
+    P v' is the inertial derivative in dq0 components; the rotating
+    derivatives are what is left of it after the rotation term r x v.
+    """
+    P = park_matrix(cfg.w_dq * abc.t + cfg.theta0)
     vdq0 = P @ abc.v
-    dvdq0 = dP @ abc.v + P @ abc.dv
-    ddvdq0 = ddP @ abc.v + 2.0 * dP @ abc.dv + P @ abc.ddv
+    dv = P @ abc.dv
+    dvdq0 = dv - _spin(cfg.w_dq, vdq0)
+    ddvdq0 = P @ abc.ddv - _spin(cfg.w_dq, dv + dvdq0)
     return DqoJet(t=abc.t, vdq0=vdq0, dvdq0=dvdq0, ddvdq0=ddvdq0)
 
 
 def from_dq0(j, cfg):
     """Inverse transform back to an abc jet (requires ddvdq0)."""
-    theta = cfg.w_dq * j.t + cfg.theta0
-    ang = theta + _SHIFTS
-    Q = inverse_park_matrix(theta)
-    dQ = cfg.w_dq * np.column_stack(
-        [-np.sin(ang), -np.cos(ang), np.zeros(3)]
-    )
-    ddQ = cfg.w_dq**2 * np.column_stack(
-        [-np.cos(ang), np.sin(ang), np.zeros(3)]
-    )
     if j.ddvdq0 is None:
         raise ValueError("from_dq0 needs a jet carrying ddvdq0")
-    v = Q @ j.vdq0
-    dv = dQ @ j.vdq0 + Q @ j.dvdq0
-    ddv = ddQ @ j.vdq0 + 2.0 * dQ @ j.dvdq0 + Q @ j.ddvdq0
-    return Jet2(t=j.t, v=v, dv=dv, ddv=ddv)
+    Q = inverse_park_matrix(cfg.w_dq * j.t + cfg.theta0)
+    dv = inertial_derivative(j, cfg)
+    ddv = j.ddvdq0 + _spin(cfg.w_dq, dv + j.dvdq0)
+    return Jet2(t=j.t, v=Q @ j.vdq0, dv=Q @ dv, ddv=Q @ ddv)
 
 
 def inertial_derivative(j, cfg):
-    """v' = (v_d' - w v_q, v_q' + w v_d, v_o') in dq0 components."""
-    vd, vq, vo = j.vdq0
-    dvd, dvq, dvo = j.dvdq0
-    return np.array(
-        [
-            dvd - cfg.w_dq * vq,
-            dvq + cfg.w_dq * vd,
-            dvo,
-        ]
-    )
+    """v' = v_hat' + r x v in dq0 components, r = w_dq e_o."""
+    return j.dvdq0 + _spin(cfg.w_dq, j.vdq0)
 
 
 def dq0_invariants(j, cfg, eps_v=EPS_V, balance_tol=1e-9):
@@ -195,9 +173,7 @@ def derivative_frame_check(j, cfg, eps_v=EPS_V, term_tol=1e-9):
     g = dq0_invariants(j, cfg, eps_v)
     v = j.vdq0
     v_hat_prime = j.dvdq0
-    r = np.array([0.0, 0.0, cfg.w_dq])
-    rotation_term = cross(r, v)
-    inertial = v_hat_prime + rotation_term
+    inertial = inertial_derivative(j, cfg)
     sym = g.rho * v
     antisym = cross(g.omega_vec, v)
     scale = max(norm(inertial), eps_v)
@@ -205,14 +181,11 @@ def derivative_frame_check(j, cfg, eps_v=EPS_V, term_tol=1e-9):
     terms_equal = norm(v_hat_prime - sym) <= term_tol * scale
     balanced_err = None
     if g.delta_omega is not None:
-        e_o = np.array([0.0, 0.0, 1.0])
-        balanced_err = norm(
-            v_hat_prime - (g.rho * v + g.delta_omega * cross(e_o, v))
-        ) / scale
+        balanced_err = norm(v_hat_prime - (sym + _spin(g.delta_omega, v))) / scale
     return FrameCheckReport(
         inertial_dv=inertial,
         rotating_dv=v_hat_prime,
-        rotation_term=rotation_term,
+        rotation_term=_spin(cfg.w_dq, v),
         sym_part=sym,
         antisym_part=antisym,
         sum_rel_err=sum_rel_err,

@@ -22,6 +22,7 @@ from .threephase import PhaseJet
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 W_BASE = 100.0 * math.pi
+MAX_SAMPLES = 10_000_000  # largest sampling grid; its times alone are 80 MB
 
 SCENARIO_IDS = (
     "DC",
@@ -168,13 +169,20 @@ def phase_jets(model, t):
 
 def sample_times(t0, t1, dt):
     """The uniform grid t0 + k*dt, k = 0..n-1, whose last point is the
-    one nearest t1; at least 2 points, all finite."""
+    one nearest t1; at least 2 points and at most MAX_SAMPLES, all
+    finite.  Raises InvalidRange otherwise, before allocating."""
     if not dt > 0:
         raise InvalidRange(f"dt must be positive, got {dt}")
     span = (t1 - t0) / dt
     if not 0.5 < span < math.inf:  # fewer than 2 samples, NaN or infinite
         raise InvalidRange(f"bad range [{t0}, {t1}] with dt {dt}")
-    return t0 + dt * np.arange(int(round(span)) + 1)
+    n = int(round(span)) + 1
+    if n > MAX_SAMPLES:
+        raise InvalidRange(
+            f"range [{t0}, {t1}] with dt {dt} needs more than "
+            f"MAX_SAMPLES = {MAX_SAMPLES} samples"
+        )
+    return t0 + dt * np.arange(n)
 
 
 def sample(model, t0, t1, dt):

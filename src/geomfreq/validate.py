@@ -41,24 +41,24 @@ def _sample_times(n=60, t_max=2.0, seed=7):
 
 def check_geometry(seed=11):
     rng = np.random.default_rng(seed)
-    worst_orth = worst_cyc = worst_lagr = 0.0
+    orth, cyc, lagr = [], [], []
     for _ in range(500):
         a, b, c = rng.normal(scale=10.0, size=(3, 3))
         axb = cross(a, b)
         scale = max(norm(a) * norm(axb), 1e-300)
-        worst_orth = max(worst_orth, abs(inner(a, axb)) / scale)
+        orth.append(abs(inner(a, axb)) / scale)
         t1 = triple_scalar(a, b, c)
         t2 = triple_scalar(c, a, b)
         t3 = triple_scalar(b, c, a)
         tscale = max(abs(t1), 1e-300)
-        worst_cyc = max(worst_cyc, abs(t1 - t2) / tscale, abs(t1 - t3) / tscale)
+        cyc += [abs(t1 - t2) / tscale, abs(t1 - t3) / tscale]
         lhs = inner(axb, axb)
         rhs = inner(a, a) * inner(b, b) - inner(a, b) ** 2
-        worst_lagr = max(worst_lagr, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+        lagr.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return [
-        PropertyResult("geometry", "cross orthogonal to factors", worst_orth, 1e-12),
-        PropertyResult("geometry", "triple product cyclic", worst_cyc, 1e-12),
-        PropertyResult("geometry", "Lagrange identity", worst_lagr, 1e-10),
+        PropertyResult("geometry", "cross orthogonal to factors", _worst(orth), 1e-12),
+        PropertyResult("geometry", "triple product cyclic", _worst(cyc), 1e-12),
+        PropertyResult("geometry", "Lagrange identity", _worst(lagr), 1e-10),
     ]
 
 
@@ -291,7 +291,7 @@ def check_hilbert():
 
 def check_park(seed=5):
     rng = np.random.default_rng(seed)
-    worst_sum = worst_round = 0.0
+    round_trip, sum_errs = [], []
     cfg = park.ParkConfig(w_dq=100.0 * math.pi, theta0=0.3)
     model = signals.make_scenario("E8")
     for t in _sample_times(40):
@@ -300,12 +300,11 @@ def check_park(seed=5):
         back = park.from_dq0(dq, cfg)
         g0 = frenet.invariants(j)
         g1 = frenet.invariants(back)
-        worst_round = max(
-            worst_round,
+        round_trip += [
             abs(g0.rho - g1.rho) / max(abs(g0.rho), 1.0),
             abs(g0.omega_mag - g1.omega_mag) / g0.omega_mag,
             abs(g0.xi - g1.xi) / max(abs(g0.xi), 1.0),
-        )
+        ]
     for _ in range(200):
         dq = park.DqoJet(
             t=0.0,
@@ -315,19 +314,21 @@ def check_park(seed=5):
         if norm(dq.vdq0) < 1e-3:
             continue
         rep = park.derivative_frame_check(dq, park.ParkConfig(w_dq=rng.normal()))
-        worst_sum = max(worst_sum, rep.sum_rel_err)
+        sum_errs.append(rep.sum_rel_err)
 
     # Remark 7: synchronous balanced frame reproduces the plane-curve result
     cfg_sync = park.ParkConfig(w_dq=100.0 * math.pi, theta0=-math.pi / 2)
     j = signals.eval_jet(signals.make_scenario("E0"), 0.0125)
     g = park.dq0_invariants(park.to_dq0(j, cfg_sync), cfg_sync)
-    remark7 = max(
-        float(np.abs(g.omega_vec[:2]).max()),
+    remark7 = _worst(
+        np.abs(g.omega_vec[:2]),
         abs(g.omega_vec[2] - 100.0 * math.pi) / (100.0 * math.pi),
     )
     return [
-        PropertyResult("park", "invariants unchanged by dq0 round trip", worst_round, 1e-9),
-        PropertyResult("park", "sum identity of derivative splits", worst_sum, 1e-9),
+        PropertyResult(
+            "park", "invariants unchanged by dq0 round trip", _worst(round_trip), 1e-9
+        ),
+        PropertyResult("park", "sum identity of derivative splits", _worst(sum_errs), 1e-9),
         PropertyResult("park", "Remark-7 reduction at synchronous speed", remark7, 1e-9),
     ]
 

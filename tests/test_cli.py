@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geomfreq import cli, cli_io, frenet, numdiff, signals, validate
+from geomfreq import cli, cli_io, frenet, hilbert, numdiff, park, signals, validate
 from geomfreq.errors import MalformedCsv
 
 from conftest import W_O
@@ -232,6 +232,42 @@ def test_validate_fails_on_nan_from_the_kernel(monkeypatch):
     assert failed == ["closed-form rho vs Frenet"]
 
 
+def _nan_on_first_call(fn, field=None):
+    """fn, but its first result is NaN (or has NaN in ``field``)."""
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(1)
+        if len(calls) > 1:
+            return out
+        return math.nan if field is None else dataclasses.replace(out, **{field: math.nan})
+
+    return poisoned
+
+
+def test_park_suite_fails_on_nan_invariants(monkeypatch):
+    monkeypatch.setattr(frenet, "invariants", _nan_on_first_call(frenet.invariants, "rho"))
+    failed = [r.name for r in validate.run("park") if not r.passed]
+    assert failed == ["invariants unchanged by dq0 round trip"]
+
+
+def test_geometry_suite_fails_on_nan_inner(monkeypatch):
+    monkeypatch.setattr(validate, "inner", _nan_on_first_call(validate.inner))
+    results = validate.run("geometry")
+    assert results and not all(r.passed for r in results)
+
+
+def test_park_fails_on_nan_sum_identity(monkeypatch, capsys):
+    monkeypatch.setattr(
+        park,
+        "derivative_frame_check",
+        _nan_on_first_call(park.derivative_frame_check, "sum_rel_err"),
+    )
+    assert cli.main(["park", "--scenario", "E0", "--t1", "0.01", "--dt", "1e-3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+
 @pytest.mark.parametrize("scope", ["frenet_core", "threephase_forms", "signals", "numdiff"])
 def test_validate_suites_read_the_array_route(monkeypatch, scope):
     def unused(*args, **kwargs):
@@ -280,6 +316,37 @@ def test_hilbert_grid_is_half_open(tmp_path):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 100 - 4  # samples on [0, t1), less the stencil trim
     assert rows[0].startswith("0.0002,")
+
+
+def _csv_bytes(header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(x)) for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_park_and_hilbert_csv_cells(tmp_path):
+    # every cell is the shortest round-trip repr of the value, LF endings
+    cfg = park.ParkConfig(w_dq=0.7 * W_O, theta0=0.3)
+    out = tmp_path / "dq.csv"
+    assert cli.main(
+        ["park", "--scenario", "E8", "--wdq", repr(cfg.w_dq), "--theta0", "0.3",
+         "--t1", "0.01", "--dt", "1e-3", "--out", str(out)]
+    ) == 0
+    model = signals.make_scenario("E8")
+    rows = [
+        (t, *park.to_dq0(signals.eval_jet(model, t), cfg).vdq0)
+        for t in signals.sample_times(0.0, 0.01, 1e-3).tolist()
+    ]
+    assert out.read_bytes() == _csv_bytes(("t", "vd", "vq", "vo"), rows)
+
+    out = tmp_path / "hb.csv"
+    assert cli.main(["hilbert", "--t1", "0.01", "--dt", "1e-4", "--out", str(out)]) == 0
+    t = signals.sample_times(0.0, 0.01, 1e-4)[:-1]
+    rep = hilbert.geometric_equivalence(
+        hilbert.analytic_embed(np.cos(2.0 * math.pi * 50.0 * t), 1e-4)
+    )
+    rows = zip(rep.times, rep.rho, rep.omega_mag, rep.xi, rep.phi_dot)
+    assert out.read_bytes() == _csv_bytes(("t", "rho", "w", "xi", "phi_dot"), rows)
 
 
 # ------------------------------------------------------------- exit codes
@@ -334,6 +401,17 @@ BAD_INPUT = [
     ("hilbert-csv-nan-cell", ["hilbert", "--csv", "{nan}"], 3, "NaN or infinite"),
     ("csv-four-rows", ["analyze", "--csv", "{short}", "--mode", "numeric"], 3,
      "at least 5 samples"),
+    # config files: a value that is not a number names its key; an
+    # unparsable file is a format error
+    ("config-dt-not-a-number", ["generate", "E0", "--config", "{cfg_dt}"], 2, "sampling.dt"),
+    ("config-tau-not-a-number", ["analyze", "--csv", "{good}", "--config", "{cfg_tau}"], 2,
+     "filter.tau"),
+    ("config-no-section", ["generate", "E0", "--config", "{cfg_bare}"], 3, "section header"),
+    # sampling grid over signals.MAX_SAMPLES, refused before allocation
+    ("generate-grid-cap", ["generate", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
+    ("analyze-grid-cap", ["analyze", "--scenario", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
+    ("park-grid-cap", ["park", "--scenario", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
+    ("hilbert-grid-cap", ["hilbert", "--t1", "1e300"], 2, "MAX_SAMPLES"),
 ]
 
 
@@ -347,6 +425,14 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
     for name, rows in files.items():
         paths[name] = tmp_path / f"{name}.csv"
         _waveform(paths[name], rows, cells.get(name, "1.0"))
+    configs = {
+        "cfg_dt": "[sampling]\ndt = abc\n",
+        "cfg_tau": "[filter]\ntau = x\n",
+        "cfg_bare": "dt = 1e-4\n",
+    }
+    for name, text in configs.items():
+        paths[name] = tmp_path / f"{name}.ini"
+        paths[name].write_text(text)
     argv = [a.format(**paths) for a in argv]
     if argv[0] in ("analyze", "generate"):
         argv += ["--out", str(tmp_path / "out.csv")]

@@ -55,6 +55,23 @@ def test_round_trip_restores_jet():
         )
 
 
+def test_rotating_derivatives_match_finite_differences():
+    # central differences in t of the dq0 component functions check the
+    # rotation term apart from the round trip, in a detuned frame
+    model = signals.make_scenario("E8")
+    cfg = ParkConfig(w_dq=0.7 * W_O, theta0=0.3)
+    h = 2.0**-24  # t + k*h stays exact for t a multiple of h
+    for t in (0.25, 0.9, 1.6):
+        t = round(t / h) * h
+        lo, mid, hi = (
+            park.to_dq0(signals.eval_jet(model, t + k * h), cfg) for k in (-1, 0, 1)
+        )
+        fd1 = (hi.vdq0 - lo.vdq0) / (2.0 * h)
+        fd2 = (hi.dvdq0 - lo.dvdq0) / (2.0 * h)
+        np.testing.assert_allclose(mid.dvdq0, fd1, atol=1e-7 * np.linalg.norm(mid.dvdq0))
+        np.testing.assert_allclose(mid.ddvdq0, fd2, atol=1e-7 * np.linalg.norm(mid.ddvdq0))
+
+
 # -------------------------------------------------------- dq0 invariants
 
 

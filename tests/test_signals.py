@@ -107,6 +107,16 @@ def test_sample_empty_range():
         signals.sample(signals.make_scenario("E0"), 0.0, 0.1, -1e-4)
 
 
+def test_sample_times_grid_cap(monkeypatch):
+    # one sample over the cap is refused before the grid is allocated
+    with pytest.raises(InvalidRange, match="MAX_SAMPLES"):
+        signals.sample_times(0.0, float(signals.MAX_SAMPLES), 1.0)
+    monkeypatch.setattr(signals, "MAX_SAMPLES", 11)
+    assert signals.sample_times(0.0, 10.0, 1.0).size == 11
+    with pytest.raises(InvalidRange, match="MAX_SAMPLES"):
+        signals.sample_times(0.0, 11.0, 1.0)
+
+
 def test_sample_long_window_finite():
     series = signals.sample(signals.make_scenario("E6"), 0.0, 5.0, 1e-3)
     assert len(series) == 5001

@@ -28,7 +28,7 @@ for label, cfg in (
     ("detuned frame (w_dq = w_o + 2 pi)", ParkConfig(W_O + 2 * math.pi)),
     ("Clarke frame (w_dq = 0)", ParkConfig(0.0)),
 ):
-    dq = park.to_dq0(j, cfg)
+    dq = park.to_dq0(j.t, j.v, j.dv, j.ddv, cfg)
     g = park.dq0_invariants(dq, cfg)
     rep = park.derivative_frame_check(dq, cfg)
     print(label)
@@ -47,7 +47,8 @@ sync = ParkConfig(W_O, -math.pi / 2)
 for sid, t in (("E5", 0.013), ("E8", 1.3)):
     j = signals.eval_jet(signals.make_scenario(sid), t)
     a = frenet.invariants(j)
-    b = frenet.invariants(park.from_dq0(park.to_dq0(j, sync), sync))
+    back = park.from_dq0(park.to_dq0(t, j.v, j.dv, j.ddv, sync), sync)
+    b = frenet.invariants(frenet.Jet2(t, *back))
     print(f"  {sid} t={t}: rho {a.rho:+.6f} / {b.rho:+.6f}"
           f"   |omega| {a.omega_mag:.4f} / {b.omega_mag:.4f}"
           f"   xi {a.xi:+.6f} / {b.xi:+.6f}")

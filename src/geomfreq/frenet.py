@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRotation, DegenerateSpeed
-from .geometry import as_vec3, cross, inner, norm, triple_scalar
+from .geometry import as_vec3, cross, inner, norm, rowdot, rownorm, triple_scalar
 
 EPS_V = 1e-9  # V; below this the curve has no defined tangent
 EPS_W = 1e-9  # rad/s; below this the curve is not rotating
@@ -273,14 +273,6 @@ def second_derivative_decomposition(j, eps_v=EPS_V, eps_w=EPS_W, match_tol=1e-6)
     )
 
 
-def _rowdot(a, b):
-    """Row-wise inner products of (N, 3) arrays.  A stacked matmul sums
-    each row in the order ``np.dot`` sums one 3-vector (so norms, rho
-    and omega match the per-sample functions bit for bit with numpy
-    2.4), where an einsum or a column sum differs in the last bit."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _as_rows(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != 3:
@@ -300,17 +292,17 @@ def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
     v, dv, ddv = _as_rows(v), _as_rows(dv), _as_rows(ddv)
     if not v.shape == dv.shape == ddv.shape:
         raise ValueError(f"shape mismatch {v.shape}, {dv.shape}, {ddv.shape}")
-    v_mag = np.sqrt(_rowdot(v, v))
+    v_mag = rownorm(v)
     degenerate = v_mag <= eps_v
     with np.errstate(divide="ignore", invalid="ignore"):
         v2 = v_mag * v_mag
-        rho = _rowdot(v, dv) / v2
+        rho = rowdot(v, dv) / v2
         vxdv = np.cross(v, dv)
         omega_vec = vxdv / v2[:, None]
-        omega_mag = np.sqrt(_rowdot(omega_vec, omega_vec))
-        tau = _rowdot(v, np.cross(dv, ddv)) / _rowdot(vxdv, vxdv)
+        omega_mag = rownorm(omega_vec)
+        tau = rowdot(v, np.cross(dv, ddv)) / rowdot(vxdv, vxdv)
         omega_dot = np.cross(v, ddv) / v2[:, None] - 2.0 * rho[:, None] * omega_vec
-        eta = _rowdot(omega_vec, omega_dot) / omega_mag**2
+        eta = rowdot(omega_vec, omega_dot) / omega_mag**2
         kappa = omega_mag / v_mag
         xi = v_mag * tau
     rotating = ~degenerate & (omega_mag > eps_w)

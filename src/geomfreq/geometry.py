@@ -3,11 +3,12 @@
 Vectors are plain float64 numpy arrays of shape (3,).  The ``vec3``
 constructor validates finiteness and returns a read-only array, so a
 vector built through it can be shared freely between threads.
+``rowdot`` and ``rownorm`` work on stacks of vectors, shape (..., 3).
 """
 
 import numpy as np
 
-__all__ = ["vec3", "inner", "cross", "triple_scalar", "norm"]
+__all__ = ["vec3", "inner", "cross", "triple_scalar", "norm", "rowdot", "rownorm"]
 
 
 def vec3(x1, x2, x3=0.0):
@@ -45,3 +46,17 @@ def triple_scalar(a, b, c):
 def norm(a):
     """Euclidean magnitude."""
     return float(np.linalg.norm(a))
+
+
+def rowdot(a, b):
+    """Inner products of the vectors along the last axis, shape (..., 3).
+    A stacked matmul sums each vector in the order ``np.dot`` sums one
+    3-vector (so rho, omega and norms over rows match ``inner`` and
+    ``norm`` bit for bit with numpy 2.4), where an einsum or a sum over
+    the last axis differs in the last bit."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def rownorm(a):
+    """Euclidean magnitudes of the vectors along the last axis."""
+    return np.sqrt(rowdot(a, a))

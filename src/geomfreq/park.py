@@ -15,6 +15,11 @@ components is P v' = v_hat' + r x v, and once more
 P v'' = v_hat'' + r x (P v' + v_hat'), where v_hat', v_hat'' are the
 derivatives of the dq0 component functions.  ``to_dq0``, ``from_dq0``,
 ``inertial_derivative`` and ``derivative_frame_check`` all use it.
+
+Every function takes one instant or N of them at once: a time t of
+shape () or (N,), and vectors of shape (3,) or (N, 3) with the
+components on the last axis.  N instants give the same bits as N calls
+of one instant each.
 """
 
 import math
@@ -24,16 +29,17 @@ from typing import Optional
 import numpy as np
 
 from . import frenet
-from .frenet import EPS_V, Jet2
-from .geometry import cross, norm
+from .errors import DegenerateSpeed
+from .frenet import EPS_V
+from .geometry import rownorm
 
 _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
-_ZERO3 = np.zeros(3)  # v'' stand-in: rho and omega do not depend on it
 
 
 @dataclass(frozen=True)
 class ParkConfig:
-    """Angular speed and initial angle of the rotating frame."""
+    """Angular speed and initial angle of the rotating frame; ``w_dq``
+    may also be an array, one speed per instant."""
 
     w_dq: float  # rad/s
     theta0: float = 0.0  # rad
@@ -41,7 +47,8 @@ class ParkConfig:
 
 @dataclass(frozen=True)
 class DqoJet:
-    """Voltage in dq0 coordinates with rotating-frame derivatives.
+    """Voltage in dq0 coordinates with rotating-frame derivatives, at
+    one time t (vectors of shape (3,)) or at N times (shape (N, 3)).
 
     ``dvdq0`` holds (v_d', v_q', v_o'), i.e. the derivatives of the
     dq0 component functions; the inertial derivative additionally
@@ -54,23 +61,18 @@ class DqoJet:
     ddvdq0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vdq0", np.asarray(self.vdq0, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "dvdq0", np.asarray(self.dvdq0, dtype=np.float64)
-        )
-        if self.ddvdq0 is not None:
-            object.__setattr__(
-                self, "ddvdq0", np.asarray(self.ddvdq0, dtype=np.float64)
-            )
+        for name in ("vdq0", "dvdq0", "ddvdq0"):
+            x = getattr(self, name)
+            if x is not None:
+                object.__setattr__(self, name, np.asarray(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)
 class Dq0Invariants:
     rho: float
     omega_vec: np.ndarray  # dq0 components
-    delta_omega: Optional[float]  # defined for v_o = 0
+    delta_omega: float  # deviation from the frame speed; NaN where not balanced
+    balanced: bool  # v_o = 0 and v_o' = 0, to the balance tolerance
 
 
 @dataclass(frozen=True)
@@ -84,54 +86,59 @@ class FrameCheckReport:
     antisym_part: np.ndarray  # omega x v
     sum_rel_err: float  # |(rho v + omega x v) - inertial_dv| / |v'|
     terms_equal: bool  # rotating_dv == rho v componentwise
-    balanced_identity_err: Optional[float]  # v_o=0: |v_hat' - rho v - dw e_o x v|
+    balanced: bool  # where the balanced identity applies
+    balanced_identity_err: float  # |v_hat' - rho v - dw e_o x v| / |v'|; NaN if not balanced
 
 
 def park_matrix(theta):
-    """Amplitude-invariant abc -> dq0 matrix at frame angle theta."""
-    ang = theta + _SHIFTS
-    return np.array(
-        [
-            2.0 / 3.0 * np.cos(ang),
-            -2.0 / 3.0 * np.sin(ang),
-            np.full(3, 1.0 / 3.0),
-        ]
+    """Amplitude-invariant abc -> dq0 matrix at frame angle theta,
+    shape (..., 3, 3) for theta of shape (...)."""
+    ang = np.asarray(theta)[..., None] + _SHIFTS
+    return np.stack(
+        [2.0 / 3.0 * np.cos(ang), -2.0 / 3.0 * np.sin(ang), np.full(ang.shape, 1.0 / 3.0)],
+        axis=-2,
     )
 
 
 def inverse_park_matrix(theta):
     """dq0 -> abc; columns are the rotating axes expressed in abc."""
-    ang = theta + _SHIFTS
-    return np.column_stack([np.cos(ang), -np.sin(ang), np.ones(3)])
+    ang = np.asarray(theta)[..., None] + _SHIFTS
+    return np.stack([np.cos(ang), -np.sin(ang), np.ones(ang.shape)], axis=-1)
+
+
+def _apply(M, x):
+    """M x for stacks of 3x3 matrices and 3-vectors."""
+    return (M @ np.asarray(x)[..., None])[..., 0]
 
 
 def _spin(w, x):
     """(w e_o) x x: the rotation term of a frame spinning at w about e_o."""
-    return np.array([-w * x[1], w * x[0], 0.0])
+    x_d, x_q = x[..., 0], x[..., 1]
+    return np.stack([-w * x_q, w * x_d, np.zeros_like(w * x_d)], axis=-1)
 
 
-def to_dq0(abc, cfg):
-    """Transform an abc jet into dq0 coordinates.
+def to_dq0(t, v, dv, ddv, cfg):
+    """Transform abc v, v', v'' at times t into dq0 coordinates.
 
     P v' is the inertial derivative in dq0 components; the rotating
     derivatives are what is left of it after the rotation term r x v.
     """
-    P = park_matrix(cfg.w_dq * abc.t + cfg.theta0)
-    vdq0 = P @ abc.v
-    dv = P @ abc.dv
+    P = park_matrix(cfg.w_dq * t + cfg.theta0)
+    vdq0 = _apply(P, v)
+    dv = _apply(P, dv)
     dvdq0 = dv - _spin(cfg.w_dq, vdq0)
-    ddvdq0 = P @ abc.ddv - _spin(cfg.w_dq, dv + dvdq0)
-    return DqoJet(t=abc.t, vdq0=vdq0, dvdq0=dvdq0, ddvdq0=ddvdq0)
+    ddvdq0 = _apply(P, ddv) - _spin(cfg.w_dq, dv + dvdq0)
+    return DqoJet(t=t, vdq0=vdq0, dvdq0=dvdq0, ddvdq0=ddvdq0)
 
 
 def from_dq0(j, cfg):
-    """Inverse transform back to an abc jet (requires ddvdq0)."""
+    """Inverse transform back to abc (v, v', v''); needs ddvdq0."""
     if j.ddvdq0 is None:
         raise ValueError("from_dq0 needs a jet carrying ddvdq0")
     Q = inverse_park_matrix(cfg.w_dq * j.t + cfg.theta0)
     dv = inertial_derivative(j, cfg)
     ddv = j.ddvdq0 + _spin(cfg.w_dq, dv + j.dvdq0)
-    return Jet2(t=j.t, v=Q @ j.vdq0, dv=Q @ dv, ddv=Q @ ddv)
+    return _apply(Q, j.vdq0), _apply(Q, dv), _apply(Q, ddv)
 
 
 def inertial_derivative(j, cfg):
@@ -141,25 +148,42 @@ def inertial_derivative(j, cfg):
 
 def dq0_invariants(j, cfg, eps_v=EPS_V, balance_tol=1e-9):
     """rho and omega of the voltage curve, expressed in dq0 components:
-    ``frenet.invariants`` of v = (v_d, v_q, v_o) and its inertial
-    derivative.  Raises ``DegenerateSpeed`` when |v| <= eps_v.
+    ``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
+    derivative.  Raises ``DegenerateSpeed`` when |v| <= eps_v at any
+    instant.
 
-    For v_o = 0 this reduces to rho = (v_d v_d' + v_q v_q')/v^2 and
-    omega = (delta_omega + w_dq) e_o, with delta_omega the frequency
-    deviation (v_d v_q' - v_q v_d')/v^2 from the frame speed.
+    Where the set is balanced, |v_o| <= balance_tol |v| and
+    |v_o'| <= balance_tol |v'|, this reduces to
+    rho = (v_d v_d' + v_q v_q')/v^2 and omega = (delta_omega + w_dq) e_o,
+    with delta_omega the frequency deviation (v_d v_q' - v_q v_d')/v^2
+    from the frame speed; elsewhere delta_omega is NaN.
     """
+    v, dv = j.vdq0, inertial_derivative(j, cfg)
+    rows = v.reshape(-1, 3)
     # eps_w=0: omega is reported however small it is, never zeroed
-    g = frenet.invariants(
-        Jet2(t=j.t, v=j.vdq0, dv=inertial_derivative(j, cfg), ddv=_ZERO3),
-        eps_v=eps_v,
-        eps_w=0.0,
+    # v'' = 0 stands in: rho and omega do not depend on it
+    b = frenet.invariants_batch(
+        rows, dv.reshape(-1, 3), np.zeros_like(rows), eps_v=eps_v, eps_w=0.0
     )
-    vd, vq, vo = j.vdq0
-    dvd, dvq, _ = j.dvdq0
-    delta_omega = None
-    if abs(vo) <= balance_tol * g.v_mag:
-        delta_omega = (vd * dvq - vq * dvd) / (vd**2 + vq**2)
-    return Dq0Invariants(rho=g.rho, omega_vec=g.omega_vec, delta_omega=delta_omega)
+    if b.degenerate.any():
+        raise DegenerateSpeed(
+            f"dq0 |v| <= {eps_v} at {np.count_nonzero(b.degenerate)} of "
+            f"{b.degenerate.size} instants"
+        )
+    v_mag = b.v_mag.reshape(v.shape[:-1])
+    balanced = (np.abs(v[..., 2]) <= balance_tol * v_mag) & (
+        np.abs(dv[..., 2]) <= balance_tol * rownorm(dv)
+    )
+    vd, vq, _ = np.moveaxis(v, -1, 0)
+    dvd, dvq, _ = np.moveaxis(j.dvdq0, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta_omega = (vd * dvq - vq * dvd) / (vd * vd + vq * vq)
+    return Dq0Invariants(
+        rho=b.rho.reshape(v_mag.shape)[()],
+        omega_vec=b.omega_vec.reshape(v.shape),
+        delta_omega=np.where(balanced, delta_omega, np.nan)[()],
+        balanced=balanced,
+    )
 
 
 def derivative_frame_check(j, cfg, eps_v=EPS_V, term_tol=1e-9):
@@ -168,27 +192,27 @@ def derivative_frame_check(j, cfg, eps_v=EPS_V, term_tol=1e-9):
     Rotation split: v' = v_hat' + r x v with r = w_dq e_o.
     Geometric split: v' = rho v + omega x v.
     Their sums always agree; the individual terms coincide only when
-    the frame spins at the actual voltage frequency.
+    the frame spins at the actual voltage frequency.  Where the set is
+    balanced (see ``dq0_invariants``) v_hat' = rho v + delta_omega e_o x v
+    as well; ``balanced_identity_err`` is NaN elsewhere.
     """
     g = dq0_invariants(j, cfg, eps_v)
     v = j.vdq0
     v_hat_prime = j.dvdq0
     inertial = inertial_derivative(j, cfg)
-    sym = g.rho * v
-    antisym = cross(g.omega_vec, v)
-    scale = max(norm(inertial), eps_v)
-    sum_rel_err = norm(sym + antisym - inertial) / scale
-    terms_equal = norm(v_hat_prime - sym) <= term_tol * scale
-    balanced_err = None
-    if g.delta_omega is not None:
-        balanced_err = norm(v_hat_prime - (sym + _spin(g.delta_omega, v))) / scale
+    sym = g.rho[..., None] * v
+    antisym = np.cross(g.omega_vec, v)
+    scale = np.maximum(rownorm(inertial), eps_v)
     return FrameCheckReport(
         inertial_dv=inertial,
         rotating_dv=v_hat_prime,
         rotation_term=_spin(cfg.w_dq, v),
         sym_part=sym,
         antisym_part=antisym,
-        sum_rel_err=sum_rel_err,
-        terms_equal=terms_equal,
-        balanced_identity_err=balanced_err,
+        sum_rel_err=rownorm(sym + antisym - inertial) / scale,
+        terms_equal=rownorm(v_hat_prime - sym) <= term_tol * scale,
+        balanced=g.balanced,
+        balanced_identity_err=(
+            rownorm(v_hat_prime - (sym + _spin(g.delta_omega, v))) / scale
+        ),
     )

@@ -9,9 +9,8 @@ sinusoidal frequency modulations of the time-variant scenarios, while
 keeping first and second derivatives available in closed form.
 """
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +48,10 @@ class Profile:
     rate: float = 0.0
     phase: float = 0.0
 
-    def eval(self, t, xp=math):
-        """(f, f', f'') at t: a float with xp=math, an array with xp=np."""
-        s = xp.sin(self.rate * t + self.phase)
-        c = xp.cos(self.rate * t + self.phase)
+    def eval(self, t):
+        """(f, f', f'') at t, a float or an array of times."""
+        s = np.sin(self.rate * t + self.phase)
+        c = np.cos(self.rate * t + self.phase)
         f = self.offset + self.amplitude * s
         df = self.amplitude * self.rate * c
         ddf = -self.amplitude * self.rate**2 * s
@@ -68,10 +67,10 @@ class AngleProfile:
     mod_amplitude: float = 0.0
     mod_rate: float = 0.0
 
-    def eval(self, t, xp=math):
+    def eval(self, t):
         """(theta, theta', theta'') at t, as ``Profile.eval``."""
-        s = xp.sin(self.mod_rate * t)
-        c = xp.cos(self.mod_rate * t)
+        s = np.sin(self.mod_rate * t)
+        c = np.cos(self.mod_rate * t)
         th = self.slope * t + self.intercept + self.mod_amplitude * s
         dth = self.slope + self.mod_amplitude * self.mod_rate * c
         ddth = -self.mod_amplitude * self.mod_rate**2 * s
@@ -100,14 +99,14 @@ class SignalModel:
         )
 
 
-def _eval_channel(components, t, xp=math):
-    """Value and first two derivatives of sum_k m_k sin(theta_k), at a
-    float t with xp=math or at every entry of an array t with xp=np."""
+def _eval_channel(components, t):
+    """Value and first two derivatives of sum_k m_k sin(theta_k) at
+    every entry of the time array t."""
     f = df = ddf = 0.0
     for comp in components:
-        m, dm, ddm = comp.magnitude.eval(t, xp)
-        th, dth, ddth = comp.angle.eval(t, xp)
-        s, c = xp.sin(th), xp.cos(th)
+        m, dm, ddm = comp.magnitude.eval(t)
+        th, dth, ddth = comp.angle.eval(t)
+        s, c = np.sin(th), np.cos(th)
         f += m * s
         df += dm * s + m * dth * c
         ddf += (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c
@@ -115,14 +114,8 @@ def _eval_channel(components, t, xp=math):
 
 
 def eval_jet(model, t):
-    """Exact analytic (v, v', v'') at time t."""
-    vals = [_eval_channel(ch, t) for ch in model.channels]
-    return Jet2(
-        t=t,
-        v=[x[0] for x in vals],
-        dv=[x[1] for x in vals],
-        ddv=[x[2] for x in vals],
-    )
+    """Exact analytic (v, v', v'') at time t: ``eval_arrays`` at one time."""
+    return Jet2(t, *(x[0] for x in eval_arrays(model, (t,))))
 
 
 def eval_arrays(model, times):
@@ -130,40 +123,46 @@ def eval_arrays(model, times):
     times = np.asarray(times, dtype=np.float64)
     out = np.empty((3, times.size, 3))
     for c, ch in enumerate(model.channels):
-        for d, x in enumerate(_eval_channel(ch, times, np)):
+        for d, x in enumerate(_eval_channel(ch, times)):
             out[d, :, c] = x  # a scalar 0.0 for a channel without components
     return out[0], out[1], out[2]
 
 
 def phase_jet(components, t, eps=1e-12):
-    """Per-phase (V, theta) jet of a channel, via its complex envelope.
+    """Per-phase (V, theta) jet of a channel, via its complex envelope,
+    at a time t or at every entry of a time array t.
 
     The channel sum_k m_k sin(theta_k) equals Im(z) with
     z = sum_k m_k exp(i theta_k); magnitude and phase derivatives come
-    from z, z', z''.  A channel with vanishing envelope gets an
-    all-zero jet (its closed-form contribution is zero).
+    from z, z', z''.  Where the envelope vanishes the jet is all zero
+    (the closed-form contribution of the channel is zero there).
     """
-    z = dz = ddz = 0.0 + 0.0j
+    shape = np.shape(t)
+    # a scalar t runs as one entry of an array: numpy's complex scalar
+    # and array loops round differently, the array loops alike at any N
+    t = np.ravel(np.asarray(t, dtype=np.float64))
+    z = dz = ddz = np.zeros(t.shape, dtype=np.complex128)
     for comp in components:
         m, dm, ddm = comp.magnitude.eval(t)
         th, dth, ddth = comp.angle.eval(t)
-        e = cmath.exp(1j * th)
-        z += m * e
-        dz += (dm + 1j * m * dth) * e
-        ddz += (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e
-    V = abs(z)
-    if V <= eps:
-        return PhaseJet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        e = np.exp(1j * th)
+        z = z + m * e
+        dz = dz + (dm + 1j * m * dth) * e
+        ddz = ddz + (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e
+    V = np.abs(z)
+    live = V > eps
+    V = np.where(live, V, 1.0)  # 1.0 keeps the dead entries finite
     zc = z.conjugate()
     dV = (zc * dz).real / V
     dtheta = (zc * dz).imag / V**2
-    ddV = ((abs(dz) ** 2 + (zc * ddz).real) - dV**2) / V
+    ddV = ((np.abs(dz) ** 2 + (zc * ddz).real) - dV**2) / V
     ddtheta = (zc * ddz).imag / V**2 - 2.0 * (dV / V) * dtheta
-    return PhaseJet(V, dV, ddV, cmath.phase(z), dtheta, ddtheta)
+    jet = (V, dV, ddV, np.angle(z), dtheta, ddtheta)
+    return PhaseJet(*(np.where(live, x, 0.0).reshape(shape)[()] for x in jet))
 
 
 def phase_jets(model, t):
-    """PhaseJet for each of the three channels at time t."""
+    """PhaseJet for each of the three channels at time(s) t."""
     return tuple(phase_jet(ch, t) for ch in model.channels)
 
 

@@ -4,8 +4,13 @@ per-phase magnitude and angle functions.
 These expressions are an independent route to the same invariants that
 ``frenet.invariants`` computes from a cartesian jet, and the test suite
 uses them as mutual oracles.  Each phase i in {a, b, c} is
-v_i = V_i(t) sin(theta_i(t)) and the inputs are the per-phase scalars
-(V, V', V'', theta, theta', theta'').
+v_i = V_i(t) sin(theta_i(t)) and the inputs are the per-phase
+(V, V', V'', theta, theta', theta''), each a scalar for one instant or
+an array over N instants; the results then carry the same leading
+instant axis, with the phase axis last.  The published expression of
+xi through per-phase second-derivative combinations p_i, q_i was not
+reproduced (on E5 at t = 0.013 s it gives -94.9 where the Frenet route
+gives -1800.7); ``xi`` here projects the per-phase expansion of v''.
 """
 
 import math
@@ -15,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateRotation, DegenerateSpeed, InvalidParameter
 from .frenet import EPS_V, EPS_W
+from .geometry import rownorm
 
 __all__ = [
     "PhaseJet",
@@ -25,13 +31,15 @@ __all__ = [
     "stationary_sequence",
 ]
 
-# (j, k) index pairs feeding components (a, b, c) of the cross product
-_JK = ((1, 2), (2, 0), (0, 1))
+# phases j and k feeding component i of a cross product, ijk in {abc, bca, cab}
+_J = [1, 2, 0]
+_K = [2, 0, 1]
 
 
 @dataclass(frozen=True)
 class PhaseJet:
-    """Magnitude and angle of one phase with derivatives up to order 2."""
+    """Magnitude and angle of one phase with derivatives up to order 2,
+    at one instant (floats) or at N instants (arrays of shape (N,))."""
 
     V: float  # V, >= 0
     dV: float  # V/s
@@ -41,75 +49,61 @@ class PhaseJet:
     ddtheta: float  # rad/s^2
 
     def __post_init__(self):
-        if self.V < 0:
+        if np.any(np.less(self.V, 0)):
             raise InvalidParameter(f"negative phase magnitude {self.V}")
 
 
 @dataclass(frozen=True)
 class Auxiliaries:
-    """Intermediate scalars of the closed forms.
+    """Intermediate quantities of the closed forms.
 
     ``r`` holds (r_bc, r_ca, r_ab) built from magnitude derivatives,
-    ``u`` the matching angle-derivative terms, ``p``/``q`` the per-phase
-    second-derivative combinations, and ``v`` the voltage magnitude.
+    ``u`` the matching angle-derivative terms, and ``v`` the voltage
+    magnitude; ``r`` and ``u`` have the phase axis last.
     """
 
     v: float
-    r: tuple
-    u: tuple
-    p: tuple
-    q: tuple
+    r: np.ndarray
+    u: np.ndarray
 
 
 @dataclass(frozen=True)
 class ClosedFormInvariants:
-    """Closed-form invariants.
-
-    ``xi`` comes from the self-consistent per-phase expansion of v''
-    (it matches the generic jet route); ``xi_literal`` evaluates the
-    published p/q combination verbatim for auditability.
-    """
+    """Closed-form invariants; ``xi`` comes from the self-consistent
+    per-phase expansion of v'' (it matches the generic jet route)."""
 
     rho: float
     omega_vec: np.ndarray
     xi: float
-    xi_literal: float
 
 
 def _arrays(phases):
+    """The six per-phase fields, each with the phase axis last."""
     if len(phases) != 3:
         raise InvalidParameter("exactly three phase jets required")
-    V = np.array([p.V for p in phases])
-    dV = np.array([p.dV for p in phases])
-    ddV = np.array([p.ddV for p in phases])
-    th = np.array([p.theta for p in phases])
-    dth = np.array([p.dtheta for p in phases])
-    ddth = np.array([p.ddtheta for p in phases])
-    return V, dV, ddV, th, dth, ddth
+    return tuple(
+        np.stack([getattr(p, f) for p in phases], axis=-1)
+        for f in ("V", "dV", "ddV", "theta", "dtheta", "ddtheta")
+    )
 
 
 def auxiliaries(phases, eps_v=EPS_V):
-    """Evaluate v, r_jk, u_jk, p_i, q_i for three phase jets.
+    """Evaluate v, r_jk and u_jk for three phase jets.
 
     v is the instantaneous voltage-vector magnitude
     sqrt(sum_i V_i^2 (1 - cos 2 theta_i) / 2); the 1/2 keeps it equal
-    to |v| of the cartesian route (1 - cos 2x = 2 sin^2 x).
+    to |v| of the cartesian route (1 - cos 2x = 2 sin^2 x).  Raises
+    ``DegenerateSpeed`` when v <= eps_v at any instant.
     """
-    V, dV, ddV, th, dth, ddth = _arrays(phases)
-    v = math.sqrt(float(np.sum(V**2 * (1.0 - np.cos(2.0 * th)) / 2.0)))
-    if v <= eps_v:
-        raise DegenerateSpeed(f"closed-form |v| = {v} <= {eps_v}")
+    V, dV, _, th, dth, _ = _arrays(phases)
+    v = np.sqrt(np.sum(V**2 * (1.0 - np.cos(2.0 * th)) / 2.0, axis=-1))
+    if np.any(v <= eps_v):
+        raise DegenerateSpeed(f"closed-form |v| = {np.min(v)} <= {eps_v}")
     s, c = np.sin(th), np.cos(th)
-    r = tuple(
-        float((V[j] * dV[k] - V[k] * dV[j]) * s[j] * s[k]) for j, k in _JK
-    )
-    u = tuple(
-        float(V[j] * V[k] * (dth[k] * s[j] * c[k] - dth[j] * s[k] * c[j]))
-        for j, k in _JK
-    )
-    p = tuple(float(x) for x in V * ddV + dV**2 - V * dth**2)
-    q = tuple(float(x) for x in dV * dth - V * ddth)
-    return Auxiliaries(v=v, r=r, u=u, p=p, q=q)
+    j, k = (..., _J), (..., _K)
+    r = (V[j] * dV[k] - V[k] * dV[j]) * s[j] * s[k]
+    u = V[j] * V[k] * (dth[k] * s[j] * c[k] - dth[j] * s[k] * c[j])
+    return Auxiliaries(v=v, r=r, u=u)
 
 
 def closed_form_invariants(phases, eps_v=EPS_V):
@@ -122,39 +116,26 @@ def closed_form_invariants(phases, eps_v=EPS_V):
     aux = auxiliaries(phases, eps_v)
     V, dV, ddV, th, dth, ddth = _arrays(phases)
     v2 = aux.v * aux.v
-    rho = float(
-        np.sum(V**2 * dth * np.sin(2.0 * th) + V * dV * (1.0 - np.cos(2.0 * th)))
+    rho = np.sum(
+        V**2 * dth * np.sin(2.0 * th) + V * dV * (1.0 - np.cos(2.0 * th)), axis=-1
     ) / (2.0 * v2)
-    ru = np.array(aux.r) + np.array(aux.u)
-    omega_vec = ru / v2
-    denom = float(np.sum(ru**2))
-
-    s, c = np.sin(th), np.cos(th)
-    p = np.array(aux.p)
-    q = np.array(aux.q)
-    xi_literal = (
-        aux.v * float(np.sum((p * s + q * c) * omega_vec)) / denom
-        if denom > 0.0
-        else 0.0
-    )
-    # self-consistent route: project the per-phase v'' onto v x v'
-    ddv_i = (ddV - V * dth**2) * s + (2.0 * dV * dth + V * ddth) * c
-    xi = (
-        aux.v**3 * float(np.sum(ddv_i * omega_vec)) / denom
-        if denom > 0.0
-        else 0.0
-    )
+    ru = aux.r + aux.u
+    omega_vec = ru / v2[..., None]
+    denom = np.sum(ru**2, axis=-1)
+    # project the per-phase v'' onto v x v'
+    ddv_i = (ddV - V * dth**2) * np.sin(th) + (2.0 * dV * dth + V * ddth) * np.cos(th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = aux.v * v2 * np.sum(ddv_i * omega_vec, axis=-1) / denom
     return ClosedFormInvariants(
-        rho=rho, omega_vec=omega_vec, xi=xi, xi_literal=xi_literal
+        rho=rho, omega_vec=omega_vec, xi=np.where(denom > 0.0, xi, 0.0)[()]
     )
 
 
 def check_rank(phases, eps_w=EPS_W, eps_v=EPS_V):
     """Raise DegenerateRotation for rank-deficient (e.g. zero-sequence)
-    voltages whose v and v' do not span a plane."""
+    voltages whose v and v' do not span a plane, at any instant."""
     aux = auxiliaries(phases, eps_v)
-    ru = np.array(aux.r) + np.array(aux.u)
-    if float(np.linalg.norm(ru)) / (aux.v * aux.v) <= eps_w:
+    if np.any(rownorm(aux.r + aux.u) / (aux.v * aux.v) <= eps_w):
         raise DegenerateRotation(
             "three-phase voltage is rank deficient: |v x v'| ~ 0"
         )

@@ -1,10 +1,12 @@
 """Self-check suites: each module's invariants evaluated on generated
 data, with the worst observed deviation reported per property.
 
-The frenet_core, threephase_forms, signals and numdiff suites check the
-kernel ``analyze`` runs, ``frenet.invariants_batch`` over the arrays of
-``signals.eval_arrays`` or ``numdiff.differentiate_arrays``; the other
-suites and the closed-form oracle work one instant at a time.
+The frenet_core, threephase_forms, signals, numdiff and park suites
+check the kernel ``analyze`` runs, ``frenet.invariants_batch`` over the
+arrays of ``signals.eval_arrays`` or ``numdiff.differentiate_arrays``;
+the closed-form oracle (``threephase``) and the dq0 transforms
+(``park``) take the same time arrays, one call per scenario.  The
+geometry suite checks the scalar helpers one triple at a time.
 
 The CLI ``validate`` subcommand runs these and exits nonzero on any
 failure; the pytest suite asserts the same properties with finer
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frenet, hilbert, numdiff, park, signals, threephase
-from .geometry import cross, inner, norm, triple_scalar
+from .geometry import cross, inner, norm, rowdot, rownorm, triple_scalar
 
 THREE_PHASE_SCENARIOS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 
@@ -62,16 +64,6 @@ def check_geometry(seed=11):
     ]
 
 
-def _dot(a, b):
-    """Row-wise inner products of (N, 3) arrays."""
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _norm(a):
-    """Row-wise magnitudes of an (N, 3) array."""
-    return np.linalg.norm(a, axis=1)
-
-
 def _worst(*xs):
     """Largest entry of the arrays or numbers xs (0.0 if all are empty).
     A NaN anywhere makes it NaN, so an undefined value fails its
@@ -93,10 +85,10 @@ def _batch(model, times):
 
 def _tau_arclength(v, dv, ddv):
     """Torsion from the arc-length derivatives of the underlying curve."""
-    vm = _norm(v)[:, None]
-    dv_scalar = _dot(v, dv)[:, None] / vm  # d|v|/dt
+    vm = rownorm(v)[:, None]
+    dv_scalar = rowdot(v, dv)[:, None] / vm  # d|v|/dt
     ddv_scalar = (
-        _dot(dv, dv)[:, None] + _dot(v, ddv)[:, None] - dv_scalar**2
+        rowdot(dv, dv)[:, None] + rowdot(v, ddv)[:, None] - dv_scalar**2
     ) / vm  # d2|v|/dt2
     xd = v / vm
     xdd = dv / vm**2 - dv_scalar * v / vm**3
@@ -106,7 +98,7 @@ def _tau_arclength(v, dv, ddv):
         + 3.0 * dv_scalar**2 * v / vm**5
         - ddv_scalar * v / vm**4
     )
-    return _dot(xd, np.cross(xdd, xddd)) / _dot(xdd, xdd)
+    return rowdot(xd, np.cross(xdd, xddd)) / rowdot(xdd, xdd)
 
 
 def check_frenet():
@@ -136,18 +128,18 @@ def check_frenet():
         vm, rho, tau, xi = b.v_mag[rot], b.rho[rot], b.tau[rot], b.xi[rot]
         w, wm = b.omega_vec[rot], b.omega_mag[rot]
         n = dv - rho[:, None] * v
-        nm = _norm(n)
+        nm = rownorm(n)
         update(
             "orthogonality of {v, n, omega}",
-            np.abs(_dot(v, n)) / (vm * nm),
-            np.abs(_dot(v, w)) / (vm * wm),
-            np.abs(_dot(n, w)) / (nm * wm),
+            np.abs(rowdot(v, n)) / (vm * nm),
+            np.abs(rowdot(v, w)) / (vm * wm),
+            np.abs(rowdot(n, w)) / (nm * wm),
         )
         update("normal magnitude |n| = |omega||v|", np.abs(nm - wm * vm) / (wm * vm))
         v_rec = np.cross(n, w) / (wm**2)[:, None]
-        update("v from n x omega", _norm(v_rec - v) / vm)
+        update("v from n x omega", rownorm(v_rec - v) / vm)
         w_rec = np.cross(v, n) / (vm**2)[:, None]
-        update("omega from v x n", _norm(w_rec - w) / wm)
+        update("omega from v x n", rownorm(w_rec - w) / wm)
         # relative comparison is meaningful only when the torsion is
         # not itself a cancellation residue of a planar curve
         twisted = np.abs(xi) >= 1e-3
@@ -157,11 +149,11 @@ def check_frenet():
             np.abs(tau[twisted] - tau_ii) / np.abs(tau[twisted]),
         )
         res = dv - (rho[:, None] * v + np.cross(w, v))
-        dv_mag = np.maximum(_norm(dv), 1e-300)
-        update("reconstruction v' = rho v + omega x v", _norm(res) / dv_mag)
+        dv_mag = np.maximum(rownorm(dv), 1e-300)
+        update("reconstruction v' = rho v + omega x v", rownorm(res) / dv_mag)
         w_dot = b.omega_dot[rot]
         res = w_dot - b.eta[rot][:, None] * w - tau[:, None] * np.cross(v, w)
-        update("RoCoF decomposition residual", _norm(res) / np.maximum(_norm(w_dot), wm))
+        update("RoCoF decomposition residual", rownorm(res) / np.maximum(rownorm(w_dot), wm))
         if sid in ("E0", "E1", "E2", "E3", "E6"):
             b = _batch(model, _sample_times(40))[3]
             update("planarity of stationary balanced scenarios", np.abs(b.tau))
@@ -177,19 +169,12 @@ def check_threephase():
         model = signals.make_scenario(sid)
         times = _sample_times()
         b = _batch(model, times)[3]
-        # the closed-form oracle works one instant at a time
-        cf = [
-            threephase.closed_form_invariants(signals.phase_jets(model, t))
-            for t in times
-        ]
-        cf_rho = np.array([c.rho for c in cf])
-        cf_omega = np.array([c.omega_vec for c in cf])
-        cf_xi = np.array([c.xi for c in cf])
-        worst_rho = _worst(worst_rho, _rel(np.abs(cf_rho - b.rho), np.abs(b.rho), 1e-6))
+        cf = threephase.closed_form_invariants(signals.phase_jets(model, times))
+        worst_rho = _worst(worst_rho, _rel(np.abs(cf.rho - b.rho), np.abs(b.rho), 1e-6))
         worst_omega = _worst(
-            worst_omega, _rel(_norm(cf_omega - b.omega_vec), b.omega_mag, 1e-6)
+            worst_omega, _rel(rownorm(cf.omega_vec - b.omega_vec), b.omega_mag, 1e-6)
         )
-        worst_xi = _worst(worst_xi, _rel(np.abs(cf_xi - b.xi), np.abs(b.xi), 1e-6))
+        worst_xi = _worst(worst_xi, _rel(np.abs(cf.xi - b.xi), np.abs(b.xi), 1e-6))
     return [
         PropertyResult("threephase_forms", "closed-form rho vs Frenet", worst_rho, 1e-6),
         PropertyResult("threephase_forms", "closed-form omega vs Frenet", worst_omega, 1e-6),
@@ -204,7 +189,7 @@ def _fd_error(model, times, h, order):
     v = signals.eval_arrays(model, grid.ravel())[0].reshape(5, times.size, 3)
     fd = numdiff.stencil_derivatives(v, h)[order - 1][0]
     exact = signals.eval_arrays(model, times)[order]
-    return _rel(_norm(exact - fd), _norm(exact), 1e-300)
+    return _rel(rownorm(exact - fd), rownorm(exact), 1e-300)
 
 
 def check_signals():
@@ -290,45 +275,42 @@ def check_hilbert():
 
 
 def check_park(seed=5):
-    rng = np.random.default_rng(seed)
-    round_trip, sum_errs = [], []
     cfg = park.ParkConfig(w_dq=100.0 * math.pi, theta0=0.3)
-    model = signals.make_scenario("E8")
-    for t in _sample_times(40):
-        j = signals.eval_jet(model, t)
-        dq = park.to_dq0(j, cfg)
-        back = park.from_dq0(dq, cfg)
-        g0 = frenet.invariants(j)
-        g1 = frenet.invariants(back)
-        round_trip += [
-            abs(g0.rho - g1.rho) / max(abs(g0.rho), 1.0),
-            abs(g0.omega_mag - g1.omega_mag) / g0.omega_mag,
-            abs(g0.xi - g1.xi) / max(abs(g0.xi), 1.0),
-        ]
+    times = _sample_times(40)
+    v, dv, ddv, g0 = _batch(signals.make_scenario("E8"), times)
+    g1 = frenet.invariants_batch(*park.from_dq0(park.to_dq0(times, v, dv, ddv, cfg), cfg))
+    round_trip = _worst(
+        _rel(np.abs(g0.rho - g1.rho), np.abs(g0.rho), 1.0),
+        _rel(np.abs(g0.omega_mag - g1.omega_mag), g0.omega_mag, 0.0),
+        _rel(np.abs(g0.xi - g1.xi), np.abs(g0.xi), 1.0),
+    )
+
+    rng = np.random.default_rng(seed)
+    draws = []
     for _ in range(200):
-        dq = park.DqoJet(
-            t=0.0,
-            vdq0=rng.normal(scale=10.0, size=3),
-            dvdq0=rng.normal(scale=100.0, size=3),
-        )
-        if norm(dq.vdq0) < 1e-3:
+        vdq0 = rng.normal(scale=10.0, size=3)
+        dvdq0 = rng.normal(scale=100.0, size=3)
+        if norm(vdq0) < 1e-3:
             continue
-        rep = park.derivative_frame_check(dq, park.ParkConfig(w_dq=rng.normal()))
-        sum_errs.append(rep.sum_rel_err)
+        draws.append((vdq0, dvdq0, rng.normal()))  # each draw has its own w_dq
+    vdq0, dvdq0, w_dq = (np.array(x) for x in zip(*draws))
+    rep = park.derivative_frame_check(
+        park.DqoJet(t=0.0, vdq0=vdq0, dvdq0=dvdq0), park.ParkConfig(w_dq=w_dq)
+    )
 
     # Remark 7: synchronous balanced frame reproduces the plane-curve result
     cfg_sync = park.ParkConfig(w_dq=100.0 * math.pi, theta0=-math.pi / 2)
-    j = signals.eval_jet(signals.make_scenario("E0"), 0.0125)
-    g = park.dq0_invariants(park.to_dq0(j, cfg_sync), cfg_sync)
+    t = np.array([0.0125])
+    jet = signals.eval_arrays(signals.make_scenario("E0"), t)
+    w = park.dq0_invariants(park.to_dq0(t, *jet, cfg_sync), cfg_sync).omega_vec
     remark7 = _worst(
-        np.abs(g.omega_vec[:2]),
-        abs(g.omega_vec[2] - 100.0 * math.pi) / (100.0 * math.pi),
+        np.abs(w[:, :2]), np.abs(w[:, 2] - 100.0 * math.pi) / (100.0 * math.pi)
     )
     return [
+        PropertyResult("park", "invariants unchanged by dq0 round trip", round_trip, 1e-9),
         PropertyResult(
-            "park", "invariants unchanged by dq0 round trip", _worst(round_trip), 1e-9
+            "park", "sum identity of derivative splits", _worst(rep.sum_rel_err), 1e-9
         ),
-        PropertyResult("park", "sum identity of derivative splits", _worst(sum_errs), 1e-9),
         PropertyResult("park", "Remark-7 reduction at synchronous speed", remark7, 1e-9),
     ]
 

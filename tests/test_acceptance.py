@@ -185,14 +185,15 @@ def test_criterion_10_park_suite():
     sync = ParkConfig(w_dq=W_O, theta0=-math.pi / 2.0)
     model = signals.make_scenario("E0")
     for t in (0.0, 0.0051, 0.023):
-        dq = park.to_dq0(signals.eval_jet(model, t), sync)
+        j = signals.eval_jet(model, t)
+        dq = park.to_dq0(t, j.v, j.dv, j.ddv, sync)
         g = park.dq0_invariants(dq, sync)
         assert abs(g.delta_omega) <= 1e-6
         rep = park.derivative_frame_check(dq, sync)
         assert rep.terms_equal
         # Clarke special case: no rotation term at all
         clarke = ParkConfig(w_dq=0.0)
-        dq0 = park.to_dq0(signals.eval_jet(model, t), clarke)
+        dq0 = park.to_dq0(t, j.v, j.dv, j.ddv, clarke)
         rep0 = park.derivative_frame_check(dq0, clarke)
         np.testing.assert_array_equal(rep0.inertial_dv, rep0.rotating_dv)
     rng = np.random.default_rng(10)

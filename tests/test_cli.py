@@ -247,7 +247,9 @@ def _nan_on_first_call(fn, field=None):
 
 
 def test_park_suite_fails_on_nan_invariants(monkeypatch):
-    monkeypatch.setattr(frenet, "invariants", _nan_on_first_call(frenet.invariants, "rho"))
+    monkeypatch.setattr(
+        frenet, "invariants_batch", _nan_on_first_call(frenet.invariants_batch, "rho")
+    )
     failed = [r.name for r in validate.run("park") if not r.passed]
     assert failed == ["invariants unchanged by dq0 round trip"]
 
@@ -268,16 +270,31 @@ def test_park_fails_on_nan_sum_identity(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
 
-@pytest.mark.parametrize("scope", ["frenet_core", "threephase_forms", "signals", "numdiff"])
-def test_validate_suites_read_the_array_route(monkeypatch, scope):
+def _no_per_sample_route(monkeypatch):
     def unused(*args, **kwargs):
-        raise AssertionError("per-sample reference called by an array suite")
+        raise AssertionError("per-sample reference called on the array route")
 
     monkeypatch.setattr(frenet, "invariants", unused)
     monkeypatch.setattr(frenet, "rocof", unused)
     monkeypatch.setattr(numdiff, "differentiate", unused)
+    monkeypatch.setattr(signals, "eval_jet", unused)
+
+
+@pytest.mark.parametrize(
+    "scope", ["frenet_core", "threephase_forms", "signals", "numdiff", "park"]
+)
+def test_validate_suites_read_the_array_route(monkeypatch, scope):
+    _no_per_sample_route(monkeypatch)
     results = validate.run(scope)
     assert results and all(r.passed for r in results)
+
+
+def test_park_reads_the_array_route(monkeypatch, capsys):
+    _no_per_sample_route(monkeypatch)
+    assert cli.main(["park", "--scenario", "E0", "--t1", "0.02", "--dt", "1e-4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].endswith("(checked on 201 of 201 instants)")
+    assert out[-1] == "PASS"
 
 
 # ------------------------------------------------------------ park/hilbert
@@ -333,10 +350,9 @@ def test_park_and_hilbert_csv_cells(tmp_path):
          "--t1", "0.01", "--dt", "1e-3", "--out", str(out)]
     ) == 0
     model = signals.make_scenario("E8")
-    rows = [
-        (t, *park.to_dq0(signals.eval_jet(model, t), cfg).vdq0)
-        for t in signals.sample_times(0.0, 0.01, 1e-3).tolist()
-    ]
+    times = signals.sample_times(0.0, 0.01, 1e-3).tolist()
+    jets = (signals.eval_jet(model, t) for t in times)
+    rows = [(j.t, *park.to_dq0(j.t, j.v, j.dv, j.ddv, cfg).vdq0) for j in jets]
     assert out.read_bytes() == _csv_bytes(("t", "vd", "vq", "vo"), rows)
 
     out = tmp_path / "hb.csv"

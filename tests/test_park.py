@@ -1,5 +1,6 @@
 """Rotating-frame (dq0) transform and derivative-frame identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,12 +20,16 @@ def _e0_jet(t):
     return signals.eval_jet(signals.make_scenario("E0"), t)
 
 
+def _to_dq0(j, cfg):
+    return park.to_dq0(j.t, j.v, j.dv, j.ddv, cfg)
+
+
 # ---------------------------------------------------------------- to_dq0
 
 
 def test_synchronous_balanced_is_constant():
     for t in (0.0, 0.0042, 0.017):
-        dq = park.to_dq0(_e0_jet(t), SYNC)
+        dq = _to_dq0(_e0_jet(t), SYNC)
         np.testing.assert_allclose(dq.vdq0, [12.0, 0.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(dq.dvdq0, 0.0, atol=1e-6)
 
@@ -32,14 +37,14 @@ def test_synchronous_balanced_is_constant():
 def test_clarke_case_rotates_at_signal_frequency():
     cfg = ParkConfig(w_dq=0.0)
     for t in (0.0, 0.003):
-        dq = park.to_dq0(_e0_jet(t), cfg)
+        dq = _to_dq0(_e0_jet(t), cfg)
         g = park.dq0_invariants(dq, cfg)
         assert g.delta_omega == pytest.approx(W_O, rel=1e-9)
 
 
 def test_zero_input_zero_output():
     j = Jet2(0.1, (0, 0, 0), (0, 0, 0), (0, 0, 0))
-    dq = park.to_dq0(j, SYNC)
+    dq = _to_dq0(j, SYNC)
     np.testing.assert_array_equal(dq.vdq0, [0, 0, 0])
     np.testing.assert_array_equal(dq.dvdq0, [0, 0, 0])
 
@@ -47,11 +52,11 @@ def test_zero_input_zero_output():
 def test_round_trip_restores_jet():
     for sid, t in (("E2", 0.0137), ("E8", 0.91)):
         j = signals.eval_jet(signals.make_scenario(sid), t)
-        back = park.from_dq0(park.to_dq0(j, SYNC), SYNC)
-        np.testing.assert_allclose(back.v, j.v, atol=1e-9 * np.linalg.norm(j.v))
-        np.testing.assert_allclose(back.dv, j.dv, atol=1e-9 * np.linalg.norm(j.dv))
+        v, dv, ddv = park.from_dq0(_to_dq0(j, SYNC), SYNC)
+        np.testing.assert_allclose(v, j.v, atol=1e-9 * np.linalg.norm(j.v))
+        np.testing.assert_allclose(dv, j.dv, atol=1e-9 * np.linalg.norm(j.dv))
         np.testing.assert_allclose(
-            back.ddv, j.ddv, atol=1e-9 * np.linalg.norm(j.ddv)
+            ddv, j.ddv, atol=1e-9 * np.linalg.norm(j.ddv)
         )
 
 
@@ -64,7 +69,7 @@ def test_rotating_derivatives_match_finite_differences():
     for t in (0.25, 0.9, 1.6):
         t = round(t / h) * h
         lo, mid, hi = (
-            park.to_dq0(signals.eval_jet(model, t + k * h), cfg) for k in (-1, 0, 1)
+            _to_dq0(signals.eval_jet(model, t + k * h), cfg) for k in (-1, 0, 1)
         )
         fd1 = (hi.vdq0 - lo.vdq0) / (2.0 * h)
         fd2 = (hi.dvdq0 - lo.dvdq0) / (2.0 * h)
@@ -72,11 +77,34 @@ def test_rotating_derivatives_match_finite_differences():
         np.testing.assert_allclose(mid.ddvdq0, fd2, atol=1e-7 * np.linalg.norm(mid.ddvdq0))
 
 
+@pytest.mark.parametrize(
+    "cfg", [SYNC, ParkConfig(w_dq=0.7 * W_O, theta0=0.3)], ids=["sync", "async"]
+)
+@pytest.mark.parametrize("sid", ["E0", "E5", "E8"])
+def test_n_instants_equal_n_single_instants(sid, cfg):
+    times = np.linspace(0.0, 1.9, 37)
+    v, dv, ddv = signals.eval_arrays(signals.make_scenario(sid), times)
+    dq = park.to_dq0(times, v, dv, ddv, cfg)
+    back = park.from_dq0(dq, cfg)
+    rep = park.derivative_frame_check(dq, cfg)
+    for k, t in enumerate(times.tolist()):
+        one = park.to_dq0(t, v[k], dv[k], ddv[k], cfg)
+        for name in ("vdq0", "dvdq0", "ddvdq0"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(dq, name)[k])
+        for x, xs in zip(park.from_dq0(one, cfg), back):
+            np.testing.assert_array_equal(x, xs[k])
+        rep_one = park.derivative_frame_check(one, cfg)
+        for f in dataclasses.fields(rep):
+            np.testing.assert_array_equal(
+                getattr(rep_one, f.name), getattr(rep, f.name)[k], err_msg=f.name
+            )
+
+
 # -------------------------------------------------------- dq0 invariants
 
 
 def test_synchronous_invariants_remark_single_phase_form():
-    dq = park.to_dq0(_e0_jet(0.0073), SYNC)
+    dq = _to_dq0(_e0_jet(0.0073), SYNC)
     g = park.dq0_invariants(dq, SYNC)
     assert g.rho == pytest.approx(0.0, abs=1e-9)
     assert g.delta_omega == pytest.approx(0.0, abs=1e-6)
@@ -121,7 +149,7 @@ def test_dq0_invariants_equal_abc_frenet(sid, cfg):
     for t in np.linspace(0.01, 1.9, 25):
         j = signals.eval_jet(model, float(t))
         ref = frenet.invariants(j)
-        dq = park.to_dq0(j, cfg)
+        dq = _to_dq0(j, cfg)
         g = park.dq0_invariants(
             DqoJet(t=dq.t, vdq0=dq.vdq0 * _CONFORMAL, dvdq0=dq.dvdq0 * _CONFORMAL),
             cfg,
@@ -129,6 +157,24 @@ def test_dq0_invariants_equal_abc_frenet(sid, cfg):
         tol = 1e-9 * ref.omega_mag
         assert abs(g.rho - ref.rho) <= tol
         assert abs(np.linalg.norm(g.omega_vec) - ref.omega_mag) <= tol
+
+
+def test_balanced_needs_zero_sequence_value_and_derivative():
+    # on E8 at t = 0, v_o vanishes but v_o' does not: not balanced
+    j = signals.eval_jet(signals.make_scenario("E8"), 0.0)
+    dq = _to_dq0(j, SYNC)
+    assert abs(dq.vdq0[2]) <= 1e-9 * np.linalg.norm(dq.vdq0)
+    g = park.dq0_invariants(dq, SYNC)
+    assert not g.balanced and math.isnan(g.delta_omega)
+    rep = park.derivative_frame_check(dq, SYNC)
+    assert not rep.balanced and math.isnan(rep.balanced_identity_err)
+    # E0 is balanced at every instant, in any frame
+    times = signals.sample_times(0.0, 0.1, 1e-4)
+    jet = signals.eval_arrays(signals.make_scenario("E0"), times)
+    for cfg in (SYNC, ParkConfig(w_dq=0.7 * W_O, theta0=0.3)):
+        rep = park.derivative_frame_check(park.to_dq0(times, *jet, cfg), cfg)
+        assert rep.balanced.all()
+        assert np.max(rep.balanced_identity_err) <= 1e-9
 
 
 def test_invariants_degenerate_speed():
@@ -141,7 +187,7 @@ def test_invariants_degenerate_speed():
 
 
 def test_frame_check_synchronous_termwise_equal():
-    dq = park.to_dq0(_e0_jet(0.011), SYNC)
+    dq = _to_dq0(_e0_jet(0.011), SYNC)
     rep = park.derivative_frame_check(dq, SYNC)
     assert rep.sum_rel_err <= 1e-9
     assert rep.terms_equal
@@ -150,7 +196,7 @@ def test_frame_check_synchronous_termwise_equal():
 
 def test_frame_check_clarke_derivative_is_rotating_derivative():
     cfg = ParkConfig(w_dq=0.0)
-    dq = park.to_dq0(_e0_jet(0.004), cfg)
+    dq = _to_dq0(_e0_jet(0.004), cfg)
     rep = park.derivative_frame_check(dq, cfg)
     np.testing.assert_array_equal(rep.rotation_term, [0.0, 0.0, 0.0])
     np.testing.assert_array_equal(rep.inertial_dv, rep.rotating_dv)
@@ -166,7 +212,7 @@ def test_frame_check_generic_sums_agree_terms_differ(rng):
         )
         assert rep.sum_rel_err <= 1e-9
     # a frame spinning away from the signal cannot match termwise
-    dq = park.to_dq0(_e0_jet(0.006), ParkConfig(w_dq=0.5 * W_O))
+    dq = _to_dq0(_e0_jet(0.006), ParkConfig(w_dq=0.5 * W_O))
     rep = park.derivative_frame_check(dq, ParkConfig(w_dq=0.5 * W_O))
     assert not rep.terms_equal
 
@@ -178,8 +224,8 @@ def test_frame_check_generic_sums_agree_terms_differ(rng):
 def test_geometric_invariants_are_frame_invariant(sid, t):
     j = signals.eval_jet(signals.make_scenario(sid), t)
     g_abc = frenet.invariants(j)
-    back = park.from_dq0(park.to_dq0(j, SYNC), SYNC)
-    g_rt = frenet.invariants(back)
+    back = park.from_dq0(_to_dq0(j, SYNC), SYNC)
+    g_rt = frenet.invariants(Jet2(t, *back))
     assert g_rt.rho == pytest.approx(g_abc.rho, rel=1e-9, abs=1e-9)
     assert g_rt.omega_mag == pytest.approx(g_abc.omega_mag, rel=1e-9)
     assert g_rt.xi == pytest.approx(g_abc.xi, rel=1e-9, abs=1e-9)

@@ -53,7 +53,7 @@ def test_auxiliaries_zero_magnitudes_degenerate():
 
 def test_auxiliaries_stationary_r_terms_vanish():
     aux = threephase.auxiliaries(_stationary_phases(V=(12.0, 8.0, 10.0)))
-    assert aux.r == (0.0, 0.0, 0.0)
+    np.testing.assert_array_equal(aux.r, [0.0, 0.0, 0.0])
 
 
 def test_closed_form_positive_sequence():
@@ -87,6 +87,24 @@ def test_closed_form_matches_generic_route(sid, t):
     assert abs(cf.rho - g.rho) <= 1e-6 * scale
     np.testing.assert_allclose(cf.omega_vec, g.omega_vec, atol=1e-6 * g.omega_mag)
     assert abs(cf.xi - g.xi) <= 1e-6 * max(abs(g.xi), 1.0)
+
+
+@pytest.mark.parametrize("sid", ["DC", "SINGLE_PHASE", "E0", "E3", "E5", "E8"])
+def test_n_instants_equal_n_single_instants(sid):
+    model = signals.make_scenario(sid)
+    times = np.linspace(0.0, 1.9, 37)
+    jets = signals.phase_jets(model, times)
+    cf = threephase.closed_form_invariants(jets)
+    for k, t in enumerate(times.tolist()):
+        one = signals.phase_jets(model, t)
+        for p, ps in zip(one, jets):
+            for name in ("V", "dV", "ddV", "theta", "dtheta", "ddtheta"):
+                x = getattr(p, name)
+                assert np.ndim(x) == 0 and x == getattr(ps, name)[k]
+        cf_one = threephase.closed_form_invariants(one)
+        assert np.ndim(cf_one.rho) == 0 and cf_one.rho == cf.rho[k]
+        assert np.ndim(cf_one.xi) == 0 and cf_one.xi == cf.xi[k]
+        np.testing.assert_array_equal(cf_one.omega_vec, cf.omega_vec[k])
 
 
 def test_zero_sequence_rank_deficiency():

@@ -18,18 +18,19 @@ np.set_printoptions(precision=4, suppress=True)
 
 
 def show(title, model, t):
-    j = signals.eval_jet(model, t)
-    g = frenet.invariants(j)
+    v, dv, ddv = signals.eval_arrays(model, (t,))
+    b = frenet.invariants_batch(v, dv, ddv)
+    rotating = not b.no_rotation[0]
     print(f"\n{title}  (t = {t} s)")
-    print(f"  v        = {np.asarray(j.v)}")
-    print(f"  |v|      = {g.v_mag:.4f} V")
-    print(f"  rho      = {g.rho:+.3e} 1/s")
-    print(f"  omega    = {g.omega_vec}  (|omega| = {g.omega_mag:.4f} rad/s)")
-    print(f"  xi       = {g.xi:+.3e} 1/s")
-    print(f"  rotating = {g.rotation_defined}")
-    if g.rotation_defined:
-        f = frenet.frame(j)
-        print(f"  binormal = {f.B}")
+    print(f"  v        = {v[0]}")
+    print(f"  |v|      = {b.v_mag[0]:.4f} V")
+    print(f"  rho      = {b.rho[0]:+.3e} 1/s")
+    print(f"  omega    = {b.omega_vec[0]}  (|omega| = {b.omega_mag[0]:.4f} rad/s)")
+    print(f"  xi       = {b.xi[0]:+.3e} 1/s")
+    print(f"  rotating = {rotating}")
+    if rotating:
+        T, N, B = frenet.frame(v, dv, ddv)
+        print(f"  binormal = {B[0]}")
 
 
 show("DC level (straight line)", signals.make_scenario("DC"), 0.1)
@@ -40,8 +41,8 @@ show("unbalanced magnitudes E1", signals.make_scenario("E1"), 0.0)
 show("unbalanced angles E2", signals.make_scenario("E2"), 2.5e-3)
 
 print("\nFor the balanced set, omega stays pinned at (w_o/sqrt(3))(1,1,1):")
-model = signals.make_scenario("E0")
-for t in (0.0, 0.005, 0.013):
-    g = frenet.invariants(signals.eval_jet(model, t))
-    print(f"  t = {t:6.3f}  omega = {g.omega_vec}"
+times = (0.0, 0.005, 0.013)
+b = frenet.invariants_batch(*signals.eval_arrays(signals.make_scenario("E0"), times))
+for t, omega in zip(times, b.omega_vec):
+    print(f"  t = {t:6.3f}  omega = {omega}"
           f"   expected component {100 * math.pi / math.sqrt(3):.4f}")

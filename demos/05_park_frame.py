@@ -20,15 +20,15 @@ from geomfreq.park import ParkConfig
 np.set_printoptions(precision=4, suppress=True)
 
 W_O = 100.0 * math.pi
-model = signals.make_scenario("E0")
-j = signals.eval_jet(model, 0.0073)
+t = 0.0073
+v, dv, ddv = (x[0] for x in signals.eval_arrays(signals.make_scenario("E0"), (t,)))
 
 for label, cfg in (
     ("synchronous frame (w_dq = w_o, aligned)", ParkConfig(W_O, -math.pi / 2)),
     ("detuned frame (w_dq = w_o + 2 pi)", ParkConfig(W_O + 2 * math.pi)),
     ("Clarke frame (w_dq = 0)", ParkConfig(0.0)),
 ):
-    dq = park.to_dq0(j.t, j.v, j.dv, j.ddv, cfg)
+    dq = park.to_dq0(t, v, dv, ddv, cfg)
     g = park.dq0_invariants(dq, cfg)
     rep = park.derivative_frame_check(dq, cfg)
     print(label)
@@ -45,10 +45,9 @@ for label, cfg in (
 print("rho, |omega|, xi are frame invariants (abc vs round trip):")
 sync = ParkConfig(W_O, -math.pi / 2)
 for sid, t in (("E5", 0.013), ("E8", 1.3)):
-    j = signals.eval_jet(signals.make_scenario(sid), t)
-    a = frenet.invariants(j)
-    back = park.from_dq0(park.to_dq0(t, j.v, j.dv, j.ddv, sync), sync)
-    b = frenet.invariants(frenet.Jet2(t, *back))
-    print(f"  {sid} t={t}: rho {a.rho:+.6f} / {b.rho:+.6f}"
-          f"   |omega| {a.omega_mag:.4f} / {b.omega_mag:.4f}"
-          f"   xi {a.xi:+.6f} / {b.xi:+.6f}")
+    rows = signals.eval_arrays(signals.make_scenario(sid), (t,))
+    a = frenet.invariants_batch(*rows)
+    b = frenet.invariants_batch(*park.from_dq0(park.to_dq0(t, *rows, sync), sync))
+    print(f"  {sid} t={t}: rho {a.rho[0]:+.6f} / {b.rho[0]:+.6f}"
+          f"   |omega| {a.omega_mag[0]:.4f} / {b.omega_mag[0]:.4f}"
+          f"   xi {a.xi[0]:+.6f} / {b.xi[0]:+.6f}")

@@ -20,29 +20,12 @@ from .errors import (
     UnknownScenario,
     WrongChannelCount,
 )
-from .frenet import (
-    EPS_V,
-    EPS_W,
-    FrenetFrame,
-    GeomInvariants,
-    Jet2,
-    RocofDecomposition,
-    frame,
-    invariants,
-    invariants_batch,
-    omega_dot_direct,
-    rho_prime,
-    rocof,
-    second_derivative_decomposition,
-    speed,
-    velocity_identity_residual,
-)
-from .geometry import cross, inner, norm, triple_scalar, vec3
+from .frenet import EPS_V, EPS_W, GeomInvariants, frame, invariants, invariants_batch
 from .hilbert import analytic_embed, geometric_equivalence, instantaneous_frequency_classical
-from .numdiff import differentiate, lowpass_first_order, remove_zero_sequence
+from .numdiff import differentiate_arrays, lowpass_first_order, remove_zero_sequence
 from .park import DqoJet, ParkConfig, dq0_invariants, derivative_frame_check, from_dq0, to_dq0
 from .series import TimeSeries
-from .signals import SignalModel, eval_jet, make_scenario, phase_jets, sample
+from .signals import SignalModel, eval_arrays, make_scenario, phase_jets, sample
 from .threephase import (
     PhaseJet,
     auxiliaries,

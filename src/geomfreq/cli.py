@@ -138,11 +138,21 @@ def cmd_validate(args):
     return EXIT_OK if failed == 0 else EXIT_FAIL
 
 
+def _park_param(value, flag, cfg, key, fallback):
+    """A frame parameter from its flag, else its config key, else the
+    fallback; NaN or infinity is a usage error naming where it came from."""
+    if value is None:
+        value, flag = _cfg_float(cfg, key, fallback), key
+    if not math.isfinite(value):
+        raise InvalidRange(f"{flag} must be finite, got {value}")
+    return value
+
+
 def cmd_park(args):
     cfg = _load_config(args.config) if args.config else {}
     scenario = args.scenario or cfg.get("scenario.id", "E0")
-    w_dq = args.wdq if args.wdq is not None else _cfg_float(cfg, "park.wdq", 100.0 * math.pi)
-    theta0 = args.theta0 if args.theta0 is not None else _cfg_float(cfg, "park.theta0", 0.0)
+    w_dq = _park_param(args.wdq, "--wdq", cfg, "park.wdq", 100.0 * math.pi)
+    theta0 = _park_param(args.theta0, "--theta0", cfg, "park.theta0", 0.0)
     t0, t1, dt = _sampling(args, cfg)
     times = signals.sample_times(t0, t1, dt)
     model = signals.make_scenario(scenario)
@@ -180,6 +190,13 @@ def cmd_hilbert(args):
         t1 = args.t1 if args.t1 is not None else 0.4096
         t = signals.sample_times(0.0, t1, dt)[:-1]  # half-open [0, t1)
         u = np.cos(2.0 * math.pi * args.freq * t)
+    if u.size < hilbert.MIN_LENGTH:
+        # a short file is a format error, a short synthetic range a usage error
+        error, source = (MalformedCsv, args.csv) if args.csv else (InvalidRange, "--t1/--dt")
+        raise error(
+            f"{source}: the Hilbert transform needs at least "
+            f"{hilbert.MIN_LENGTH} samples, got {u.size}"
+        )
     pair = hilbert.analytic_embed(u, dt)
     report = hilbert.geometric_equivalence(pair)
     if args.out:

@@ -1,19 +1,25 @@
-"""Geometric invariants, Frenet frame, and RoCoF decomposition of a
-voltage vector given together with its first two time derivatives.
+"""Geometric invariants, Frenet frame and RoCoF decomposition of a
+voltage curve, from the rows of (N, 3) arrays v, v', v'':
 
-The per-sample functions take a second order jet (value, first and
-second derivative at one instant) and return a value object; degenerate
-samples raise explicit errors instead of returning NaN.  They are the
-reference for ``invariants_batch``, which evaluates the same formulas
-over ``(N, 3)`` arrays of samples and marks degenerate rows with NaN.
+    rho    = (v . v') / |v|^2                  radial frequency
+    omega  = (v x v') / |v|^2                  azimuthal frequency vector
+    kappa  = |omega| / |v|                     curvature
+    tau    = v . (v' x v'') / |v x v'|^2       torsion
+    xi     = |v| tau                           torsional frequency
+    omega' = (v x v'') / |v|^2 - 2 rho omega = eta omega + tau (v x omega)
+
+``invariants_batch`` evaluates them over every row and flags degenerate
+rows with NaN; ``frame`` builds the Frenet triad from its columns.
+``invariants`` is the same arithmetic on one row, for a caller that
+holds one instant at a time, and gives the bits of that batch row.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRotation, DegenerateSpeed
-from .geometry import as_vec3, cross, inner, norm, rowdot, rownorm, triple_scalar
+from .errors import DegenerateSpeed
+from .geometry import rowdot, rownorm
 
 EPS_V = 1e-9  # V; below this the curve has no defined tangent
 EPS_W = 1e-9  # rad/s; below this the curve is not rotating
@@ -23,58 +29,14 @@ _ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class Jet2:
-    """Voltage vector with first and second time derivatives at time t."""
-
-    t: float
-    v: np.ndarray  # V
-    dv: np.ndarray  # V/s
-    ddv: np.ndarray  # V/s^2
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", as_vec3(self.v))
-        object.__setattr__(self, "dv", as_vec3(self.dv))
-        object.__setattr__(self, "ddv", as_vec3(self.ddv))
-
-
-@dataclass(frozen=True)
 class GeomInvariants:
-    """Bundle of geometric quantities at one sample.
+    """rho, omega and xi at one instant; without rotation omega and xi
+    are exact zeros."""
 
-    When the curve is not rotating (``rotation_defined`` False) the
-    rotation-dependent quantities are reported as exact zeros.
-    """
-
-    v_mag: float  # V
     rho: float  # 1/s, radial frequency
     omega_vec: np.ndarray  # rad/s, azimuthal frequency vector
     omega_mag: float  # rad/s
-    kappa: float  # 1/(V s), curvature
-    tau: float  # 1/(V s), torsion
     xi: float  # 1/s, torsional frequency
-    n_vec: np.ndarray  # V/s, unnormalized normal
-    n_mag: float  # V/s
-    rotation_defined: bool
-
-
-@dataclass(frozen=True)
-class FrenetFrame:
-    """Orthonormal (tangent, normal, binormal) triad."""
-
-    T: np.ndarray
-    N: np.ndarray
-    B: np.ndarray
-
-
-@dataclass(frozen=True)
-class RocofDecomposition:
-    """Frequency derivative split into symmetric and antisymmetric parts."""
-
-    omega_dot: np.ndarray  # rad/s^2
-    eta: float  # 1/s
-    sym_part: np.ndarray  # eta * omega
-    antisym_part: np.ndarray  # tau * (v x omega)
-    residual: np.ndarray  # omega_dot - sym - antisym
 
 
 @dataclass(frozen=True)
@@ -99,178 +61,24 @@ class BatchInvariants:
     no_rotation: np.ndarray  # (N,) bool
 
 
-@dataclass(frozen=True)
-class SecondDerivativeDecomposition:
-    """Expansion of v'' in the orthogonal basis {v, n, omega}.
-
-    ``a2``, ``b2``, ``c2`` are recovered by projection.  ``a2_closed``
-    is the analytic value rho' + rho^2 - omega^2.  The two candidate
-    closed forms for b2 disagree in the sign of eta; flags record which
-    one the projection matches.
-    """
-
-    a2: float
-    b2: float
-    c2: float
-    residual: np.ndarray
-    a2_closed: float
-    b2_candidate_minus: float  # 2*rho - eta
-    b2_candidate_plus: float  # 2*rho + eta
-    c2_candidate: float  # v * xi
-    matches_minus: bool = field(default=False)
-    matches_plus: bool = field(default=False)
-
-
-def speed(j):
-    """Magnitude of the voltage vector, i.e. the curve speed ds/dt."""
-    return norm(j.v)
-
-
-def _radial_azimuthal(j, eps_v):
-    """|v|, rho = (v . v') / |v|^2 and omega = (v x v') / |v|^2 of a jet.
-
-    Raises ``DegenerateSpeed`` when |v| <= eps_v.
-    """
-    v_mag = norm(j.v)
+def invariants(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
+    """rho, omega and xi of one instant from the finite 3-vectors
+    v, v', v'', bit for bit what ``invariants_batch`` gives that row.
+    Raises ``DegenerateSpeed`` when |v| <= eps_v."""
+    v_mag = float(np.linalg.norm(v))
     if v_mag <= eps_v:
-        raise DegenerateSpeed(f"|v| = {v_mag} <= {eps_v} at t = {j.t}")
+        raise DegenerateSpeed(f"|v| = {v_mag} <= {eps_v}")
     v2 = v_mag * v_mag
-    return v_mag, inner(j.v, j.dv) / v2, cross(j.v, j.dv) / v2
-
-
-def invariants(j, eps_v=EPS_V, eps_w=EPS_W):
-    """Compute rho, omega, kappa, tau, xi and the normal vector.
-
-    rho  = (v . v') / |v|^2
-    omega = (v x v') / |v|^2
-    kappa = |omega| / |v|
-    tau  = v . (v' x v'') / |v x v'|^2   (0 when not rotating)
-    xi   = |v| * tau
-    n    = v' - rho v
-    """
-    v_mag, rho, omega_vec = _radial_azimuthal(j, eps_v)
-    omega_mag = norm(omega_vec)
-    if omega_mag > eps_w:
-        vxdv = cross(j.v, j.dv)
-        tau = triple_scalar(j.v, j.dv, j.ddv) / inner(vxdv, vxdv)
-        xi = v_mag * tau
-        kappa = omega_mag / v_mag
-        n_vec = j.dv - rho * j.v
+    vxdv = np.cross(v, dv)
+    omega_vec = vxdv / v2
+    omega_mag = float(np.linalg.norm(omega_vec))
+    rho = float(np.dot(v, dv)) / v2
+    if omega_mag > eps_w:  # a NaN omega counts as no rotation, as in the batch
+        tau = float(np.dot(v, np.cross(dv, ddv))) / float(np.dot(vxdv, vxdv))
         return GeomInvariants(
-            v_mag=v_mag,
-            rho=rho,
-            omega_vec=omega_vec,
-            omega_mag=omega_mag,
-            kappa=kappa,
-            tau=tau,
-            xi=xi,
-            n_vec=n_vec,
-            n_mag=norm(n_vec),
-            rotation_defined=True,
+            rho=rho, omega_vec=omega_vec, omega_mag=omega_mag, xi=v_mag * tau
         )
-    return GeomInvariants(
-        v_mag=v_mag,
-        rho=rho,
-        omega_vec=_ZERO,
-        omega_mag=0.0,
-        kappa=0.0,
-        tau=0.0,
-        xi=0.0,
-        n_vec=_ZERO,
-        n_mag=0.0,
-        rotation_defined=False,
-    )
-
-
-def frame(j, eps_v=EPS_V, eps_w=EPS_W):
-    """Orthonormal Frenet triad T = v/|v|, N = n/|n|, B = omega/|omega|."""
-    g = invariants(j, eps_v, eps_w)
-    if not g.rotation_defined:
-        raise DegenerateRotation(
-            f"|omega| <= {eps_w} at t = {j.t}: normal/binormal undefined"
-        )
-    return FrenetFrame(
-        T=j.v / g.v_mag,
-        N=g.n_vec / g.n_mag,
-        B=g.omega_vec / g.omega_mag,
-    )
-
-
-def velocity_identity_residual(j, eps_v=EPS_V):
-    """Residual of v' = rho v + omega x v; numerically zero for any
-    jet that actually came from a differentiable curve."""
-    _, rho, omega_vec = _radial_azimuthal(j, eps_v)
-    return j.dv - (rho * j.v + cross(omega_vec, j.v))
-
-
-def rho_prime(j, eps_v=EPS_V):
-    """Time derivative of rho: (v . v'') / |v|^2 + omega^2 - rho^2."""
-    v_mag, rho, omega_vec = _radial_azimuthal(j, eps_v)
-    return inner(j.v, j.ddv) / (v_mag * v_mag) + norm(omega_vec) ** 2 - rho**2
-
-
-def omega_dot_direct(j, eps_v=EPS_V):
-    """Analytic omega' = (v x v'') / |v|^2 - 2 rho omega."""
-    v_mag, rho, omega_vec = _radial_azimuthal(j, eps_v)
-    return cross(j.v, j.ddv) / (v_mag * v_mag) - 2.0 * rho * omega_vec
-
-
-def rocof(j, eps_v=EPS_V, eps_w=EPS_W):
-    """Decompose omega' = eta omega + tau (v x omega)."""
-    g = invariants(j, eps_v, eps_w)
-    if not g.rotation_defined:
-        raise DegenerateRotation(
-            f"|omega| <= {eps_w} at t = {j.t}: RoCoF decomposition undefined"
-        )
-    omega_dot = omega_dot_direct(j, eps_v)
-    eta = inner(g.omega_vec, omega_dot) / g.omega_mag**2
-    sym = eta * g.omega_vec
-    antisym = g.tau * cross(j.v, g.omega_vec)
-    return RocofDecomposition(
-        omega_dot=omega_dot,
-        eta=eta,
-        sym_part=sym,
-        antisym_part=antisym,
-        residual=omega_dot - sym - antisym,
-    )
-
-
-def second_derivative_decomposition(j, eps_v=EPS_V, eps_w=EPS_W, match_tol=1e-6):
-    """Expand v'' = a2 v + b2 n + c2 omega by orthogonal projection.
-
-    The basis {v, n, omega} is mutually orthogonal whenever the curve
-    rotates, so each coefficient is a single projection.  The recovered
-    coefficients are compared against both closed-form candidates for
-    b2 (2 rho -/+ eta) and against c2 = |v| xi.
-    """
-    g = invariants(j, eps_v, eps_w)
-    if not g.rotation_defined:
-        raise DegenerateRotation(
-            f"|omega| <= {eps_w} at t = {j.t}: {{v, n, omega}} is not a basis"
-        )
-    a2 = inner(j.ddv, j.v) / g.v_mag**2
-    b2 = inner(j.ddv, g.n_vec) / g.n_mag**2
-    c2 = inner(j.ddv, g.omega_vec) / g.omega_mag**2
-    residual = j.ddv - (a2 * j.v + b2 * g.n_vec + c2 * g.omega_vec)
-
-    a2_closed = rho_prime(j, eps_v) + g.rho**2 - g.omega_mag**2
-    eta = rocof(j, eps_v, eps_w).eta
-    b2_minus = 2.0 * g.rho - eta
-    b2_plus = 2.0 * g.rho + eta
-    c2_cand = g.v_mag * g.xi
-    scale = max(abs(b2), abs(b2_minus), abs(b2_plus), 1e-30)
-    return SecondDerivativeDecomposition(
-        a2=a2,
-        b2=b2,
-        c2=c2,
-        residual=residual,
-        a2_closed=a2_closed,
-        b2_candidate_minus=b2_minus,
-        b2_candidate_plus=b2_plus,
-        c2_candidate=c2_cand,
-        matches_minus=abs(b2 - b2_minus) <= match_tol * scale,
-        matches_plus=abs(b2 - b2_plus) <= match_tol * scale,
-    )
+    return GeomInvariants(rho=rho, omega_vec=_ZERO, omega_mag=0.0, xi=0.0)
 
 
 def _as_rows(a):
@@ -283,11 +91,8 @@ def _as_rows(a):
 
 
 def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
-    """``invariants`` and ``rocof`` of every row of (N, 3) arrays.
-
-    Same formulas and thresholds as the per-sample functions; instead
-    of raising on a degenerate sample it flags the row (see
-    ``BatchInvariants``).
+    """Invariants and RoCoF split of every row of (N, 3) arrays; a
+    degenerate or non-rotating row is flagged (see ``BatchInvariants``).
     """
     v, dv, ddv = _as_rows(v), _as_rows(dv), _as_rows(ddv)
     if not v.shape == dv.shape == ddv.shape:
@@ -326,3 +131,21 @@ def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
         degenerate=degenerate,
         no_rotation=no_rotation,
     )
+
+
+def frame(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
+    """Frenet triad (T, N, B) of every row, as (N, 3) arrays: the unit
+    tangent v/|v|, the unit normal n/|n| with n = v' - rho v, and the
+    unit binormal omega/|omega|.  All three are NaN on a row without
+    rotation, where the normal and binormal are undefined."""
+    b = invariants_batch(v, dv, ddv, eps_v, eps_w)
+    v, dv = np.asarray(v, dtype=np.float64), np.asarray(dv, dtype=np.float64)
+    n = dv - b.rho[:, None] * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        triad = (
+            v / b.v_mag[:, None],
+            n / rownorm(n)[:, None],
+            b.omega_vec / b.omega_mag[:, None],
+        )
+    undefined = (b.degenerate | b.no_rotation)[:, None]
+    return tuple(np.where(undefined, np.nan, x) for x in triad)

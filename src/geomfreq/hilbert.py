@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnvelope, TooShort
-from .frenet import Jet2, invariants
+from .frenet import invariants
 from .numdiff import TRIM, stencil_derivatives
 
 MIN_LENGTH = 16
@@ -30,6 +30,8 @@ class AnalyticPair:
         uh = np.asarray(self.uh, dtype=np.float64)
         if u.shape != uh.shape or u.ndim != 1:
             raise ValueError("u and uh must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(uh))):
+            raise ValueError("u and uh must be finite")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "uh", uh)
 
@@ -99,23 +101,17 @@ def geometric_equivalence(pair, eps=1e-12):
     phi_dot = instantaneous_frequency_classical(pair, eps)
     cols = np.column_stack([pair.u, pair.uh])
     d1, d2 = stencil_derivatives(cols, pair.dt)
-    u = pair.u[TRIM:-TRIM]
-    uh = pair.uh[TRIM:-TRIM]
-    n = u.size
+    n = d1.shape[0]
     times = pair.dt * np.arange(pair.u.size)[TRIM:-TRIM]
+    # rows (u, uh, 0), (u', uh', 0), (u'', uh'', 0) of the plane curve
+    v, dv, ddv = (np.column_stack([x, np.zeros(n)]) for x in (cols[TRIM:-TRIM], d1, d2))
 
     rho = np.empty(n)
     omega_mag = np.empty(n)
     omega_z = np.empty(n)
     xi = np.empty(n)
     for k in range(n):
-        jet = Jet2(
-            t=float(times[k]),
-            v=[u[k], uh[k], 0.0],
-            dv=[d1[k, 0], d1[k, 1], 0.0],
-            ddv=[d2[k, 0], d2[k, 1], 0.0],
-        )
-        g = invariants(jet)
+        g = invariants(v[k], dv[k], ddv[k])
         rho[k] = g.rho
         omega_mag[k] = g.omega_mag
         omega_z[k] = g.omega_vec[2]

@@ -1,4 +1,4 @@
-"""Numerical path: jets from sampled waveforms.
+"""Numerical path: derivatives of sampled waveforms.
 
 Derivatives use centered 5-point stencils (4th-order first derivative,
 second derivative exact through quartics); the two outermost samples on
@@ -10,7 +10,6 @@ and zero-sequence removal handles rank-deficient three-phase sets.
 import numpy as np
 
 from .errors import TooFewSamples, WrongChannelCount
-from .frenet import Jet2
 from .series import TimeSeries
 
 TRIM = 2  # samples dropped on each side by the 5-point stencils
@@ -44,15 +43,6 @@ def differentiate_arrays(series):
         )
     d1, d2 = stencil_derivatives(series.values, series.dt)
     return series.times[TRIM:-TRIM], series.values[TRIM:-TRIM], d1, d2
-
-
-def differentiate(series):
-    """Estimate second-order jets from a 3-channel voltage series."""
-    times, v, dv, ddv = differentiate_arrays(series)
-    return [
-        Jet2(t=float(times[k]), v=v[k], dv=dv[k], ddv=ddv[k])
-        for k in range(times.size)
-    ]
 
 
 def lowpass_first_order(series, time_constant):

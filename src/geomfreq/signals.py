@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, InvalidRange, UnknownScenario
-from .frenet import Jet2
 from .series import TimeSeries
 from .threephase import PhaseJet
 
@@ -111,11 +110,6 @@ def _eval_channel(components, t):
         df += dm * s + m * dth * c
         ddf += (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c
     return f, df, ddf
-
-
-def eval_jet(model, t):
-    """Exact analytic (v, v', v'') at time t: ``eval_arrays`` at one time."""
-    return Jet2(t, *(x[0] for x in eval_arrays(model, (t,))))
 
 
 def eval_arrays(model, times):

@@ -2,8 +2,8 @@
 per-phase magnitude and angle functions.
 
 These expressions are an independent route to the same invariants that
-``frenet.invariants`` computes from a cartesian jet, and the test suite
-uses them as mutual oracles.  Each phase i in {a, b, c} is
+``frenet.invariants_batch`` computes from the cartesian rows v, v', v'',
+and the test suite uses them as mutual oracles.  Each phase i in {a, b, c} is
 v_i = V_i(t) sin(theta_i(t)) and the inputs are the per-phase
 (V, V', V'', theta, theta', theta''), each a scalar for one instant or
 an array over N instants; the results then carry the same leading
@@ -70,7 +70,7 @@ class Auxiliaries:
 @dataclass(frozen=True)
 class ClosedFormInvariants:
     """Closed-form invariants; ``xi`` comes from the self-consistent
-    per-phase expansion of v'' (it matches the generic jet route)."""
+    per-phase expansion of v'' (it matches the Frenet kernel)."""
 
     rho: float
     omega_vec: np.ndarray

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from geomfreq import cli, frenet, hilbert, park, signals, threephase
-from geomfreq.frenet import Jet2
-from geomfreq.geometry import cross, norm
+from geomfreq.geometry import rownorm
 from geomfreq.park import DqoJet, ParkConfig
+
+from conftest import ddv_expansion, scenario_arrays
 
 W_O = 100.0 * math.pi
 OMEGA_POS = W_O / math.sqrt(3.0)
@@ -36,117 +37,118 @@ def criterion(label):
     return deco
 
 
-def _jets(scenario_id, t0, t1, dt, **overrides):
-    model = signals.make_scenario(scenario_id, **overrides)
-    n = int(round((t1 - t0) / dt)) + 1
-    return [signals.eval_jet(model, t0 + k * dt) for k in range(n)]
+def _rows(scenario_id, t0, t1, dt, **overrides):
+    """v, v', v'' of a preset at t0 + k*dt, and their invariants."""
+    v, dv, ddv = scenario_arrays(scenario_id, t0, t1, dt, **overrides)[1:]
+    return v, dv, ddv, frenet.invariants_batch(v, dv, ddv)
+
+
+def _rocof_parts(v, b):
+    """|omega'|, the torsional part tau (v x omega) and the residual
+    omega' - eta omega - tau (v x omega) of every row."""
+    antisym = b.tau[:, None] * np.cross(v, b.omega_vec)
+    residual = b.omega_dot - b.eta[:, None] * b.omega_vec - antisym
+    return rownorm(b.omega_dot), antisym, residual
 
 
 @criterion("criterion 1: stationary positive/negative sequence invariants")
 def test_criterion_1_stationary_sequences():
-    for j in _jets("E0", 0.0, 0.1, 1e-3):
-        g = frenet.invariants(j)
-        assert abs(g.rho) <= 1e-9
-        assert abs(g.xi) <= 1e-9
-        np.testing.assert_allclose(g.omega_vec, [OMEGA_POS] * 3, rtol=1e-6)
-        assert abs(g.omega_mag - W_O) <= 1e-9 * W_O
-    negative = _jets(
+    b = _rows("E0", 0.0, 0.1, 1e-3)[3]
+    assert np.all(np.abs(b.rho) <= 1e-9)
+    assert np.all(np.abs(b.xi) <= 1e-9)
+    np.testing.assert_allclose(b.omega_vec, np.full_like(b.omega_vec, OMEGA_POS), rtol=1e-6)
+    assert np.all(np.abs(b.omega_mag - W_O) <= 1e-9 * W_O)
+    negative = _rows(
         "E0",
         0.0,
         0.1,
         1e-3,
         theta0=(0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0),
+    )[3]
+    np.testing.assert_allclose(
+        negative.omega_vec, np.full_like(negative.omega_vec, -OMEGA_POS), rtol=1e-6
     )
-    for j in negative:
-        g = frenet.invariants(j)
-        np.testing.assert_allclose(g.omega_vec, [-OMEGA_POS] * 3, rtol=1e-6)
 
 
 @criterion("criterion 2: planarity of E0-E3, torsion present in E4/E5")
 def test_criterion_2_planarity_and_torsion():
     for sid in ("E0", "E1", "E2", "E3"):
-        for j in _jets(sid, 0.0, 0.1, 1e-4):
-            assert abs(frenet.invariants(j).xi) <= 1e-8
+        assert np.all(np.abs(_rows(sid, 0.0, 0.1, 1e-4)[3].xi) <= 1e-8)
     for sid in ("E4", "E5"):
-        xi_max = max(
-            abs(frenet.invariants(j).xi) for j in _jets(sid, 0.0, 0.04, 1e-4)
-        )
+        xi_max = np.max(np.abs(_rows(sid, 0.0, 0.04, 1e-4)[3].xi))
         assert xi_max >= 1.0
 
 
 @criterion("criterion 3: balanced modulation keeps RoCoF conventional")
 def test_criterion_3_balanced_time_variant():
-    for j in _jets("E6", 0.0, 5.0, 0.01):
-        g = frenet.invariants(j)
-        assert abs(g.rho) <= 1e-8
-        assert abs(g.xi) <= 1e-8
-        rc = frenet.rocof(j)
-        scale = max(norm(rc.omega_dot), g.omega_mag)
-        assert norm(rc.antisym_part) <= 1e-8 * scale
-        assert abs(norm(rc.omega_dot) - abs(rc.eta) * g.omega_mag) <= 1e-8 * scale
+    v, _, _, b = _rows("E6", 0.0, 5.0, 0.01)
+    assert np.all(np.abs(b.rho) <= 1e-8)
+    assert np.all(np.abs(b.xi) <= 1e-8)
+    wd, antisym, _ = _rocof_parts(v, b)
+    scale = np.maximum(wd, b.omega_mag)
+    assert np.all(rownorm(antisym) <= 1e-8 * scale)
+    assert np.all(np.abs(wd - np.abs(b.eta) * b.omega_mag) <= 1e-8 * scale)
 
 
 @criterion("criterion 4: torsional RoCoF in unbalanced modulation")
 def test_criterion_4_torsional_rocof():
     for sid in ("E7", "E8"):
-        max_gap = 0.0
-        for j in _jets(sid, 0.0, 2.5, 1e-3):
-            g = frenet.invariants(j)
-            if not g.rotation_defined:
-                continue
-            rc = frenet.rocof(j)
-            wd = norm(rc.omega_dot)
-            assert norm(rc.residual) <= 1e-8 * max(wd, g.omega_mag)
-            if wd > 1e-6:
-                max_gap = max(max_gap, abs(wd - abs(rc.eta) * g.omega_mag) / wd)
-        assert max_gap >= 0.01
+        v, _, _, b = _rows(sid, 0.0, 2.5, 1e-3)
+        rot = ~(b.degenerate | b.no_rotation)
+        wd, _, residual = (x[rot] for x in _rocof_parts(v, b))
+        w, eta = b.omega_mag[rot], b.eta[rot]
+        assert np.all(rownorm(residual) <= 1e-8 * np.maximum(wd, w))
+        moving = wd > 1e-6
+        gap = np.abs(wd - np.abs(eta) * w)[moving] / wd[moving]
+        assert np.max(gap, initial=0.0) >= 0.01
 
 
 @criterion("criterion 5: closed forms agree with the generic route")
 def test_criterion_5_oracle_equivalence():
+    times = 1e-4 * np.arange(1001)
     for sid in ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"):
         model = signals.make_scenario(sid)
-        for k in range(1001):
-            t = k * 1e-4
-            g = frenet.invariants(signals.eval_jet(model, t))
-            cf = threephase.closed_form_invariants(signals.phase_jets(model, t))
-            scale = max(abs(g.rho), g.omega_mag)
-            assert abs(cf.rho - g.rho) <= 1e-6 * scale
-            assert norm(cf.omega_vec - g.omega_vec) <= 1e-6 * g.omega_mag
+        g = frenet.invariants_batch(*signals.eval_arrays(model, times))
+        cf = threephase.closed_form_invariants(signals.phase_jets(model, times))
+        scale = np.maximum(np.abs(g.rho), g.omega_mag)
+        assert np.all(np.abs(cf.rho - g.rho) <= 1e-6 * scale)
+        assert np.all(rownorm(cf.omega_vec - g.omega_vec) <= 1e-6 * g.omega_mag)
 
 
 @criterion("criterion 6: normal-vector identity suite on random jets")
 def test_criterion_6_identity_suite():
     rng = np.random.default_rng(6)
-    count = 0
-    while count < 1000:
-        v, dv, ddv = rng.normal(scale=10.0, size=(3, 3))
-        j = Jet2(t=0.0, v=v, dv=dv, ddv=ddv)
-        g = frenet.invariants(j)
-        if not g.rotation_defined or g.v_mag < 0.5:
-            continue
-        # reject near-parallel v, v' where n itself is pure cancellation
-        if g.omega_mag * g.v_mag < 1e-2 * norm(j.dv):
-            continue
-        count += 1
-        scale = g.omega_mag * g.v_mag
-        assert abs(g.n_mag - scale) <= 1e-9 * scale
-        v_back = cross(g.n_vec, g.omega_vec) / g.omega_mag**2
-        assert norm(v_back - j.v) <= 1e-9 * g.v_mag
-        w_back = cross(j.v, g.n_vec) / g.v_mag**2
-        assert norm(w_back - g.omega_vec) <= 1e-9 * g.omega_mag
+    # one (3, 3) draw of v, v', v'' per instant, in the order a loop
+    # would draw them; the first 1000 accepted instants are checked
+    v, dv, ddv = np.moveaxis(rng.normal(scale=10.0, size=(1200, 3, 3)), 1, 0)
+    g = frenet.invariants_batch(v, dv, ddv)
+    # reject no rotation, short v, and near-parallel v, v' where n
+    # itself is pure cancellation
+    ok = ~(g.degenerate | g.no_rotation) & (g.v_mag >= 0.5)
+    ok &= ~(g.omega_mag * g.v_mag < 1e-2 * rownorm(dv))
+    keep = np.flatnonzero(ok)[:1000]
+    assert keep.size == 1000
+    v, dv = v[keep], dv[keep]
+    w, w_mag, v_mag = g.omega_vec[keep], g.omega_mag[keep], g.v_mag[keep]
+    n = dv - g.rho[keep, None] * v
+    scale = w_mag * v_mag
+    assert np.all(np.abs(rownorm(n) - scale) <= 1e-9 * scale)
+    v_back = np.cross(n, w) / (w_mag**2)[:, None]
+    assert np.all(rownorm(v_back - v) <= 1e-9 * v_mag)
+    w_back = np.cross(v, n) / (v_mag**2)[:, None]
+    assert np.all(rownorm(w_back - w) <= 1e-9 * w_mag)
 
 
 @criterion("criterion 7: first/second derivative reconstruction")
 def test_criterion_7_reconstruction():
     for sid in ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"):
-        for j in _jets(sid, 0.0, 0.1, 1e-3):
-            assert norm(frenet.velocity_identity_residual(j)) <= 1e-9 * norm(
-                j.dv
-            )
-            d = frenet.second_derivative_decomposition(j)
-            assert norm(d.residual) <= 1e-9 * norm(j.ddv)
-            assert abs(d.a2 - d.a2_closed) <= 1e-9 * abs(d.a2)
+        v, dv, ddv, b = _rows(sid, 0.0, 0.1, 1e-3)
+        res = dv - (b.rho[:, None] * v + np.cross(b.omega_vec, v))
+        assert np.all(rownorm(res) <= 1e-9 * rownorm(dv))
+        d = ddv_expansion(v, dv, ddv)
+        assert np.all(rownorm(d.residual) <= 1e-9 * rownorm(ddv))
+        a2_closed = d.rho_prime + b.rho**2 - b.omega_mag**2
+        assert np.all(np.abs(d.a2 - a2_closed) <= 1e-9 * np.abs(d.a2))
 
 
 @criterion("criterion 8: numerical path accuracy and convergence order")
@@ -157,10 +159,8 @@ def test_criterion_8_numerical_path():
     errs = {}
     for dt in (2e-4, 1e-4):
         series = signals.sample(model, 0.0, 0.1, dt)
-        errs[dt] = max(
-            abs(frenet.invariants(j).omega_mag - W_O)
-            for j in numdiff.differentiate(series)
-        )
+        b = frenet.invariants_batch(*numdiff.differentiate_arrays(series)[1:])
+        errs[dt] = np.max(np.abs(b.omega_mag - W_O))
     assert errs[1e-4] <= 1e-3 * W_O
     assert errs[2e-4] / errs[1e-4] >= 8.0
 
@@ -185,15 +185,15 @@ def test_criterion_10_park_suite():
     sync = ParkConfig(w_dq=W_O, theta0=-math.pi / 2.0)
     model = signals.make_scenario("E0")
     for t in (0.0, 0.0051, 0.023):
-        j = signals.eval_jet(model, t)
-        dq = park.to_dq0(t, j.v, j.dv, j.ddv, sync)
+        v, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
+        dq = park.to_dq0(t, v, dv, ddv, sync)
         g = park.dq0_invariants(dq, sync)
         assert abs(g.delta_omega) <= 1e-6
         rep = park.derivative_frame_check(dq, sync)
         assert rep.terms_equal
         # Clarke special case: no rotation term at all
         clarke = ParkConfig(w_dq=0.0)
-        dq0 = park.to_dq0(t, j.v, j.dv, j.ddv, clarke)
+        dq0 = park.to_dq0(t, v, dv, ddv, clarke)
         rep0 = park.derivative_frame_check(dq0, clarke)
         np.testing.assert_array_equal(rep0.inertial_dv, rep0.rotating_dv)
     rng = np.random.default_rng(10)

@@ -1,12 +1,13 @@
-"""The batched kernel against the per-sample reference route.
+"""The batched kernel against the plain-float reference.
 
 ``frenet.invariants_batch`` (and the array evaluation of the analytic
-models feeding it) must reproduce what ``frenet.invariants`` and
-``frenet.rocof`` give sample by sample: the same degenerate-speed and
-no-rotation masks, and values within 1e-10 of each row's natural scale.
-A per-cell relative test cannot work: tau and xi of planar sets are
-rounding residue, so two correct evaluations differ per cell by orders
-of magnitude relative to themselves.
+models feeding it) must reproduce what ``tests/reference.py`` gives
+sample by sample: the same degenerate-speed and no-rotation masks, and
+values within 1e-10 of each row's natural scale.  A per-cell relative
+test cannot work: tau and xi of planar sets are rounding residue, so
+two correct evaluations differ per cell by orders of magnitude relative
+to themselves.  ``frenet.invariants``, the one per-instant function,
+must give the bits of its batch row.
 """
 
 import math
@@ -14,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from geomfreq import cli, cli_io, frenet, numdiff, signals
+import reference
+from geomfreq import cli, cli_io, frenet, hilbert, numdiff, signals
 from geomfreq.analysis import COLUMNS
 from geomfreq.errors import DegenerateSpeed
 
@@ -22,48 +24,59 @@ REL = 1e-10
 PRESETS = ("DC", "SINGLE_PHASE", "E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 
 
-def _reference(jet):
-    """The per-sample route: None on degenerate speed, else (g, rc) with
-    rc None when the curve does not rotate."""
-    try:
-        g = frenet.invariants(jet)
-    except DegenerateSpeed:
-        return None
-    return g, (frenet.rocof(jet) if g.rotation_defined else None)
+def _reference(v, dv, ddv):
+    """The reference on every row: None on degenerate speed, else its
+    invariants with eta and omega_dot None when the curve does not rotate."""
+    return [reference.invariants(*row) for row in zip(v, dv, ddv)]
 
 
-def _assert_matches(b, jets):
+def _assert_matches(b, v, dv, ddv):
     """Masks identical; values within REL of the row's scale: |omega|
     for rho, omega, xi, eta; |omega|/|v| for kappa, tau; |omega|^2 for
     RoCoF.  Without rotation those scales are 0, so omega, kappa, tau,
     xi must be exact zeros and rho is held to REL of |rho|."""
-    assert b.v_mag.shape == (len(jets),)
-    for k, jet in enumerate(jets):
-        ref = _reference(jet)
-        assert b.degenerate[k] == (ref is None), k
-        if ref is None:
+    refs = _reference(v, dv, ddv)
+    assert b.v_mag.shape == (len(refs),)
+    for k, g in enumerate(refs):
+        assert b.degenerate[k] == (g is None), k
+        if g is None:
             assert not b.no_rotation[k]
             for x in (b.v_mag, b.rho, b.omega_mag, b.kappa, b.tau, b.xi, b.eta):
                 assert math.isnan(x[k])
             assert np.all(np.isnan(b.omega_vec[k])) and np.all(np.isnan(b.omega_dot[k]))
             continue
-        g, rc = ref
-        assert b.no_rotation[k] == (not g.rotation_defined), k
+        assert b.no_rotation[k] == (not g.rotating), k
         assert abs(b.v_mag[k] - g.v_mag) <= REL * g.v_mag
         w = g.omega_mag
-        assert abs(b.rho[k] - g.rho) <= REL * (w if rc else abs(g.rho)), k
-        assert np.max(np.abs(b.omega_vec[k] - g.omega_vec)) <= REL * w, k
+        assert abs(b.rho[k] - g.rho) <= REL * (w if g.rotating else abs(g.rho)), k
+        assert np.max(np.abs(b.omega_vec[k] - g.omega)) <= REL * w, k
         assert abs(b.omega_mag[k] - w) <= REL * w, k
         assert abs(b.xi[k] - g.xi) <= REL * w, k
         assert abs(b.kappa[k] - g.kappa) <= REL * w / g.v_mag, k
         assert abs(b.tau[k] - g.tau) <= REL * w / g.v_mag, k
-        if rc is None:
+        if not g.rotating:
             assert math.isnan(b.eta[k]) and np.all(np.isnan(b.omega_dot[k]))
             for x in (b.omega_mag, b.kappa, b.tau, b.xi):
                 assert x[k] == 0.0
         else:
-            assert abs(b.eta[k] - rc.eta) <= REL * w, k
-            assert np.max(np.abs(b.omega_dot[k] - rc.omega_dot)) <= REL * w * w, k
+            assert abs(b.eta[k] - g.eta) <= REL * w, k
+            assert np.max(np.abs(b.omega_dot[k] - g.omega_dot)) <= REL * w * w, k
+
+
+def _assert_rows_are_bits_of_batch(v, dv, ddv):
+    """``frenet.invariants`` of row k equals row k of the batch, bit for
+    bit, and raises ``DegenerateSpeed`` where the batch row is degenerate."""
+    b = frenet.invariants_batch(v, dv, ddv)
+    for k in range(len(v)):
+        if b.degenerate[k]:
+            with pytest.raises(DegenerateSpeed):
+                frenet.invariants(v[k], dv[k], ddv[k])
+            continue
+        g = frenet.invariants(v[k], dv[k], ddv[k])
+        for name in ("rho", "omega_vec", "omega_mag", "xi"):
+            np.testing.assert_array_equal(
+                getattr(g, name), getattr(b, name)[k], err_msg=f"{name} row {k}"
+            )
 
 
 def _outage_series(sid="E5", filter_tau=1.2e-4, remove_zero_seq=False):
@@ -84,14 +97,36 @@ def _outage_series(sid="E5", filter_tau=1.2e-4, remove_zero_seq=False):
 def test_batch_matches_per_sample_on_presets(sid):
     model = signals.make_scenario(sid)
     times = 0.3 + 1e-3 * np.arange(400)
-    jets = [signals.eval_jet(model, float(t)) for t in times]
-    # the kernel on the very same jets
-    b = frenet.invariants_batch(
-        [j.v for j in jets], [j.dv for j in jets], [j.ddv for j in jets]
-    )
-    _assert_matches(b, jets)
     # the analytic CLI route: array evaluation of the model, then the kernel
-    _assert_matches(frenet.invariants_batch(*signals.eval_arrays(model, times)), jets)
+    v, dv, ddv = signals.eval_arrays(model, times)
+    _assert_matches(frenet.invariants_batch(v, dv, ddv), v, dv, ddv)
+    # the model at each time on its own gives the same rows
+    for k in range(times.size):
+        one = signals.eval_arrays(model, times[k : k + 1])
+        for x, xs in zip(one, (v, dv, ddv)):
+            np.testing.assert_array_equal(x[0], xs[k])
+
+
+@pytest.mark.parametrize("sid", PRESETS)
+def test_invariants_is_its_batch_row(sid):
+    times = 0.3 + 1e-3 * np.arange(400)
+    _assert_rows_are_bits_of_batch(*signals.eval_arrays(signals.make_scenario(sid), times))
+
+
+def test_invariants_is_its_batch_row_on_hilbert_rows():
+    # the rows geometric_equivalence feeds to frenet.invariants: the
+    # plane curve (u, uh, 0) of a 50 Hz tone and its stencil derivatives
+    dt = 1e-4
+    pair = hilbert.analytic_embed(np.cos(2.0 * math.pi * 50.0 * dt * np.arange(4096)), dt)
+    cols = np.column_stack([pair.u, pair.uh, np.zeros(pair.u.size)])
+    d1, d2 = numdiff.stencil_derivatives(cols, dt)
+    v = cols[numdiff.TRIM : -numdiff.TRIM]
+    _assert_rows_are_bits_of_batch(v, d1, d2)
+    rep = hilbert.geometric_equivalence(pair)
+    b = frenet.invariants_batch(v, d1, d2)
+    for mine, theirs in ((rep.rho, b.rho), (rep.omega_mag, b.omega_mag),
+                         (rep.omega_z, b.omega_vec[:, 2]), (rep.xi, b.xi)):
+        np.testing.assert_array_equal(mine, theirs)
 
 
 @pytest.mark.parametrize(
@@ -100,29 +135,39 @@ def test_batch_matches_per_sample_on_presets(sid):
 def test_batch_matches_per_sample_on_outage_recording(filter_tau, remove_zero_seq):
     series = _outage_series(filter_tau=filter_tau, remove_zero_seq=remove_zero_seq)
     t, v, dv, ddv = numdiff.differentiate_arrays(series)
-    jets = numdiff.differentiate(series)
-    np.testing.assert_array_equal(t, [j.t for j in jets])
+    np.testing.assert_array_equal(t, series.times[numdiff.TRIM : -numdiff.TRIM])
     b = frenet.invariants_batch(v, dv, ddv)
     assert b.degenerate.any()
     if filter_tau is not None:
         # the filtered outage decays along a fixed direction: no rotation
         assert b.no_rotation.any()
-    _assert_matches(b, jets)
+    _assert_matches(b, v, dv, ddv)
+    _assert_rows_are_bits_of_batch(v, dv, ddv)
 
 
 def test_batch_thresholds_match_per_sample():
     """|v| and |omega| on both sides of EPS_V and EPS_W."""
-    jets = [
-        frenet.Jet2(t=0.0, v=[s, 0.0, 0.0], dv=[0.3 * s, w * s, 0.0], ddv=[1.0, 2.0, 3.0])
+    rows = [
+        ([s, 0.0, 0.0], [0.3 * s, w * s, 0.0], [1.0, 2.0, 3.0])
         for s in (0.5e-9, 1e-9, 2e-9, 1.0)
         for w in (0.0, 0.5e-9, 1e-9, 1.5e-9, 5e-9, 2e-8, 1.0)
     ]
-    b = frenet.invariants_batch(
-        [j.v for j in jets], [j.dv for j in jets], [j.ddv for j in jets]
-    )
+    v, dv, ddv = (np.array(x) for x in zip(*rows))
+    b = frenet.invariants_batch(v, dv, ddv)
     assert b.degenerate.any() and b.no_rotation.any()
     assert (~b.degenerate & ~b.no_rotation).any()
-    _assert_matches(b, jets)
+    _assert_matches(b, v, dv, ddv)
+    _assert_rows_are_bits_of_batch(v, dv, ddv)
+
+
+def test_invariants_is_its_batch_row_when_v_squared_overflows():
+    # |v|^2 = inf makes rho and omega NaN; both routes take a NaN omega
+    # as no rotation (a huge recording through hilbert reaches this)
+    v = np.array([[1e300, 1e300, 0.0]])
+    dv = np.array([[1e302, -1e302, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_rows_are_bits_of_batch(v, dv, np.ones((1, 3)))
+        assert frenet.invariants_batch(v, dv, np.ones((1, 3))).no_rotation[0]
 
 
 def test_batch_rejects_bad_shapes_and_values():
@@ -131,34 +176,34 @@ def test_batch_rejects_bad_shapes_and_values():
         frenet.invariants_batch(np.ones((4, 2)), ok, ok)
     with pytest.raises(ValueError):
         frenet.invariants_batch(ok, np.ones((5, 3)), ok)
-    bad = ok.copy()
-    bad[2, 1] = np.nan
-    with pytest.raises(ValueError):
-        frenet.invariants_batch(ok, bad, ok)
+    for cell in (np.nan, np.inf):
+        bad = ok.copy()
+        bad[2, 1] = cell
+        with pytest.raises(ValueError):
+            frenet.invariants_batch(ok, bad, ok)
 
 
-def _parent_cells(jets):
+def _parent_cells(t, v, dv, ddv):
     """The t string, the empty-cell pattern and the rotation_defined
     cell the per-sample route wrote for each row."""
     rows = []
-    for jet in jets:
-        ref = _reference(jet)
-        if ref is None:
+    for tk, g in zip(t, _reference(v, dv, ddv)):
+        if g is None:
             empty, flag = set(COLUMNS[1:]), ""
-        elif ref[1] is None:
+        elif not g.rotating:
             empty, flag = {"eta", "rocof1", "rocof2", "rocof3"}, "0"
         else:
             empty, flag = set(), "1"
-        rows.append((repr(float(jet.t)), [c in empty for c in COLUMNS], flag))
+        rows.append((repr(float(tk)), [c in empty for c in COLUMNS], flag))
     return rows
 
 
-def _check_csv_against_parent(path, jets):
+def _check_csv_against_parent(path, t, v, dv, ddv):
     lines = path.read_text().split("\n")
     assert lines[0] == ",".join(COLUMNS)
     assert lines[-1] == ""
     data = [ln.split(",") for ln in lines[1:-2]]
-    expected = _parent_cells(jets)
+    expected = _parent_cells(t, v, dv, ddv)
     assert len(data) == len(expected)
     degenerate = 0
     for cells, (t, empty, flag) in zip(data, expected):
@@ -175,9 +220,9 @@ def test_cli_analytic_csv_layout_matches_parent_route(tmp_path, sid):
     argv = ["analyze", "--scenario", sid, "--t0", "0.25", "--t1", "1.5",
             "--dt", "1e-3", "--out", str(out)]
     assert cli.main(argv) == 0
-    model = signals.make_scenario(sid)
-    jets = [signals.eval_jet(model, 0.25 + k * 1e-3) for k in range(1251)]
-    _check_csv_against_parent(out, jets)
+    times = np.array([0.25 + k * 1e-3 for k in range(1251)])
+    rows = signals.eval_arrays(signals.make_scenario(sid), times)
+    _check_csv_against_parent(out, times, *rows)
 
 
 def test_cli_numeric_csv_layout_matches_parent_route(tmp_path):
@@ -188,7 +233,7 @@ def test_cli_numeric_csv_layout_matches_parent_route(tmp_path):
             "--filter-tau", "1.2e-4", "--out", str(out)]
     assert cli.main(argv) == 0
     series = numdiff.lowpass_first_order(cli_io.read_waveform_csv(wf), 1.2e-4)
-    _check_csv_against_parent(out, numdiff.differentiate(series))
+    _check_csv_against_parent(out, *numdiff.differentiate_arrays(series))
 
 
 def test_analysis_csv_writes_in_blocks(tmp_path, monkeypatch):

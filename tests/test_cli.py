@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geomfreq import cli, cli_io, frenet, hilbert, numdiff, park, signals, validate
+from geomfreq import cli, cli_io, frenet, hilbert, park, signals, validate
 from geomfreq.errors import MalformedCsv
 
 from conftest import W_O
@@ -255,7 +255,7 @@ def test_park_suite_fails_on_nan_invariants(monkeypatch):
 
 
 def test_geometry_suite_fails_on_nan_inner(monkeypatch):
-    monkeypatch.setattr(validate, "inner", _nan_on_first_call(validate.inner))
+    monkeypatch.setattr(validate, "rowdot", _nan_on_first_call(validate.rowdot))
     results = validate.run("geometry")
     assert results and not all(r.passed for r in results)
 
@@ -272,12 +272,9 @@ def test_park_fails_on_nan_sum_identity(monkeypatch, capsys):
 
 def _no_per_sample_route(monkeypatch):
     def unused(*args, **kwargs):
-        raise AssertionError("per-sample reference called on the array route")
+        raise AssertionError("per-instant frenet.invariants called on the array route")
 
     monkeypatch.setattr(frenet, "invariants", unused)
-    monkeypatch.setattr(frenet, "rocof", unused)
-    monkeypatch.setattr(numdiff, "differentiate", unused)
-    monkeypatch.setattr(signals, "eval_jet", unused)
 
 
 @pytest.mark.parametrize(
@@ -350,9 +347,10 @@ def test_park_and_hilbert_csv_cells(tmp_path):
          "--t1", "0.01", "--dt", "1e-3", "--out", str(out)]
     ) == 0
     model = signals.make_scenario("E8")
-    times = signals.sample_times(0.0, 0.01, 1e-3).tolist()
-    jets = (signals.eval_jet(model, t) for t in times)
-    rows = [(j.t, *park.to_dq0(j.t, j.v, j.dv, j.ddv, cfg).vdq0) for j in jets]
+    rows = []
+    for t in signals.sample_times(0.0, 0.01, 1e-3).tolist():
+        v, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
+        rows.append((t, *park.to_dq0(t, v, dv, ddv, cfg).vdq0))
     assert out.read_bytes() == _csv_bytes(("t", "vd", "vq", "vo"), rows)
 
     out = tmp_path / "hb.csv"
@@ -417,6 +415,16 @@ BAD_INPUT = [
     ("hilbert-csv-nan-cell", ["hilbert", "--csv", "{nan}"], 3, "NaN or infinite"),
     ("csv-four-rows", ["analyze", "--csv", "{short}", "--mode", "numeric"], 3,
      "at least 5 samples"),
+    # too few samples for the Hilbert transform: a short file is a format
+    # error, a short synthetic range a usage error
+    ("hilbert-csv-nine-rows", ["hilbert", "--csv", "{nine}"], 3, "at least 16 samples"),
+    ("hilbert-t1-short", ["hilbert", "--t1", "0.001"], 2, "at least 16 samples"),
+    # park frame speed and angle: finite, from a flag or a config key
+    ("park-wdq-nan", ["park", "--scenario", "E0", "--wdq", "nan"], 2, "--wdq"),
+    ("park-wdq-inf", ["park", "--scenario", "E0", "--wdq", "inf"], 2, "--wdq"),
+    ("park-theta0-nan", ["park", "--scenario", "E0", "--theta0", "nan"], 2, "--theta0"),
+    ("config-park-wdq-nan", ["park", "--scenario", "E0", "--config", "{cfg_wdq}"], 2,
+     "park.wdq"),
     # config files: a value that is not a number names its key; an
     # unparsable file is a format error
     ("config-dt-not-a-number", ["generate", "E0", "--config", "{cfg_dt}"], 2, "sampling.dt"),
@@ -435,7 +443,7 @@ BAD_INPUT = [
     "argv, code, says", [case[1:] for case in BAD_INPUT], ids=[case[0] for case in BAD_INPUT]
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
-    files = {"good": 64, "nan": 64, "inf": 64, "short": 4}
+    files = {"good": 64, "nan": 64, "inf": 64, "short": 4, "nine": 9}
     cells = {"nan": "nan", "inf": "inf"}
     paths = {}
     for name, rows in files.items():
@@ -445,6 +453,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
         "cfg_dt": "[sampling]\ndt = abc\n",
         "cfg_tau": "[filter]\ntau = x\n",
         "cfg_bare": "dt = 1e-4\n",
+        "cfg_wdq": "[park]\nwdq = nan\n",
     }
     for name, text in configs.items():
         paths[name] = tmp_path / f"{name}.ini"

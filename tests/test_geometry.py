@@ -1,82 +1,93 @@
-"""Vector algebra primitives."""
+"""Row-wise vector algebra: ``rowdot``, ``rownorm`` and ``np.cross`` over rows."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomfreq.geometry import cross, inner, norm, triple_scalar, vec3
+from geomfreq.geometry import rowdot, rownorm
+
+from reference import cross, dot
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
-vectors = st.tuples(finite, finite, finite).map(lambda t: vec3(*t))
+# a few vectors as the rows of an (N, 3) array
+rows = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.tuples(finite, finite, finite), min_size=n, max_size=n)
+).map(lambda r: np.array(r, dtype=np.float64))
 
 
-def test_vec3_is_readonly_float64():
-    a = vec3(1.0, 2.0, 3.0)
-    assert a.dtype == np.float64
-    with pytest.raises(ValueError):
-        a[0] = 9.0
-
-
-def test_vec3_rejects_non_finite():
-    with pytest.raises(ValueError):
-        vec3(1.0, float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        vec3(float("inf"), 0.0, 0.0)
+def _triple(a, b, c):
+    return rowdot(a, np.cross(b, c))
 
 
 def test_inner_examples():
-    assert inner(vec3(1, 0, 0), vec3(0, 1, 0)) == 0.0
-    assert inner(vec3(1, 2, 3), vec3(1, 2, 3)) == 14.0
+    a = np.array([[1, 0, 0], [1, 2, 3], [0.0, -6.0 * math.sqrt(3.0), 6.0 * math.sqrt(3.0)]])
+    b = np.array([[0, 1, 0], [1, 2, 3], [1, 1, 1]], dtype=np.float64)
+    d = rowdot(a, b)
+    assert d[0] == 0.0
+    assert d[1] == 14.0
     # balanced three-phase snapshot against the zero-sequence direction
-    v = vec3(0.0, -6.0 * math.sqrt(3.0), 6.0 * math.sqrt(3.0))
-    assert abs(inner(v, vec3(1, 1, 1))) < 1e-12
+    assert abs(d[2]) < 1e-12
+    assert rownorm(a)[1] == math.sqrt(14.0)
 
 
 def test_cross_examples():
-    np.testing.assert_allclose(cross(vec3(1, 0, 0), vec3(0, 1, 0)), [0, 0, 1])
-    a = vec3(2.0, -1.0, 5.0)
-    np.testing.assert_allclose(cross(a, a), [0, 0, 0])
-    np.testing.assert_allclose(cross(vec3(1, 2, 3), vec3(4, 5, 6)), [-3, 6, -3])
+    a = np.array([[1, 0, 0], [2.0, -1.0, 5.0], [1, 2, 3]], dtype=np.float64)
+    b = np.array([[0, 1, 0], [2.0, -1.0, 5.0], [4, 5, 6]], dtype=np.float64)
+    np.testing.assert_allclose(np.cross(a, b), [[0, 0, 1], [0, 0, 0], [-3, 6, -3]])
 
 
 def test_triple_scalar_examples():
-    assert triple_scalar(vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1)) == 1.0
-    a, b = vec3(1, 2, 3), vec3(4, 5, 6)
-    assert triple_scalar(a, a, b) == 0.0
-    assert triple_scalar(vec3(1, 2, 3), vec3(4, 5, 6), vec3(7, 8, 10)) == -3.0
+    e = np.eye(3)
+    assert _triple(e[:1], e[1:2], e[2:])[0] == 1.0
+    a, b = np.array([[1.0, 2, 3]]), np.array([[4.0, 5, 6]])
+    assert _triple(a, a, b)[0] == 0.0
+    assert _triple(a, b, np.array([[7.0, 8, 10]]))[0] == -3.0
 
 
-@given(vectors, vectors)
+@given(rows, rows)
 def test_cross_orthogonal_to_factors(a, b):
-    axb = cross(a, b)
-    scale = max(norm(a) * norm(axb), norm(b) * norm(axb), 1.0)
-    assert abs(inner(a, axb)) <= 1e-12 * scale
-    assert abs(inner(b, axb)) <= 1e-12 * scale
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    axb = np.cross(a, b)
+    scale = np.maximum(np.maximum(rownorm(a), rownorm(b)) * rownorm(axb), 1.0)
+    assert np.all(np.abs(rowdot(a, axb)) <= 1e-12 * scale)
+    assert np.all(np.abs(rowdot(b, axb)) <= 1e-12 * scale)
+    # the row cross product is the plain-float one, row by row
+    ab = np.maximum(rownorm(a) * rownorm(b), 1.0)
+    for k in range(n):
+        np.testing.assert_allclose(axb[k], cross(a[k], b[k]), rtol=0, atol=1e-12 * ab[k])
 
 
-@given(vectors, vectors)
+@given(rows, rows)
 def test_cross_antisymmetric(a, b):
-    np.testing.assert_array_equal(cross(a, b), -cross(b, a))
+    n = min(len(a), len(b))
+    np.testing.assert_array_equal(np.cross(a[:n], b[:n]), -np.cross(b[:n], a[:n]))
 
 
-@given(vectors, vectors, vectors)
+@given(rows, rows, rows)
 def test_triple_product_cyclic(a, b, c):
-    t1 = triple_scalar(a, b, c)
-    t2 = triple_scalar(c, a, b)
-    t3 = triple_scalar(b, c, a)
-    scale = max(norm(a) * norm(b) * norm(c), 1.0)
-    assert abs(t1 - t2) <= 1e-12 * scale
-    assert abs(t1 - t3) <= 1e-12 * scale
+    n = min(len(a), len(b), len(c))
+    a, b, c = a[:n], b[:n], c[:n]
+    t1 = _triple(a, b, c)
+    t2 = _triple(c, a, b)
+    t3 = _triple(b, c, a)
+    scale = np.maximum(rownorm(a) * rownorm(b) * rownorm(c), 1.0)
+    assert np.all(np.abs(t1 - t2) <= 1e-12 * scale)
+    assert np.all(np.abs(t1 - t3) <= 1e-12 * scale)
 
 
-@given(vectors, vectors)
+@given(rows, rows)
 def test_lagrange_identity(a, b):
-    lhs = norm(cross(a, b)) ** 2
-    rhs = norm(a) ** 2 * norm(b) ** 2 - inner(a, b) ** 2
-    scale = max(norm(a) ** 2 * norm(b) ** 2, 1.0)
-    assert abs(lhs - rhs) <= 1e-10 * scale
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    lhs = rownorm(np.cross(a, b)) ** 2
+    rhs = rownorm(a) ** 2 * rownorm(b) ** 2 - rowdot(a, b) ** 2
+    scale = np.maximum(rownorm(a) ** 2 * rownorm(b) ** 2, 1.0)
+    assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale)
+    # the row dot product is the plain-float one, row by row
+    for k in range(n):
+        assert abs(rowdot(a, b)[k] - dot(a[k], b[k])) <= 1e-12 * scale[k]

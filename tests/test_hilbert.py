@@ -59,6 +59,17 @@ def test_classical_frequency_of_chirp():
     np.testing.assert_allclose(_mid(phi_dot), expected, rtol=5e-3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_analytic_pair_rejects_non_finite(bad):
+    # checked once per array, before any row reaches frenet.invariants
+    u = np.ones(64)
+    u[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hilbert.AnalyticPair(u=u, uh=np.zeros(64), dt=DT)
+    with pytest.raises(ValueError, match="finite"):
+        hilbert.AnalyticPair(u=np.zeros(64), uh=u, dt=DT)
+
+
 def test_classical_frequency_zero_signal():
     pair = hilbert.AnalyticPair(u=np.zeros(64), uh=np.zeros(64), dt=DT)
     with pytest.raises(DegenerateEnvelope):

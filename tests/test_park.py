@@ -8,7 +8,6 @@ import pytest
 
 from geomfreq import frenet, park, signals
 from geomfreq.errors import DegenerateSpeed
-from geomfreq.frenet import Jet2
 from geomfreq.park import DqoJet, ParkConfig
 
 from conftest import W_O
@@ -16,12 +15,17 @@ from conftest import W_O
 SYNC = ParkConfig(w_dq=W_O, theta0=-math.pi / 2.0)
 
 
+def _jet(sid, t):
+    """(t, v, v', v'') of a preset at one time, with 3-vectors."""
+    return (t, *(x[0] for x in signals.eval_arrays(signals.make_scenario(sid), (t,))))
+
+
 def _e0_jet(t):
-    return signals.eval_jet(signals.make_scenario("E0"), t)
+    return _jet("E0", t)
 
 
 def _to_dq0(j, cfg):
-    return park.to_dq0(j.t, j.v, j.dv, j.ddv, cfg)
+    return park.to_dq0(*j, cfg)
 
 
 # ---------------------------------------------------------------- to_dq0
@@ -43,34 +47,26 @@ def test_clarke_case_rotates_at_signal_frequency():
 
 
 def test_zero_input_zero_output():
-    j = Jet2(0.1, (0, 0, 0), (0, 0, 0), (0, 0, 0))
-    dq = _to_dq0(j, SYNC)
+    dq = _to_dq0((0.1, np.zeros(3), np.zeros(3), np.zeros(3)), SYNC)
     np.testing.assert_array_equal(dq.vdq0, [0, 0, 0])
     np.testing.assert_array_equal(dq.dvdq0, [0, 0, 0])
 
 
 def test_round_trip_restores_jet():
     for sid, t in (("E2", 0.0137), ("E8", 0.91)):
-        j = signals.eval_jet(signals.make_scenario(sid), t)
-        v, dv, ddv = park.from_dq0(_to_dq0(j, SYNC), SYNC)
-        np.testing.assert_allclose(v, j.v, atol=1e-9 * np.linalg.norm(j.v))
-        np.testing.assert_allclose(dv, j.dv, atol=1e-9 * np.linalg.norm(j.dv))
-        np.testing.assert_allclose(
-            ddv, j.ddv, atol=1e-9 * np.linalg.norm(j.ddv)
-        )
+        j = _jet(sid, t)
+        for back, x in zip(park.from_dq0(_to_dq0(j, SYNC), SYNC), j[1:]):
+            np.testing.assert_allclose(back, x, atol=1e-9 * np.linalg.norm(x))
 
 
 def test_rotating_derivatives_match_finite_differences():
     # central differences in t of the dq0 component functions check the
     # rotation term apart from the round trip, in a detuned frame
-    model = signals.make_scenario("E8")
     cfg = ParkConfig(w_dq=0.7 * W_O, theta0=0.3)
     h = 2.0**-24  # t + k*h stays exact for t a multiple of h
     for t in (0.25, 0.9, 1.6):
         t = round(t / h) * h
-        lo, mid, hi = (
-            _to_dq0(signals.eval_jet(model, t + k * h), cfg) for k in (-1, 0, 1)
-        )
+        lo, mid, hi = (_to_dq0(_jet("E8", t + k * h), cfg) for k in (-1, 0, 1))
         fd1 = (hi.vdq0 - lo.vdq0) / (2.0 * h)
         fd2 = (hi.dvdq0 - lo.dvdq0) / (2.0 * h)
         np.testing.assert_allclose(mid.dvdq0, fd1, atol=1e-7 * np.linalg.norm(mid.dvdq0))
@@ -145,24 +141,22 @@ _CONFORMAL = np.array([1.0, 1.0, math.sqrt(2.0)])
 )
 @pytest.mark.parametrize("sid", ["E0", "E5", "E8"])
 def test_dq0_invariants_equal_abc_frenet(sid, cfg):
-    model = signals.make_scenario(sid)
-    for t in np.linspace(0.01, 1.9, 25):
-        j = signals.eval_jet(model, float(t))
-        ref = frenet.invariants(j)
-        dq = _to_dq0(j, cfg)
-        g = park.dq0_invariants(
-            DqoJet(t=dq.t, vdq0=dq.vdq0 * _CONFORMAL, dvdq0=dq.dvdq0 * _CONFORMAL),
-            cfg,
-        )
-        tol = 1e-9 * ref.omega_mag
-        assert abs(g.rho - ref.rho) <= tol
-        assert abs(np.linalg.norm(g.omega_vec) - ref.omega_mag) <= tol
+    times = np.linspace(0.01, 1.9, 25)
+    v, dv, ddv = signals.eval_arrays(signals.make_scenario(sid), times)
+    ref = frenet.invariants_batch(v, dv, ddv)
+    dq = park.to_dq0(times, v, dv, ddv, cfg)
+    g = park.dq0_invariants(
+        DqoJet(t=dq.t, vdq0=dq.vdq0 * _CONFORMAL, dvdq0=dq.dvdq0 * _CONFORMAL),
+        cfg,
+    )
+    tol = 1e-9 * ref.omega_mag
+    assert np.all(np.abs(g.rho - ref.rho) <= tol)
+    assert np.all(np.abs(np.linalg.norm(g.omega_vec, axis=1) - ref.omega_mag) <= tol)
 
 
 def test_balanced_needs_zero_sequence_value_and_derivative():
     # on E8 at t = 0, v_o vanishes but v_o' does not: not balanced
-    j = signals.eval_jet(signals.make_scenario("E8"), 0.0)
-    dq = _to_dq0(j, SYNC)
+    dq = _to_dq0(_jet("E8", 0.0), SYNC)
     assert abs(dq.vdq0[2]) <= 1e-9 * np.linalg.norm(dq.vdq0)
     g = park.dq0_invariants(dq, SYNC)
     assert not g.balanced and math.isnan(g.delta_omega)
@@ -222,10 +216,10 @@ def test_frame_check_generic_sums_agree_terms_differ(rng):
 
 @pytest.mark.parametrize("sid,t", [("E1", 0.0062), ("E5", 0.013), ("E8", 1.3)])
 def test_geometric_invariants_are_frame_invariant(sid, t):
-    j = signals.eval_jet(signals.make_scenario(sid), t)
-    g_abc = frenet.invariants(j)
+    j = _jet(sid, t)
+    g_abc = frenet.invariants_batch(*(x[None] for x in j[1:]))
     back = park.from_dq0(_to_dq0(j, SYNC), SYNC)
-    g_rt = frenet.invariants(Jet2(t, *back))
-    assert g_rt.rho == pytest.approx(g_abc.rho, rel=1e-9, abs=1e-9)
-    assert g_rt.omega_mag == pytest.approx(g_abc.omega_mag, rel=1e-9)
-    assert g_rt.xi == pytest.approx(g_abc.xi, rel=1e-9, abs=1e-9)
+    g_rt = frenet.invariants_batch(*(x[None] for x in back))
+    assert g_rt.rho[0] == pytest.approx(g_abc.rho[0], rel=1e-9, abs=1e-9)
+    assert g_rt.omega_mag[0] == pytest.approx(g_abc.omega_mag[0], rel=1e-9)
+    assert g_rt.xi[0] == pytest.approx(g_abc.xi[0], rel=1e-9, abs=1e-9)

@@ -65,29 +65,27 @@ def test_invalid_parameters():
         signals.make_scenario("E0", bogus=1.0)
 
 
-# ------------------------------------------------------------- eval_jet
+# ---------------------------------------------------------- eval_arrays
 
 
 def test_eval_jet_e0_at_zero():
-    j = signals.eval_jet(signals.make_scenario("E0"), 0.0)
+    v = signals.eval_arrays(signals.make_scenario("E0"), (0.0,))[0]
     np.testing.assert_allclose(
-        j.v, [0.0, -10.3923, 10.3923], atol=1e-4
+        v[0], [0.0, -10.3923, 10.3923], atol=1e-4
     )
 
 
 def test_eval_jet_dc():
-    model = signals.make_scenario("DC")
-    for t in (0.0, 0.3, 2.0):
-        j = signals.eval_jet(model, t)
-        np.testing.assert_array_equal(j.v, [5.0, 0.0, 0.0])
-        np.testing.assert_array_equal(j.dv, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(j.ddv, [0.0, 0.0, 0.0])
+    v, dv, ddv = signals.eval_arrays(signals.make_scenario("DC"), (0.0, 0.3, 2.0))
+    np.testing.assert_array_equal(v, [[5.0, 0.0, 0.0]] * 3)
+    np.testing.assert_array_equal(dv, np.zeros((3, 3)))
+    np.testing.assert_array_equal(ddv, np.zeros((3, 3)))
 
 
 def test_eval_jet_harmonic_sum_at_zero():
-    j = signals.eval_jet(signals.make_scenario("E3"), 0.0)
+    v = signals.eval_arrays(signals.make_scenario("E3"), (0.0,))[0]
     # 12 sin 0 + 0.5 sin 0 = 0
-    assert j.v[0] == pytest.approx(0.0, abs=1e-14)
+    assert v[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 # --------------------------------------------------------------- sample
@@ -134,35 +132,30 @@ def test_derivatives_match_finite_differences(sid, rng):
     h1, h2 = 2.0**-23, 2.0**-19
     for _ in range(25):
         t = round(float(rng.uniform(0.01, 2.0)) / h2) * h2
-        j = signals.eval_jet(model, t)
-        vs1 = np.array(
-            [signals.eval_jet(model, t + k * h1).v for k in (-2, -1, 0, 1, 2)]
-        )
-        vs2 = np.array(
-            [signals.eval_jet(model, t + k * h2).v for k in (-2, -1, 0, 1, 2)]
-        )
+        _, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
+        stencil = np.arange(-2, 3)  # t + k*h, k = -2..2
+        vs1 = signals.eval_arrays(model, t + stencil * h1)[0]
+        vs2 = signals.eval_arrays(model, t + stencil * h2)[0]
         fd1 = (vs1[0] - 8 * vs1[1] + 8 * vs1[3] - vs1[4]) / (12 * h1)
         fd2 = (
             -vs2[0] + 16 * vs2[1] - 30 * vs2[2] + 16 * vs2[3] - vs2[4]
         ) / (12 * h2**2)
-        assert np.linalg.norm(j.dv - fd1) <= 1e-5 * np.linalg.norm(j.dv)
-        assert np.linalg.norm(j.ddv - fd2) <= 1e-5 * np.linalg.norm(j.ddv)
+        assert np.linalg.norm(dv - fd1) <= 1e-5 * np.linalg.norm(dv)
+        assert np.linalg.norm(ddv - fd2) <= 1e-5 * np.linalg.norm(ddv)
 
 
 def test_balanced_modulation_null_rho_and_xi():
     model = signals.make_scenario("E6")
-    for t in np.linspace(0.0, 5.0, 101):
-        g = frenet.invariants(signals.eval_jet(model, float(t)))
-        assert abs(g.rho) <= 1e-8
-        assert abs(g.xi) <= 1e-8
+    b = frenet.invariants_batch(*signals.eval_arrays(model, np.linspace(0.0, 5.0, 101)))
+    assert np.all(np.abs(b.rho) <= 1e-8)
+    assert np.all(np.abs(b.xi) <= 1e-8)
 
 
 @pytest.mark.parametrize("sid", ["E0", "E1", "E2"])
 def test_stationary_scenarios_planar(sid):
     model = signals.make_scenario(sid)
-    for t in np.linspace(0.0, 0.1, 101):
-        g = frenet.invariants(signals.eval_jet(model, float(t)))
-        assert abs(g.xi) <= 1e-8
+    b = frenet.invariants_batch(*signals.eval_arrays(model, np.linspace(0.0, 0.1, 101)))
+    assert np.all(np.abs(b.xi) <= 1e-8)
 
 
 # ----------------------------------------------------------- phase jets
@@ -173,11 +166,11 @@ def test_phase_jets_reproduce_channel_values(sid):
     model = signals.make_scenario(sid)
     for t in (0.0031, 0.0177, 0.5):
         jets = signals.phase_jets(model, t)
-        j = signals.eval_jet(model, t)
+        v, dv, _ = (x[0] for x in signals.eval_arrays(model, (t,)))
         for c in range(3):
             p = jets[c]
             assert p.V * math.sin(p.theta) == pytest.approx(
-                j.v[c], rel=1e-10, abs=1e-10
+                v[c], rel=1e-10, abs=1e-10
             )
-            dv = p.dV * math.sin(p.theta) + p.V * p.dtheta * math.cos(p.theta)
-            assert dv == pytest.approx(j.dv[c], rel=1e-9, abs=1e-8)
+            dv_c = p.dV * math.sin(p.theta) + p.V * p.dtheta * math.cos(p.theta)
+            assert dv_c == pytest.approx(dv[c], rel=1e-9, abs=1e-8)

@@ -1,4 +1,4 @@
-"""Closed-form three-phase invariants against the generic jet route."""
+"""Closed-form three-phase invariants against the generic Frenet route."""
 
 import math
 
@@ -37,8 +37,8 @@ def test_auxiliaries_balanced_magnitude():
     assert aux.v == pytest.approx(14.6969, abs=1e-4)
     assert aux.v == pytest.approx(12.0 * math.sqrt(1.5), rel=1e-12)
     # matches the cartesian speed at the same instant
-    j = signals.eval_jet(signals.make_scenario("E0"), 0.0)
-    assert aux.v == pytest.approx(frenet.speed(j), rel=1e-12)
+    b = frenet.invariants_batch(*signals.eval_arrays(signals.make_scenario("E0"), (0.0,)))
+    assert aux.v == pytest.approx(b.v_mag[0], rel=1e-12)
 
 
 def test_auxiliaries_zero_magnitudes_degenerate():
@@ -82,11 +82,12 @@ def test_closed_form_unbalanced_special_case():
 def test_closed_form_matches_generic_route(sid, t):
     model = signals.make_scenario(sid)
     cf = threephase.closed_form_invariants(signals.phase_jets(model, t))
-    g = frenet.invariants(signals.eval_jet(model, t))
-    scale = max(abs(g.rho), g.omega_mag)
-    assert abs(cf.rho - g.rho) <= 1e-6 * scale
-    np.testing.assert_allclose(cf.omega_vec, g.omega_vec, atol=1e-6 * g.omega_mag)
-    assert abs(cf.xi - g.xi) <= 1e-6 * max(abs(g.xi), 1.0)
+    g = frenet.invariants_batch(*signals.eval_arrays(model, (t,)))
+    rho, w, w_mag, xi = g.rho[0], g.omega_vec[0], g.omega_mag[0], g.xi[0]
+    scale = max(abs(rho), w_mag)
+    assert abs(cf.rho - rho) <= 1e-6 * scale
+    np.testing.assert_allclose(cf.omega_vec, w, atol=1e-6 * w_mag)
+    assert abs(cf.xi - xi) <= 1e-6 * max(abs(xi), 1.0)
 
 
 @pytest.mark.parametrize("sid", ["DC", "SINGLE_PHASE", "E0", "E3", "E5", "E8"])

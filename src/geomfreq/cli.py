@@ -17,6 +17,7 @@ import numpy as np
 
 from . import analysis, cli_io, hilbert, numdiff, park, signals, validate
 from .errors import (
+    DegenerateEnvelope,
     DegenerateInput,
     GeomfreqError,
     InvalidParameter,
@@ -277,7 +278,7 @@ def main(argv=None):
     except (UnknownScenario, InvalidParameter, InvalidRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedCsv, DegenerateInput, OSError) as exc:
+    except (MalformedCsv, DegenerateInput, DegenerateEnvelope, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except GeomfreqError as exc:

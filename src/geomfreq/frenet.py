@@ -11,9 +11,13 @@ voltage curve, from the rows of (N, 3) arrays v, v', v'':
 ``invariants_batch`` evaluates them over every row and flags degenerate
 rows with NaN; ``frame`` builds the Frenet triad from its columns.
 ``invariants`` is the same arithmetic on one row, for a caller that
-holds one instant at a time, and gives the bits of that batch row.
+holds one instant at a time, and gives the bits of that batch row.  It
+keeps the inner products in ``np.dot`` and forms the cross products in
+Python floats, since numpy's fixed cost per call dwarfs the arithmetic
+on three elements.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +65,34 @@ class BatchInvariants:
     no_rotation: np.ndarray  # (N,) bool
 
 
+def _cross(a, b):
+    """a x b of two 3-vectors in Python floats: the products and
+    differences ``np.cross`` forms, without its per-call overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
 def invariants(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
     """rho, omega and xi of one instant from the finite 3-vectors
     v, v', v'', bit for bit what ``invariants_batch`` gives that row.
-    Raises ``DegenerateSpeed`` when |v| <= eps_v."""
-    v_mag = float(np.linalg.norm(v))
+    Raises ``DegenerateSpeed`` when |v| <= eps_v.
+
+    Inner products are ``np.dot``, which sums three products the way
+    ``rowdot`` does (a fused multiply-add chain, not reproducible in
+    Python floats before 3.13); |x| is the square root of ``np.dot(x, x)``,
+    as ``np.linalg.norm`` computes it.  Cross products are ``_cross``."""
+    v, dv, ddv = (np.asarray(x, dtype=np.float64) for x in (v, dv, ddv))
+    v_mag = math.sqrt(np.dot(v, v))
     if v_mag <= eps_v:
         raise DegenerateSpeed(f"|v| = {v_mag} <= {eps_v}")
     v2 = v_mag * v_mag
-    vxdv = np.cross(v, dv)
+    vxdv = _cross(v, dv)
     omega_vec = vxdv / v2
-    omega_mag = float(np.linalg.norm(omega_vec))
+    omega_mag = math.sqrt(np.dot(omega_vec, omega_vec))
     rho = float(np.dot(v, dv)) / v2
     if omega_mag > eps_w:  # a NaN omega counts as no rotation, as in the batch
-        tau = float(np.dot(v, np.cross(dv, ddv))) / float(np.dot(vxdv, vxdv))
+        tau = float(np.dot(v, _cross(dv, ddv))) / float(np.dot(vxdv, vxdv))
         return GeomInvariants(
             rho=rho, omega_vec=omega_vec, omega_mag=omega_mag, xi=v_mag * tau
         )

@@ -7,6 +7,8 @@ first-order IIR filter smooths noisy channels before differentiation,
 and zero-sequence removal handles rank-deficient three-phase sets.
 """
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import TooFewSamples, WrongChannelCount
@@ -53,12 +55,13 @@ def lowpass_first_order(series, time_constant):
     if time_constant <= 0:
         raise ValueError(f"time_constant must be positive, got {time_constant}")
     alpha = series.dt / (time_constant + series.dt)
-    x = series.values
-    y = np.empty_like(x)
-    y[0] = x[0]
-    for k in range(1, x.shape[0]):
-        y[k] = y[k - 1] + alpha * (x[k] - y[k - 1])
-    return series.with_values(y)
+    # per channel in Python floats: the subtract, multiply and add of a
+    # numpy row update, so the same bits, without numpy's per-call cost
+    y = [
+        list(accumulate(x, lambda yk, xk: yk + alpha * (xk - yk)))
+        for x in series.values.T.tolist()
+    ]
+    return series.with_values(np.ascontiguousarray(np.array(y).T))
 
 
 def remove_zero_sequence(series):

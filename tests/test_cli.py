@@ -415,6 +415,15 @@ BAD_INPUT = [
     ("hilbert-csv-nan-cell", ["hilbert", "--csv", "{nan}"], 3, "NaN or infinite"),
     ("csv-four-rows", ["analyze", "--csv", "{short}", "--mode", "numeric"], 3,
      "at least 5 samples"),
+    # waveform files the reader rejects, each named in the message
+    ("csv-wrong-header", ["analyze", "--csv", "{bad_header}"], 3, "header must be t,va,vb,vc"),
+    ("csv-ragged-row", ["analyze", "--csv", "{ragged}"], 3, "expected 4 columns"),
+    ("csv-bad-number", ["analyze", "--csv", "{bad_number}"], 3, "bad number"),
+    ("csv-empty-file", ["analyze", "--csv", "{empty}"], 3, "empty file"),
+    ("csv-jittered-grid", ["analyze", "--csv", "{jitter}"], 3, "not uniformly spaced"),
+    # a channel whose analytic envelope vanishes is bad input, not a failed check
+    ("hilbert-csv-zero-channel", ["hilbert", "--csv", "{zero_vb}", "--channel", "1"], 3,
+     "envelope vanishes"),
     # too few samples for the Hilbert transform: a short file is a format
     # error, a short synthetic range a usage error
     ("hilbert-csv-nine-rows", ["hilbert", "--csv", "{nine}"], 3, "at least 16 samples"),
@@ -458,6 +467,19 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
     for name, text in configs.items():
         paths[name] = tmp_path / f"{name}.ini"
         paths[name].write_text(text)
+    good = paths["good"].read_text().splitlines(keepends=True)
+    t_jitter, rest = good[10].split(",", 1)
+    waveforms = {
+        "bad_header": ["t,va,vb,vx\n", *good[1:]],
+        "ragged": [*good, "0.0064,1.0,-0.5\n"],
+        "bad_number": [*good[:5], good[5].replace(",-0.5,", ",-0.5e,"), *good[6:]],
+        "empty": ["# no header, no rows\n"],
+        "jitter": [*good[:10], f"{float(t_jitter) + 1e-7!r},{rest}", *good[11:]],
+        "zero_vb": [ln.replace(",-0.5,", ",0.0,") for ln in good[:-1]],
+    }
+    for name, lines in waveforms.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("".join(lines))
     argv = [a.format(**paths) for a in argv]
     if argv[0] in ("analyze", "generate"):
         argv += ["--out", str(tmp_path / "out.csv")]

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numpy_reference
 from geomfreq import frenet, signals
 from geomfreq.errors import DegenerateSpeed
 from geomfreq.geometry import rowdot, rownorm
@@ -329,3 +330,68 @@ def test_xi_zero_without_rotation():
     b = frenet.invariants_batch(*_const((3, 4, 0), (3, 4, 0), (1, 1, 1)))
     assert b.no_rotation[0]
     assert b.xi[0] == 0.0
+
+
+# ------------------------------------------- invariants against numpy
+
+# components m * 10^e, |m| <= 1, |e| <= 150: |v|^2 stays finite, while
+# |v x v'|^2 and v . (v' x v'') overflow or underflow on some draws
+component = st.builds(
+    lambda m, e: m * 10.0**e,
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.integers(min_value=-150, max_value=150),
+)
+vector = st.tuples(component, component, component).map(np.array)
+
+
+@st.composite
+def instants(draw):
+    """v, v', v'' with, on some draws, v' parallel to v or |v| near EPS_V."""
+    v, dv, ddv = draw(vector), draw(vector), draw(vector)
+    kind = draw(st.sampled_from(("general", "parallel", "near EPS_V")))
+    if kind == "parallel":
+        dv = draw(component) * v
+    elif kind == "near EPS_V":
+        unit = v / max(np.max(np.abs(v)), 1e-300)
+        v = unit * draw(st.floats(min_value=0.0, max_value=2.0 * frenet.EPS_V))
+    return v, dv, ddv
+
+
+def _outcome(invariants, v, dv, ddv):
+    """Every field of the result as raw bytes, or the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            g = invariants(v, dv, ddv)
+    except DegenerateSpeed as exc:
+        return "DegenerateSpeed", str(exc)
+    return tuple(
+        (name, type(getattr(g, name)), np.asarray(getattr(g, name)).tobytes())
+        for name in ("rho", "omega_vec", "omega_mag", "xi")
+    )
+
+
+@settings(max_examples=500)
+@given(instants())
+def test_invariants_is_the_numpy_body_bit_for_bit(jet):
+    assert _outcome(frenet.invariants, *jet) == _outcome(numpy_reference.invariants, *jet)
+
+
+def test_invariants_is_the_numpy_body_on_random_rows(rng):
+    # full-precision mantissas, where an inner product rounds: one scale
+    # 10^e per row, |e| <= 150, every 50th row with v' parallel to v
+    n = 5000
+    rows = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.integers(-150, 151, size=(n, 1, 1))
+    rows[::50, 1] = rows[::50, 0] * rng.normal(size=(n // 50, 1))
+    for v, dv, ddv in rows:
+        assert _outcome(frenet.invariants, v, dv, ddv) == _outcome(
+            numpy_reference.invariants, v, dv, ddv
+        )
+
+
+@given(st.tuples(*(st.floats(allow_nan=False),) * 6))
+def test_cross_is_np_cross_bit_for_bit(c):
+    # full float range and infinities: products overflow to inf and
+    # inf - inf gives NaN, in the same places as np.cross
+    a, b = np.array(c[:3]), np.array(c[3:])
+    with np.errstate(all="ignore"):
+        assert frenet._cross(a, b).tobytes() == np.cross(a, b).tobytes()

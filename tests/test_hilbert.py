@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import numpy_reference
 from geomfreq import hilbert
 from geomfreq.errors import DegenerateEnvelope, TooShort
 
@@ -109,3 +110,22 @@ def test_amplitude_modulated_tone_radial_frequency():
     uh_c = pair.uh[TRIM:-TRIM]
     expected = (u_c * d1[:, 0] + uh_c * d1[:, 1]) / (u_c**2 + uh_c**2)
     np.testing.assert_allclose(report.rho, expected, atol=1e-9 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("signal", ["tone", "am", "dc"])
+def test_equivalence_is_the_numpy_route_bit_for_bit(monkeypatch, signal):
+    # the report through frenet.invariants and through the numpy body it
+    # replaced, on a 50 Hz tone, an amplitude-modulated tone and DC
+    u = {
+        "tone": _tone(),
+        "am": (1.0 + 0.3 * np.cos(2.0 * math.pi * 3.0 * T)) * _tone(),
+        "dc": np.full(N, 5.0),
+    }[signal]
+    pair = hilbert.analytic_embed(u, DT)
+    got = hilbert.geometric_equivalence(pair)
+    monkeypatch.setattr(hilbert, "invariants", numpy_reference.invariants)
+    want = hilbert.geometric_equivalence(pair)
+    for name in ("rho", "omega_mag", "omega_z", "xi", "phi_dot", "max_rel_dev"):
+        got_x, want_x = getattr(got, name), getattr(want, name)
+        assert type(got_x) is type(want_x), name
+        assert np.asarray(got_x).tobytes() == np.asarray(want_x).tobytes(), name

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import numpy_reference
 from geomfreq import frenet, numdiff, signals
 from geomfreq.errors import TooFewSamples, WrongChannelCount
 from geomfreq.series import TimeSeries
@@ -114,6 +115,20 @@ def test_lowpass_is_causal():
     a = numdiff.lowpass_first_order(_series(base), 4e-3)
     b = numdiff.lowpass_first_order(_series(changed), 4e-3)
     np.testing.assert_array_equal(a.values[:25], b.values[:25])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e150, -1e150])
+def test_lowpass_is_the_numpy_loop_bit_for_bit(rng, scale):
+    # random recordings of 1 to 400 samples, offsets and noise at the
+    # same scale, against the numpy recurrence it replaced
+    for n in (1, 2, 7, 400):
+        values = scale * (rng.normal(size=(n, 3)) + rng.normal(size=3))
+        for dt, tau in ((1e-4, 1.2e-4), (1e-3, 5e-3), (2.5e-5, 1e-15)):
+            series = _series(values, dt)
+            out = numdiff.lowpass_first_order(series, tau)
+            want = numpy_reference.lowpass_values(series.values, dt / (tau + dt))
+            assert out.values.flags.c_contiguous
+            assert out.values.tobytes() == want.tobytes(), (n, dt, tau)
 
 
 def test_lowpass_rejects_bad_time_constant():

@@ -4,7 +4,7 @@ column per invariant, computed as column arrays."""
 import numpy as np
 
 from . import frenet
-from .errors import DegenerateInput
+from .errors import DegenerateInput, FloatOverflow
 
 COLUMNS = (
     "t",
@@ -32,16 +32,24 @@ def analyze(t, v, dv, ddv, eps_v=frenet.EPS_V, eps_w=frenet.EPS_W):
     name in COLUMNS, NaN where a cell is undefined (every cell but t on
     a degenerate-speed row; eta and RoCoF on a row without rotation).
     ``rotation_defined`` holds 1.0 or 0.0.  Raises DegenerateInput when
-    every sample is degenerate.
+    every sample is degenerate, and FloatOverflow when the invariants of
+    a sample that is not degenerate overflow float64.
     """
+    t = np.asarray(t, dtype=np.float64)
     b = frenet.invariants_batch(v, dv, ddv, eps_v, eps_w)
     degenerate = int(np.count_nonzero(b.degenerate))
     if degenerate and degenerate == b.degenerate.size:
         raise DegenerateInput("every sample is degenerate")
+    if b.overflow.any():
+        rows = np.flatnonzero(b.overflow)
+        raise FloatOverflow(
+            f"the invariants overflow float64 at {rows.size} of {t.size} samples "
+            f"(first at t = {float(t[rows[0]])!r})"
+        )
     rotation = np.where(b.no_rotation, 0.0, 1.0)
     rotation[b.degenerate] = np.nan
     columns = (
-        np.asarray(t, dtype=np.float64),
+        t,
         b.v_mag,
         b.rho,
         *b.omega_vec.T,

@@ -6,10 +6,17 @@ park (dq0 transform and derivative-frame checks), hilbert (analytic
 embedding and equivalence report).
 
 Exit codes: 0 success, 1 validation/assertion failure, 2 usage error,
-3 I/O or format error.
+3 I/O or format error, or an input whose scale overflows float64.
+
+``main(argv)`` may be called many times in one process (the test suite
+and the benchmark do; a console run calls it once): it builds its
+argument parser once, on the first call, and parses every later argv
+with that parser.  Each call dispatches to the ``cmd_<subcommand>``
+function this module holds at that moment.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -19,6 +26,7 @@ from . import analysis, cli_io, hilbert, numdiff, park, signals, validate
 from .errors import (
     DegenerateEnvelope,
     DegenerateInput,
+    FloatOverflow,
     GeomfreqError,
     InvalidParameter,
     InvalidRange,
@@ -214,7 +222,10 @@ def cmd_hilbert(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: ``main`` pays for argparse's construction once per process."""
     parser = argparse.ArgumentParser(
         prog="geomfreq",
         description="Geometric frequency analysis of polyphase waveforms",
@@ -229,7 +240,6 @@ def build_parser():
     p.add_argument("--vdc", type=float, help="DC level for the DC scenario")
     p.add_argument("--out", default="waveform.csv")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="compute invariants along a waveform")
     p.add_argument("--scenario")
@@ -242,11 +252,9 @@ def build_parser():
     p.add_argument("--remove-zero-seq", action="store_true")
     p.add_argument("--out", default="analysis.csv")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("validate", help="run invariant property suites")
     p.add_argument("scope", nargs="?", default="all")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("park", help="dq0 transform and derivative-frame checks")
     p.add_argument("--scenario")
@@ -257,7 +265,6 @@ def build_parser():
     p.add_argument("--dt", type=float)
     p.add_argument("--out")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_park)
 
     p = sub.add_parser("hilbert", help="analytic embedding equivalence report")
     p.add_argument("--freq", type=float, default=50.0)
@@ -266,19 +273,19 @@ def build_parser():
     p.add_argument("--csv")
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_hilbert)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, not stored in the shared parser,
+        # so a rebound ``cmd_*`` attribute is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (UnknownScenario, InvalidParameter, InvalidRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedCsv, DegenerateInput, DegenerateEnvelope, OSError) as exc:
+    except (MalformedCsv, DegenerateInput, DegenerateEnvelope, FloatOverflow, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except GeomfreqError as exc:

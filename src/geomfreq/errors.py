@@ -50,3 +50,9 @@ class MalformedCsv(GeomfreqError):
 
 class DegenerateInput(GeomfreqError):
     """Every row of the input is degenerate; nothing to analyze."""
+
+
+class FloatOverflow(GeomfreqError):
+    """A sum, square or product of the input's values leaves the float64
+    range where a sample is not degenerate: the input's scale is too
+    large for its invariants to be computed."""

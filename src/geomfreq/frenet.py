@@ -49,7 +49,11 @@ class BatchInvariants:
 
     On a ``degenerate`` row (|v| <= eps_v) every value is NaN.  On a
     ``no_rotation`` row (|omega| <= eps_w) omega, kappa, tau and xi are
-    exact zeros and eta and omega_dot are NaN.  The masks are disjoint.
+    exact zeros and eta and omega_dot are NaN.  These two masks are
+    disjoint.  An ``overflow`` row is one that is not degenerate but
+    where a square or product left the float64 range: its values are
+    inf, NaN, or quotients flushed to zero by an infinite denominator,
+    not the invariants.
     """
 
     v_mag: np.ndarray  # (N,) V
@@ -63,6 +67,7 @@ class BatchInvariants:
     omega_dot: np.ndarray  # (N, 3) rad/s^2
     degenerate: np.ndarray  # (N,) bool
     no_rotation: np.ndarray  # (N,) bool
+    overflow: np.ndarray  # (N,) bool
 
 
 def _cross(a, b):
@@ -110,26 +115,38 @@ def _as_rows(a):
 
 def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
     """Invariants and RoCoF split of every row of (N, 3) arrays; a
-    degenerate or non-rotating row is flagged (see ``BatchInvariants``).
+    degenerate, non-rotating or overflowing row is flagged (see
+    ``BatchInvariants``).
     """
     v, dv, ddv = _as_rows(v), _as_rows(dv), _as_rows(ddv)
     if not v.shape == dv.shape == ddv.shape:
         raise ValueError(f"shape mismatch {v.shape}, {dv.shape}, {ddv.shape}")
-    v_mag = rownorm(v)
-    degenerate = v_mag <= eps_v
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v_mag = rownorm(v)
         v2 = v_mag * v_mag
         rho = rowdot(v, dv) / v2
         vxdv = np.cross(v, dv)
         omega_vec = vxdv / v2[:, None]
         omega_mag = rownorm(omega_vec)
-        tau = rowdot(v, np.cross(dv, ddv)) / rowdot(vxdv, vxdv)
+        vxdv2 = rowdot(vxdv, vxdv)
+        tau = rowdot(v, np.cross(dv, ddv)) / vxdv2
         omega_dot = np.cross(v, ddv) / v2[:, None] - 2.0 * rho[:, None] * omega_vec
-        eta = rowdot(omega_vec, omega_dot) / omega_mag**2
+        omega2 = omega_mag**2
+        eta = rowdot(omega_vec, omega_dot) / omega2
         kappa = omega_mag / v_mag
         xi = v_mag * tau
+    degenerate = v_mag <= eps_v
     rotating = ~degenerate & (omega_mag > eps_w)
     no_rotation = ~degenerate & ~rotating
+    # past the float64 range a value is inf or NaN, or a quotient over an
+    # infinite |v|^2, |v x v'|^2 or |omega|^2 is flushed to zero.  Implied
+    # checks: a NaN in v x v' takes two infinite products, which force one
+    # in v . v' (so rho); xi is finite only with tau, eta only with omega_dot.
+    tangent_ok = np.isfinite(v2) & np.isfinite(rho)
+    rotation_ok = (
+        np.isfinite(vxdv2) & np.isfinite(omega2) & np.isfinite(xi) & np.isfinite(eta)
+    )
+    overflow = (~degenerate & ~tangent_ok) | (rotating & ~rotation_ok)
     for col in (omega_vec, omega_mag, kappa, tau, xi):
         col[no_rotation] = 0.0
     for col in (v_mag, rho, omega_vec, omega_mag, kappa, tau, xi):
@@ -148,6 +165,7 @@ def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
         omega_dot=omega_dot,
         degenerate=degenerate,
         no_rotation=no_rotation,
+        overflow=overflow,
     )
 
 

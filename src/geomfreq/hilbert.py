@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnvelope, TooShort
+from .errors import DegenerateEnvelope, FloatOverflow, TooShort
 from .frenet import invariants
 from .numdiff import TRIM, stencil_derivatives
 
@@ -56,13 +56,13 @@ def analytic_embed(u, dt):
 
     Zero the negative-frequency half of the spectrum, double the
     positive half, keep DC and Nyquist unchanged; the quadrature part
-    of the inverse transform is the Hilbert transform.
+    of the inverse transform is the Hilbert transform.  Raises
+    FloatOverflow when the transform of a finite u is not finite.
     """
     u = np.asarray(u, dtype=np.float64)
     n = u.size
     if n < MIN_LENGTH:
         raise TooShort(f"need at least {MIN_LENGTH} samples, got {n}")
-    spectrum = np.fft.fft(u)
     weights = np.zeros(n)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -70,7 +70,10 @@ def analytic_embed(u, dt):
         weights[n // 2] = 1.0
     else:
         weights[1 : (n + 1) // 2] = 2.0
-    analytic = np.fft.ifft(spectrum * weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        analytic = np.fft.ifft(np.fft.fft(u) * weights)
+    if np.isfinite(u).all() and not np.isfinite(analytic.imag).all():
+        raise FloatOverflow("the Hilbert transform overflows float64")
     return AnalyticPair(u=u, uh=analytic.imag, dt=dt)
 
 
@@ -83,12 +86,18 @@ def _derivatives(pair):
 
 
 def instantaneous_frequency_classical(pair, eps=1e-12):
-    """phi' = (uh' u - u' uh) / (u^2 + uh^2) on the retained samples."""
-    u, uh, du, duh = _derivatives(pair)
-    envelope = u**2 + uh**2
-    if np.any(envelope <= eps):
-        raise DegenerateEnvelope("analytic envelope vanishes at a sample")
-    return (duh * u - du * uh) / envelope
+    """phi' = (uh' u - u' uh) / (u^2 + uh^2) on the retained samples.
+    Raises DegenerateEnvelope where the envelope vanishes, and
+    FloatOverflow where it or phi' is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, uh, du, duh = _derivatives(pair)
+        envelope = u**2 + uh**2
+        if np.any(envelope <= eps):
+            raise DegenerateEnvelope("analytic envelope vanishes at a sample")
+        phi_dot = (duh * u - du * uh) / envelope
+    if not np.isfinite((envelope, phi_dot)).all():
+        raise FloatOverflow("analytic envelope or its phase rate overflows float64")
+    return phi_dot
 
 
 def geometric_equivalence(pair, eps=1e-12):
@@ -96,7 +105,8 @@ def geometric_equivalence(pair, eps=1e-12):
     its azimuthal frequency with the classical instantaneous frequency.
 
     The deviation summary is evaluated over the middle 50% of the
-    window, away from the transform's boundary ringing.
+    window, away from the transform's boundary ringing.  Raises
+    FloatOverflow when an invariant of a retained row is not finite.
     """
     phi_dot = instantaneous_frequency_classical(pair, eps)
     cols = np.column_stack([pair.u, pair.uh])
@@ -110,12 +120,15 @@ def geometric_equivalence(pair, eps=1e-12):
     omega_mag = np.empty(n)
     omega_z = np.empty(n)
     xi = np.empty(n)
-    for k in range(n):
-        g = invariants(v[k], dv[k], ddv[k])
-        rho[k] = g.rho
-        omega_mag[k] = g.omega_mag
-        omega_z[k] = g.omega_vec[2]
-        xi[k] = g.xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            g = invariants(v[k], dv[k], ddv[k])
+            rho[k] = g.rho
+            omega_mag[k] = g.omega_mag
+            omega_z[k] = g.omega_vec[2]
+            xi[k] = g.xi
+    if not np.isfinite((rho, omega_mag, xi)).all():
+        raise FloatOverflow("the embedded curve's invariants overflow float64")
 
     mid = slice(n // 4, 3 * n // 4)
     dev = np.abs(omega_z[mid] - phi_dot[mid]) / np.maximum(

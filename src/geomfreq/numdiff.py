@@ -11,7 +11,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import TooFewSamples, WrongChannelCount
+from .errors import FloatOverflow, TooFewSamples, WrongChannelCount
 from .series import TimeSeries
 
 TRIM = 2  # samples dropped on each side by the 5-point stencils
@@ -38,12 +38,16 @@ def stencil_derivatives(values, dt):
 
 def differentiate_arrays(series):
     """Retained times and (N, 3) arrays v, v', v'' of a 3-channel
-    voltage series, N = len(series) - 2 * TRIM."""
+    voltage series, N = len(series) - 2 * TRIM.  Raises FloatOverflow
+    when a derivative overflows float64."""
     if len(series.channels) != 3:
         raise WrongChannelCount(
             f"expected 3 channels, got {len(series.channels)}"
         )
-    d1, d2 = stencil_derivatives(series.values, series.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2 = stencil_derivatives(series.values, series.dt)
+    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
+        raise FloatOverflow("the stencil derivatives of the samples overflow float64")
     return series.times[TRIM:-TRIM], series.values[TRIM:-TRIM], d1, d2
 
 

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import reference
-from geomfreq import cli, cli_io, frenet, hilbert, numdiff, signals
+from conftest import scenario_arrays
+from geomfreq import analysis, cli, cli_io, frenet, hilbert, numdiff, signals
 from geomfreq.analysis import COLUMNS
-from geomfreq.errors import DegenerateSpeed
+from geomfreq.errors import DegenerateSpeed, FloatOverflow
 
 REL = 1e-10
 PRESETS = ("DC", "SINGLE_PHASE", "E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
@@ -168,6 +169,33 @@ def test_invariants_is_its_batch_row_when_v_squared_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_rows_are_bits_of_batch(v, dv, np.ones((1, 3)))
         assert frenet.invariants_batch(v, dv, np.ones((1, 3))).no_rotation[0]
+
+
+def test_overflow_marks_rows_whose_products_leave_the_float_range():
+    _, e5, de5, dde5 = (x[0] for x in scenario_arrays("E5", 0.0, 0.0, 1e-4))
+    x, y, z = np.eye(3)
+    rows = [  # v, v', v'', overflow
+        (e5, de5, dde5, False),  # an E5 sample
+        (1e300 * e5, 0.3e300 * e5[::-1], e5, True),  # |v|^2
+        (1e80 * e5, 1e80 * de5, 1e80 * dde5, True),  # |v x v'|^2, so tau is -0.0
+        (0 * e5, 1e300 * de5, 1e300 * dde5, False),  # degenerate: not checked
+        (1e70 * e5, 1e70 * de5, 1e70 * dde5, False),  # every product finite
+        (1e200 * e5, 1e200 * e5, e5, True),  # |v|^2, no rotation
+        (1e150 * x, 3e150 * x, x, False),  # |v|^2 = 1e300, no rotation
+        (1e200 * x, 1e100 * (x + y), 0 * x, True),  # |v|^2 alone: rho would read 0
+        (1e150 * x, 1e160 * x, 0 * x, True),  # v . v', no rotation
+        (1e150 * x, 1e160 * y, 0 * x, True),  # v x v'
+        (1e-5 * x, 1e155 * y, 0 * x, True),  # |omega|^2 alone: omega = 1e160 rad/s
+        (x, 1e100 * y, 1e250 * z, True),  # v . (v' x v''), so xi
+        (x, 1e100 * y, 1e250 * y, True),  # omega . omega', so eta
+    ]
+    v, dv, ddv = (np.array(col) for col in list(zip(*rows))[:3])
+    b = frenet.invariants_batch(v, dv, ddv)
+    assert b.overflow.tolist() == [r[3] for r in rows]
+    assert np.flatnonzero(b.degenerate).tolist() == [3]
+    assert b.tau[2] == 0.0  # what the flag is for: a finite, wrong torsion
+    with pytest.raises(FloatOverflow, match=r"at 9 of 13 samples \(first at t = 1\.0\)"):
+        analysis.analyze(np.arange(13.0), v, dv, ddv)
 
 
 def test_batch_rejects_bad_shapes_and_values():

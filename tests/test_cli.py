@@ -1,14 +1,22 @@
 """Command line behavior, CSV formats, exit codes."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import geomfreq
 from geomfreq import cli, cli_io, frenet, hilbert, park, signals, validate
 from geomfreq.errors import MalformedCsv
 
+from cli_help import HELP_80
 from conftest import W_O
 
 
@@ -375,6 +383,13 @@ def _waveform(path, rows, cell="1.0"):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _recording(phases, rows=64):
+    """Lines of a waveform CSV whose k-th sample is ``phases(k)``."""
+    return ["t,va,vb,vc\n"] + [
+        ",".join(map(repr, (k * 1e-4, *phases(k)))) + "\n" for k in range(rows)
+    ]
+
+
 BAD_INPUT = [
     # sample step: a usage error before it divides anything
     ("analyze-dt-zero", ["analyze", "--scenario", "E0", "--dt", "0"], 2,
@@ -440,6 +455,19 @@ BAD_INPUT = [
     ("config-tau-not-a-number", ["analyze", "--csv", "{good}", "--config", "{cfg_tau}"], 2,
      "filter.tau"),
     ("config-no-section", ["generate", "E0", "--config", "{cfg_bare}"], 3, "section header"),
+    # a recording whose scale overflows float64 where a sample is not
+    # degenerate: |v|^2, |v x v'|^2 (a tau of -0.0 otherwise), the stencil,
+    # the Hilbert transform or the analytic envelope
+    ("csv-overflow-v-squared", ["analyze", "--csv", "{huge}"], 3,
+     "invariants overflow float64"),
+    ("csv-overflow-tau-denominator", ["analyze", "--csv", "{balanced_1e80}"], 3,
+     "invariants overflow float64"),
+    ("csv-overflow-stencil", ["analyze", "--csv", "{huge_1e307}"], 3,
+     "derivatives of the samples overflow float64"),
+    ("hilbert-csv-overflow-envelope", ["hilbert", "--csv", "{huge}"], 3,
+     "envelope or its phase rate overflows float64"),
+    ("hilbert-csv-overflow-transform", ["hilbert", "--csv", "{huge_1e307}"], 3,
+     "Hilbert transform overflows float64"),
     # sampling grid over signals.MAX_SAMPLES, refused before allocation
     ("generate-grid-cap", ["generate", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
     ("analyze-grid-cap", ["analyze", "--scenario", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
@@ -476,6 +504,11 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
         "empty": ["# no header, no rows\n"],
         "jitter": [*good[:10], f"{float(t_jitter) + 1e-7!r},{rest}", *good[11:]],
         "zero_vb": [ln.replace(",-0.5,", ",0.0,") for ln in good[:-1]],
+        "huge": _recording(lambda k: (1e300 * math.cos(0.3 * k), 0.0, 0.0)),
+        "huge_1e307": _recording(lambda k: (1e307 * math.cos(0.3 * k), 0.0, 0.0)),
+        "balanced_1e80": _recording(
+            lambda k: [1e80 * math.cos(W_O * k * 1e-4 - p) for p in (0.0, 2.0944, -2.0944)]
+        ),
     }
     for name, lines in waveforms.items():
         paths[name] = tmp_path / f"{name}.csv"
@@ -486,3 +519,97 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
+
+
+# --------------------------------------------------------- shared parser
+
+
+@pytest.fixture
+def fresh_parser():
+    """Each test starts and ends with no parser built."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def _call(argv, out=None):
+    """rc, stdout, stderr and the output file's bytes of one main call."""
+    if out is not None and out.exists():
+        out.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    data = out.read_bytes() if out is not None and out.exists() else None
+    return rc, stdout.getvalue(), stderr.getvalue(), data
+
+
+def test_calls_on_the_shared_parser_match_a_fresh_parser(tmp_path, fresh_parser):
+    rec = tmp_path / "e5.csv"
+    e5 = signals.sample(signals.make_scenario("E5"), 0.0, 0.02, 1e-4)
+    cli_io.write_waveform_csv(rec, e5)
+    an, hb = tmp_path / "an.csv", tmp_path / "hb.csv"
+    calls = [
+        (["analyze", "--csv", str(rec), "--filter-tau", "2e-4", "--remove-zero-seq",
+          "--out", str(an)], an),
+        (["analyze", "--csv", str(rec), "--out", str(an)], an),
+        (["hilbert", "--csv", str(rec), "--channel", "1", "--out", str(hb)], hb),
+        (["hilbert"], None),
+        (["analyze", "--csv", str(rec), "--mode", "exact"], None),
+        (["analyze", "--scenario", "E8", "--t1", "0.02", "--out", str(an)], an),
+    ]
+    shared = [_call(argv, out) for argv, out in calls]
+    fresh = []
+    for argv, out in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_call(argv, out))
+    assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 0]
+    assert "invalid choice: 'exact'" in shared[4][2]
+    assert shared[0][3] != shared[1][3]  # the flags of the first call did not stick
+    for argv_out, a, b in zip(calls, shared, fresh):
+        assert a == b, argv_out[0]
+
+
+def test_parser_is_built_on_the_first_call_only(monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["validate", "geometry"]) == 0
+    assert len(built) == 6  # the top level and its five subcommands
+    assert cli.main(["validate", "geometry"]) == 0
+    assert len(built) == 6
+
+
+def test_parser_is_not_built_at_import():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomfreq.__file__)))
+    code = "import geomfreq.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "0\n"
+
+
+def test_command_rebound_after_the_first_call_is_the_one_that_runs(monkeypatch, capsys):
+    assert cli.main(["validate", "geometry"]) == 0
+    scopes = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: scopes.append(args.scope) or 7)
+    assert cli.main(["validate", "park"]) == 7
+    assert scopes == ["park"]
+
+
+@pytest.mark.parametrize("command", list(HELP_80), ids=lambda c: c or "top")
+def test_help_text_is_unchanged(monkeypatch, capsys, fresh_parser, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [*command.split(), "--help"]
+    for _ in ("fresh", "shared"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP_80[command]

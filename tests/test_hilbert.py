@@ -7,7 +7,7 @@ import pytest
 
 import numpy_reference
 from geomfreq import hilbert
-from geomfreq.errors import DegenerateEnvelope, TooShort
+from geomfreq.errors import DegenerateEnvelope, FloatOverflow, TooShort
 
 DT = 1e-4
 # 0.4 s window: an integer number of 50 Hz periods, so the discrete
@@ -129,3 +129,22 @@ def test_equivalence_is_the_numpy_route_bit_for_bit(monkeypatch, signal):
         got_x, want_x = getattr(got, name), getattr(want, name)
         assert type(got_x) is type(want_x), name
         assert np.asarray(got_x).tobytes() == np.asarray(want_x).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "scale, says",
+    [
+        (1e152, "embedded curve's invariants"),  # v' x v'' in the per-row kernel
+        (1e300, "envelope or its phase rate"),  # u^2 + uh^2
+        (1e307, "Hilbert transform"),  # the spectrum
+    ],
+    ids=["invariants", "envelope", "transform"],
+)
+def test_overflow_is_raised(scale, says):
+    with pytest.raises(FloatOverflow, match=says):
+        hilbert.geometric_equivalence(hilbert.analytic_embed(scale * _tone(), DT))
+
+
+def test_largest_scale_before_overflow_keeps_the_equivalence():
+    rep = hilbert.geometric_equivalence(hilbert.analytic_embed(1e150 * _tone(), DT))
+    assert rep.max_rel_dev <= 1e-9 and rep.max_abs_xi == 0.0

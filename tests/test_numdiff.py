@@ -7,7 +7,7 @@ import pytest
 
 import numpy_reference
 from geomfreq import frenet, numdiff, signals
-from geomfreq.errors import TooFewSamples, WrongChannelCount
+from geomfreq.errors import FloatOverflow, TooFewSamples, WrongChannelCount
 from geomfreq.series import TimeSeries
 
 from conftest import W_O
@@ -80,6 +80,14 @@ def test_wrong_channel_count():
         numdiff.differentiate_arrays(series)
     with pytest.raises(WrongChannelCount):
         numdiff.remove_zero_sequence(series)
+
+
+def test_stencil_overflow_is_raised():
+    # 16 f1 and -30 f2 leave the float64 range on alternating 1e308 samples
+    values = np.full((64, 3), -1.5e308)
+    values[:, 0] = 1e308 * (-1.0) ** np.arange(64)
+    with pytest.raises(FloatOverflow, match="stencil derivatives"):
+        numdiff.differentiate_arrays(_series(values, 1e-4))
 
 
 # -------------------------------------------------------------- lowpass

@@ -130,11 +130,7 @@ def cmd_analyze(args):
 
 
 def cmd_validate(args):
-    try:
-        results = validate.run(args.scope)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results = validate.run(args.scope)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

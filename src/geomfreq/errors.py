@@ -20,11 +20,16 @@ class UnknownScenario(GeomfreqError):
 
 
 class InvalidParameter(GeomfreqError):
-    """Scenario parameter out of its valid range."""
+    """Scenario parameter out of its valid range, or an unknown
+    validation scope."""
 
 
 class InvalidRange(GeomfreqError):
     """Empty or inverted sampling range, or non-positive step."""
+
+
+class NonFiniteSample(InvalidRange):
+    """A time series was given a NaN or infinite sample value."""
 
 
 class TooFewSamples(GeomfreqError):

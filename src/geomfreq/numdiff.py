@@ -74,5 +74,6 @@ def remove_zero_sequence(series):
         raise WrongChannelCount(
             f"expected 3 channels, got {len(series.channels)}"
         )
-    mean = series.values.mean(axis=1, keepdims=True)
-    return series.with_values(series.values - mean)
+    with np.errstate(over="ignore", invalid="ignore"):  # with_values reports it
+        mean = series.values.mean(axis=1, keepdims=True)
+        return series.with_values(series.values - mean)

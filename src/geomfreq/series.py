@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidRange
+from .errors import FloatOverflow, InvalidRange, NonFiniteSample
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class TimeSeries:
         if values.shape[0] < 1:
             raise InvalidRange("time series needs at least one sample")
         if not np.all(np.isfinite(values)):
-            raise InvalidRange("non-finite sample value")
+            raise NonFiniteSample("non-finite sample value")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "channels", tuple(self.channels))
         if self.explicit_times is not None:
@@ -54,6 +54,12 @@ class TimeSeries:
         return self.t0 + self.dt * np.arange(len(self))
 
     def with_values(self, values):
-        return TimeSeries(
-            self.t0, self.dt, self.channels, values, self.explicit_times
-        )
+        """This grid with values computed from this series' own, which
+        are finite: a non-finite one is an overflow of that computation,
+        so it raises FloatOverflow rather than NonFiniteSample."""
+        try:
+            return TimeSeries(
+                self.t0, self.dt, self.channels, values, self.explicit_times
+            )
+        except NonFiniteSample:
+            raise FloatOverflow("values computed from the samples overflow float64") from None

@@ -5,9 +5,13 @@ The frenet_core, threephase_forms, signals, numdiff and park suites
 check the kernel ``analyze`` runs, ``frenet.invariants_batch`` over the
 arrays of ``signals.eval_arrays`` or ``numdiff.differentiate_arrays``;
 the closed-form oracle (``threephase``) and the dq0 transforms
-(``park``) take the same time arrays, one call per scenario.  The
-geometry suite checks the row helpers the kernel uses (``rowdot``,
-``rownorm`` and ``np.cross`` over rows) on 500 random triples at once.
+(``park``) take the same time arrays.  The frenet_core,
+threephase_forms and signals suites join every scenario's rows and call
+each kernel once per suite: a row's bits do not depend on the rows
+beside it, and a max over the joined rows is the fold of per-scenario
+maxes, NaN included.  The geometry suite checks the row helpers the
+kernel uses (``rowdot``, ``rownorm`` and ``np.cross``) on 500 random
+triples at once.
 
 The CLI ``validate`` subcommand runs these and exits nonzero on any
 failure; the pytest suite asserts the same properties with finer
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frenet, hilbert, numdiff, park, signals, threephase
+from .errors import InvalidParameter
 from .geometry import rowdot, rownorm
 
 THREE_PHASE_SCENARIOS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
@@ -79,6 +84,17 @@ def _batch(model, times):
     return v, dv, ddv, frenet.invariants_batch(v, dv, ddv)
 
 
+def _join(groups):
+    """Field k of each group (a tuple of arrays), joined row-wise in order."""
+    return tuple(map(np.concatenate, zip(*groups)))
+
+
+def _rows(*pairs):
+    """Analytic v, v', v'' of each (scenario id, times) pair, joined
+    row-wise in order, so that one kernel call covers every scenario."""
+    return _join(signals.eval_arrays(signals.make_scenario(sid), t) for sid, t in pairs)
+
+
 def _tau_arclength(v, dv, ddv):
     """Torsion from the arc-length derivatives of the underlying curve."""
     vm = rownorm(v)[:, None]
@@ -98,94 +114,65 @@ def _tau_arclength(v, dv, ddv):
 
 
 def check_frenet():
-    tols = {
-        "orthogonality of {v, n, omega}": 1e-9,
-        "normal magnitude |n| = |omega||v|": 1e-9,
-        "v from n x omega": 1e-9,
-        "omega from v x n": 1e-9,
-        "torsion equals arc-length definition": 1e-10,
-        "reconstruction v' = rho v + omega x v": 1e-9,
-        "RoCoF decomposition residual": 1e-8,
-        "torsional frequency only with rotation": 0.0,
-        "planarity of stationary balanced scenarios": 1e-8,
-    }
-    worst = dict.fromkeys(tols, 0.0)
-
-    def update(name, *values):
-        worst[name] = _worst(worst[name], *values)
-
-    for sid in THREE_PHASE_SCENARIOS:
-        model = signals.make_scenario(sid)
-        v, dv, ddv, b = _batch(model, _sample_times())
-        if np.any(b.xi[b.no_rotation] != 0.0):
-            worst["torsional frequency only with rotation"] = math.inf
-        rot = ~(b.no_rotation | b.degenerate)
-        v, dv, ddv = v[rot], dv[rot], ddv[rot]
-        vm, rho, tau, xi = b.v_mag[rot], b.rho[rot], b.tau[rot], b.xi[rot]
-        w, wm = b.omega_vec[rot], b.omega_mag[rot]
-        n = dv - rho[:, None] * v
-        nm = rownorm(n)
-        update(
-            "orthogonality of {v, n, omega}",
+    times = _sample_times()
+    v, dv, ddv = _rows(*((sid, times) for sid in THREE_PHASE_SCENARIOS))
+    b = frenet.invariants_batch(v, dv, ddv)
+    stray_xi = math.inf if np.any(b.xi[b.no_rotation] != 0.0) else 0.0
+    rot = ~(b.no_rotation | b.degenerate)
+    v, dv, ddv = v[rot], dv[rot], ddv[rot]
+    vm, rho, tau, xi = b.v_mag[rot], b.rho[rot], b.tau[rot], b.xi[rot]
+    w, wm, w_dot = b.omega_vec[rot], b.omega_mag[rot], b.omega_dot[rot]
+    n = dv - rho[:, None] * v
+    nm = rownorm(n)
+    # relative comparison is meaningful only when the torsion is
+    # not itself a cancellation residue of a planar curve
+    tw = np.abs(xi) >= 1e-3
+    rocof_res = w_dot - b.eta[rot][:, None] * w - tau[:, None] * np.cross(v, w)
+    times = _sample_times(40)
+    planar = frenet.invariants_batch(
+        *_rows(*((sid, times) for sid in ("E0", "E1", "E2", "E3", "E6")))
+    )
+    props = [
+        ("orthogonality of {v, n, omega}", 1e-9, _worst(
             np.abs(rowdot(v, n)) / (vm * nm),
             np.abs(rowdot(v, w)) / (vm * wm),
             np.abs(rowdot(n, w)) / (nm * wm),
-        )
-        update("normal magnitude |n| = |omega||v|", np.abs(nm - wm * vm) / (wm * vm))
-        v_rec = np.cross(n, w) / (wm**2)[:, None]
-        update("v from n x omega", rownorm(v_rec - v) / vm)
-        w_rec = np.cross(v, n) / (vm**2)[:, None]
-        update("omega from v x n", rownorm(w_rec - w) / wm)
-        # relative comparison is meaningful only when the torsion is
-        # not itself a cancellation residue of a planar curve
-        twisted = np.abs(xi) >= 1e-3
-        tau_ii = _tau_arclength(v[twisted], dv[twisted], ddv[twisted])
-        update(
-            "torsion equals arc-length definition",
-            np.abs(tau[twisted] - tau_ii) / np.abs(tau[twisted]),
-        )
-        res = dv - (rho[:, None] * v + np.cross(w, v))
-        dv_mag = np.maximum(rownorm(dv), 1e-300)
-        update("reconstruction v' = rho v + omega x v", rownorm(res) / dv_mag)
-        w_dot = b.omega_dot[rot]
-        res = w_dot - b.eta[rot][:, None] * w - tau[:, None] * np.cross(v, w)
-        update("RoCoF decomposition residual", rownorm(res) / np.maximum(rownorm(w_dot), wm))
-        if sid in ("E0", "E1", "E2", "E3", "E6"):
-            b = _batch(model, _sample_times(40))[3]
-            update("planarity of stationary balanced scenarios", np.abs(b.tau))
-    return [
-        PropertyResult("frenet_core", name, worst[name], tols[name])
-        for name in worst
+        )),
+        ("normal magnitude |n| = |omega||v|", 1e-9, _worst(np.abs(nm - wm * vm) / (wm * vm))),
+        ("v from n x omega", 1e-9, _worst(rownorm(np.cross(n, w) / (wm**2)[:, None] - v) / vm)),
+        ("omega from v x n", 1e-9, _worst(rownorm(np.cross(v, n) / (vm**2)[:, None] - w) / wm)),
+        ("torsion equals arc-length definition", 1e-10, _worst(
+            np.abs(tau[tw] - _tau_arclength(v[tw], dv[tw], ddv[tw])) / np.abs(tau[tw])
+        )),
+        ("reconstruction v' = rho v + omega x v", 1e-9, _worst(
+            rownorm(dv - (rho[:, None] * v + np.cross(w, v))) / np.maximum(rownorm(dv), 1e-300)
+        )),
+        ("RoCoF decomposition residual", 1e-8, _worst(
+            rownorm(rocof_res) / np.maximum(rownorm(w_dot), wm)
+        )),
+        ("torsional frequency only with rotation", 0.0, stray_xi),
+        ("planarity of stationary balanced scenarios", 1e-8, _worst(np.abs(planar.tau))),
     ]
+    return [PropertyResult("frenet_core", name, worst, tol) for name, tol, worst in props]
 
 
 def check_threephase():
-    worst_rho = worst_omega = worst_xi = 0.0
-    for sid in THREE_PHASE_SCENARIOS:
-        model = signals.make_scenario(sid)
-        times = _sample_times()
-        b = _batch(model, times)[3]
-        cf = threephase.closed_form_invariants(signals.phase_jets(model, times))
-        worst_rho = _worst(worst_rho, _rel(np.abs(cf.rho - b.rho), np.abs(b.rho), 1e-6))
-        worst_omega = _worst(
-            worst_omega, _rel(rownorm(cf.omega_vec - b.omega_vec), b.omega_mag, 1e-6)
-        )
-        worst_xi = _worst(worst_xi, _rel(np.abs(cf.xi - b.xi), np.abs(b.xi), 1e-6))
+    times = _sample_times()
+    models = [signals.make_scenario(sid) for sid in THREE_PHASE_SCENARIOS]
+    b = frenet.invariants_batch(*_join(signals.eval_arrays(m, times) for m in models))
+    jets = [signals.phase_jets(m, times) for m in models]
+    # per phase, the fields of the scenarios' jets (a PhaseJet's vars, in order) joined
+    cf = threephase.closed_form_invariants(
+        [threephase.PhaseJet(*_join(vars(j).values() for j in phase)) for phase in zip(*jets)]
+    )
+    worst_rho = _rel(np.abs(cf.rho - b.rho), np.abs(b.rho), 1e-6)
+    worst_omega = _rel(rownorm(cf.omega_vec - b.omega_vec), b.omega_mag, 1e-6)
+    worst_xi = _rel(np.abs(cf.xi - b.xi), np.abs(b.xi), 1e-6)
     return [
         PropertyResult("threephase_forms", "closed-form rho vs Frenet", worst_rho, 1e-6),
         PropertyResult("threephase_forms", "closed-form omega vs Frenet", worst_omega, 1e-6),
         PropertyResult("threephase_forms", "closed-form xi vs Frenet", worst_xi, 1e-6),
     ]
-
-
-def _fd_error(model, times, h, order):
-    """Worst relative error of the analytic derivative of the given
-    order (1 or 2) against the 5-point stencil with step h."""
-    grid = times + h * np.arange(-2, 3)[:, None]  # (5, N), row k+2 is t + k*h
-    v = signals.eval_arrays(model, grid.ravel())[0].reshape(5, times.size, 3)
-    fd = numdiff.stencil_derivatives(v, h)[order - 1][0]
-    exact = signals.eval_arrays(model, times)[order]
-    return _rel(rownorm(exact - fd), rownorm(exact), 1e-300)
 
 
 def check_signals():
@@ -200,24 +187,28 @@ def check_signals():
     for _ in range(100):
         sid = str(rng.choice(THREE_PHASE_SCENARIOS))
         draws.setdefault(sid, []).append(round(float(rng.uniform(0.01, 2.0)) / h2) * h2)
-    worst_d1 = worst_d2 = 0.0
+    jets = []
     for sid, times in draws.items():
-        model, times = signals.make_scenario(sid), np.array(times)
-        worst_d1 = _worst(worst_d1, _fd_error(model, times, h1, 1))
-        worst_d2 = _worst(worst_d2, _fd_error(model, times, h2, 2))
-    b = _batch(signals.make_scenario("E6"), np.linspace(0.0, 5.0, 200))[3]
-    worst_e6 = _worst(np.abs(b.rho), np.abs(b.xi))
-    worst_plane = _worst(
-        *(
-            np.abs(_batch(signals.make_scenario(sid), _sample_times(40))[3].xi)
-            for sid in ("E0", "E1", "E2")
-        )
+        # grid[k + 2, j] is t + k * (h1, h2)[j], so t itself at k = 0
+        grid = np.array(times) + (np.arange(-2, 3)[:, None] * np.array([h1, h2]))[..., None]
+        jet = signals.eval_arrays(signals.make_scenario(sid), grid.ravel())
+        jets.append(tuple(x.reshape(*grid.shape, 3) for x in jet))
+    v, dv, ddv = (np.concatenate(x, axis=2) for x in zip(*jets))
+    d1, d2 = dv[2, 0], ddv[2, 1]
+    fd1 = numdiff.stencil_derivatives(v[:, 0], h1)[0][0]
+    fd2 = numdiff.stencil_derivatives(v[:, 1], h2)[1][0]
+    worst_d1 = _rel(rownorm(d1 - fd1), rownorm(d1), 1e-300)
+    worst_d2 = _rel(rownorm(d2 - fd2), rownorm(d2), 1e-300)
+    times = _sample_times(40)
+    b = frenet.invariants_batch(  # the 200 E6 rows, then E0-E2
+        *_rows(("E6", np.linspace(0.0, 5.0, 200)), *((sid, times) for sid in ("E0", "E1", "E2")))
     )
+    worst_e6 = _worst(np.abs(b.rho[:200]), np.abs(b.xi[:200]))
     return [
         PropertyResult("signals", "analytic first derivative vs FD", worst_d1, 1e-5),
         PropertyResult("signals", "analytic second derivative vs FD", worst_d2, 1e-5),
         PropertyResult("signals", "E6 null rho and xi", worst_e6, 1e-8),
-        PropertyResult("signals", "E0-E2 null xi", worst_plane, 1e-8),
+        PropertyResult("signals", "E0-E2 null xi", _worst(np.abs(b.xi[200:])), 1e-8),
     ]
 
 
@@ -323,12 +314,12 @@ _SUITES = {
 
 
 def run(scope="all"):
-    """Run one module's property suite, or all of them."""
+    """Run one module's property suite, or all of them; an unknown
+    scope raises InvalidParameter."""
     if scope == "all":
-        results = []
-        for suite in _SUITES.values():
-            results.extend(suite())
-        return results
+        return [res for suite in _SUITES.values() for res in suite()]
     if scope not in _SUITES:
-        raise KeyError(f"unknown validation scope {scope!r}")
+        raise InvalidParameter(
+            f"unknown validation scope {scope!r}; choose one of: all, {', '.join(_SUITES)}"
+        )
     return _SUITES[scope]()

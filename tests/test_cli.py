@@ -203,6 +203,10 @@ def test_validate_cli_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert cli.main(["validate", "nonsense"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown validation scope 'nonsense'; choose one of: all, geometry, "
+        "frenet_core, threephase_forms, signals, numdiff, hilbert, park\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -468,6 +472,12 @@ BAD_INPUT = [
      "envelope or its phase rate overflows float64"),
     ("hilbert-csv-overflow-transform", ["hilbert", "--csv", "{huge_1e307}"], 3,
      "Hilbert transform overflows float64"),
+    # the zero-sequence removal or the low-pass filter of finite samples
+    # overflows: the same one finiteness check as a recording's samples
+    ("csv-overflow-zero-sequence", ["analyze", "--csv", "{huge_sum}", "--remove-zero-seq"], 3,
+     "values computed from the samples overflow float64"),
+    ("csv-overflow-filter", ["analyze", "--csv", "{huge_sum}", "--filter-tau", "2e-4"], 3,
+     "values computed from the samples overflow float64"),
     # sampling grid over signals.MAX_SAMPLES, refused before allocation
     ("generate-grid-cap", ["generate", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
     ("analyze-grid-cap", ["analyze", "--scenario", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
@@ -506,6 +516,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
         "zero_vb": [ln.replace(",-0.5,", ",0.0,") for ln in good[:-1]],
         "huge": _recording(lambda k: (1e300 * math.cos(0.3 * k), 0.0, 0.0)),
         "huge_1e307": _recording(lambda k: (1e307 * math.cos(0.3 * k), 0.0, 0.0)),
+        "huge_sum": _recording(lambda k: ((-1) ** (k + 1) * 1e308, -1.5e308, -1.5e308)),
         "balanced_1e80": _recording(
             lambda k: [1e80 * math.cos(W_O * k * 1e-4 - p) for p in (0.0, 2.0944, -2.0944)]
         ),

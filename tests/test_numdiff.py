@@ -7,7 +7,12 @@ import pytest
 
 import numpy_reference
 from geomfreq import frenet, numdiff, signals
-from geomfreq.errors import FloatOverflow, TooFewSamples, WrongChannelCount
+from geomfreq.errors import (
+    FloatOverflow,
+    InvalidRange,
+    TooFewSamples,
+    WrongChannelCount,
+)
 from geomfreq.series import TimeSeries
 
 from conftest import W_O
@@ -88,6 +93,23 @@ def test_stencil_overflow_is_raised():
     values[:, 0] = 1e308 * (-1.0) ** np.arange(64)
     with pytest.raises(FloatOverflow, match="stencil derivatives"):
         numdiff.differentiate_arrays(_series(values, 1e-4))
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [numdiff.remove_zero_sequence, lambda s: numdiff.lowpass_first_order(s, 2e-4)],
+    ids=["zero-sequence", "filter"],
+)
+def test_derived_overflow_is_raised_but_a_given_nan_is_a_bad_range(derive):
+    # the phase sum and the filter step leave the float64 range, with no
+    # RuntimeWarning (pytest turns one into an error)
+    values = np.full((64, 3), -1.5e308)
+    values[:, 0] = 1e308 * (-1.0) ** np.arange(64)
+    with pytest.raises(FloatOverflow, match="overflow float64"):
+        derive(_series(values, 1e-4))
+    values[3, 1] = np.nan
+    with pytest.raises(InvalidRange, match="non-finite sample value"):
+        _series(values)
 
 
 # -------------------------------------------------------------- lowpass

@@ -9,7 +9,6 @@ decomposed rate of change of frequency.
 from .errors import (
     DegenerateEnvelope,
     DegenerateInput,
-    DegenerateRotation,
     DegenerateSpeed,
     GeomfreqError,
     InvalidParameter,

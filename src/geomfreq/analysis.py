@@ -1,5 +1,6 @@
 """The analysis table of ``geomfreq analyze``: one row per sample, one
-column per invariant, computed as column arrays."""
+column per invariant, computed as column arrays.  A row is degenerate or
+without rotation by the thresholds ``frenet.EPS_V`` and ``frenet.EPS_W``."""
 
 import numpy as np
 
@@ -25,7 +26,7 @@ COLUMNS = (
 )
 
 
-def analyze(t, v, dv, ddv, eps_v=frenet.EPS_V, eps_w=frenet.EPS_W):
+def analyze(t, v, dv, ddv):
     """Analysis columns of N samples given as (N, 3) derivative arrays.
 
     Returns (columns, degenerate_speed_count): one float array per
@@ -36,7 +37,7 @@ def analyze(t, v, dv, ddv, eps_v=frenet.EPS_V, eps_w=frenet.EPS_W):
     a sample that is not degenerate overflow float64.
     """
     t = np.asarray(t, dtype=np.float64)
-    b = frenet.invariants_batch(v, dv, ddv, eps_v, eps_w)
+    b = frenet.invariants_batch(v, dv, ddv)
     degenerate = int(np.count_nonzero(b.degenerate))
     if degenerate and degenerate == b.degenerate.size:
         raise DegenerateInput("every sample is degenerate")

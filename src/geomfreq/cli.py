@@ -175,7 +175,7 @@ def cmd_park(args):
         f"balanced rotating-derivative identity worst error: {worst_balanced:.3e} "
         f"(checked on {np.count_nonzero(rep.balanced)} of {times.size} instants)"
     )
-    ok = worst_sum <= 1e-9
+    ok = worst_sum <= park.MAX_SUM_REL_ERR
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -213,7 +213,7 @@ def cmd_hilbert(args):
         print(f"wrote {report.times.size} rows to {args.out}")
     print(f"max |omega_z - phi'| relative deviation (mid-window): {report.max_rel_dev:.3e}")
     print(f"max |xi|: {report.max_abs_xi:.3e}")
-    ok = report.max_rel_dev <= 1e-9 and report.max_abs_xi <= 1e-12
+    ok = report.max_rel_dev <= hilbert.MAX_REL_DEV and report.max_abs_xi <= hilbert.MAX_ABS_XI
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -10,11 +10,6 @@ class DegenerateSpeed(GeomfreqError):
     parameterization breaks down at this sample."""
 
 
-class DegenerateRotation(GeomfreqError):
-    """The rotation vector magnitude is below threshold; normal and
-    binormal directions are undefined."""
-
-
 class UnknownScenario(GeomfreqError):
     """Requested scenario id is not one of the presets."""
 

@@ -9,7 +9,9 @@ voltage curve, from the rows of (N, 3) arrays v, v', v'':
     omega' = (v x v'') / |v|^2 - 2 rho omega = eta omega + tau (v x omega)
 
 ``invariants_batch`` evaluates them over every row and flags degenerate
-rows with NaN; ``frame`` builds the Frenet triad from its columns.
+rows with NaN; ``frame`` builds the Frenet triad from its columns.  The
+frame exists where |v| > EPS_V (tangent) and |omega| > EPS_W (normal and
+binormal); ``invariants_batch(eps_w=)`` is the one override of either.
 ``invariants`` is the same arithmetic on one row, for a caller that
 holds one instant at a time, and gives the bits of that batch row.  It
 keeps the inner products in ``np.dot`` and forms the cross products in
@@ -47,7 +49,7 @@ class GeomInvariants:
 class BatchInvariants:
     """Invariants and RoCoF of N samples, one array entry per sample.
 
-    On a ``degenerate`` row (|v| <= eps_v) every value is NaN.  On a
+    On a ``degenerate`` row (|v| <= EPS_V) every value is NaN.  On a
     ``no_rotation`` row (|omega| <= eps_w) omega, kappa, tau and xi are
     exact zeros and eta and omega_dot are NaN.  These two masks are
     disjoint.  An ``overflow`` row is one that is not degenerate but
@@ -78,10 +80,10 @@ def _cross(a, b):
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
-def invariants(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
+def invariants(v, dv, ddv):
     """rho, omega and xi of one instant from the finite 3-vectors
     v, v', v'', bit for bit what ``invariants_batch`` gives that row.
-    Raises ``DegenerateSpeed`` when |v| <= eps_v.
+    Raises ``DegenerateSpeed`` when |v| <= EPS_V.
 
     Inner products are ``np.dot``, which sums three products the way
     ``rowdot`` does (a fused multiply-add chain, not reproducible in
@@ -89,14 +91,14 @@ def invariants(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
     as ``np.linalg.norm`` computes it.  Cross products are ``_cross``."""
     v, dv, ddv = (np.asarray(x, dtype=np.float64) for x in (v, dv, ddv))
     v_mag = math.sqrt(np.dot(v, v))
-    if v_mag <= eps_v:
-        raise DegenerateSpeed(f"|v| = {v_mag} <= {eps_v}")
+    if v_mag <= EPS_V:
+        raise DegenerateSpeed(f"|v| = {v_mag} <= {EPS_V}")
     v2 = v_mag * v_mag
     vxdv = _cross(v, dv)
     omega_vec = vxdv / v2
     omega_mag = math.sqrt(np.dot(omega_vec, omega_vec))
     rho = float(np.dot(v, dv)) / v2
-    if omega_mag > eps_w:  # a NaN omega counts as no rotation, as in the batch
+    if omega_mag > EPS_W:  # a NaN omega counts as no rotation, as in the batch
         tau = float(np.dot(v, _cross(dv, ddv))) / float(np.dot(vxdv, vxdv))
         return GeomInvariants(
             rho=rho, omega_vec=omega_vec, omega_mag=omega_mag, xi=v_mag * tau
@@ -113,10 +115,11 @@ def _as_rows(a):
     return a
 
 
-def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
+def invariants_batch(v, dv, ddv, eps_w=EPS_W):
     """Invariants and RoCoF split of every row of (N, 3) arrays; a
     degenerate, non-rotating or overflowing row is flagged (see
-    ``BatchInvariants``).
+    ``BatchInvariants``).  ``eps_w`` = 0.0 keeps omega however small it
+    is, for a caller that needs rho and omega on every row with |v| > EPS_V.
     """
     v, dv, ddv = _as_rows(v), _as_rows(dv), _as_rows(ddv)
     if not v.shape == dv.shape == ddv.shape:
@@ -135,7 +138,7 @@ def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
         eta = rowdot(omega_vec, omega_dot) / omega2
         kappa = omega_mag / v_mag
         xi = v_mag * tau
-    degenerate = v_mag <= eps_v
+    degenerate = v_mag <= EPS_V
     rotating = ~degenerate & (omega_mag > eps_w)
     no_rotation = ~degenerate & ~rotating
     # past the float64 range a value is inf or NaN, or a quotient over an
@@ -169,12 +172,12 @@ def invariants_batch(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
     )
 
 
-def frame(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
+def frame(v, dv, ddv):
     """Frenet triad (T, N, B) of every row, as (N, 3) arrays: the unit
     tangent v/|v|, the unit normal n/|n| with n = v' - rho v, and the
     unit binormal omega/|omega|.  All three are NaN on a row without
     rotation, where the normal and binormal are undefined."""
-    b = invariants_batch(v, dv, ddv, eps_v, eps_w)
+    b = invariants_batch(v, dv, ddv)
     v, dv = np.asarray(v, dtype=np.float64), np.asarray(dv, dtype=np.float64)
     n = dv - b.rho[:, None] * v
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,6 +4,8 @@ The scalar signal and its discrete Hilbert transform form a plane curve
 whose azimuthal frequency reproduces the classical instantaneous
 frequency; both quantities are computed here over the same stencil
 derivatives so that their agreement is an algebraic identity.
+``MAX_REL_DEV`` and ``MAX_ABS_XI`` bound that agreement for
+``geomfreq hilbert`` and ``validate`` alike.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,10 @@ from .frenet import invariants
 from .numdiff import TRIM, stencil_derivatives
 
 MIN_LENGTH = 16
+EPS_ENVELOPE = 1e-12  # V^2; at or below it the squared envelope u^2 + uh^2 vanishes
+EPS_PHI_DOT = 1e-12  # rad/s; floor of |phi'| in the relative deviation
+MAX_REL_DEV = 1e-9  # pass bound of EquivalenceReport.max_rel_dev
+MAX_ABS_XI = 1e-12  # 1/s, pass bound of EquivalenceReport.max_abs_xi
 
 
 @dataclass(frozen=True)
@@ -85,14 +91,14 @@ def _derivatives(pair):
     return u, uh, d1[:, 0], d1[:, 1]
 
 
-def instantaneous_frequency_classical(pair, eps=1e-12):
+def instantaneous_frequency_classical(pair):
     """phi' = (uh' u - u' uh) / (u^2 + uh^2) on the retained samples.
     Raises DegenerateEnvelope where the envelope vanishes, and
     FloatOverflow where it or phi' is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         u, uh, du, duh = _derivatives(pair)
         envelope = u**2 + uh**2
-        if np.any(envelope <= eps):
+        if np.any(envelope <= EPS_ENVELOPE):
             raise DegenerateEnvelope("analytic envelope vanishes at a sample")
         phi_dot = (duh * u - du * uh) / envelope
     if not np.isfinite((envelope, phi_dot)).all():
@@ -100,7 +106,7 @@ def instantaneous_frequency_classical(pair, eps=1e-12):
     return phi_dot
 
 
-def geometric_equivalence(pair, eps=1e-12):
+def geometric_equivalence(pair):
     """Run the Frenet route on the embedded curve (u, uh, 0) and compare
     its azimuthal frequency with the classical instantaneous frequency.
 
@@ -108,7 +114,7 @@ def geometric_equivalence(pair, eps=1e-12):
     window, away from the transform's boundary ringing.  Raises
     FloatOverflow when an invariant of a retained row is not finite.
     """
-    phi_dot = instantaneous_frequency_classical(pair, eps)
+    phi_dot = instantaneous_frequency_classical(pair)
     cols = np.column_stack([pair.u, pair.uh])
     d1, d2 = stencil_derivatives(cols, pair.dt)
     n = d1.shape[0]
@@ -132,7 +138,7 @@ def geometric_equivalence(pair, eps=1e-12):
 
     mid = slice(n // 4, 3 * n // 4)
     dev = np.abs(omega_z[mid] - phi_dot[mid]) / np.maximum(
-        np.abs(phi_dot[mid]), eps
+        np.abs(phi_dot[mid]), EPS_PHI_DOT
     )
     return EquivalenceReport(
         times=times,

@@ -15,6 +15,8 @@ components is P v' = v_hat' + r x v, and once more
 P v'' = v_hat'' + r x (P v' + v_hat'), where v_hat', v_hat'' are the
 derivatives of the dq0 component functions.  ``to_dq0``, ``from_dq0``,
 ``inertial_derivative`` and ``derivative_frame_check`` all use it.
+``MAX_SUM_REL_ERR`` bounds the sum identity of the two derivative splits
+for ``geomfreq park`` and ``validate`` alike.
 
 Every function takes one instant or N of them at once: a time t of
 shape () or (N,), and vectors of shape (3,) or (N, 3) with the
@@ -34,6 +36,9 @@ from .frenet import EPS_V
 from .geometry import rownorm
 
 _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
+BALANCE_TOL = 1e-9  # balanced: |v_o| <= BALANCE_TOL |v| and |v_o'| <= BALANCE_TOL |v'|
+TERM_TOL = 1e-9  # terms_equal: |v_hat' - rho v| <= TERM_TOL |v'|
+MAX_SUM_REL_ERR = 1e-9  # pass bound of FrameCheckReport.sum_rel_err
 
 
 @dataclass(frozen=True)
@@ -146,14 +151,14 @@ def inertial_derivative(j, cfg):
     return j.dvdq0 + _spin(cfg.w_dq, j.vdq0)
 
 
-def dq0_invariants(j, cfg, eps_v=EPS_V, balance_tol=1e-9):
+def dq0_invariants(j, cfg):
     """rho and omega of the voltage curve, expressed in dq0 components:
     ``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
-    derivative.  Raises ``DegenerateSpeed`` when |v| <= eps_v at any
+    derivative.  Raises ``DegenerateSpeed`` when |v| <= EPS_V at any
     instant.
 
-    Where the set is balanced, |v_o| <= balance_tol |v| and
-    |v_o'| <= balance_tol |v'|, this reduces to
+    Where the set is balanced, |v_o| <= BALANCE_TOL |v| and
+    |v_o'| <= BALANCE_TOL |v'|, this reduces to
     rho = (v_d v_d' + v_q v_q')/v^2 and omega = (delta_omega + w_dq) e_o,
     with delta_omega the frequency deviation (v_d v_q' - v_q v_d')/v^2
     from the frame speed; elsewhere delta_omega is NaN.
@@ -162,17 +167,15 @@ def dq0_invariants(j, cfg, eps_v=EPS_V, balance_tol=1e-9):
     rows = v.reshape(-1, 3)
     # eps_w=0: omega is reported however small it is, never zeroed
     # v'' = 0 stands in: rho and omega do not depend on it
-    b = frenet.invariants_batch(
-        rows, dv.reshape(-1, 3), np.zeros_like(rows), eps_v=eps_v, eps_w=0.0
-    )
+    b = frenet.invariants_batch(rows, dv.reshape(-1, 3), np.zeros_like(rows), eps_w=0.0)
     if b.degenerate.any():
         raise DegenerateSpeed(
-            f"dq0 |v| <= {eps_v} at {np.count_nonzero(b.degenerate)} of "
+            f"dq0 |v| <= {EPS_V} at {np.count_nonzero(b.degenerate)} of "
             f"{b.degenerate.size} instants"
         )
     v_mag = b.v_mag.reshape(v.shape[:-1])
-    balanced = (np.abs(v[..., 2]) <= balance_tol * v_mag) & (
-        np.abs(dv[..., 2]) <= balance_tol * rownorm(dv)
+    balanced = (np.abs(v[..., 2]) <= BALANCE_TOL * v_mag) & (
+        np.abs(dv[..., 2]) <= BALANCE_TOL * rownorm(dv)
     )
     vd, vq, _ = np.moveaxis(v, -1, 0)
     dvd, dvq, _ = np.moveaxis(j.dvdq0, -1, 0)
@@ -186,7 +189,7 @@ def dq0_invariants(j, cfg, eps_v=EPS_V, balance_tol=1e-9):
     )
 
 
-def derivative_frame_check(j, cfg, eps_v=EPS_V, term_tol=1e-9):
+def derivative_frame_check(j, cfg):
     """Compare the two splits of the inertial derivative.
 
     Rotation split: v' = v_hat' + r x v with r = w_dq e_o.
@@ -196,13 +199,13 @@ def derivative_frame_check(j, cfg, eps_v=EPS_V, term_tol=1e-9):
     balanced (see ``dq0_invariants``) v_hat' = rho v + delta_omega e_o x v
     as well; ``balanced_identity_err`` is NaN elsewhere.
     """
-    g = dq0_invariants(j, cfg, eps_v)
+    g = dq0_invariants(j, cfg)
     v = j.vdq0
     v_hat_prime = j.dvdq0
     inertial = inertial_derivative(j, cfg)
     sym = g.rho[..., None] * v
     antisym = np.cross(g.omega_vec, v)
-    scale = np.maximum(rownorm(inertial), eps_v)
+    scale = np.maximum(rownorm(inertial), EPS_V)
     return FrameCheckReport(
         inertial_dv=inertial,
         rotating_dv=v_hat_prime,
@@ -210,7 +213,7 @@ def derivative_frame_check(j, cfg, eps_v=EPS_V, term_tol=1e-9):
         sym_part=sym,
         antisym_part=antisym,
         sum_rel_err=rownorm(sym + antisym - inertial) / scale,
-        terms_equal=rownorm(v_hat_prime - sym) <= term_tol * scale,
+        terms_equal=rownorm(v_hat_prime - sym) <= TERM_TOL * scale,
         balanced=g.balanced,
         balanced_identity_err=(
             rownorm(v_hat_prime - (sym + _spin(g.delta_omega, v))) / scale

@@ -21,21 +21,7 @@ from .threephase import PhaseJet
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 W_BASE = 100.0 * math.pi
 MAX_SAMPLES = 10_000_000  # largest sampling grid; its times alone are 80 MB
-
-SCENARIO_IDS = (
-    "DC",
-    "SINGLE_PHASE",
-    "E0",
-    "E1",
-    "E2",
-    "E3",
-    "E4",
-    "E5",
-    "E6",
-    "E7",
-    "E8",
-    "CUSTOM",
-)
+EPS_ENVELOPE = 1e-12  # V; at or below it a channel's complex envelope is zero
 
 
 @dataclass(frozen=True)
@@ -122,7 +108,7 @@ def eval_arrays(model, times):
     return out[0], out[1], out[2]
 
 
-def phase_jet(components, t, eps=1e-12):
+def phase_jet(components, t):
     """Per-phase (V, theta) jet of a channel, via its complex envelope,
     at a time t or at every entry of a time array t.
 
@@ -144,7 +130,7 @@ def phase_jet(components, t, eps=1e-12):
         dz = dz + (dm + 1j * m * dth) * e
         ddz = ddz + (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e
     V = np.abs(z)
-    live = V > eps
+    live = V > EPS_ENVELOPE
     V = np.where(live, V, 1.0)  # 1.0 keeps the dead entries finite
     zc = z.conjugate()
     dV = (zc * dz).real / V

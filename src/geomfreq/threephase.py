@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRotation, DegenerateSpeed, InvalidParameter
-from .frenet import EPS_V, EPS_W
-from .geometry import rownorm
+from .errors import DegenerateSpeed, InvalidParameter
+from .frenet import EPS_V
 
 __all__ = [
     "PhaseJet",
@@ -87,18 +86,18 @@ def _arrays(phases):
     )
 
 
-def auxiliaries(phases, eps_v=EPS_V):
+def auxiliaries(phases):
     """Evaluate v, r_jk and u_jk for three phase jets.
 
     v is the instantaneous voltage-vector magnitude
     sqrt(sum_i V_i^2 (1 - cos 2 theta_i) / 2); the 1/2 keeps it equal
     to |v| of the cartesian route (1 - cos 2x = 2 sin^2 x).  Raises
-    ``DegenerateSpeed`` when v <= eps_v at any instant.
+    ``DegenerateSpeed`` when v <= ``frenet.EPS_V`` at any instant.
     """
     V, dV, _, th, dth, _ = _arrays(phases)
     v = np.sqrt(np.sum(V**2 * (1.0 - np.cos(2.0 * th)) / 2.0, axis=-1))
-    if np.any(v <= eps_v):
-        raise DegenerateSpeed(f"closed-form |v| = {np.min(v)} <= {eps_v}")
+    if np.any(v <= EPS_V):
+        raise DegenerateSpeed(f"closed-form |v| = {np.min(v)} <= {EPS_V}")
     s, c = np.sin(th), np.cos(th)
     j, k = (..., _J), (..., _K)
     r = (V[j] * dV[k] - V[k] * dV[j]) * s[j] * s[k]
@@ -106,14 +105,14 @@ def auxiliaries(phases, eps_v=EPS_V):
     return Auxiliaries(v=v, r=r, u=u)
 
 
-def closed_form_invariants(phases, eps_v=EPS_V):
+def closed_form_invariants(phases):
     """Closed-form (rho, omega, xi) of a three-phase voltage.
 
     rho sums V_i^2 theta_i' sin(2 theta_i) + V_i V_i' (1 - cos 2 theta_i)
     over the phases, normalized by 2 v^2; omega component i is
     (r_jk + u_jk) / v^2 for ijk in {abc, bca, cab}.
     """
-    aux = auxiliaries(phases, eps_v)
+    aux = auxiliaries(phases)
     V, dV, ddV, th, dth, ddth = _arrays(phases)
     v2 = aux.v * aux.v
     rho = np.sum(
@@ -129,16 +128,6 @@ def closed_form_invariants(phases, eps_v=EPS_V):
     return ClosedFormInvariants(
         rho=rho, omega_vec=omega_vec, xi=np.where(denom > 0.0, xi, 0.0)[()]
     )
-
-
-def check_rank(phases, eps_w=EPS_W, eps_v=EPS_V):
-    """Raise DegenerateRotation for rank-deficient (e.g. zero-sequence)
-    voltages whose v and v' do not span a plane, at any instant."""
-    aux = auxiliaries(phases, eps_v)
-    if np.any(rownorm(aux.r + aux.u) / (aux.v * aux.v) <= eps_w):
-        raise DegenerateRotation(
-            "three-phase voltage is rank deficient: |v x v'| ~ 0"
-        )
 
 
 def stationary_sequence(kind, V, w_o):

@@ -11,7 +11,9 @@ each kernel once per suite: a row's bits do not depend on the rows
 beside it, and a max over the joined rows is the fold of per-scenario
 maxes, NaN included.  The geometry suite checks the row helpers the
 kernel uses (``rowdot``, ``rownorm`` and ``np.cross``) on 500 random
-triples at once.
+triples at once.  Draws come from fixed seeds (module constants), and
+the hilbert and park suites pass or fail by the bounds those modules
+name, which ``geomfreq hilbert`` and ``geomfreq park`` read too.
 
 The CLI ``validate`` subcommand runs these and exits nonzero on any
 failure; the pytest suite asserts the same properties with finer
@@ -28,6 +30,8 @@ from .errors import InvalidParameter
 from .geometry import rowdot, rownorm
 
 THREE_PHASE_SCENARIOS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
+T_MAX = 2.0  # s, latest sampled instant
+TIMES_SEED, GEOMETRY_SEED, SIGNALS_SEED, PARK_SEED = 7, 11, 3, 5  # every run draws alike
 
 
 @dataclass(frozen=True)
@@ -42,13 +46,13 @@ class PropertyResult:
         return self.worst <= self.tol
 
 
-def _sample_times(n=60, t_max=2.0, seed=7):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(1e-3, t_max, size=n)
+def _sample_times(n=60):
+    """n instants in [1e-3, T_MAX); the first k of them are _sample_times(k)."""
+    return np.random.default_rng(TIMES_SEED).uniform(1e-3, T_MAX, size=n)
 
 
-def check_geometry(seed=11):
-    rng = np.random.default_rng(seed)
+def check_geometry():
+    rng = np.random.default_rng(GEOMETRY_SEED)
     a, b, c = np.moveaxis(rng.normal(scale=10.0, size=(500, 3, 3)), 1, 0)
     axb = np.cross(a, b)
     orth = _rel(np.abs(rowdot(a, axb)), rownorm(a) * rownorm(axb), 1e-300)
@@ -117,6 +121,8 @@ def check_frenet():
     times = _sample_times()
     v, dv, ddv = _rows(*((sid, times) for sid in THREE_PHASE_SCENARIOS))
     b = frenet.invariants_batch(v, dv, ddv)
+    # torsion of the stationary balanced scenarios E0-E3 and E6 at the first 40 times
+    planar = b.tau.reshape(len(THREE_PHASE_SCENARIOS), times.size)[[0, 1, 2, 3, 6], :40]
     stray_xi = math.inf if np.any(b.xi[b.no_rotation] != 0.0) else 0.0
     rot = ~(b.no_rotation | b.degenerate)
     v, dv, ddv = v[rot], dv[rot], ddv[rot]
@@ -128,10 +134,6 @@ def check_frenet():
     # not itself a cancellation residue of a planar curve
     tw = np.abs(xi) >= 1e-3
     rocof_res = w_dot - b.eta[rot][:, None] * w - tau[:, None] * np.cross(v, w)
-    times = _sample_times(40)
-    planar = frenet.invariants_batch(
-        *_rows(*((sid, times) for sid in ("E0", "E1", "E2", "E3", "E6")))
-    )
     props = [
         ("orthogonality of {v, n, omega}", 1e-9, _worst(
             np.abs(rowdot(v, n)) / (vm * nm),
@@ -151,7 +153,7 @@ def check_frenet():
             rownorm(rocof_res) / np.maximum(rownorm(w_dot), wm)
         )),
         ("torsional frequency only with rotation", 0.0, stray_xi),
-        ("planarity of stationary balanced scenarios", 1e-8, _worst(np.abs(planar.tau))),
+        ("planarity of stationary balanced scenarios", 1e-8, _worst(np.abs(planar))),
     ]
     return [PropertyResult("frenet_core", name, worst, tol) for name, tol, worst in props]
 
@@ -176,7 +178,7 @@ def check_threephase():
 
 
 def check_signals():
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(SIGNALS_SEED)
     # power-of-two steps with snapped times keep t + k*h exactly
     # representable, so the stencil sees a perfectly uniform grid; the
     # second derivative divides by h^2 and needs the larger step to stay
@@ -254,14 +256,14 @@ def check_hilbert():
     pair = hilbert.analytic_embed(np.cos(2.0 * math.pi * 50.0 * t), dt)
     report = hilbert.geometric_equivalence(pair)
     return [
-        PropertyResult(
-            "hilbert", "embedding omega equals classical phi'", report.max_rel_dev, 1e-9
-        ),
-        PropertyResult("hilbert", "embedding torsion is zero", report.max_abs_xi, 1e-12),
+        PropertyResult("hilbert", "embedding omega equals classical phi'",
+                       report.max_rel_dev, hilbert.MAX_REL_DEV),
+        PropertyResult("hilbert", "embedding torsion is zero", report.max_abs_xi,
+                       hilbert.MAX_ABS_XI),
     ]
 
 
-def check_park(seed=5):
+def check_park():
     cfg = park.ParkConfig(w_dq=100.0 * math.pi, theta0=0.3)
     times = _sample_times(40)
     v, dv, ddv, g0 = _batch(signals.make_scenario("E8"), times)
@@ -272,7 +274,7 @@ def check_park(seed=5):
         _rel(np.abs(g0.xi - g1.xi), np.abs(g0.xi), 1.0),
     )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PARK_SEED)
     draws = []
     for _ in range(200):
         vdq0 = rng.normal(scale=10.0, size=3)
@@ -295,9 +297,8 @@ def check_park(seed=5):
     )
     return [
         PropertyResult("park", "invariants unchanged by dq0 round trip", round_trip, 1e-9),
-        PropertyResult(
-            "park", "sum identity of derivative splits", _worst(rep.sum_rel_err), 1e-9
-        ),
+        PropertyResult("park", "sum identity of derivative splits", _worst(rep.sum_rel_err),
+                       park.MAX_SUM_REL_ERR),
         PropertyResult("park", "Remark-7 reduction at synchronous speed", remark7, 1e-9),
     ]
 

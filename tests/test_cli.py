@@ -282,6 +282,27 @@ def test_park_fails_on_nan_sum_identity(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize(
+    "module, bound, argv, prop",
+    [
+        (hilbert, "MAX_REL_DEV", ["hilbert"], "embedding omega equals classical phi'"),
+        (hilbert, "MAX_ABS_XI", ["hilbert"], "embedding torsion is zero"),
+        (park, "MAX_SUM_REL_ERR", ["park", "--scenario", "E0", "--t1", "0.01", "--dt", "1e-3"],
+         "sum identity of derivative splits"),
+    ],
+    ids=["hilbert-rel-dev", "hilbert-xi", "park-sum"],
+)
+def test_cli_and_validate_share_each_pass_bound(monkeypatch, capsys, module, bound, argv, prop):
+    """A bound below every error fails the subcommand and its validate
+    property together: both read the one constant."""
+    scope = argv[0]
+    assert cli.main(argv) == 0 and all(r.passed for r in validate.run(scope))
+    monkeypatch.setattr(module, bound, -1.0)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    assert [(r.name, r.tol) for r in validate.run(scope) if not r.passed] == [(prop, -1.0)]
+
+
 def _no_per_sample_route(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("per-instant frenet.invariants called on the array route")

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from geomfreq import frenet, signals, threephase
-from geomfreq.errors import (
-    DegenerateRotation,
-    DegenerateSpeed,
-    InvalidParameter,
-)
+from geomfreq.errors import DegenerateSpeed, InvalidParameter
 from geomfreq.threephase import PhaseJet
 
 from conftest import OMEGA_POS, W_O
@@ -109,13 +105,25 @@ def test_n_instants_equal_n_single_instants(sid):
 
 
 def test_zero_sequence_rank_deficiency():
+    """Three equal phases: v and v' both lie along (1, 1, 1), so they span
+    no plane and neither route finds a rotation."""
+    theta = W_O * 0.003
     phases = tuple(
-        PhaseJet(V=12.0, dV=0.0, ddV=0.0, theta=W_O * 0.003, dtheta=W_O,
+        PhaseJet(V=12.0, dV=0.0, ddV=0.0, theta=theta, dtheta=W_O,
                  ddtheta=0.0)
         for _ in range(3)
     )
-    with pytest.raises(DegenerateRotation):
-        threephase.check_rank(phases)
+    cf = threephase.closed_form_invariants(phases)
+    np.testing.assert_array_equal(cf.omega_vec, 0.0)
+    assert cf.xi == 0.0
+    v, dv, ddv = (
+        np.full((1, 3), x)
+        for x in (12.0 * math.sin(theta), 12.0 * W_O * math.cos(theta),
+                  -12.0 * W_O**2 * math.sin(theta))
+    )
+    b = frenet.invariants_batch(v, dv, ddv)
+    assert b.no_rotation.tolist() == [True] and b.degenerate.tolist() == [False]
+    assert b.omega_mag.tolist() == [0.0] and b.xi.tolist() == [0.0]
 
 
 def test_stationary_sequence_values():

@@ -34,12 +34,8 @@ print("\nimbalance onset in a composite record (balanced until t = 5 s):")
 dt = 1e-4
 balanced = signals.sample(signals.make_scenario("E6"), 4.5, 5.0 - dt, dt)
 unbalanced = signals.sample(signals.make_scenario("E8"), 5.0, 5.5, dt)
-series = TimeSeries(
-    t0=4.5,
-    dt=dt,
-    channels=("va", "vb", "vc"),
-    values=np.vstack([balanced.values, unbalanced.values]),
-)
+values = np.vstack([balanced.values, unbalanced.values])
+series = TimeSeries(4.5 + dt * np.arange(len(values)), dt, values)
 series = numdiff.lowpass_first_order(series, 2e-4)
 t, v, dv, ddv = numdiff.differentiate_arrays(series)
 b = frenet.invariants_batch(v, dv, ddv)

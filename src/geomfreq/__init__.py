@@ -17,7 +17,6 @@ from .errors import (
     TooFewSamples,
     TooShort,
     UnknownScenario,
-    WrongChannelCount,
 )
 from .frenet import EPS_V, EPS_W, GeomInvariants, frame, invariants, invariants_batch
 from .hilbert import analytic_embed, geometric_equivalence, instantaneous_frequency_classical

@@ -69,6 +69,23 @@ def _check_positive(flag, x):
         raise InvalidRange(f"{flag} must be positive and finite, got {x}")
 
 
+def _check_finite(flag, x):
+    """Reject an infinite or NaN value before it is used."""
+    if not math.isfinite(x):
+        raise InvalidRange(f"{flag} must be finite, got {x}")
+
+
+def _param(value, flag, cfg, key, fallback, check):
+    """A parameter from its flag, else its config key, else the
+    fallback; ``check(name, value)`` rejects a bad value, naming the flag
+    or the key it came from.  A fallback of None is returned unchecked."""
+    if value is None:
+        value, flag = _cfg_float(cfg, key, fallback), key
+    if value is not None:
+        check(flag, value)
+    return value
+
+
 def _scenario_overrides(args):
     over = {}
     if getattr(args, "vdc", None) is not None:
@@ -108,20 +125,17 @@ def cmd_analyze(args):
         if args.csv is None:
             raise MalformedCsv("numeric mode needs --csv")
         series = cli_io.read_waveform_csv(args.csv)
-        if len(series) < 2 * numdiff.TRIM + 1:
+        if len(series) < numdiff.MIN_SAMPLES:
             raise MalformedCsv(
                 f"{args.csv}: the 5-point stencil needs at least "
-                f"{2 * numdiff.TRIM + 1} samples, got {len(series)}"
+                f"{numdiff.MIN_SAMPLES} samples, got {len(series)}"
             )
         if args.remove_zero_seq:
             series = numdiff.remove_zero_sequence(series)
-        filter_tau = (
-            args.filter_tau
-            if args.filter_tau is not None
-            else _cfg_float(cfg, "filter.tau", None)
+        filter_tau = _param(
+            args.filter_tau, "--filter-tau", cfg, "filter.tau", None, _check_positive
         )
         if filter_tau is not None:
-            _check_positive("--filter-tau", filter_tau)
             series = numdiff.lowpass_first_order(series, filter_tau)
         columns, degenerate = analysis.analyze(*numdiff.differentiate_arrays(series))
     cli_io.write_analysis_csv(args.out, columns, degenerate)
@@ -143,21 +157,11 @@ def cmd_validate(args):
     return EXIT_OK if failed == 0 else EXIT_FAIL
 
 
-def _park_param(value, flag, cfg, key, fallback):
-    """A frame parameter from its flag, else its config key, else the
-    fallback; NaN or infinity is a usage error naming where it came from."""
-    if value is None:
-        value, flag = _cfg_float(cfg, key, fallback), key
-    if not math.isfinite(value):
-        raise InvalidRange(f"{flag} must be finite, got {value}")
-    return value
-
-
 def cmd_park(args):
     cfg = _load_config(args.config) if args.config else {}
     scenario = args.scenario or cfg.get("scenario.id", "E0")
-    w_dq = _park_param(args.wdq, "--wdq", cfg, "park.wdq", 100.0 * math.pi)
-    theta0 = _park_param(args.theta0, "--theta0", cfg, "park.theta0", 0.0)
+    w_dq = _param(args.wdq, "--wdq", cfg, "park.wdq", 100.0 * math.pi, _check_finite)
+    theta0 = _param(args.theta0, "--theta0", cfg, "park.theta0", 0.0, _check_finite)
     t0, t1, dt = _sampling(args, cfg)
     times = signals.sample_times(t0, t1, dt)
     model = signals.make_scenario(scenario)

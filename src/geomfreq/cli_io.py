@@ -6,8 +6,9 @@ column names, comma separated, LF line endings, floats in Python's
 shortest round-trip ``repr`` so identical inputs yield byte-identical
 files, NaN as an empty cell, a ``rotation_defined`` column as a 0/1
 flag, and an optional trailing ``# key=value`` comment line.  The
-waveform reader accepts '#' comment lines and needs the exact header
-``t,va,vb,vc``.
+waveform reader accepts '#' comment lines, needs the exact header
+``t,va,vb,vc``, and returns a three-channel ``TimeSeries`` on the
+file's own time column.
 """
 
 import configparser
@@ -29,7 +30,8 @@ def write_waveform_csv(path, series):
 
 
 def read_waveform_csv(path):
-    """Parse a waveform CSV back into a TimeSeries.
+    """Parse a waveform CSV back into a TimeSeries that holds the
+    parsed time column itself, so the times round-trip bit-exactly.
 
     Raises MalformedCsv on a wrong header, ragged rows, unparsable,
     NaN or infinite numbers, or a time column whose spacing jitters
@@ -64,13 +66,7 @@ def read_waveform_csv(path):
     dt = float(np.median(steps))
     if dt <= 0 or np.any(np.abs(steps - dt) > DT_JITTER_REL * max(abs(dt), 1.0)):
         raise MalformedCsv(f"{path}: time column is not uniformly spaced")
-    return TimeSeries(
-        t0=float(t[0]),
-        dt=dt,
-        channels=("va", "vb", "vc"),
-        values=data[:, 1:],
-        explicit_times=t,
-    )
+    return TimeSeries(t, dt, data[:, 1:])
 
 
 def _cells(column, fmt):

@@ -31,10 +31,6 @@ class TooFewSamples(GeomfreqError):
     """Not enough samples for the requested stencil."""
 
 
-class WrongChannelCount(GeomfreqError):
-    """Operation requires exactly three voltage channels."""
-
-
 class TooShort(GeomfreqError):
     """Signal too short for the discrete Hilbert transform."""
 

@@ -1,8 +1,10 @@
-"""Numerical path: derivatives of sampled waveforms.
+"""Numerical path: derivatives of sampled three-phase recordings.
 
-Derivatives use centered 5-point stencils (4th-order first derivative,
-second derivative exact through quartics); the two outermost samples on
-each side are dropped rather than extrapolated.  An optional causal
+A recording is a ``series.TimeSeries``, whose constructor ensures
+exactly three channels.  Derivatives use centered 5-point stencils
+(4th-order first derivative, second derivative exact through
+quartics); the two outermost samples on each side are dropped rather
+than extrapolated, so a recording needs MIN_SAMPLES.  An optional causal
 first-order IIR filter smooths noisy channels before differentiation,
 and zero-sequence removal handles rank-deficient three-phase sets.
 """
@@ -11,10 +13,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import FloatOverflow, TooFewSamples, WrongChannelCount
-from .series import TimeSeries
+from .errors import FloatOverflow, TooFewSamples
 
 TRIM = 2  # samples dropped on each side by the 5-point stencils
+MIN_SAMPLES = 2 * TRIM + 1  # the fewest samples the stencils take
 
 
 def stencil_derivatives(values, dt):
@@ -24,8 +26,8 @@ def stencil_derivatives(values, dt):
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    if n < 5:
-        raise TooFewSamples(f"need at least 5 samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise TooFewSamples(f"need at least {MIN_SAMPLES} samples, got {n}")
     f0 = values[:-4]
     f1 = values[1:-3]
     f2 = values[2:-2]
@@ -37,13 +39,9 @@ def stencil_derivatives(values, dt):
 
 
 def differentiate_arrays(series):
-    """Retained times and (N, 3) arrays v, v', v'' of a 3-channel
-    voltage series, N = len(series) - 2 * TRIM.  Raises FloatOverflow
-    when a derivative overflows float64."""
-    if len(series.channels) != 3:
-        raise WrongChannelCount(
-            f"expected 3 channels, got {len(series.channels)}"
-        )
+    """Retained times and (N, 3) arrays v, v', v'' of a recording,
+    N = len(series) - 2 * TRIM.  Raises FloatOverflow when a derivative
+    overflows float64."""
     with np.errstate(over="ignore", invalid="ignore"):
         d1, d2 = stencil_derivatives(series.values, series.dt)
     if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
@@ -70,10 +68,6 @@ def lowpass_first_order(series, time_constant):
 
 def remove_zero_sequence(series):
     """Subtract the instantaneous mean (v_a + v_b + v_c)/3 per sample."""
-    if len(series.channels) != 3:
-        raise WrongChannelCount(
-            f"expected 3 channels, got {len(series.channels)}"
-        )
     with np.errstate(over="ignore", invalid="ignore"):  # with_values reports it
         mean = series.values.mean(axis=1, keepdims=True)
         return series.with_values(series.values - mean)

@@ -1,7 +1,6 @@
-"""Uniformly sampled multi-channel time series."""
+"""Uniformly sampled three-phase recordings."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -10,56 +9,43 @@ from .errors import FloatOverflow, InvalidRange, NonFiniteSample
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniform-grid samples: values[k, c] is channel c at t0 + k*dt.
+    """Three voltage channels on a uniform grid: values[k] is
+    (va, vb, vc) at times[k], and dt is the grid step.
 
-    ``explicit_times`` preserves timestamps parsed from a file so that
-    they round-trip bit-exactly; when absent the grid is synthesized
-    from t0 and dt.
+    ``times`` is stored as given, whether ``signals.sample`` built it or
+    a file held it, so it round-trips bit-exactly and a slice of the
+    series is a slice of its grid.
     """
 
-    t0: float
+    times: np.ndarray
     dt: float
-    channels: tuple
     values: np.ndarray
-    explicit_times: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dt <= 0:
             raise InvalidRange(f"dt must be positive, got {self.dt}")
+        times = np.asarray(self.times, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != len(self.channels):
+        if times.ndim != 1 or values.shape != (times.size, 3):
             raise InvalidRange(
                 f"values shape {values.shape} does not match "
-                f"{len(self.channels)} channels"
+                f"{times.shape} times and 3 channels"
             )
-        if values.shape[0] < 1:
+        if times.size < 1:
             raise InvalidRange("time series needs at least one sample")
         if not np.all(np.isfinite(values)):
             raise NonFiniteSample("non-finite sample value")
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "channels", tuple(self.channels))
-        if self.explicit_times is not None:
-            times = np.asarray(self.explicit_times, dtype=np.float64)
-            if times.shape != (values.shape[0],):
-                raise InvalidRange("explicit_times length mismatch")
-            object.__setattr__(self, "explicit_times", times)
 
     def __len__(self):
-        return self.values.shape[0]
-
-    @property
-    def times(self):
-        if self.explicit_times is not None:
-            return self.explicit_times
-        return self.t0 + self.dt * np.arange(len(self))
+        return self.times.size
 
     def with_values(self, values):
         """This grid with values computed from this series' own, which
         are finite: a non-finite one is an overflow of that computation,
         so it raises FloatOverflow rather than NonFiniteSample."""
         try:
-            return TimeSeries(
-                self.t0, self.dt, self.channels, values, self.explicit_times
-            )
+            return TimeSeries(self.times, self.dt, values)
         except NonFiniteSample:
             raise FloatOverflow("values computed from the samples overflow float64") from None

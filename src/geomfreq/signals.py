@@ -74,7 +74,6 @@ class SignalModel:
 
     name: str
     channels: tuple  # three tuples of Component
-    w_o: float = W_BASE
 
     def __post_init__(self):
         if len(self.channels) != 3:
@@ -166,8 +165,8 @@ def sample_times(t0, t1, dt):
 
 def sample(model, t0, t1, dt):
     """Uniformly sampled voltage values (no derivatives) on [t0, t1]."""
-    values = eval_arrays(model, sample_times(t0, t1, dt))[0]
-    return TimeSeries(t0=t0, dt=dt, channels=("va", "vb", "vc"), values=values)
+    times = sample_times(t0, t1, dt)
+    return TimeSeries(times, dt, eval_arrays(model, times)[0])
 
 
 def _check_magnitudes(name, values):
@@ -178,10 +177,10 @@ def _check_magnitudes(name, values):
 
 def dc_model(vdc=5.0):
     """Constant voltage along the first axis."""
-    if vdc < 0:
-        raise InvalidParameter(f"vdc must be non-negative, got {vdc}")
+    if not 0 <= vdc < math.inf:
+        raise InvalidParameter(f"vdc must be non-negative and finite, got {vdc}")
     const = Component(Profile(vdc), AngleProfile(slope=0.0, intercept=math.pi / 2))
-    return SignalModel(name="DC", channels=((const,), (), ()), w_o=0.0)
+    return SignalModel(name="DC", channels=((const,), (), ()))
 
 
 def single_phase_model(V=1.0, w_o=2.0 * math.pi, alpha=0.0):
@@ -189,7 +188,7 @@ def single_phase_model(V=1.0, w_o=2.0 * math.pi, alpha=0.0):
     _check_magnitudes("V", [V])
     ch1 = Component(Profile(V), AngleProfile(w_o, alpha + math.pi / 2))
     ch2 = Component(Profile(V), AngleProfile(w_o, alpha))
-    return SignalModel(name="SINGLE_PHASE", channels=((ch1,), (ch2,), ()), w_o=w_o)
+    return SignalModel(name="SINGLE_PHASE", channels=((ch1,), (ch2,), ()))
 
 
 def three_phase_model(
@@ -229,7 +228,7 @@ def three_phase_model(
                 )
             )
         channels.append(tuple(comps))
-    return SignalModel(name=name, channels=tuple(channels), w_o=w_o)
+    return SignalModel(name=name, channels=tuple(channels))
 
 
 _HARM_BAL = (11, (0.5, 0.5, 0.5), (0.0, -TWO_THIRDS_PI, TWO_THIRDS_PI))
@@ -289,12 +288,7 @@ _PRESETS = {
 
 
 def make_scenario(scenario_id, **overrides):
-    """Build a preset scenario model, optionally perturbing parameters.
-
-    CUSTOM accepts the full ``three_phase_model`` keyword set.
-    """
-    if scenario_id == "CUSTOM":
-        return three_phase_model(**overrides)
+    """Build a preset scenario model, optionally perturbing parameters."""
     if scenario_id not in _PRESETS:
         raise UnknownScenario(f"unknown scenario {scenario_id!r}")
     builder, defaults = _PRESETS[scenario_id]

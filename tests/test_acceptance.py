@@ -217,8 +217,7 @@ def test_criterion_11_numeric_imbalance_detection(tmp_path):
     balanced = signals.sample(signals.make_scenario("E6"), 4.5, 5.0 - dt, dt)
     unbalanced = signals.sample(signals.make_scenario("E8"), 5.0, 5.5, dt)
     values = np.vstack([balanced.values, unbalanced.values])
-    series = TimeSeries(t0=4.5, dt=dt, channels=("va", "vb", "vc"),
-                        values=values)
+    series = TimeSeries(4.5 + dt * np.arange(len(values)), dt, values)
     wf = tmp_path / "composite.csv"
     out = tmp_path / "analysis.csv"
     cli_io.write_waveform_csv(wf, series)

@@ -449,6 +449,9 @@ BAD_INPUT = [
     ("hilbert-freq-zero", ["hilbert", "--freq", "0"], 2, "--freq"),
     ("hilbert-freq-negative", ["hilbert", "--freq", "-50"], 2, "--freq"),
     ("hilbert-freq-inf", ["hilbert", "--freq", "inf"], 2, "--freq"),
+    # DC level: non-negative and finite, checked before sampling
+    ("generate-vdc-inf", ["generate", "DC", "--vdc", "inf"], 2, "vdc"),
+    ("generate-vdc-nan", ["generate", "DC", "--vdc", "nan"], 2, "vdc"),
     # waveform files the numeric path cannot use: a format error
     ("csv-nan-cell", ["analyze", "--csv", "{nan}", "--mode", "numeric"], 3, "NaN or infinite"),
     ("csv-inf-cell", ["analyze", "--csv", "{inf}", "--mode", "numeric"], 3, "NaN or infinite"),
@@ -478,6 +481,8 @@ BAD_INPUT = [
     # unparsable file is a format error
     ("config-dt-not-a-number", ["generate", "E0", "--config", "{cfg_dt}"], 2, "sampling.dt"),
     ("config-tau-not-a-number", ["analyze", "--csv", "{good}", "--config", "{cfg_tau}"], 2,
+     "filter.tau"),
+    ("config-tau-zero", ["analyze", "--csv", "{good}", "--config", "{cfg_tau_zero}"], 2,
      "filter.tau"),
     ("config-no-section", ["generate", "E0", "--config", "{cfg_bare}"], 3, "section header"),
     # a recording whose scale overflows float64 where a sample is not
@@ -520,6 +525,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
     configs = {
         "cfg_dt": "[sampling]\ndt = abc\n",
         "cfg_tau": "[filter]\ntau = x\n",
+        "cfg_tau_zero": "[filter]\ntau = 0\n",
         "cfg_bare": "dt = 1e-4\n",
         "cfg_wdq": "[park]\nwdq = nan\n",
     }

@@ -7,12 +7,7 @@ import pytest
 
 import numpy_reference
 from geomfreq import frenet, numdiff, signals
-from geomfreq.errors import (
-    FloatOverflow,
-    InvalidRange,
-    TooFewSamples,
-    WrongChannelCount,
-)
+from geomfreq.errors import FloatOverflow, InvalidRange, TooFewSamples
 from geomfreq.series import TimeSeries
 
 from conftest import W_O
@@ -20,9 +15,7 @@ from conftest import W_O
 
 def _series(values, dt=1e-3):
     values = np.asarray(values, dtype=float)
-    return TimeSeries(
-        t0=0.0, dt=dt, channels=("va", "vb", "vc"), values=values
-    )
+    return TimeSeries(dt * np.arange(len(values)), dt, values)
 
 
 # ------------------------------------------------- differentiate_arrays
@@ -78,13 +71,10 @@ def test_too_few_samples():
 
 
 def test_wrong_channel_count():
-    series = TimeSeries(
-        t0=0.0, dt=1e-3, channels=("u",), values=np.ones((10, 1))
-    )
-    with pytest.raises(WrongChannelCount):
-        numdiff.differentiate_arrays(series)
-    with pytest.raises(WrongChannelCount):
-        numdiff.remove_zero_sequence(series)
+    # a recording is three channels: the constructor refuses any other count
+    for channels in (1, 2, 4):
+        with pytest.raises(InvalidRange, match="3 channels"):
+            TimeSeries(1e-3 * np.arange(10), 1e-3, np.ones((10, channels)))
 
 
 def test_stencil_overflow_is_raised():

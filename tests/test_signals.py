@@ -18,7 +18,6 @@ TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 def test_preset_e0_parameters():
     model = signals.make_scenario("E0")
-    assert model.w_o == W_O
     for i, ch in enumerate(model.channels):
         (comp,) = ch
         assert comp.magnitude.offset == 12.0
@@ -61,6 +60,8 @@ def test_invalid_parameters():
         )
     with pytest.raises(InvalidParameter):
         signals.dc_model(vdc=-2.0)
+    with pytest.raises(InvalidParameter, match="vdc"):
+        signals.dc_model(vdc=math.inf)
     with pytest.raises(InvalidParameter):
         signals.make_scenario("E0", bogus=1.0)
 

@@ -8,6 +8,11 @@ embedding and equivalence report).
 Exit codes: 0 success, 1 validation/assertion failure, 2 usage error,
 3 I/O or format error, or an input whose scale overflows float64.
 
+Each parameter comes from its flag, else its INI key (``CONFIG_KEYS``),
+else a default; a bad value names the flag or key it came from.  A flag
+the chosen route would not read (``generate E0 --vdc 3``, say) is a
+usage error; a config key never is, as one INI serves several commands.
+
 ``main(argv)`` may be called many times in one process (the test suite
 and the benchmark do; a console run calls it once): it builds its
 argument parser once, on the first call, and parses every later argv
@@ -39,89 +44,87 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-
-def _load_config(path):
-    try:
-        return cli_io.read_config(path)
-    except FileNotFoundError:
-        raise MalformedCsv(f"config file not found: {path}")
+# each config-backed argparse dest and the INI key that stands in for its flag
+CONFIG_KEYS = {"t0": "sampling.t0", "t1": "sampling.t1", "dt": "sampling.dt",
+               "filter_tau": "filter.tau", "wdq": "park.wdq", "theta0": "park.theta0"}
 
 
-def _cfg_float(cfg, key, fallback):
-    if key not in cfg:
-        return fallback
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise InvalidParameter(f"config {key} = {cfg[key]} is not a number") from None
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
 
 
-def _sampling(args, cfg):
-    t0 = args.t0 if args.t0 is not None else _cfg_float(cfg, "sampling.t0", 0.0)
-    t1 = args.t1 if args.t1 is not None else _cfg_float(cfg, "sampling.t1", 0.1)
-    dt = args.dt if args.dt is not None else _cfg_float(cfg, "sampling.dt", 1e-4)
-    return t0, t1, dt
-
-
-def _check_positive(flag, x):
+def _check_positive(name, x):
     """Reject a non-positive, infinite or NaN value before it is used."""
     if not 0 < x < math.inf:
-        raise InvalidRange(f"{flag} must be positive and finite, got {x}")
+        raise InvalidRange(f"{name} must be positive and finite, got {x}")
 
 
-def _check_finite(flag, x):
+def _check_finite(name, x):
     """Reject an infinite or NaN value before it is used."""
     if not math.isfinite(x):
-        raise InvalidRange(f"{flag} must be finite, got {x}")
+        raise InvalidRange(f"{name} must be finite, got {x}")
 
 
-def _param(value, flag, cfg, key, fallback, check):
-    """A parameter from its flag, else its config key, else the
-    fallback; ``check(name, value)`` rejects a bad value, naming the flag
-    or the key it came from.  A fallback of None is returned unchecked."""
+def _param(args, cfg, dest, fallback, check=None):
+    """``dest`` from its flag, else from its config key, else ``fallback``,
+    which is returned as it is; ``check(name, value)`` rejects a bad flag
+    or key value, naming the one it came from."""
+    name, value = _flag(dest), getattr(args, dest)
     if value is None:
-        value, flag = _cfg_float(cfg, key, fallback), key
-    if value is not None:
-        check(flag, value)
+        name = CONFIG_KEYS.get(dest)
+        if name not in cfg:
+            return fallback
+        try:
+            value = float(cfg[name])
+        except ValueError:
+            raise InvalidParameter(f"config {name} = {cfg[name]} is not a number") from None
+    if check is not None:
+        check(name, value)
     return value
 
 
-def _scenario_overrides(args):
-    over = {}
-    if getattr(args, "vdc", None) is not None:
-        over["vdc"] = args.vdc
-    return over
+def _refuse(args, route, *dests):
+    """A usage error for the first of ``dests`` that is not None (``--filter-tau
+    0`` is given; store_true flags default to None): the route would drop it."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise InvalidParameter(f"{_flag(dest)} is not read {route}")
+
+
+def _scenario_grid(args, cfg, missing=None, fallback=None):
+    """The model of --scenario (else [scenario] id, else ``fallback``) and
+    its grid (t0, t1, dt); generate's --vdc is read by the DC scenario only."""
+    scenario = args.scenario or cfg.get("scenario.id", fallback)
+    if scenario is None:
+        raise UnknownScenario(missing)
+    grid = [_param(args, cfg, d, x) for d, x in (("t0", 0.0), ("t1", 0.1), ("dt", 1e-4))]
+    model = signals.make_scenario(scenario)  # an unknown id is reported first
+    if getattr(args, "vdc", None) is None:
+        return model, grid
+    if scenario != "DC":
+        _refuse(args, f"by scenario {scenario}", "vdc")
+    return signals.make_scenario(scenario, vdc=args.vdc), grid
 
 
 def cmd_generate(args):
-    cfg = _load_config(args.config) if args.config else {}
-    scenario = args.scenario or cfg.get("scenario.id")
-    if scenario is None:
-        raise UnknownScenario("no scenario given (argument or config)")
-    t0, t1, dt = _sampling(args, cfg)
-    model = signals.make_scenario(scenario, **_scenario_overrides(args))
-    series = signals.sample(model, t0, t1, dt)
+    cfg = cli_io.read_config(args.config) if args.config else {}
+    model, grid = _scenario_grid(args, cfg, "no scenario given (argument or config)")
+    series = signals.sample(model, *grid)
     cli_io.write_waveform_csv(args.out, series)
     print(f"wrote {len(series)} samples to {args.out}")
     return EXIT_OK
 
 
 def cmd_analyze(args):
-    cfg = _load_config(args.config) if args.config else {}
-    scenario = args.scenario or cfg.get("scenario.id")
-    mode = args.mode
-    if mode is None:
-        mode = "numeric" if args.csv else "analytic"
+    cfg = cli_io.read_config(args.config) if args.config else {}
+    mode = args.mode or ("numeric" if args.csv else "analytic")
     if mode == "analytic":
-        if scenario is None:
-            raise UnknownScenario("analytic mode needs --scenario")
-        t0, t1, dt = _sampling(args, cfg)
-        model = signals.make_scenario(scenario)
-        times = signals.sample_times(t0, t1, dt)
-        columns, degenerate = analysis.analyze(
-            times, *signals.eval_arrays(model, times)
-        )
+        _refuse(args, "in analytic mode", "csv", "filter_tau", "remove_zero_seq")
+        model, grid = _scenario_grid(args, cfg, "analytic mode needs --scenario")
+        times = signals.sample_times(*grid)
+        columns, degenerate = analysis.analyze(times, *signals.eval_arrays(model, times))
     else:
+        _refuse(args, "in numeric mode", "scenario", "t0", "t1", "dt")
         if args.csv is None:
             raise MalformedCsv("numeric mode needs --csv")
         series = cli_io.read_waveform_csv(args.csv)
@@ -132,9 +135,7 @@ def cmd_analyze(args):
             )
         if args.remove_zero_seq:
             series = numdiff.remove_zero_sequence(series)
-        filter_tau = _param(
-            args.filter_tau, "--filter-tau", cfg, "filter.tau", None, _check_positive
-        )
+        filter_tau = _param(args, cfg, "filter_tau", None, _check_positive)
         if filter_tau is not None:
             series = numdiff.lowpass_first_order(series, filter_tau)
         columns, degenerate = analysis.analyze(*numdiff.differentiate_arrays(series))
@@ -158,13 +159,11 @@ def cmd_validate(args):
 
 
 def cmd_park(args):
-    cfg = _load_config(args.config) if args.config else {}
-    scenario = args.scenario or cfg.get("scenario.id", "E0")
-    w_dq = _param(args.wdq, "--wdq", cfg, "park.wdq", 100.0 * math.pi, _check_finite)
-    theta0 = _param(args.theta0, "--theta0", cfg, "park.theta0", 0.0, _check_finite)
-    t0, t1, dt = _sampling(args, cfg)
-    times = signals.sample_times(t0, t1, dt)
-    model = signals.make_scenario(scenario)
+    cfg = cli_io.read_config(args.config) if args.config else {}
+    w_dq = _param(args, cfg, "wdq", 100.0 * math.pi, _check_finite)
+    theta0 = _param(args, cfg, "theta0", 0.0, _check_finite)
+    model, grid = _scenario_grid(args, cfg, fallback="E0")
+    times = signals.sample_times(*grid)
     pcfg = park.ParkConfig(w_dq=w_dq, theta0=theta0)
     dq = park.to_dq0(times, *signals.eval_arrays(model, times), pcfg)
     rep = park.derivative_frame_check(dq, pcfg)
@@ -185,20 +184,19 @@ def cmd_park(args):
 
 
 def cmd_hilbert(args):
-    if args.dt is not None:
-        _check_positive("--dt", args.dt)
-    _check_positive("--freq", args.freq)
-    if args.channel not in (0, 1, 2):
-        raise InvalidRange(f"--channel must be 0, 1 or 2, got {args.channel}")
     if args.csv:
+        _refuse(args, "by hilbert --csv", "freq", "t1", "dt")
+        channel = _param(args, {}, "channel", 0)
+        if channel not in (0, 1, 2):
+            raise InvalidRange(f"--channel must be 0, 1 or 2, got {channel}")
         series = cli_io.read_waveform_csv(args.csv)
-        u = series.values[:, args.channel]
-        dt = series.dt
+        u, dt = series.values[:, channel], series.dt
     else:
-        dt = args.dt if args.dt is not None else 1e-4
-        t1 = args.t1 if args.t1 is not None else 0.4096
-        t = signals.sample_times(0.0, t1, dt)[:-1]  # half-open [0, t1)
-        u = np.cos(2.0 * math.pi * args.freq * t)
+        _refuse(args, "by hilbert without --csv", "channel")
+        dt = _param(args, {}, "dt", 1e-4, _check_positive)
+        freq = _param(args, {}, "freq", 50.0, _check_positive)
+        t = signals.sample_times(0.0, _param(args, {}, "t1", 0.4096), dt)[:-1]  # half-open
+        u = np.cos(2.0 * math.pi * freq * t)
     if u.size < hilbert.MIN_LENGTH:
         # a short file is a format error, a short synthetic range a usage error
         error, source = (MalformedCsv, args.csv) if args.csv else (InvalidRange, "--t1/--dt")
@@ -249,7 +247,7 @@ def build_parser():
     p.add_argument("--t1", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--filter-tau", type=float, dest="filter_tau")
-    p.add_argument("--remove-zero-seq", action="store_true")
+    p.add_argument("--remove-zero-seq", action="store_true", default=None)
     p.add_argument("--out", default="analysis.csv")
     p.add_argument("--config")
 
@@ -267,11 +265,11 @@ def build_parser():
     p.add_argument("--config")
 
     p = sub.add_parser("hilbert", help="analytic embedding equivalence report")
-    p.add_argument("--freq", type=float, default=50.0)
+    p.add_argument("--freq", type=float)
     p.add_argument("--t1", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--csv")
-    p.add_argument("--channel", type=int, default=0)
+    p.add_argument("--channel", type=int)
     p.add_argument("--out")
     return parser
 

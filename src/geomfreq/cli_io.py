@@ -103,7 +103,8 @@ def write_analysis_csv(path, columns, degenerate_count):
 
 
 def read_config(path):
-    """Read an INI-style config into a flat {section.key: value} dict."""
+    """Read an INI-style config into a flat {section.key: value} dict.
+    Raises MalformedCsv if the file is missing or INI parsing rejects it."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -114,5 +115,5 @@ def read_config(path):
     except configparser.Error as exc:
         raise MalformedCsv(f"{path}: {exc}") from exc
     if not read:
-        raise FileNotFoundError(path)
+        raise MalformedCsv(f"config file not found: {path}")
     return out

@@ -72,7 +72,6 @@ class Component:
 class SignalModel:
     """Immutable closed-form model of a three-channel waveform."""
 
-    name: str
     channels: tuple  # three tuples of Component
 
     def __post_init__(self):
@@ -180,7 +179,7 @@ def dc_model(vdc=5.0):
     if not 0 <= vdc < math.inf:
         raise InvalidParameter(f"vdc must be non-negative and finite, got {vdc}")
     const = Component(Profile(vdc), AngleProfile(slope=0.0, intercept=math.pi / 2))
-    return SignalModel(name="DC", channels=((const,), (), ()))
+    return SignalModel(channels=((const,), (), ()))
 
 
 def single_phase_model(V=1.0, w_o=2.0 * math.pi, alpha=0.0):
@@ -188,11 +187,10 @@ def single_phase_model(V=1.0, w_o=2.0 * math.pi, alpha=0.0):
     _check_magnitudes("V", [V])
     ch1 = Component(Profile(V), AngleProfile(w_o, alpha + math.pi / 2))
     ch2 = Component(Profile(V), AngleProfile(w_o, alpha))
-    return SignalModel(name="SINGLE_PHASE", channels=((ch1,), (ch2,), ()))
+    return SignalModel(channels=((ch1,), (ch2,), ()))
 
 
 def three_phase_model(
-    name="CUSTOM",
     V=(12.0, 12.0, 12.0),
     theta0=(0.0, -TWO_THIRDS_PI, TWO_THIRDS_PI),
     w_o=W_BASE,
@@ -228,7 +226,7 @@ def three_phase_model(
                 )
             )
         channels.append(tuple(comps))
-    return SignalModel(name=name, channels=tuple(channels))
+    return SignalModel(channels=tuple(channels))
 
 
 _HARM_BAL = (11, (0.5, 0.5, 0.5), (0.0, -TWO_THIRDS_PI, TWO_THIRDS_PI))
@@ -294,8 +292,6 @@ def make_scenario(scenario_id, **overrides):
     builder, defaults = _PRESETS[scenario_id]
     params = dict(defaults)
     params.update(overrides)
-    if builder is three_phase_model:
-        params["name"] = scenario_id
     try:
         return builder(**params)
     except TypeError as exc:

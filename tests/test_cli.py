@@ -509,6 +509,24 @@ BAD_INPUT = [
     ("analyze-grid-cap", ["analyze", "--scenario", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
     ("park-grid-cap", ["park", "--scenario", "E0", "--t1", "1e300"], 2, "MAX_SAMPLES"),
     ("hilbert-grid-cap", ["hilbert", "--t1", "1e300"], 2, "MAX_SAMPLES"),
+    # a flag the chosen route would not read: a usage error that names it
+    ("generate-vdc-not-dc", ["generate", "E0", "--vdc", "3"], 2, "--vdc is not read"),
+    ("analytic-filter-tau", ["analyze", "--scenario", "E0", "--filter-tau", "0"], 2,
+     "--filter-tau is not read"),
+    ("analytic-remove-zero-seq", ["analyze", "--scenario", "E0", "--remove-zero-seq"], 2,
+     "--remove-zero-seq is not read"),
+    ("analytic-csv", ["analyze", "--mode", "analytic", "--scenario", "E0", "--csv", "{good}"],
+     2, "--csv is not read"),
+    ("numeric-scenario", ["analyze", "--csv", "{good}", "--scenario", "E9"], 2,
+     "--scenario is not read"),
+    ("numeric-t0", ["analyze", "--csv", "{good}", "--t0", "0"], 2, "--t0 is not read"),
+    ("numeric-t1", ["analyze", "--csv", "{good}", "--t1", "5"], 2, "--t1 is not read"),
+    ("numeric-dt", ["analyze", "--csv", "{good}", "--dt", "1e-4"], 2, "--dt is not read"),
+    ("hilbert-csv-freq", ["hilbert", "--csv", "{good}", "--freq", "60"], 2,
+     "--freq is not read"),
+    ("hilbert-csv-t1", ["hilbert", "--csv", "{good}", "--t1", "0.001"], 2, "--t1 is not read"),
+    ("hilbert-csv-dt", ["hilbert", "--csv", "{good}", "--dt", "1e-4"], 2, "--dt is not read"),
+    ("hilbert-tone-channel", ["hilbert", "--channel", "1"], 2, "--channel is not read"),
 ]
 
 
@@ -557,6 +575,29 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
+
+
+@pytest.mark.parametrize(
+    "ini, argv, same_as",
+    [
+        ("[scenario]\nid = E6\n[sampling]\nt0 = 0.0\nt1 = 0.05\ndt = 2e-4\n",
+         ["analyze", "--csv", "{rec}"], ["analyze", "--csv", "{rec}"]),
+        ("[scenario]\nid = E0\n[sampling]\nt1 = 0.01\n[filter]\ntau = 0\n",
+         ["analyze"], ["analyze", "--scenario", "E0", "--t1", "0.01"]),
+    ],
+    ids=["numeric-scenario-and-sampling", "analytic-filter"],
+)
+def test_config_keys_the_route_does_not_read_are_ignored(tmp_path, ini, argv, same_as):
+    """One INI serves several commands, so a key the chosen route does not
+    read is never refused, where its flag would be."""
+    rec, cfg = tmp_path / "rec.csv", tmp_path / "run.ini"
+    out, plain = tmp_path / "out.csv", tmp_path / "plain.csv"
+    _waveform(rec, 64)
+    cfg.write_text(ini)
+    argv, same_as = ([a.format(rec=rec) for a in x] for x in (argv, same_as))
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main([*same_as, "--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 # --------------------------------------------------------- shared parser

@@ -238,7 +238,7 @@ def test_nan_in_a_draw_group_fails_its_derivative(monkeypatch, group, order, pro
 
     def poisoned(model, t):
         jet = list(original(model, t))
-        hit = np.isin(t, times) & (model.name == sid)
+        hit = np.isin(t, times) & (model == signals.make_scenario(sid))
         hits.append(int(hit.sum()))
         jet[order] = jet[order].copy()
         jet[order][hit] = np.nan

@@ -21,7 +21,7 @@ t = dt * np.arange(4000)  # 0.4 s: integer number of 50 Hz periods
 
 print("pure 50 Hz tone:")
 u = np.cos(2.0 * math.pi * 50.0 * t)
-report = hilbert.geometric_equivalence(hilbert.analytic_embed(u, dt))
+report = hilbert.geometric_equivalence(hilbert.analytic_embed(t, dt, u))
 n = report.omega_mag.size
 mid = slice(n // 4, 3 * n // 4)
 print(f"  mean |omega| mid-window = {report.omega_mag[mid].mean():.6f} rad/s"
@@ -33,13 +33,13 @@ print("\namplitude-modulated tone (radial frequency appears):")
 u = (1.0 + 0.1 * np.sin(2.0 * math.pi * 5.0 * t)) * np.cos(
     2.0 * math.pi * 50.0 * t
 )
-report = hilbert.geometric_equivalence(hilbert.analytic_embed(u, dt))
+report = hilbert.geometric_equivalence(hilbert.analytic_embed(t, dt, u))
 print(f"  max |rho| mid-window            = {np.max(np.abs(report.rho[mid])):.4f} 1/s")
 print(f"  max |omega_z - phi'| / |phi'|   = {report.max_rel_dev:.3e}")
 
 print("\nchirp 50 -> 54 Hz over the window:")
 u = np.cos(2.0 * math.pi * (50.0 * t + 5.0 * t**2))
-report = hilbert.geometric_equivalence(hilbert.analytic_embed(u, dt))
+report = hilbert.geometric_equivalence(hilbert.analytic_embed(t, dt, u))
 for k in np.linspace(n // 4, 3 * n // 4, 5, dtype=int):
     tk = report.times[k]
     print(f"  t = {tk:6.3f}  |omega| = {report.omega_mag[k]:9.4f}"

@@ -126,7 +126,7 @@ def cmd_analyze(args):
     else:
         _refuse(args, "in numeric mode", "scenario", "t0", "t1", "dt")
         if args.csv is None:
-            raise MalformedCsv("numeric mode needs --csv")
+            raise InvalidParameter("numeric mode needs --csv")
         series = cli_io.read_waveform_csv(args.csv)
         if len(series) < numdiff.MIN_SAMPLES:
             raise MalformedCsv(
@@ -160,7 +160,7 @@ def cmd_validate(args):
 
 def cmd_park(args):
     cfg = cli_io.read_config(args.config) if args.config else {}
-    w_dq = _param(args, cfg, "wdq", 100.0 * math.pi, _check_finite)
+    w_dq = _param(args, cfg, "wdq", signals.W_BASE, _check_finite)
     theta0 = _param(args, cfg, "theta0", 0.0, _check_finite)
     model, grid = _scenario_grid(args, cfg, fallback="E0")
     times = signals.sample_times(*grid)
@@ -190,13 +190,13 @@ def cmd_hilbert(args):
         if channel not in (0, 1, 2):
             raise InvalidRange(f"--channel must be 0, 1 or 2, got {channel}")
         series = cli_io.read_waveform_csv(args.csv)
-        u, dt = series.values[:, channel], series.dt
+        times, dt, u = series.times, series.dt, series.values[:, channel]
     else:
         _refuse(args, "by hilbert without --csv", "channel")
         dt = _param(args, {}, "dt", 1e-4, _check_positive)
         freq = _param(args, {}, "freq", 50.0, _check_positive)
-        t = signals.sample_times(0.0, _param(args, {}, "t1", 0.4096), dt)[:-1]  # half-open
-        u = np.cos(2.0 * math.pi * freq * t)
+        times = signals.sample_times(0.0, _param(args, {}, "t1", 0.4096), dt)[:-1]  # half-open
+        u = np.cos(2.0 * math.pi * freq * times)
     if u.size < hilbert.MIN_LENGTH:
         # a short file is a format error, a short synthetic range a usage error
         error, source = (MalformedCsv, args.csv) if args.csv else (InvalidRange, "--t1/--dt")
@@ -204,8 +204,7 @@ def cmd_hilbert(args):
             f"{source}: the Hilbert transform needs at least "
             f"{hilbert.MIN_LENGTH} samples, got {u.size}"
         )
-    pair = hilbert.analytic_embed(u, dt)
-    report = hilbert.geometric_equivalence(pair)
+    report = hilbert.geometric_equivalence(hilbert.analytic_embed(times, dt, u))
     if args.out:
         cli_io.write_table(
             args.out,

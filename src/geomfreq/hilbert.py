@@ -1,11 +1,13 @@
 """Analytic-signal embedding of a scalar waveform.
 
-The scalar signal and its discrete Hilbert transform form a plane curve
-whose azimuthal frequency reproduces the classical instantaneous
-frequency; both quantities are computed here over the same stencil
-derivatives so that their agreement is an algebraic identity.
-``MAX_REL_DEV`` and ``MAX_ABS_XI`` bound that agreement for
-``geomfreq hilbert`` and ``validate`` alike.
+The scalar signal u and its discrete Hilbert transform uh form the
+plane curve (u, uh, 0), held as a three-channel ``series.TimeSeries``
+on the recording's own times, so ``geomfreq hilbert --csv`` reports
+those times.  Its azimuthal frequency reproduces the classical
+instantaneous frequency; both quantities are computed from the rows of
+``numdiff.differentiate_arrays``, so that their agreement is an
+algebraic identity.  ``MAX_REL_DEV`` and ``MAX_ABS_XI`` bound that
+agreement for ``geomfreq hilbert`` and ``validate`` alike.
 """
 
 from dataclasses import dataclass
@@ -14,32 +16,14 @@ import numpy as np
 
 from .errors import DegenerateEnvelope, FloatOverflow, TooShort
 from .frenet import invariants
-from .numdiff import TRIM, stencil_derivatives
+from .numdiff import differentiate_arrays
+from .series import TimeSeries
 
 MIN_LENGTH = 16
 EPS_ENVELOPE = 1e-12  # V^2; at or below it the squared envelope u^2 + uh^2 vanishes
 EPS_PHI_DOT = 1e-12  # rad/s; floor of |phi'| in the relative deviation
 MAX_REL_DEV = 1e-9  # pass bound of EquivalenceReport.max_rel_dev
 MAX_ABS_XI = 1e-12  # 1/s, pass bound of EquivalenceReport.max_abs_xi
-
-
-@dataclass(frozen=True)
-class AnalyticPair:
-    """Scalar signal and its Hilbert transform on a uniform grid."""
-
-    u: np.ndarray
-    uh: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64)
-        uh = np.asarray(self.uh, dtype=np.float64)
-        if u.shape != uh.shape or u.ndim != 1:
-            raise ValueError("u and uh must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(uh))):
-            raise ValueError("u and uh must be finite")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "uh", uh)
 
 
 @dataclass(frozen=True)
@@ -57,13 +41,15 @@ class EquivalenceReport:
     max_abs_xi: float
 
 
-def analytic_embed(u, dt):
-    """Discrete Hilbert transform via the frequency-domain method.
+def analytic_embed(times, dt, u):
+    """The plane curve (u, uh, 0) of u sampled at ``times``, as a
+    TimeSeries, with uh the discrete Hilbert transform of u.
 
-    Zero the negative-frequency half of the spectrum, double the
-    positive half, keep DC and Nyquist unchanged; the quadrature part
-    of the inverse transform is the Hilbert transform.  Raises
-    FloatOverflow when the transform of a finite u is not finite.
+    The transform zeroes the negative-frequency half of the spectrum,
+    doubles the positive half and keeps DC and Nyquist unchanged; the
+    quadrature part of the inverse transform is uh.  Raises
+    FloatOverflow when the transform of a finite u is not finite, and
+    TimeSeries' errors for a bad grid or a non-finite u.
     """
     u = np.asarray(u, dtype=np.float64)
     n = u.size
@@ -80,23 +66,17 @@ def analytic_embed(u, dt):
         analytic = np.fft.ifft(np.fft.fft(u) * weights)
     if np.isfinite(u).all() and not np.isfinite(analytic.imag).all():
         raise FloatOverflow("the Hilbert transform overflows float64")
-    return AnalyticPair(u=u, uh=analytic.imag, dt=dt)
+    return TimeSeries(times, dt, np.column_stack([u, analytic.imag, np.zeros(n)]))
 
 
-def _derivatives(pair):
-    cols = np.column_stack([pair.u, pair.uh])
-    d1, _ = stencil_derivatives(cols, pair.dt)
-    u = pair.u[TRIM:-TRIM]
-    uh = pair.uh[TRIM:-TRIM]
-    return u, uh, d1[:, 0], d1[:, 1]
-
-
-def instantaneous_frequency_classical(pair):
-    """phi' = (uh' u - u' uh) / (u^2 + uh^2) on the retained samples.
-    Raises DegenerateEnvelope where the envelope vanishes, and
-    FloatOverflow where it or phi' is not finite."""
+def instantaneous_frequency_classical(embedded):
+    """phi' = (uh' u - u' uh) / (u^2 + uh^2) on the retained samples of
+    the embedded curve.  Raises DegenerateEnvelope where the envelope
+    vanishes, and FloatOverflow where a derivative, the envelope or phi'
+    is not finite."""
+    _, v, dv, _ = differentiate_arrays(embedded)
+    u, uh, du, duh = v[:, 0], v[:, 1], dv[:, 0], dv[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        u, uh, du, duh = _derivatives(pair)
         envelope = u**2 + uh**2
         if np.any(envelope <= EPS_ENVELOPE):
             raise DegenerateEnvelope("analytic envelope vanishes at a sample")
@@ -106,7 +86,7 @@ def instantaneous_frequency_classical(pair):
     return phi_dot
 
 
-def geometric_equivalence(pair):
+def geometric_equivalence(embedded):
     """Run the Frenet route on the embedded curve (u, uh, 0) and compare
     its azimuthal frequency with the classical instantaneous frequency.
 
@@ -114,13 +94,9 @@ def geometric_equivalence(pair):
     window, away from the transform's boundary ringing.  Raises
     FloatOverflow when an invariant of a retained row is not finite.
     """
-    phi_dot = instantaneous_frequency_classical(pair)
-    cols = np.column_stack([pair.u, pair.uh])
-    d1, d2 = stencil_derivatives(cols, pair.dt)
-    n = d1.shape[0]
-    times = pair.dt * np.arange(pair.u.size)[TRIM:-TRIM]
-    # rows (u, uh, 0), (u', uh', 0), (u'', uh'', 0) of the plane curve
-    v, dv, ddv = (np.column_stack([x, np.zeros(n)]) for x in (cols[TRIM:-TRIM], d1, d2))
+    phi_dot = instantaneous_frequency_classical(embedded)
+    times, v, dv, ddv = differentiate_arrays(embedded)
+    n = times.size
 
     rho = np.empty(n)
     omega_mag = np.empty(n)

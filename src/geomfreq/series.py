@@ -1,4 +1,5 @@
-"""Uniformly sampled three-phase recordings."""
+"""Uniformly sampled three-channel recordings: a three-phase set, or
+the plane curve (u, uh, 0) of ``hilbert.analytic_embed``."""
 
 from dataclasses import dataclass
 

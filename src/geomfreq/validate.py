@@ -215,12 +215,11 @@ def check_signals():
 
 
 def check_numdiff():
-    w_true = 100.0 * math.pi
     errs = {}
     model = signals.make_scenario("E0")
     for dt in (2e-4, 1e-4):
         _, v, dv, ddv = numdiff.differentiate_arrays(signals.sample(model, 0.0, 0.1, dt))
-        errs[dt] = _worst(np.abs(frenet.invariants_batch(v, dv, ddv).omega_mag - w_true))
+        errs[dt] = _worst(np.abs(frenet.invariants_batch(v, dv, ddv).omega_mag - signals.W_BASE))
     gain = errs[2e-4] / errs[1e-4]
     worst_conv = 0.0 if gain >= 8.0 else 8.0 - gain
 
@@ -253,8 +252,8 @@ def check_numdiff():
 def check_hilbert():
     dt = 1e-4
     t = dt * np.arange(4096)
-    pair = hilbert.analytic_embed(np.cos(2.0 * math.pi * 50.0 * t), dt)
-    report = hilbert.geometric_equivalence(pair)
+    u = np.cos(2.0 * math.pi * 50.0 * t)
+    report = hilbert.geometric_equivalence(hilbert.analytic_embed(t, dt, u))
     return [
         PropertyResult("hilbert", "embedding omega equals classical phi'",
                        report.max_rel_dev, hilbert.MAX_REL_DEV),
@@ -264,7 +263,7 @@ def check_hilbert():
 
 
 def check_park():
-    cfg = park.ParkConfig(w_dq=100.0 * math.pi, theta0=0.3)
+    cfg = park.ParkConfig(w_dq=signals.W_BASE, theta0=0.3)
     times = _sample_times(40)
     v, dv, ddv, g0 = _batch(signals.make_scenario("E8"), times)
     g1 = frenet.invariants_batch(*park.from_dq0(park.to_dq0(times, v, dv, ddv, cfg), cfg))
@@ -288,13 +287,11 @@ def check_park():
     )
 
     # Remark 7: synchronous balanced frame reproduces the plane-curve result
-    cfg_sync = park.ParkConfig(w_dq=100.0 * math.pi, theta0=-math.pi / 2)
+    cfg_sync = park.ParkConfig(w_dq=signals.W_BASE, theta0=-math.pi / 2)
     t = np.array([0.0125])
     jet = signals.eval_arrays(signals.make_scenario("E0"), t)
     w = park.dq0_invariants(park.to_dq0(t, *jet, cfg_sync), cfg_sync).omega_vec
-    remark7 = _worst(
-        np.abs(w[:, :2]), np.abs(w[:, 2] - 100.0 * math.pi) / (100.0 * math.pi)
-    )
+    remark7 = _worst(np.abs(w[:, :2]), np.abs(w[:, 2] - signals.W_BASE) / signals.W_BASE)
     return [
         PropertyResult("park", "invariants unchanged by dq0 round trip", round_trip, 1e-9),
         PropertyResult("park", "sum identity of derivative splits", _worst(rep.sum_rel_err),

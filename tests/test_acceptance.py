@@ -172,7 +172,7 @@ def test_criterion_9_hilbert_equivalence():
     # discrete Hilbert transform
     t = dt * np.arange(4000)
     u = np.cos(2.0 * math.pi * 50.0 * t)
-    report = hilbert.geometric_equivalence(hilbert.analytic_embed(u, dt))
+    report = hilbert.geometric_equivalence(hilbert.analytic_embed(t, dt, u))
     assert report.max_rel_dev <= 1e-9
     n = report.omega_mag.size
     mid = slice(n // 4, 3 * n // 4)

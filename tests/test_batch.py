@@ -118,12 +118,12 @@ def test_invariants_is_its_batch_row_on_hilbert_rows():
     # the rows geometric_equivalence feeds to frenet.invariants: the
     # plane curve (u, uh, 0) of a 50 Hz tone and its stencil derivatives
     dt = 1e-4
-    pair = hilbert.analytic_embed(np.cos(2.0 * math.pi * 50.0 * dt * np.arange(4096)), dt)
-    cols = np.column_stack([pair.u, pair.uh, np.zeros(pair.u.size)])
-    d1, d2 = numdiff.stencil_derivatives(cols, dt)
-    v = cols[numdiff.TRIM : -numdiff.TRIM]
+    t = dt * np.arange(4096)
+    embedded = hilbert.analytic_embed(t, dt, np.cos(2.0 * math.pi * 50.0 * t))
+    d1, d2 = numdiff.stencil_derivatives(embedded.values, dt)
+    v = embedded.values[numdiff.TRIM : -numdiff.TRIM]
     _assert_rows_are_bits_of_batch(v, d1, d2)
-    rep = hilbert.geometric_equivalence(pair)
+    rep = hilbert.geometric_equivalence(embedded)
     b = frenet.invariants_batch(v, d1, d2)
     for mine, theirs in ((rep.rho, b.rho), (rep.omega_mag, b.omega_mag),
                          (rep.omega_z, b.omega_vec[:, 2]), (rep.xi, b.xi)):

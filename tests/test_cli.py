@@ -365,6 +365,18 @@ def test_hilbert_grid_is_half_open(tmp_path):
     assert rows[0].startswith("0.0002,")
 
 
+def test_hilbert_csv_writes_the_recordings_own_times(tmp_path):
+    # a recording that starts late: hilbert --csv and analyze --csv both
+    # report the file's times on the rows the stencil retains
+    rec, hb, an = (tmp_path / f"{name}.csv" for name in ("late", "hb", "an"))
+    assert cli.main(["generate", "E5", "--t0", "1.0", "--t1", "1.05", "--out", str(rec)]) == 0
+    assert cli.main(["hilbert", "--csv", str(rec), "--out", str(hb)]) == 0
+    assert cli.main(["analyze", "--csv", str(rec), "--out", str(an)]) == 0
+    hb_t, an_t = ([ln.split(",", 1)[0] for ln in path.read_text().splitlines()[1:]
+                   if not ln.startswith("#")] for path in (hb, an))
+    assert hb_t == an_t and hb_t[0] == "1.0002"
+
+
 def _csv_bytes(header, rows):
     lines = [",".join(header)]
     lines += [",".join(repr(float(x)) for x in row) for row in rows]
@@ -390,7 +402,7 @@ def test_park_and_hilbert_csv_cells(tmp_path):
     assert cli.main(["hilbert", "--t1", "0.01", "--dt", "1e-4", "--out", str(out)]) == 0
     t = signals.sample_times(0.0, 0.01, 1e-4)[:-1]
     rep = hilbert.geometric_equivalence(
-        hilbert.analytic_embed(np.cos(2.0 * math.pi * 50.0 * t), 1e-4)
+        hilbert.analytic_embed(t, 1e-4, np.cos(2.0 * math.pi * 50.0 * t))
     )
     rows = zip(rep.times, rep.rho, rep.omega_mag, rep.xi, rep.phi_dot)
     assert out.read_bytes() == _csv_bytes(("t", "rho", "w", "xi", "phi_dot"), rows)
@@ -456,6 +468,7 @@ BAD_INPUT = [
     ("csv-nan-cell", ["analyze", "--csv", "{nan}", "--mode", "numeric"], 3, "NaN or infinite"),
     ("csv-inf-cell", ["analyze", "--csv", "{inf}", "--mode", "numeric"], 3, "NaN or infinite"),
     ("hilbert-csv-nan-cell", ["hilbert", "--csv", "{nan}"], 3, "NaN or infinite"),
+    ("numeric-no-csv", ["analyze", "--mode", "numeric"], 2, "numeric mode needs --csv"),
     ("csv-four-rows", ["analyze", "--csv", "{short}", "--mode", "numeric"], 3,
      "at least 5 samples"),
     # waveform files the reader rejects, each named in the message
@@ -496,6 +509,8 @@ BAD_INPUT = [
      "derivatives of the samples overflow float64"),
     ("hilbert-csv-overflow-envelope", ["hilbert", "--csv", "{huge}"], 3,
      "envelope or its phase rate overflows float64"),
+    ("hilbert-csv-overflow-stencil", ["hilbert", "--csv", "{huge_1e305}"], 3,
+     "derivatives of the samples overflow float64"),
     ("hilbert-csv-overflow-transform", ["hilbert", "--csv", "{huge_1e307}"], 3,
      "Hilbert transform overflows float64"),
     # the zero-sequence removal or the low-pass filter of finite samples
@@ -560,6 +575,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
         "jitter": [*good[:10], f"{float(t_jitter) + 1e-7!r},{rest}", *good[11:]],
         "zero_vb": [ln.replace(",-0.5,", ",0.0,") for ln in good[:-1]],
         "huge": _recording(lambda k: (1e300 * math.cos(0.3 * k), 0.0, 0.0)),
+        "huge_1e305": _recording(lambda k: (1e305 * math.cos(0.3 * k), 0.0, 0.0)),
         "huge_1e307": _recording(lambda k: (1e307 * math.cos(0.3 * k), 0.0, 0.0)),
         "huge_sum": _recording(lambda k: ((-1) ** (k + 1) * 1e308, -1.5e308, -1.5e308)),
         "balanced_1e80": _recording(

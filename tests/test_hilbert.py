@@ -7,7 +7,13 @@ import pytest
 
 import numpy_reference
 from geomfreq import hilbert
-from geomfreq.errors import DegenerateEnvelope, FloatOverflow, TooShort
+from geomfreq.errors import (
+    DegenerateEnvelope,
+    FloatOverflow,
+    InvalidRange,
+    NonFiniteSample,
+    TooShort,
+)
 
 DT = 1e-4
 # 0.4 s window: an integer number of 50 Hz periods, so the discrete
@@ -26,25 +32,25 @@ def _mid(x):
 
 
 def test_embed_cosine_gives_sine():
-    pair = hilbert.analytic_embed(_tone(), DT)
+    embedded = hilbert.analytic_embed(T, DT, _tone())
     expected = np.sin(2.0 * math.pi * 50.0 * T)
     mid = slice(N // 4, 3 * N // 4)
-    np.testing.assert_allclose(pair.uh[mid], expected[mid], atol=0.01)
+    np.testing.assert_allclose(embedded.values[mid, 1], expected[mid], atol=0.01)
 
 
 def test_embed_constant_has_no_quadrature():
-    pair = hilbert.analytic_embed(np.full(64, 3.0), DT)
-    np.testing.assert_allclose(pair.uh, 0.0, atol=1e-12)
+    embedded = hilbert.analytic_embed(T[:64], DT, np.full(64, 3.0))
+    np.testing.assert_allclose(embedded.values[:, 1], 0.0, atol=1e-12)
 
 
 def test_embed_too_short():
     with pytest.raises(TooShort):
-        hilbert.analytic_embed(np.ones(8), DT)
+        hilbert.analytic_embed(T[:8], DT, np.ones(8))
 
 
 def test_classical_frequency_of_tone():
-    pair = hilbert.analytic_embed(_tone(), DT)
-    phi_dot = hilbert.instantaneous_frequency_classical(pair)
+    embedded = hilbert.analytic_embed(T, DT, _tone())
+    phi_dot = hilbert.instantaneous_frequency_classical(embedded)
     np.testing.assert_allclose(_mid(phi_dot), 100.0 * math.pi, rtol=1e-3)
 
 
@@ -53,8 +59,8 @@ def test_classical_frequency_of_chirp():
     # only falls below 0.5% with enough distance from the edges
     t = DT * np.arange(16384)
     u = np.cos(2.0 * math.pi * (50.0 * t + 5.0 * t**2))
-    pair = hilbert.analytic_embed(u, DT)
-    phi_dot = hilbert.instantaneous_frequency_classical(pair)
+    embedded = hilbert.analytic_embed(t, DT, u)
+    phi_dot = hilbert.instantaneous_frequency_classical(embedded)
     t_mid = _mid(t[2:-2])
     expected = 2.0 * math.pi * (50.0 + 10.0 * t_mid)
     np.testing.assert_allclose(_mid(phi_dot), expected, rtol=5e-3)
@@ -65,20 +71,29 @@ def test_analytic_pair_rejects_non_finite(bad):
     # checked once per array, before any row reaches frenet.invariants
     u = np.ones(64)
     u[17] = bad
-    with pytest.raises(ValueError, match="finite"):
-        hilbert.AnalyticPair(u=u, uh=np.zeros(64), dt=DT)
-    with pytest.raises(ValueError, match="finite"):
-        hilbert.AnalyticPair(u=np.zeros(64), uh=u, dt=DT)
+    with pytest.raises(NonFiniteSample, match="non-finite"):
+        hilbert.analytic_embed(T[:64], DT, u)
+
+
+@pytest.mark.parametrize(
+    "times, dt, says",
+    [(T[:64], 0.0, "dt must be positive"), (T[:64], -DT, "dt must be positive"),
+     (T[:63], DT, "does not match")],
+    ids=["dt-zero", "dt-negative", "times-length"],
+)
+def test_analytic_embed_rejects_a_bad_grid(times, dt, says):
+    with pytest.raises(InvalidRange, match=says):
+        hilbert.analytic_embed(times, dt, np.ones(64))
 
 
 def test_classical_frequency_zero_signal():
-    pair = hilbert.AnalyticPair(u=np.zeros(64), uh=np.zeros(64), dt=DT)
+    embedded = hilbert.analytic_embed(T[:64], DT, np.zeros(64))
     with pytest.raises(DegenerateEnvelope):
-        hilbert.instantaneous_frequency_classical(pair)
+        hilbert.instantaneous_frequency_classical(embedded)
 
 
 def test_equivalence_tone():
-    report = hilbert.geometric_equivalence(hilbert.analytic_embed(_tone(), DT))
+    report = hilbert.geometric_equivalence(hilbert.analytic_embed(T, DT, _tone()))
     assert report.max_rel_dev <= 1e-9
     assert report.max_abs_xi <= 1e-12
     np.testing.assert_allclose(_mid(report.omega_mag), 100.0 * math.pi, rtol=1e-3)
@@ -89,7 +104,7 @@ def test_equivalence_is_algebraic_even_off_tone():
     # agreement between omega_z and phi' does not rely on the signal
     # being narrowband; it is the same arithmetic on both paths
     u = np.cos(2.0 * math.pi * 50.0 * T) + 0.4 * np.sin(2.0 * math.pi * 120.0 * T)
-    report = hilbert.geometric_equivalence(hilbert.analytic_embed(u, DT))
+    report = hilbert.geometric_equivalence(hilbert.analytic_embed(T, DT, u))
     assert report.max_rel_dev <= 1e-9
     assert report.max_abs_xi <= 1e-12
 
@@ -98,16 +113,16 @@ def test_amplitude_modulated_tone_radial_frequency():
     u = (1.0 + 0.1 * np.sin(2.0 * math.pi * 5.0 * T)) * np.cos(
         2.0 * math.pi * 50.0 * T
     )
-    pair = hilbert.analytic_embed(u, DT)
-    report = hilbert.geometric_equivalence(pair)
+    embedded = hilbert.analytic_embed(T, DT, u)
+    report = hilbert.geometric_equivalence(embedded)
     # rho of the embedding equals (u u' + uh uh')/(u^2 + uh^2) with the
     # same stencil derivatives
     from geomfreq.numdiff import TRIM, stencil_derivatives
 
-    cols = np.column_stack([pair.u, pair.uh])
+    cols = embedded.values[:, :2]
     d1, _ = stencil_derivatives(cols, DT)
-    u_c = pair.u[TRIM:-TRIM]
-    uh_c = pair.uh[TRIM:-TRIM]
+    u_c = cols[TRIM:-TRIM, 0]
+    uh_c = cols[TRIM:-TRIM, 1]
     expected = (u_c * d1[:, 0] + uh_c * d1[:, 1]) / (u_c**2 + uh_c**2)
     np.testing.assert_allclose(report.rho, expected, atol=1e-9 * np.max(np.abs(expected)))
 
@@ -121,10 +136,10 @@ def test_equivalence_is_the_numpy_route_bit_for_bit(monkeypatch, signal):
         "am": (1.0 + 0.3 * np.cos(2.0 * math.pi * 3.0 * T)) * _tone(),
         "dc": np.full(N, 5.0),
     }[signal]
-    pair = hilbert.analytic_embed(u, DT)
-    got = hilbert.geometric_equivalence(pair)
+    embedded = hilbert.analytic_embed(T, DT, u)
+    got = hilbert.geometric_equivalence(embedded)
     monkeypatch.setattr(hilbert, "invariants", numpy_reference.invariants)
-    want = hilbert.geometric_equivalence(pair)
+    want = hilbert.geometric_equivalence(embedded)
     for name in ("rho", "omega_mag", "omega_z", "xi", "phi_dot", "max_rel_dev"):
         got_x, want_x = getattr(got, name), getattr(want, name)
         assert type(got_x) is type(want_x), name
@@ -136,15 +151,16 @@ def test_equivalence_is_the_numpy_route_bit_for_bit(monkeypatch, signal):
     [
         (1e152, "embedded curve's invariants"),  # v' x v'' in the per-row kernel
         (1e300, "envelope or its phase rate"),  # u^2 + uh^2
+        (1e304, "stencil derivatives"),  # u'' of the stencil
         (1e307, "Hilbert transform"),  # the spectrum
     ],
-    ids=["invariants", "envelope", "transform"],
+    ids=["invariants", "envelope", "stencil", "transform"],
 )
 def test_overflow_is_raised(scale, says):
     with pytest.raises(FloatOverflow, match=says):
-        hilbert.geometric_equivalence(hilbert.analytic_embed(scale * _tone(), DT))
+        hilbert.geometric_equivalence(hilbert.analytic_embed(T, DT, scale * _tone()))
 
 
 def test_largest_scale_before_overflow_keeps_the_equivalence():
-    rep = hilbert.geometric_equivalence(hilbert.analytic_embed(1e150 * _tone(), DT))
+    rep = hilbert.geometric_equivalence(hilbert.analytic_embed(T, DT, 1e150 * _tone()))
     assert rep.max_rel_dev <= 1e-9 and rep.max_abs_xi == 0.0

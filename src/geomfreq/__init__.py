@@ -24,11 +24,6 @@ from .numdiff import differentiate_arrays, lowpass_first_order, remove_zero_sequ
 from .park import DqoJet, ParkConfig, dq0_invariants, derivative_frame_check, from_dq0, to_dq0
 from .series import TimeSeries
 from .signals import SignalModel, eval_arrays, make_scenario, phase_jets, sample
-from .threephase import (
-    PhaseJet,
-    auxiliaries,
-    closed_form_invariants,
-    stationary_sequence,
-)
+from .threephase import PhaseJet, auxiliaries, closed_form_invariants
 
 __version__ = "0.1.0"

@@ -34,8 +34,9 @@ def read_waveform_csv(path):
     parsed time column itself, so the times round-trip bit-exactly.
 
     Raises MalformedCsv on a wrong header, ragged rows, unparsable,
-    NaN or infinite numbers, or a time column whose spacing jitters
-    beyond 1e-9 relative.
+    NaN or infinite numbers, or a time column with a step off the
+    median step dt by more than DT_JITTER_REL * max(dt, 1 s): 1e-9 s
+    absolute for any step up to 1 s, 1e-9 relative above.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]

@@ -160,8 +160,9 @@ def dq0_invariants(j, cfg):
     Where the set is balanced, |v_o| <= BALANCE_TOL |v| and
     |v_o'| <= BALANCE_TOL |v'|, this reduces to
     rho = (v_d v_d' + v_q v_q')/v^2 and omega = (delta_omega + w_dq) e_o,
-    with delta_omega the frequency deviation (v_d v_q' - v_q v_d')/v^2
-    from the frame speed; elsewhere delta_omega is NaN.
+    with delta_omega the frequency deviation
+    (v_d v_q' - v_q v_d')/(v_d^2 + v_q^2) from the frame speed (v_o^2 is
+    left out of the denominator); elsewhere delta_omega is NaN.
     """
     v, dv = j.vdq0, inertial_derivative(j, cfg)
     rows = v.reshape(-1, 3)

@@ -6,7 +6,10 @@ m(t) * sin(theta(t)) where the magnitude profile m is
 ``slope*t + intercept + mod_amplitude*sin(mod_rate*t)``.  These two
 shapes cover DC, stationary and harmonic three-phase sets, and the
 sinusoidal frequency modulations of the time-variant scenarios, while
-keeping first and second derivatives available in closed form.
+keeping first and second derivatives available in closed form:
+``eval_arrays`` gives the cartesian v, v', v'', and ``phase_jets`` the
+three channels' magnitude and angle jets as one ``threephase.PhaseJet``
+(phase axis last) for the closed-form oracle.
 """
 
 import math
@@ -106,9 +109,10 @@ def eval_arrays(model, times):
     return out[0], out[1], out[2]
 
 
-def phase_jet(components, t):
-    """Per-phase (V, theta) jet of a channel, via its complex envelope,
-    at a time t or at every entry of a time array t.
+def _phase_jet(components, t):
+    """Magnitude and angle jet (V, V', V'', theta, theta', theta'') of a
+    channel, via its complex envelope, at a time t or at every entry of
+    a time array t; six arrays of t's shape.
 
     The channel sum_k m_k sin(theta_k) equals Im(z) with
     z = sum_k m_k exp(i theta_k); magnitude and phase derivatives come
@@ -136,12 +140,14 @@ def phase_jet(components, t):
     ddV = ((np.abs(dz) ** 2 + (zc * ddz).real) - dV**2) / V
     ddtheta = (zc * ddz).imag / V**2 - 2.0 * (dV / V) * dtheta
     jet = (V, dV, ddV, np.angle(z), dtheta, ddtheta)
-    return PhaseJet(*(np.where(live, x, 0.0).reshape(shape)[()] for x in jet))
+    return tuple(np.where(live, x, 0.0).reshape(shape) for x in jet)
 
 
 def phase_jets(model, t):
-    """PhaseJet for each of the three channels at time(s) t."""
-    return tuple(phase_jet(ch, t) for ch in model.channels)
+    """The three-phase PhaseJet of a model at a time t (fields of shape
+    (3,)) or at every entry of a time array t of N entries ((N, 3))."""
+    channels = (_phase_jet(ch, t) for ch in model.channels)
+    return PhaseJet(*(np.stack(x, axis=-1) for x in zip(*channels)))
 
 
 def sample_times(t0, t1, dt):

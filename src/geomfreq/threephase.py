@@ -4,17 +4,17 @@ per-phase magnitude and angle functions.
 These expressions are an independent route to the same invariants that
 ``frenet.invariants_batch`` computes from the cartesian rows v, v', v'',
 and the test suite uses them as mutual oracles.  Each phase i in {a, b, c} is
-v_i = V_i(t) sin(theta_i(t)) and the inputs are the per-phase
-(V, V', V'', theta, theta', theta''), each a scalar for one instant or
-an array over N instants; the results then carry the same leading
-instant axis, with the phase axis last.  The published expression of
-xi through per-phase second-derivative combinations p_i, q_i was not
-reproduced (on E5 at t = 0.013 s it gives -94.9 where the Frenet route
-gives -1800.7); ``xi`` here projects the per-phase expansion of v''.
+v_i = V_i(t) sin(theta_i(t)) and the input is one ``PhaseJet`` holding
+(V, V', V'', theta, theta', theta'') of all three phases, each field of
+shape (3,) for one instant or (N, 3) over N instants; the results carry
+the same leading instant axis, with the phase axis last.  The published
+expression of xi through per-phase second-derivative combinations p_i,
+q_i was not reproduced (on E5 at t = 0.013 s it gives -94.9 where the
+Frenet route gives -1800.7); ``xi`` here projects the per-phase
+expansion of v''.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "ClosedFormInvariants",
     "auxiliaries",
     "closed_form_invariants",
-    "stationary_sequence",
 ]
 
 # phases j and k feeding component i of a cross product, ijk in {abc, bca, cab}
@@ -37,18 +36,23 @@ _K = [2, 0, 1]
 
 @dataclass(frozen=True)
 class PhaseJet:
-    """Magnitude and angle of one phase with derivatives up to order 2,
-    at one instant (floats) or at N instants (arrays of shape (N,))."""
+    """Magnitudes and angles of the three phases with derivatives up to
+    order 2, phase axis last: shape (3,) at one instant, (N, 3) at N."""
 
-    V: float  # V, >= 0
-    dV: float  # V/s
-    ddV: float  # V/s^2
-    theta: float  # rad
-    dtheta: float  # rad/s
-    ddtheta: float  # rad/s^2
+    V: np.ndarray  # V, >= 0
+    dV: np.ndarray  # V/s
+    ddV: np.ndarray  # V/s^2
+    theta: np.ndarray  # rad
+    dtheta: np.ndarray  # rad/s
+    ddtheta: np.ndarray  # rad/s^2
 
     def __post_init__(self):
-        if np.any(np.less(self.V, 0)):
+        for f in fields(self):
+            x = np.asarray(getattr(self, f.name), dtype=np.float64)
+            if x.shape[-1:] != (3,):
+                raise InvalidParameter(f"{f.name} needs the three phases on its last axis")
+            object.__setattr__(self, f.name, x)
+        if np.any(self.V < 0):
             raise InvalidParameter(f"negative phase magnitude {self.V}")
 
 
@@ -76,25 +80,15 @@ class ClosedFormInvariants:
     xi: float
 
 
-def _arrays(phases):
-    """The six per-phase fields, each with the phase axis last."""
-    if len(phases) != 3:
-        raise InvalidParameter("exactly three phase jets required")
-    return tuple(
-        np.stack([getattr(p, f) for p in phases], axis=-1)
-        for f in ("V", "dV", "ddV", "theta", "dtheta", "ddtheta")
-    )
-
-
-def auxiliaries(phases):
-    """Evaluate v, r_jk and u_jk for three phase jets.
+def auxiliaries(jet):
+    """Evaluate v, r_jk and u_jk for a three-phase jet.
 
     v is the instantaneous voltage-vector magnitude
     sqrt(sum_i V_i^2 (1 - cos 2 theta_i) / 2); the 1/2 keeps it equal
     to |v| of the cartesian route (1 - cos 2x = 2 sin^2 x).  Raises
     ``DegenerateSpeed`` when v <= ``frenet.EPS_V`` at any instant.
     """
-    V, dV, _, th, dth, _ = _arrays(phases)
+    V, dV, _, th, dth, _ = vars(jet).values()
     v = np.sqrt(np.sum(V**2 * (1.0 - np.cos(2.0 * th)) / 2.0, axis=-1))
     if np.any(v <= EPS_V):
         raise DegenerateSpeed(f"closed-form |v| = {np.min(v)} <= {EPS_V}")
@@ -105,15 +99,15 @@ def auxiliaries(phases):
     return Auxiliaries(v=v, r=r, u=u)
 
 
-def closed_form_invariants(phases):
+def closed_form_invariants(jet):
     """Closed-form (rho, omega, xi) of a three-phase voltage.
 
     rho sums V_i^2 theta_i' sin(2 theta_i) + V_i V_i' (1 - cos 2 theta_i)
     over the phases, normalized by 2 v^2; omega component i is
     (r_jk + u_jk) / v^2 for ijk in {abc, bca, cab}.
     """
-    aux = auxiliaries(phases)
-    V, dV, ddV, th, dth, ddth = _arrays(phases)
+    aux = auxiliaries(jet)
+    V, dV, ddV, th, dth, ddth = vars(jet).values()
     v2 = aux.v * aux.v
     rho = np.sum(
         V**2 * dth * np.sin(2.0 * th) + V * dV * (1.0 - np.cos(2.0 * th)), axis=-1
@@ -128,19 +122,3 @@ def closed_form_invariants(phases):
     return ClosedFormInvariants(
         rho=rho, omega_vec=omega_vec, xi=np.where(denom > 0.0, xi, 0.0)[()]
     )
-
-
-def stationary_sequence(kind, V, w_o):
-    """Closed-form result for stationary positive/negative sequences.
-
-    Independent of V: (rho, omega, xi) = (0, +/-(w_o/sqrt(3))(1,1,1), 0).
-    """
-    if V <= 0:
-        raise InvalidParameter(f"V must be positive, got {V}")
-    if w_o == 0:
-        raise InvalidParameter("w_o must be nonzero")
-    if kind not in ("positive", "negative"):
-        raise InvalidParameter(f"kind must be positive|negative, got {kind!r}")
-    sign = 1.0 if kind == "positive" else -1.0
-    omega_vec = sign * (w_o / math.sqrt(3.0)) * np.ones(3)
-    return 0.0, omega_vec, 0.0

@@ -46,9 +46,9 @@ class PropertyResult:
         return self.worst <= self.tol
 
 
-def _sample_times(n=60):
-    """n instants in [1e-3, T_MAX); the first k of them are _sample_times(k)."""
-    return np.random.default_rng(TIMES_SEED).uniform(1e-3, T_MAX, size=n)
+def _sample_times():
+    """60 instants in [1e-3, T_MAX), the same on every call."""
+    return np.random.default_rng(TIMES_SEED).uniform(1e-3, T_MAX, size=60)
 
 
 def check_geometry():
@@ -162,11 +162,9 @@ def check_threephase():
     times = _sample_times()
     models = [signals.make_scenario(sid) for sid in THREE_PHASE_SCENARIOS]
     b = frenet.invariants_batch(*_join(signals.eval_arrays(m, times) for m in models))
-    jets = [signals.phase_jets(m, times) for m in models]
-    # per phase, the fields of the scenarios' jets (a PhaseJet's vars, in order) joined
-    cf = threephase.closed_form_invariants(
-        [threephase.PhaseJet(*_join(vars(j).values() for j in phase)) for phase in zip(*jets)]
-    )
+    # each field of the scenarios' jets (a PhaseJet's vars, in order) joined
+    jet = threephase.PhaseJet(*_join(vars(signals.phase_jets(m, times)).values() for m in models))
+    cf = threephase.closed_form_invariants(jet)
     worst_rho = _rel(np.abs(cf.rho - b.rho), np.abs(b.rho), 1e-6)
     worst_omega = _rel(rownorm(cf.omega_vec - b.omega_vec), b.omega_mag, 1e-6)
     worst_xi = _rel(np.abs(cf.xi - b.xi), np.abs(b.xi), 1e-6)
@@ -201,7 +199,7 @@ def check_signals():
     fd2 = numdiff.stencil_derivatives(v[:, 1], h2)[1][0]
     worst_d1 = _rel(rownorm(d1 - fd1), rownorm(d1), 1e-300)
     worst_d2 = _rel(rownorm(d2 - fd2), rownorm(d2), 1e-300)
-    times = _sample_times(40)
+    times = _sample_times()[:40]
     b = frenet.invariants_batch(  # the 200 E6 rows, then E0-E2
         *_rows(("E6", np.linspace(0.0, 5.0, 200)), *((sid, times) for sid in ("E0", "E1", "E2")))
     )
@@ -264,7 +262,7 @@ def check_hilbert():
 
 def check_park():
     cfg = park.ParkConfig(w_dq=signals.W_BASE, theta0=0.3)
-    times = _sample_times(40)
+    times = _sample_times()[:40]
     v, dv, ddv, g0 = _batch(signals.make_scenario("E8"), times)
     g1 = frenet.invariants_batch(*park.from_dq0(park.to_dq0(times, v, dv, ddv, cfg), cfg))
     round_trip = _worst(

@@ -153,8 +153,9 @@ def test_lowpass_is_the_numpy_loop_bit_for_bit(rng, scale):
 
 def test_lowpass_rejects_bad_time_constant():
     series = _series(np.zeros((10, 3)))
-    with pytest.raises(ValueError):
-        numdiff.lowpass_first_order(series, 0.0)
+    for tc in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            numdiff.lowpass_first_order(series, tc)
 
 
 # -------------------------------------------------- zero-sequence removal

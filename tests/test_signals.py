@@ -166,12 +166,8 @@ def test_stationary_scenarios_planar(sid):
 def test_phase_jets_reproduce_channel_values(sid):
     model = signals.make_scenario(sid)
     for t in (0.0031, 0.0177, 0.5):
-        jets = signals.phase_jets(model, t)
+        p = signals.phase_jets(model, t)
         v, dv, _ = (x[0] for x in signals.eval_arrays(model, (t,)))
-        for c in range(3):
-            p = jets[c]
-            assert p.V * math.sin(p.theta) == pytest.approx(
-                v[c], rel=1e-10, abs=1e-10
-            )
-            dv_c = p.dV * math.sin(p.theta) + p.V * p.dtheta * math.cos(p.theta)
-            assert dv_c == pytest.approx(dv[c], rel=1e-9, abs=1e-8)
+        s, c = np.sin(p.theta), np.cos(p.theta)
+        assert p.V * s == pytest.approx(v, rel=1e-10, abs=1e-10)
+        assert p.dV * s + p.V * p.dtheta * c == pytest.approx(dv, rel=1e-9, abs=1e-8)

@@ -14,22 +14,31 @@ from conftest import OMEGA_POS, W_O
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 
-def _stationary_phases(V=(12.0, 12.0, 12.0), t=0.0):
-    theta0 = (0.0, -TWO_THIRDS_PI, TWO_THIRDS_PI)
-    return tuple(
-        PhaseJet(V=V[i], dV=0.0, ddV=0.0, theta=W_O * t + theta0[i],
-                 dtheta=W_O, ddtheta=0.0)
-        for i in range(3)
-    )
+def _stationary_jet(V=(12.0, 12.0, 12.0), t=0.0, sign=1.0):
+    """A stationary set at one instant; sign -1 is the negative sequence."""
+    theta0 = sign * np.array([0.0, -TWO_THIRDS_PI, TWO_THIRDS_PI])
+    return PhaseJet(V=V, dV=np.zeros(3), ddV=np.zeros(3), theta=W_O * t + theta0,
+                    dtheta=np.full(3, W_O), ddtheta=np.zeros(3))
 
 
 def test_phasejet_rejects_negative_magnitude():
     with pytest.raises(InvalidParameter):
-        PhaseJet(V=-1.0, dV=0.0, ddV=0.0, theta=0.0, dtheta=0.0, ddtheta=0.0)
+        PhaseJet(V=[12.0, -1.0, 12.0], dV=np.zeros(3), ddV=np.zeros(3),
+                 theta=np.zeros(3), dtheta=np.zeros(3), ddtheta=np.zeros(3))
+
+
+@pytest.mark.parametrize("phases", [2, 4])
+def test_phasejet_needs_three_phases(phases):
+    fields = dict(V=np.ones(3), dV=np.zeros(3), ddV=np.zeros(3), theta=np.zeros(3),
+                  dtheta=np.full(3, W_O), ddtheta=np.zeros(3))
+    for name in fields:
+        bad = dict(fields, **{name: np.ones((5, phases))})
+        with pytest.raises(InvalidParameter, match=name):
+            PhaseJet(**bad)
 
 
 def test_auxiliaries_balanced_magnitude():
-    aux = threephase.auxiliaries(_stationary_phases())
+    aux = threephase.auxiliaries(_stationary_jet())
     assert aux.v == pytest.approx(14.6969, abs=1e-4)
     assert aux.v == pytest.approx(12.0 * math.sqrt(1.5), rel=1e-12)
     # matches the cartesian speed at the same instant
@@ -38,36 +47,35 @@ def test_auxiliaries_balanced_magnitude():
 
 
 def test_auxiliaries_zero_magnitudes_degenerate():
-    phases = tuple(
-        PhaseJet(V=0.0, dV=0.0, ddV=0.0, theta=0.1 * i, dtheta=W_O,
-                 ddtheta=0.0)
-        for i in range(3)
-    )
+    jet = PhaseJet(V=np.zeros(3), dV=np.zeros(3), ddV=np.zeros(3),
+                   theta=0.1 * np.arange(3), dtheta=np.full(3, W_O), ddtheta=np.zeros(3))
     with pytest.raises(DegenerateSpeed):
-        threephase.auxiliaries(phases)
+        threephase.auxiliaries(jet)
 
 
 def test_auxiliaries_stationary_r_terms_vanish():
-    aux = threephase.auxiliaries(_stationary_phases(V=(12.0, 8.0, 10.0)))
+    aux = threephase.auxiliaries(_stationary_jet(V=(12.0, 8.0, 10.0)))
     np.testing.assert_array_equal(aux.r, [0.0, 0.0, 0.0])
 
 
 def test_closed_form_positive_sequence():
-    cf = threephase.closed_form_invariants(_stationary_phases())
-    assert abs(cf.rho) <= 1e-9
-    assert abs(cf.xi) <= 1e-9
-    np.testing.assert_allclose(cf.omega_vec, [OMEGA_POS] * 3, rtol=1e-9)
+    """(rho, omega, xi) = (0, (w_o/sqrt(3))(1, 1, 1), 0) whatever V, and
+    omega flips sign for the negative sequence."""
+    for sign in (1.0, -1.0):
+        for V in (12.0, 24.0):
+            cf = threephase.closed_form_invariants(_stationary_jet(V=(V, V, V), sign=sign))
+            assert abs(cf.rho) <= 1e-9
+            assert abs(cf.xi) <= 1e-9
+            np.testing.assert_allclose(cf.omega_vec, [sign * OMEGA_POS] * 3, rtol=1e-9)
 
 
 def test_closed_form_unbalanced_special_case():
     # with constant magnitudes and dtheta = w_o everywhere, rho reduces to
     # w_o * sum V_i^2 sin(2 theta_i) / (2 v^2)
-    phases = _stationary_phases(V=(12.0, 8.0, 12.0), t=1.3e-3)
-    cf = threephase.closed_form_invariants(phases)
-    V = np.array([p.V for p in phases])
-    th = np.array([p.theta for p in phases])
-    v2 = threephase.auxiliaries(phases).v ** 2
-    expected = W_O * float(np.sum(V**2 * np.sin(2.0 * th))) / (2.0 * v2)
+    jet = _stationary_jet(V=(12.0, 8.0, 12.0), t=1.3e-3)
+    cf = threephase.closed_form_invariants(jet)
+    v2 = threephase.auxiliaries(jet).v ** 2
+    expected = W_O * float(np.sum(jet.V**2 * np.sin(2.0 * jet.theta))) / (2.0 * v2)
     assert cf.rho == pytest.approx(expected, rel=1e-12)
 
 
@@ -90,14 +98,13 @@ def test_closed_form_matches_generic_route(sid, t):
 def test_n_instants_equal_n_single_instants(sid):
     model = signals.make_scenario(sid)
     times = np.linspace(0.0, 1.9, 37)
-    jets = signals.phase_jets(model, times)
-    cf = threephase.closed_form_invariants(jets)
+    jet = signals.phase_jets(model, times)
+    cf = threephase.closed_form_invariants(jet)
     for k, t in enumerate(times.tolist()):
         one = signals.phase_jets(model, t)
-        for p, ps in zip(one, jets):
-            for name in ("V", "dV", "ddV", "theta", "dtheta", "ddtheta"):
-                x = getattr(p, name)
-                assert np.ndim(x) == 0 and x == getattr(ps, name)[k]
+        for name, x in vars(one).items():
+            assert x.shape == (3,)
+            np.testing.assert_array_equal(x, getattr(jet, name)[k])
         cf_one = threephase.closed_form_invariants(one)
         assert np.ndim(cf_one.rho) == 0 and cf_one.rho == cf.rho[k]
         assert np.ndim(cf_one.xi) == 0 and cf_one.xi == cf.xi[k]
@@ -108,12 +115,9 @@ def test_zero_sequence_rank_deficiency():
     """Three equal phases: v and v' both lie along (1, 1, 1), so they span
     no plane and neither route finds a rotation."""
     theta = W_O * 0.003
-    phases = tuple(
-        PhaseJet(V=12.0, dV=0.0, ddV=0.0, theta=theta, dtheta=W_O,
-                 ddtheta=0.0)
-        for _ in range(3)
-    )
-    cf = threephase.closed_form_invariants(phases)
+    jet = PhaseJet(V=np.full(3, 12.0), dV=np.zeros(3), ddV=np.zeros(3),
+                   theta=np.full(3, theta), dtheta=np.full(3, W_O), ddtheta=np.zeros(3))
+    cf = threephase.closed_form_invariants(jet)
     np.testing.assert_array_equal(cf.omega_vec, 0.0)
     assert cf.xi == 0.0
     v, dv, ddv = (
@@ -124,28 +128,3 @@ def test_zero_sequence_rank_deficiency():
     b = frenet.invariants_batch(v, dv, ddv)
     assert b.no_rotation.tolist() == [True] and b.degenerate.tolist() == [False]
     assert b.omega_mag.tolist() == [0.0] and b.xi.tolist() == [0.0]
-
-
-def test_stationary_sequence_values():
-    rho, omega, xi = threephase.stationary_sequence("positive", 12.0, W_O)
-    assert rho == 0.0 and xi == 0.0
-    np.testing.assert_allclose(omega, [181.3799364] * 3, rtol=1e-9)
-    assert np.linalg.norm(omega) == pytest.approx(314.159265, abs=1e-6)
-    rho, omega_neg, xi = threephase.stationary_sequence("negative", 12.0, W_O)
-    np.testing.assert_array_equal(omega_neg, -omega)
-
-
-def test_stationary_sequence_independent_of_magnitude():
-    a = threephase.stationary_sequence("positive", 12.0, W_O)
-    b = threephase.stationary_sequence("positive", 24.0, W_O)
-    assert a[0] == b[0] and a[2] == b[2]
-    np.testing.assert_array_equal(a[1], b[1])
-
-
-def test_stationary_sequence_validation():
-    with pytest.raises(InvalidParameter):
-        threephase.stationary_sequence("positive", -1.0, W_O)
-    with pytest.raises(InvalidParameter):
-        threephase.stationary_sequence("positive", 12.0, 0.0)
-    with pytest.raises(InvalidParameter):
-        threephase.stationary_sequence("sideways", 12.0, W_O)

@@ -5,13 +5,18 @@ tables) has one format, written by ``write_table``: a header row of
 column names, comma separated, LF line endings, floats in Python's
 shortest round-trip ``repr`` so identical inputs yield byte-identical
 files, NaN as an empty cell, a ``rotation_defined`` column as a 0/1
-flag, and an optional trailing ``# key=value`` comment line.  The
-waveform reader accepts '#' comment lines, needs the exact header
-``t,va,vb,vc``, and returns a three-channel ``TimeSeries`` on the
-file's own time column.
+flag, and an optional trailing ``# key=value`` comment line.
+
+The waveform reader decodes the file as UTF-8 (a leading byte-order
+mark is dropped), skips '#' comment and blank lines anywhere, accepts
+LF or CRLF line endings, needs the exact header ``t,va,vb,vc``, and
+parses each cell as ``float()`` does.  It returns a three-channel
+``TimeSeries`` on the file's own time column.  Both directions work in
+blocks of BLOCK_ROWS lines, so the text held at once stays bounded.
 """
 
 import configparser
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -21,7 +26,9 @@ from .series import TimeSeries
 
 WAVEFORM_HEADER = ("t", "va", "vb", "vc")
 DT_JITTER_REL = 1e-9
-BLOCK_ROWS = 256  # rows per write; at 1024 a 5000-row analysis peaked 2.5 MiB higher
+ENCODING = "utf-8-sig"  # UTF-8, with or without a byte-order mark
+# lines per block read or written; at 1024 a 5000-row analysis peaked 2.5 MiB higher
+BLOCK_ROWS = 256
 
 
 def write_waveform_csv(path, series):
@@ -33,33 +40,31 @@ def read_waveform_csv(path):
     """Parse a waveform CSV back into a TimeSeries that holds the
     parsed time column itself, so the times round-trip bit-exactly.
 
-    Raises MalformedCsv on a wrong header, ragged rows, unparsable,
-    NaN or infinite numbers, or a time column with a step off the
-    median step dt by more than DT_JITTER_REL * max(dt, 1 s): 1e-9 s
-    absolute for any step up to 1 s, 1e-9 relative above.
+    Raises MalformedCsv on undecodable text, a wrong header, ragged
+    rows, unparsable, NaN or infinite numbers, or a time column with a
+    step off the median step dt by more than DT_JITTER_REL * max(dt, 1 s):
+    1e-9 s absolute for any step up to 1 s, 1e-9 relative above.  A
+    ragged row or bad number is reported for the first such line.
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise MalformedCsv(f"{path}: empty file")
-    header = tuple(col.strip() for col in lines[0].split(","))
-    if header != WAVEFORM_HEADER:
-        raise MalformedCsv(
-            f"{path}: header must be {','.join(WAVEFORM_HEADER)}, got {lines[0]!r}"
-        )
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise MalformedCsv(f"{path}: expected 4 columns, got {ln!r}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise MalformedCsv(f"{path}: bad number in {ln!r}") from exc
-    if len(rows) < 2:
+    try:
+        with open(path, encoding=ENCODING) as fh:
+            first = next(filter(_is_row, fh), "").rstrip("\n")
+            if not first:
+                raise MalformedCsv(f"{path}: empty file")
+            header = tuple(col.strip() for col in first.split(","))
+            if header != WAVEFORM_HEADER:
+                raise MalformedCsv(
+                    f"{path}: header must be {','.join(WAVEFORM_HEADER)}, got {first!r}"
+                )
+            blocks = []
+            while block := list(islice(fh, BLOCK_ROWS)):
+                blocks.append(_parse_block(path, block))
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
+    if sum(map(len, blocks)) < 2:
         raise MalformedCsv(f"{path}: need at least 2 samples")
-    data = np.array(rows)
+    data = np.concatenate(blocks)
+    del blocks  # freed before the checks below allocate
     if not np.all(np.isfinite(data)):
         raise MalformedCsv(f"{path}: NaN or infinite number")
     t = data[:, 0]
@@ -68,6 +73,42 @@ def read_waveform_csv(path):
     if dt <= 0 or np.any(np.abs(steps - dt) > DT_JITTER_REL * max(abs(dt), 1.0)):
         raise MalformedCsv(f"{path}: time column is not uniformly spaced")
     return TimeSeries(t, dt, data[:, 1:])
+
+
+def _is_row(line):
+    """False for a blank or '#' comment line, which the reader skips."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
+def _parse_block(path, block):
+    """The (k, 4) floats of a block of k file lines, all its cells
+    converted by one ``float()`` pass.  A block that fails it (a comment,
+    blank, ragged or bad line) is walked line by line instead, which
+    skips comment and blank lines and names the first bad one."""
+    cells = ",".join(block).split(",")
+    # each line's last cell keeps its "\n"; those fall at 4i+3 only if
+    # every line has four cells (the file's last line may lack the "\n")
+    if len(cells) == 4 * len(block) and all(map(str.endswith, cells[3:-1:4], repeat("\n"))):
+        try:
+            return np.array(cells, dtype=np.float64).reshape(-1, 4)
+        except ValueError:
+            pass
+    rows = []
+    for ln in filter(_is_row, block):
+        ln = ln.rstrip("\n")
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise MalformedCsv(f"{path}: expected 4 columns, got {ln!r}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise MalformedCsv(f"{path}: bad number in {ln!r}") from exc
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def _undecodable(path, exc):
+    """The MalformedCsv for a file that is not text in ENCODING."""
+    return MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def _cells(column, fmt):
@@ -105,16 +146,19 @@ def write_analysis_csv(path, columns, degenerate_count):
 
 def read_config(path):
     """Read an INI-style config into a flat {section.key: value} dict.
-    Raises MalformedCsv if the file is missing or INI parsing rejects it."""
+    Raises MalformedCsv if the file is missing, is not UTF-8 text or INI
+    parsing rejects it."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding=ENCODING)
         out = {}
         for section in parser.sections():
             for key, value in parser.items(section):
                 out[f"{section}.{key}"] = value
     except configparser.Error as exc:
         raise MalformedCsv(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
     if not read:
         raise MalformedCsv(f"config file not found: {path}")
     return out

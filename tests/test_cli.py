@@ -185,6 +185,19 @@ def test_waveform_csv_rejects_jittered_grid(tmp_path):
         cli_io.read_waveform_csv(path)
 
 
+def test_analyze_reads_crlf_notes_and_a_bom_as_the_plain_file(tmp_path):
+    plain, marked = tmp_path / "e5.csv", tmp_path / "e5_marked.csv"
+    assert cli.main(["generate", "E5", "--out", str(plain)]) == 0
+    lines = plain.read_text().splitlines()
+    lines[1:1] = ["# exported by a spreadsheet"]
+    lines.insert(len(lines) // 2, "")
+    marked.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8-sig"))
+    outs = [tmp_path / "plain_out.csv", tmp_path / "marked_out.csv"]
+    for src, out in zip((plain, marked), outs):
+        assert cli.main(["analyze", "--csv", str(src), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 # ---------------------------------------------------------------- validate
 
 
@@ -498,6 +511,15 @@ BAD_INPUT = [
     ("config-tau-zero", ["analyze", "--csv", "{good}", "--config", "{cfg_tau_zero}"], 2,
      "filter.tau"),
     ("config-no-section", ["generate", "E0", "--config", "{cfg_bare}"], 3, "section header"),
+    # text that is not UTF-8 is a format error naming the file, whether the
+    # bad byte is in the first block of a recording or a later one
+    ("csv-not-utf8", ["analyze", "--csv", "{not_utf8}"], 3, "{not_utf8}: not UTF-8 text"),
+    ("csv-not-utf8-late", ["analyze", "--csv", "{not_utf8_late}"], 3,
+     "{not_utf8_late}: not UTF-8 text"),
+    ("hilbert-csv-not-utf8", ["hilbert", "--csv", "{not_utf8}"], 3,
+     "{not_utf8}: not UTF-8 text"),
+    ("config-not-utf8", ["generate", "E0", "--config", "{cfg_not_utf8}"], 3,
+     "{cfg_not_utf8}: not UTF-8 text"),
     # a recording whose scale overflows float64 where a sample is not
     # degenerate: |v|^2, |v x v'|^2 (a tau of -0.0 otherwise), the stencil,
     # the Hilbert transform or the analytic envelope
@@ -585,12 +607,22 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
     for name, lines in waveforms.items():
         paths[name] = tmp_path / f"{name}.csv"
         paths[name].write_text("".join(lines))
+    long = "".join(_recording(lambda k: (1.0, -0.5, -0.5), rows=3 * cli_io.BLOCK_ROWS))
+    undecodable = {
+        "not_utf8.csv": b"t,va,vb,vc\n0,1,2,\xff\n1e-4,1,2,3\n",
+        "not_utf8_late.csv": long.encode()[:-2] + b"\xff\n",
+        "cfg_not_utf8.ini": b"[sampling]\ndt = 1e-4\xff\n",
+    }
+    for name, data in undecodable.items():
+        path = tmp_path / name
+        paths[path.stem] = path
+        path.write_bytes(data)
     argv = [a.format(**paths) for a in argv]
     if argv[0] in ("analyze", "generate"):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and says in err
+    assert err.startswith("error: ") and says.format(**paths) in err
 
 
 @pytest.mark.parametrize(

@@ -28,13 +28,13 @@ for label, cfg in (
     ("detuned frame (w_dq = w_o + 2 pi)", ParkConfig(W_O + 2 * math.pi)),
     ("Clarke frame (w_dq = 0)", ParkConfig(0.0)),
 ):
-    dq = park.to_dq0(t, v, dv, ddv, cfg)
-    g = park.dq0_invariants(dq, cfg)
-    rep = park.derivative_frame_check(dq, cfg)
+    vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, cfg)
+    g = park.dq0_invariants(vdq0, dvdq0, cfg)
+    rep = park.derivative_frame_check(vdq0, dvdq0, cfg)
     print(label)
-    print(f"  v_dq0          = {dq.vdq0}")
+    print(f"  v_dq0          = {vdq0}")
     print(f"  delta_omega    = {g.delta_omega:+.4f} rad/s")
-    print(f"  rotating  dv   = {rep.rotating_dv}")
+    print(f"  rotating  dv   = {dvdq0}")
     print(f"  rotation  term = {rep.rotation_term}")
     print(f"  rho v          = {rep.sym_part}")
     print(f"  omega x v      = {rep.antisym_part}")
@@ -47,7 +47,7 @@ sync = ParkConfig(W_O, -math.pi / 2)
 for sid, t in (("E5", 0.013), ("E8", 1.3)):
     rows = signals.eval_arrays(signals.make_scenario(sid), (t,))
     a = frenet.invariants_batch(*rows)
-    b = frenet.invariants_batch(*park.from_dq0(park.to_dq0(t, *rows, sync), sync))
+    b = frenet.invariants_batch(*park.from_dq0(t, *park.to_dq0(t, *rows, sync), sync))
     print(f"  {sid} t={t}: rho {a.rho[0]:+.6f} / {b.rho[0]:+.6f}"
           f"   |omega| {a.omega_mag[0]:.4f} / {b.omega_mag[0]:.4f}"
           f"   xi {a.xi[0]:+.6f} / {b.xi[0]:+.6f}")

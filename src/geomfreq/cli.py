@@ -165,10 +165,10 @@ def cmd_park(args):
     model, grid = _scenario_grid(args, cfg, fallback="E0")
     times = signals.sample_times(*grid)
     pcfg = park.ParkConfig(w_dq=w_dq, theta0=theta0)
-    dq = park.to_dq0(times, *signals.eval_arrays(model, times), pcfg)
-    rep = park.derivative_frame_check(dq, pcfg)
+    vdq0, dvdq0, _ = park.to_dq0(times, *signals.eval_arrays(model, times), pcfg)
+    rep = park.derivative_frame_check(vdq0, dvdq0, pcfg)
     if args.out:
-        cli_io.write_table(args.out, ("t", "vd", "vq", "vo"), (times, *dq.vdq0.T))
+        cli_io.write_table(args.out, ("t", "vd", "vq", "vo"), (times, *vdq0.T))
         print(f"wrote {times.size} dq0 samples to {args.out}")
     # a NaN error must fail the check, so fold without dropping NaN
     worst_sum = validate._worst(rep.sum_rel_err)

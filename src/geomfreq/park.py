@@ -18,20 +18,19 @@ derivatives of the dq0 component functions.  ``to_dq0``, ``from_dq0``,
 ``MAX_SUM_REL_ERR`` bounds the sum identity of the two derivative splits
 for ``geomfreq park`` and ``validate`` alike.
 
-Every function takes one instant or N of them at once: a time t of
-shape () or (N,), and vectors of shape (3,) or (N, 3) with the
-components on the last axis.  N instants give the same bits as N calls
-of one instant each.
+A dq0 jet is the plain triple (v_dq0, v_hat', v_hat'') of ``to_dq0``,
+which ``from_dq0`` takes back.  Every function takes one instant or N
+at once: a time t of shape () or (N,), and array-likes of shape (3,) or
+(N, 3), components last.  N instants give the same bits as N calls.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import frenet
-from .errors import DegenerateSpeed
+from .errors import DegenerateSpeed, FloatOverflow, InvalidRange
 from .frenet import EPS_V
 from .geometry import rownorm
 
@@ -39,6 +38,8 @@ _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 BALANCE_TOL = 1e-9  # balanced: |v_o| <= BALANCE_TOL |v| and |v_o'| <= BALANCE_TOL |v'|
 TERM_TOL = 1e-9  # terms_equal: |v_hat' - rho v| <= TERM_TOL |v'|
 MAX_SUM_REL_ERR = 1e-9  # pass bound of FrameCheckReport.sum_rel_err
+# past it, float64 resolves the frame angle w_dq t + theta0 to worse than 1.9e-6 rad
+MAX_FRAME_ANGLE = 2.0**33  # rad, 316 days at 50 Hz
 
 
 @dataclass(frozen=True)
@@ -48,28 +49,6 @@ class ParkConfig:
 
     w_dq: float  # rad/s
     theta0: float = 0.0  # rad
-
-
-@dataclass(frozen=True)
-class DqoJet:
-    """Voltage in dq0 coordinates with rotating-frame derivatives, at
-    one time t (vectors of shape (3,)) or at N times (shape (N, 3)).
-
-    ``dvdq0`` holds (v_d', v_q', v_o'), i.e. the derivatives of the
-    dq0 component functions; the inertial derivative additionally
-    includes the frame rotation term.
-    """
-
-    t: float
-    vdq0: np.ndarray
-    dvdq0: np.ndarray
-    ddvdq0: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        for name in ("vdq0", "dvdq0", "ddvdq0"):
-            x = getattr(self, name)
-            if x is not None:
-                object.__setattr__(self, name, np.asarray(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -84,13 +63,11 @@ class Dq0Invariants:
 class FrameCheckReport:
     """Comparison of the rotation-split and geometric-split derivatives."""
 
-    inertial_dv: np.ndarray  # v' = rotating_dv + r x v
-    rotating_dv: np.ndarray  # (v_d', v_q', v_o')
     rotation_term: np.ndarray  # r x v, r = w_dq e_o
     sym_part: np.ndarray  # rho v
     antisym_part: np.ndarray  # omega x v
-    sum_rel_err: float  # |(rho v + omega x v) - inertial_dv| / |v'|
-    terms_equal: bool  # rotating_dv == rho v componentwise
+    sum_rel_err: float  # |(rho v + omega x v) - v'| / |v'|, v' = v_hat' + r x v
+    terms_equal: bool  # v_hat' == rho v componentwise
     balanced: bool  # where the balanced identity applies
     balanced_identity_err: float  # |v_hat' - rho v - dw e_o x v| / |v'|; NaN if not balanced
 
@@ -118,44 +95,49 @@ def _apply(M, x):
 
 def _spin(w, x):
     """(w e_o) x x: the rotation term of a frame spinning at w about e_o."""
-    x_d, x_q = x[..., 0], x[..., 1]
+    x_d, x_q, _ = np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0)
     return np.stack([-w * x_q, w * x_d, np.zeros_like(w * x_d)], axis=-1)
 
 
 def to_dq0(t, v, dv, ddv, cfg):
-    """Transform abc v, v', v'' at times t into dq0 coordinates.
+    """Transform abc v, v', v'' at times t into the dq0 jet (v_dq0, v_hat', v_hat'').
 
     P v' is the inertial derivative in dq0 components; the rotating
     derivatives are what is left of it after the rotation term r x v.
+    Raises InvalidRange past MAX_FRAME_ANGLE, FloatOverflow on overflow.
     """
-    P = park_matrix(cfg.w_dq * t + cfg.theta0)
-    vdq0 = _apply(P, v)
-    dv = _apply(P, dv)
-    dvdq0 = dv - _spin(cfg.w_dq, vdq0)
-    ddvdq0 = _apply(P, ddv) - _spin(cfg.w_dq, dv + dvdq0)
-    return DqoJet(t=t, vdq0=vdq0, dvdq0=dvdq0, ddvdq0=ddvdq0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = cfg.w_dq * np.asarray(t) + cfg.theta0
+        worst = np.max(np.abs(theta), initial=0.0)
+        if not worst <= MAX_FRAME_ANGLE:
+            raise InvalidRange(f"frame angle {worst:.6g} rad is past park.MAX_FRAME_ANGLE = 2**33")
+        P = park_matrix(theta)
+        vdq0 = _apply(P, v)
+        dv = _apply(P, dv)
+        dvdq0 = dv - _spin(cfg.w_dq, vdq0)
+        ddvdq0 = _apply(P, ddv) - _spin(cfg.w_dq, dv + dvdq0)
+    if not (np.isfinite(dvdq0).all() and np.isfinite(ddvdq0).all()):
+        raise FloatOverflow("the dq0 derivatives of the voltage overflow float64")
+    return vdq0, dvdq0, ddvdq0
 
 
-def from_dq0(j, cfg):
-    """Inverse transform back to abc (v, v', v''); needs ddvdq0."""
-    if j.ddvdq0 is None:
-        raise ValueError("from_dq0 needs a jet carrying ddvdq0")
-    Q = inverse_park_matrix(cfg.w_dq * j.t + cfg.theta0)
-    dv = inertial_derivative(j, cfg)
-    ddv = j.ddvdq0 + _spin(cfg.w_dq, dv + j.dvdq0)
-    return _apply(Q, j.vdq0), _apply(Q, dv), _apply(Q, ddv)
+def from_dq0(t, vdq0, dvdq0, ddvdq0, cfg):
+    """Inverse of ``to_dq0``: abc (v, v', v'') at times t."""
+    Q = inverse_park_matrix(cfg.w_dq * t + cfg.theta0)
+    dv = inertial_derivative(vdq0, dvdq0, cfg)
+    ddv = ddvdq0 + _spin(cfg.w_dq, dv + dvdq0)
+    return _apply(Q, vdq0), _apply(Q, dv), _apply(Q, ddv)
 
 
-def inertial_derivative(j, cfg):
+def inertial_derivative(vdq0, dvdq0, cfg):
     """v' = v_hat' + r x v in dq0 components, r = w_dq e_o."""
-    return j.dvdq0 + _spin(cfg.w_dq, j.vdq0)
+    return np.asarray(dvdq0, dtype=np.float64) + _spin(cfg.w_dq, vdq0)
 
 
-def dq0_invariants(j, cfg):
+def dq0_invariants(vdq0, dvdq0, cfg):
     """rho and omega of the voltage curve, expressed in dq0 components:
     ``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
-    derivative.  Raises ``DegenerateSpeed`` when |v| <= EPS_V at any
-    instant.
+    derivative.  Raises ``DegenerateSpeed`` when |v| <= EPS_V anywhere.
 
     Where the set is balanced, |v_o| <= BALANCE_TOL |v| and
     |v_o'| <= BALANCE_TOL |v'|, this reduces to
@@ -164,7 +146,8 @@ def dq0_invariants(j, cfg):
     (v_d v_q' - v_q v_d')/(v_d^2 + v_q^2) from the frame speed (v_o^2 is
     left out of the denominator); elsewhere delta_omega is NaN.
     """
-    v, dv = j.vdq0, inertial_derivative(j, cfg)
+    v, dvdq0 = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
+    dv = inertial_derivative(v, dvdq0, cfg)
     rows = v.reshape(-1, 3)
     # eps_w=0: omega is reported however small it is, never zeroed
     # v'' = 0 stands in: rho and omega do not depend on it
@@ -179,7 +162,7 @@ def dq0_invariants(j, cfg):
         np.abs(dv[..., 2]) <= BALANCE_TOL * rownorm(dv)
     )
     vd, vq, _ = np.moveaxis(v, -1, 0)
-    dvd, dvq, _ = np.moveaxis(j.dvdq0, -1, 0)
+    dvd, dvq, _ = np.moveaxis(dvdq0, -1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_omega = (vd * dvq - vq * dvd) / (vd * vd + vq * vq)
     return Dq0Invariants(
@@ -190,7 +173,7 @@ def dq0_invariants(j, cfg):
     )
 
 
-def derivative_frame_check(j, cfg):
+def derivative_frame_check(vdq0, dvdq0, cfg):
     """Compare the two splits of the inertial derivative.
 
     Rotation split: v' = v_hat' + r x v with r = w_dq e_o.
@@ -200,23 +183,18 @@ def derivative_frame_check(j, cfg):
     balanced (see ``dq0_invariants``) v_hat' = rho v + delta_omega e_o x v
     as well; ``balanced_identity_err`` is NaN elsewhere.
     """
-    g = dq0_invariants(j, cfg)
-    v = j.vdq0
-    v_hat_prime = j.dvdq0
-    inertial = inertial_derivative(j, cfg)
+    v, v_hat_prime = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
+    g = dq0_invariants(v, v_hat_prime, cfg)
+    inertial = inertial_derivative(v, v_hat_prime, cfg)
     sym = g.rho[..., None] * v
     antisym = np.cross(g.omega_vec, v)
     scale = np.maximum(rownorm(inertial), EPS_V)
     return FrameCheckReport(
-        inertial_dv=inertial,
-        rotating_dv=v_hat_prime,
         rotation_term=_spin(cfg.w_dq, v),
         sym_part=sym,
         antisym_part=antisym,
         sum_rel_err=rownorm(sym + antisym - inertial) / scale,
         terms_equal=rownorm(v_hat_prime - sym) <= TERM_TOL * scale,
         balanced=g.balanced,
-        balanced_identity_err=(
-            rownorm(v_hat_prime - (sym + _spin(g.delta_omega, v))) / scale
-        ),
+        balanced_identity_err=rownorm(v_hat_prime - (sym + _spin(g.delta_omega, v))) / scale,
     )

@@ -264,7 +264,8 @@ def check_park():
     cfg = park.ParkConfig(w_dq=signals.W_BASE, theta0=0.3)
     times = _sample_times()[:40]
     v, dv, ddv, g0 = _batch(signals.make_scenario("E8"), times)
-    g1 = frenet.invariants_batch(*park.from_dq0(park.to_dq0(times, v, dv, ddv, cfg), cfg))
+    dq = park.to_dq0(times, v, dv, ddv, cfg)
+    g1 = frenet.invariants_batch(*park.from_dq0(times, *dq, cfg))
     round_trip = _worst(
         _rel(np.abs(g0.rho - g1.rho), np.abs(g0.rho), 1.0),
         _rel(np.abs(g0.omega_mag - g1.omega_mag), g0.omega_mag, 0.0),
@@ -280,15 +281,13 @@ def check_park():
             continue
         draws.append((vdq0, dvdq0, rng.normal()))  # each draw has its own w_dq
     vdq0, dvdq0, w_dq = (np.array(x) for x in zip(*draws))
-    rep = park.derivative_frame_check(
-        park.DqoJet(t=0.0, vdq0=vdq0, dvdq0=dvdq0), park.ParkConfig(w_dq=w_dq)
-    )
+    rep = park.derivative_frame_check(vdq0, dvdq0, park.ParkConfig(w_dq=w_dq))
 
     # Remark 7: synchronous balanced frame reproduces the plane-curve result
     cfg_sync = park.ParkConfig(w_dq=signals.W_BASE, theta0=-math.pi / 2)
     t = np.array([0.0125])
-    jet = signals.eval_arrays(signals.make_scenario("E0"), t)
-    w = park.dq0_invariants(park.to_dq0(t, *jet, cfg_sync), cfg_sync).omega_vec
+    vdq0, dvdq0, _ = park.to_dq0(t, *signals.eval_arrays(signals.make_scenario("E0"), t), cfg_sync)
+    w = park.dq0_invariants(vdq0, dvdq0, cfg_sync).omega_vec
     remark7 = _worst(np.abs(w[:, :2]), np.abs(w[:, 2] - signals.W_BASE) / signals.W_BASE)
     return [
         PropertyResult("park", "invariants unchanged by dq0 round trip", round_trip, 1e-9),

@@ -13,7 +13,7 @@ import pytest
 
 from geomfreq import cli, frenet, hilbert, park, signals, threephase
 from geomfreq.geometry import rownorm
-from geomfreq.park import DqoJet, ParkConfig
+from geomfreq.park import ParkConfig
 
 from conftest import ddv_expansion, scenario_arrays
 
@@ -186,22 +186,19 @@ def test_criterion_10_park_suite():
     model = signals.make_scenario("E0")
     for t in (0.0, 0.0051, 0.023):
         v, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
-        dq = park.to_dq0(t, v, dv, ddv, sync)
-        g = park.dq0_invariants(dq, sync)
+        vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, sync)
+        g = park.dq0_invariants(vdq0, dvdq0, sync)
         assert abs(g.delta_omega) <= 1e-6
-        rep = park.derivative_frame_check(dq, sync)
+        rep = park.derivative_frame_check(vdq0, dvdq0, sync)
         assert rep.terms_equal
         # Clarke special case: no rotation term at all
         clarke = ParkConfig(w_dq=0.0)
-        dq0 = park.to_dq0(t, v, dv, ddv, clarke)
-        rep0 = park.derivative_frame_check(dq0, clarke)
-        np.testing.assert_array_equal(rep0.inertial_dv, rep0.rotating_dv)
+        vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, clarke)
+        np.testing.assert_array_equal(park.inertial_derivative(vdq0, dvdq0, clarke), dvdq0)
     rng = np.random.default_rng(10)
     for _ in range(200):
         vdq0, dvdq0 = rng.normal(scale=10.0, size=(2, 3))
-        rep = park.derivative_frame_check(
-            DqoJet(t=0.0, vdq0=vdq0, dvdq0=dvdq0), sync
-        )
+        rep = park.derivative_frame_check(vdq0, dvdq0, sync)
         assert rep.sum_rel_err <= 1e-9
 
 

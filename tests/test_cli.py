@@ -408,7 +408,7 @@ def test_park_and_hilbert_csv_cells(tmp_path):
     rows = []
     for t in signals.sample_times(0.0, 0.01, 1e-3).tolist():
         v, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
-        rows.append((t, *park.to_dq0(t, v, dv, ddv, cfg).vdq0))
+        rows.append((t, *park.to_dq0(t, v, dv, ddv, cfg)[0]))
     assert out.read_bytes() == _csv_bytes(("t", "vd", "vq", "vo"), rows)
 
     out = tmp_path / "hb.csv"
@@ -503,6 +503,15 @@ BAD_INPUT = [
     ("park-theta0-nan", ["park", "--scenario", "E0", "--theta0", "nan"], 2, "--theta0"),
     ("config-park-wdq-nan", ["park", "--scenario", "E0", "--config", "{cfg_wdq}"], 2,
      "park.wdq"),
+    # a frame angle float64 cannot resolve, or one that overflows it; the
+    # dq0 derivatives w_dq v overflow float64 even where the angle is small
+    ("park-theta0-past-bound", ["park", "--scenario", "E0", "--theta0", "1e17"], 2,
+     "frame angle 1e+17 rad is past park.MAX_FRAME_ANGLE"),
+    ("park-wdq-angle-overflow", ["park", "--scenario", "E0", "--wdq", "1e300"], 2,
+     "park.MAX_FRAME_ANGLE"),
+    ("park-derivatives-overflow",
+     ["park", "--scenario", "E0", "--t1", "1e-205", "--dt", "1e-207", "--wdq", "1e210"], 3,
+     "dq0 derivatives of the voltage overflow float64"),
     # config files: a value that is not a number names its key; an
     # unparsable file is a format error
     ("config-dt-not-a-number", ["generate", "E0", "--config", "{cfg_dt}"], 2, "sampling.dt"),

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomfreq import frenet, park, signals
-from geomfreq.errors import DegenerateSpeed
-from geomfreq.park import DqoJet, ParkConfig
+from geomfreq.errors import DegenerateSpeed, InvalidRange
+from geomfreq.park import ParkConfig
 
 from conftest import W_O
 
@@ -25,7 +27,8 @@ def _e0_jet(t):
 
 
 def _to_dq0(j, cfg):
-    return park.to_dq0(*j, cfg)
+    """(t, v_dq0, v_hat', v_hat'') of a jet (t, v, v', v'')."""
+    return (j[0], *park.to_dq0(*j, cfg))
 
 
 # ---------------------------------------------------------------- to_dq0
@@ -33,29 +36,29 @@ def _to_dq0(j, cfg):
 
 def test_synchronous_balanced_is_constant():
     for t in (0.0, 0.0042, 0.017):
-        dq = _to_dq0(_e0_jet(t), SYNC)
-        np.testing.assert_allclose(dq.vdq0, [12.0, 0.0, 0.0], atol=1e-9)
-        np.testing.assert_allclose(dq.dvdq0, 0.0, atol=1e-6)
+        _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(t), SYNC)
+        np.testing.assert_allclose(vdq0, [12.0, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(dvdq0, 0.0, atol=1e-6)
 
 
 def test_clarke_case_rotates_at_signal_frequency():
     cfg = ParkConfig(w_dq=0.0)
     for t in (0.0, 0.003):
-        dq = _to_dq0(_e0_jet(t), cfg)
-        g = park.dq0_invariants(dq, cfg)
+        _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(t), cfg)
+        g = park.dq0_invariants(vdq0, dvdq0, cfg)
         assert g.delta_omega == pytest.approx(W_O, rel=1e-9)
 
 
 def test_zero_input_zero_output():
-    dq = _to_dq0((0.1, np.zeros(3), np.zeros(3), np.zeros(3)), SYNC)
-    np.testing.assert_array_equal(dq.vdq0, [0, 0, 0])
-    np.testing.assert_array_equal(dq.dvdq0, [0, 0, 0])
+    _, vdq0, dvdq0, ddvdq0 = _to_dq0((0.1, np.zeros(3), np.zeros(3), np.zeros(3)), SYNC)
+    for x in (vdq0, dvdq0, ddvdq0):
+        np.testing.assert_array_equal(x, [0, 0, 0])
 
 
 def test_round_trip_restores_jet():
     for sid, t in (("E2", 0.0137), ("E8", 0.91)):
         j = _jet(sid, t)
-        for back, x in zip(park.from_dq0(_to_dq0(j, SYNC), SYNC), j[1:]):
+        for back, x in zip(park.from_dq0(*_to_dq0(j, SYNC), SYNC), j[1:]):
             np.testing.assert_allclose(back, x, atol=1e-9 * np.linalg.norm(x))
 
 
@@ -67,10 +70,11 @@ def test_rotating_derivatives_match_finite_differences():
     for t in (0.25, 0.9, 1.6):
         t = round(t / h) * h
         lo, mid, hi = (_to_dq0(_jet("E8", t + k * h), cfg) for k in (-1, 0, 1))
-        fd1 = (hi.vdq0 - lo.vdq0) / (2.0 * h)
-        fd2 = (hi.dvdq0 - lo.dvdq0) / (2.0 * h)
-        np.testing.assert_allclose(mid.dvdq0, fd1, atol=1e-7 * np.linalg.norm(mid.dvdq0))
-        np.testing.assert_allclose(mid.ddvdq0, fd2, atol=1e-7 * np.linalg.norm(mid.ddvdq0))
+        _, _, dvdq0, ddvdq0 = mid
+        fd1 = (hi[1] - lo[1]) / (2.0 * h)
+        fd2 = (hi[2] - lo[2]) / (2.0 * h)
+        np.testing.assert_allclose(dvdq0, fd1, atol=1e-7 * np.linalg.norm(dvdq0))
+        np.testing.assert_allclose(ddvdq0, fd2, atol=1e-7 * np.linalg.norm(ddvdq0))
 
 
 @pytest.mark.parametrize(
@@ -81,15 +85,16 @@ def test_n_instants_equal_n_single_instants(sid, cfg):
     times = np.linspace(0.0, 1.9, 37)
     v, dv, ddv = signals.eval_arrays(signals.make_scenario(sid), times)
     dq = park.to_dq0(times, v, dv, ddv, cfg)
-    back = park.from_dq0(dq, cfg)
-    rep = park.derivative_frame_check(dq, cfg)
+    back = park.from_dq0(times, *dq, cfg)
+    rep = park.derivative_frame_check(*dq[:2], cfg)
     for k, t in enumerate(times.tolist()):
         one = park.to_dq0(t, v[k], dv[k], ddv[k], cfg)
-        for name in ("vdq0", "dvdq0", "ddvdq0"):
-            np.testing.assert_array_equal(getattr(one, name), getattr(dq, name)[k])
-        for x, xs in zip(park.from_dq0(one, cfg), back):
+        assert len(one) == len(dq) == 3
+        for x, xs in zip(one, dq):
             np.testing.assert_array_equal(x, xs[k])
-        rep_one = park.derivative_frame_check(one, cfg)
+        for x, xs in zip(park.from_dq0(t, *one, cfg), back):
+            np.testing.assert_array_equal(x, xs[k])
+        rep_one = park.derivative_frame_check(*one[:2], cfg)
         for f in dataclasses.fields(rep):
             np.testing.assert_array_equal(
                 getattr(rep_one, f.name), getattr(rep, f.name)[k], err_msg=f.name
@@ -100,8 +105,8 @@ def test_n_instants_equal_n_single_instants(sid, cfg):
 
 
 def test_synchronous_invariants_remark_single_phase_form():
-    dq = _to_dq0(_e0_jet(0.0073), SYNC)
-    g = park.dq0_invariants(dq, SYNC)
+    _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.0073), SYNC)
+    g = park.dq0_invariants(vdq0, dvdq0, SYNC)
     assert g.rho == pytest.approx(0.0, abs=1e-9)
     assert g.delta_omega == pytest.approx(0.0, abs=1e-6)
     np.testing.assert_allclose(g.omega_vec, [0.0, 0.0, W_O], atol=1e-6)
@@ -109,8 +114,7 @@ def test_synchronous_invariants_remark_single_phase_form():
 
 def test_constant_dq_signal_is_at_frame_speed():
     cfg = ParkConfig(w_dq=W_O + 2.0 * math.pi)
-    j = DqoJet(t=0.2, vdq0=(9.0, 4.0, 0.0), dvdq0=(0.0, 0.0, 0.0))
-    g = park.dq0_invariants(j, cfg)
+    g = park.dq0_invariants((9.0, 4.0, 0.0), (0.0, 0.0, 0.0), cfg)
     assert g.delta_omega == 0.0
     np.testing.assert_allclose(g.omega_vec, [0.0, 0.0, cfg.w_dq], atol=1e-12)
 
@@ -120,10 +124,9 @@ def test_invariants_match_frenet_route(rng):
     # reproduce rho v + omega x v = inertial derivative
     for _ in range(50):
         vdq0, dvdq0 = rng.normal(scale=10.0, size=(2, 3))
-        j = DqoJet(t=0.0, vdq0=vdq0, dvdq0=dvdq0)
-        g = park.dq0_invariants(j, SYNC)
-        inertial = park.inertial_derivative(j, SYNC)
-        lhs = g.rho * j.vdq0 + np.cross(g.omega_vec, j.vdq0)
+        g = park.dq0_invariants(vdq0, dvdq0, SYNC)
+        inertial = park.inertial_derivative(vdq0, dvdq0, SYNC)
+        lhs = g.rho * vdq0 + np.cross(g.omega_vec, vdq0)
         np.testing.assert_allclose(
             lhs, inertial, atol=1e-9 * max(np.linalg.norm(inertial), 1.0)
         )
@@ -144,11 +147,8 @@ def test_dq0_invariants_equal_abc_frenet(sid, cfg):
     times = np.linspace(0.01, 1.9, 25)
     v, dv, ddv = signals.eval_arrays(signals.make_scenario(sid), times)
     ref = frenet.invariants_batch(v, dv, ddv)
-    dq = park.to_dq0(times, v, dv, ddv, cfg)
-    g = park.dq0_invariants(
-        DqoJet(t=dq.t, vdq0=dq.vdq0 * _CONFORMAL, dvdq0=dq.dvdq0 * _CONFORMAL),
-        cfg,
-    )
+    vdq0, dvdq0, _ = park.to_dq0(times, v, dv, ddv, cfg)
+    g = park.dq0_invariants(vdq0 * _CONFORMAL, dvdq0 * _CONFORMAL, cfg)
     tol = 1e-9 * ref.omega_mag
     assert np.all(np.abs(g.rho - ref.rho) <= tol)
     assert np.all(np.abs(np.linalg.norm(g.omega_vec, axis=1) - ref.omega_mag) <= tol)
@@ -156,33 +156,32 @@ def test_dq0_invariants_equal_abc_frenet(sid, cfg):
 
 def test_balanced_needs_zero_sequence_value_and_derivative():
     # on E8 at t = 0, v_o vanishes but v_o' does not: not balanced
-    dq = _to_dq0(_jet("E8", 0.0), SYNC)
-    assert abs(dq.vdq0[2]) <= 1e-9 * np.linalg.norm(dq.vdq0)
-    g = park.dq0_invariants(dq, SYNC)
+    _, vdq0, dvdq0, _ = _to_dq0(_jet("E8", 0.0), SYNC)
+    assert abs(vdq0[2]) <= 1e-9 * np.linalg.norm(vdq0)
+    g = park.dq0_invariants(vdq0, dvdq0, SYNC)
     assert not g.balanced and math.isnan(g.delta_omega)
-    rep = park.derivative_frame_check(dq, SYNC)
+    rep = park.derivative_frame_check(vdq0, dvdq0, SYNC)
     assert not rep.balanced and math.isnan(rep.balanced_identity_err)
     # E0 is balanced at every instant, in any frame
     times = signals.sample_times(0.0, 0.1, 1e-4)
     jet = signals.eval_arrays(signals.make_scenario("E0"), times)
     for cfg in (SYNC, ParkConfig(w_dq=0.7 * W_O, theta0=0.3)):
-        rep = park.derivative_frame_check(park.to_dq0(times, *jet, cfg), cfg)
+        rep = park.derivative_frame_check(*park.to_dq0(times, *jet, cfg)[:2], cfg)
         assert rep.balanced.all()
         assert np.max(rep.balanced_identity_err) <= 1e-9
 
 
 def test_invariants_degenerate_speed():
-    j = DqoJet(t=0.0, vdq0=(0, 0, 0), dvdq0=(1, 0, 0))
     with pytest.raises(DegenerateSpeed):
-        park.dq0_invariants(j, SYNC)
+        park.dq0_invariants((0, 0, 0), (1, 0, 0), SYNC)
 
 
 # ------------------------------------------------ derivative frame check
 
 
 def test_frame_check_synchronous_termwise_equal():
-    dq = _to_dq0(_e0_jet(0.011), SYNC)
-    rep = park.derivative_frame_check(dq, SYNC)
+    _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.011), SYNC)
+    rep = park.derivative_frame_check(vdq0, dvdq0, SYNC)
     assert rep.sum_rel_err <= 1e-9
     assert rep.terms_equal
     assert rep.balanced_identity_err <= 1e-9
@@ -190,10 +189,10 @@ def test_frame_check_synchronous_termwise_equal():
 
 def test_frame_check_clarke_derivative_is_rotating_derivative():
     cfg = ParkConfig(w_dq=0.0)
-    dq = _to_dq0(_e0_jet(0.004), cfg)
-    rep = park.derivative_frame_check(dq, cfg)
+    _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.004), cfg)
+    rep = park.derivative_frame_check(vdq0, dvdq0, cfg)
     np.testing.assert_array_equal(rep.rotation_term, [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(rep.inertial_dv, rep.rotating_dv)
+    np.testing.assert_array_equal(park.inertial_derivative(vdq0, dvdq0, cfg), dvdq0)
     assert rep.sum_rel_err <= 1e-9
 
 
@@ -201,13 +200,11 @@ def test_frame_check_generic_sums_agree_terms_differ(rng):
     cfg = ParkConfig(w_dq=W_O)
     for _ in range(20):
         vdq0, dvdq0 = rng.normal(scale=5.0, size=(2, 3))
-        rep = park.derivative_frame_check(
-            DqoJet(t=0.0, vdq0=vdq0, dvdq0=dvdq0), cfg
-        )
+        rep = park.derivative_frame_check(vdq0, dvdq0, cfg)
         assert rep.sum_rel_err <= 1e-9
     # a frame spinning away from the signal cannot match termwise
-    dq = _to_dq0(_e0_jet(0.006), ParkConfig(w_dq=0.5 * W_O))
-    rep = park.derivative_frame_check(dq, ParkConfig(w_dq=0.5 * W_O))
+    _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.006), ParkConfig(w_dq=0.5 * W_O))
+    rep = park.derivative_frame_check(vdq0, dvdq0, ParkConfig(w_dq=0.5 * W_O))
     assert not rep.terms_equal
 
 
@@ -218,8 +215,41 @@ def test_frame_check_generic_sums_agree_terms_differ(rng):
 def test_geometric_invariants_are_frame_invariant(sid, t):
     j = _jet(sid, t)
     g_abc = frenet.invariants_batch(*(x[None] for x in j[1:]))
-    back = park.from_dq0(_to_dq0(j, SYNC), SYNC)
+    back = park.from_dq0(*_to_dq0(j, SYNC), SYNC)
     g_rt = frenet.invariants_batch(*(x[None] for x in back))
     assert g_rt.rho[0] == pytest.approx(g_abc.rho[0], rel=1e-9, abs=1e-9)
     assert g_rt.omega_mag[0] == pytest.approx(g_abc.omega_mag[0], rel=1e-9)
     assert g_rt.xi[0] == pytest.approx(g_abc.xi[0], rel=1e-9, abs=1e-9)
+
+
+# ------------------------------------------------------ property: dq0 route
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sid=st.sampled_from([f"E{k}" for k in range(9)]),
+    w_dq=st.floats(-1e4, 1e4),
+    theta0=st.floats(-1e3, 1e3),
+    times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_dq0_route_round_trips_and_bounds_the_frame_angle(sid, w_dq, theta0, times, sign):
+    cfg = ParkConfig(w_dq=w_dq, theta0=theta0)
+    times = np.array(times)
+    jet = signals.eval_arrays(signals.make_scenario(sid), times)
+    dq = park.to_dq0(times, *jet, cfg)
+    for back, x in zip(park.from_dq0(times, *dq, cfg), jet):
+        err = np.linalg.norm(back - x, axis=-1)
+        assert np.all(err <= 1e-9 * np.linalg.norm(x, axis=-1))
+    rep = park.derivative_frame_check(*dq[:2], cfg)
+    assert np.all(rep.sum_rel_err <= park.MAX_SUM_REL_ERR)
+    # theta0 puts the frame angle at the first instant 1e-12 relative (8.6e-3
+    # rad) above or below the bound, far more than the rounding of w_dq t + theta0
+    t, one = times[:1], [x[:1] for x in jet]
+    for factor, refused in ((1.0 + 1e-12, True), (1.0 - 1e-12, False)):
+        edge = ParkConfig(w_dq=w_dq, theta0=sign * park.MAX_FRAME_ANGLE * factor - w_dq * t[0])
+        if refused:
+            with pytest.raises(InvalidRange, match="MAX_FRAME_ANGLE"):
+                park.to_dq0(t, *one, edge)
+        else:
+            park.to_dq0(t, *one, edge)

@@ -4,8 +4,9 @@ The scalar signal u and its discrete Hilbert transform uh form the
 plane curve (u, uh, 0), held as a three-channel ``series.TimeSeries``
 on the recording's own times, so ``geomfreq hilbert --csv`` reports
 those times.  Its azimuthal frequency reproduces the classical
-instantaneous frequency; both quantities are computed from the rows of
-``numdiff.differentiate_arrays``, so that their agreement is an
+instantaneous frequency phi' = Im(z'/z) of z = u + j uh, which
+``geometry.phase_rate`` computes; both quantities are computed from the
+rows of ``numdiff.differentiate_arrays``, so that their agreement is an
 algebraic identity.  ``MAX_REL_DEV`` and ``MAX_ABS_XI`` bound that
 agreement for ``geomfreq hilbert`` and ``validate`` alike.
 """
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateEnvelope, FloatOverflow, TooShort
 from .frenet import invariants
+from .geometry import phase_rate
 from .numdiff import differentiate_arrays
 from .series import TimeSeries
 
@@ -70,17 +72,17 @@ def analytic_embed(times, dt, u):
 
 
 def instantaneous_frequency_classical(embedded):
-    """phi' = (uh' u - u' uh) / (u^2 + uh^2) on the retained samples of
-    the embedded curve.  Raises DegenerateEnvelope where the envelope
-    vanishes, and FloatOverflow where a derivative, the envelope or phi'
-    is not finite."""
+    """phi' = (u uh' - uh u') / (u^2 + uh^2), ``geometry.phase_rate``,
+    on the retained samples of the embedded curve.  Raises
+    DegenerateEnvelope where the envelope vanishes, and FloatOverflow
+    where a derivative, the envelope or phi' is not finite."""
     _, v, dv, _ = differentiate_arrays(embedded)
     u, uh, du, duh = v[:, 0], v[:, 1], dv[:, 0], dv[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = u**2 + uh**2
         if np.any(envelope <= EPS_ENVELOPE):
             raise DegenerateEnvelope("analytic envelope vanishes at a sample")
-        phi_dot = (duh * u - du * uh) / envelope
+        phi_dot = phase_rate(u, uh, du, duh)
     if not np.isfinite((envelope, phi_dot)).all():
         raise FloatOverflow("analytic envelope or its phase rate overflows float64")
     return phi_dot

@@ -32,14 +32,12 @@ import numpy as np
 from . import frenet
 from .errors import DegenerateSpeed, FloatOverflow, InvalidRange
 from .frenet import EPS_V
-from .geometry import rownorm
+from .geometry import MAX_ANGLE, phase_rate, rownorm
 
 _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 BALANCE_TOL = 1e-9  # balanced: |v_o| <= BALANCE_TOL |v| and |v_o'| <= BALANCE_TOL |v'|
 TERM_TOL = 1e-9  # terms_equal: |v_hat' - rho v| <= TERM_TOL |v'|
 MAX_SUM_REL_ERR = 1e-9  # pass bound of FrameCheckReport.sum_rel_err
-# past it, float64 resolves the frame angle w_dq t + theta0 to worse than 1.9e-6 rad
-MAX_FRAME_ANGLE = 2.0**33  # rad, 316 days at 50 Hz
 
 
 @dataclass(frozen=True)
@@ -104,13 +102,14 @@ def to_dq0(t, v, dv, ddv, cfg):
 
     P v' is the inertial derivative in dq0 components; the rotating
     derivatives are what is left of it after the rotation term r x v.
-    Raises InvalidRange past MAX_FRAME_ANGLE, FloatOverflow on overflow.
+    Raises InvalidRange for a frame angle past geometry.MAX_ANGLE,
+    FloatOverflow on overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         theta = cfg.w_dq * np.asarray(t) + cfg.theta0
         worst = np.max(np.abs(theta), initial=0.0)
-        if not worst <= MAX_FRAME_ANGLE:
-            raise InvalidRange(f"frame angle {worst:.6g} rad is past park.MAX_FRAME_ANGLE = 2**33")
+        if not worst <= MAX_ANGLE:
+            raise InvalidRange(f"frame angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
         P = park_matrix(theta)
         vdq0 = _apply(P, v)
         dv = _apply(P, dv)
@@ -142,9 +141,10 @@ def dq0_invariants(vdq0, dvdq0, cfg):
     Where the set is balanced, |v_o| <= BALANCE_TOL |v| and
     |v_o'| <= BALANCE_TOL |v'|, this reduces to
     rho = (v_d v_d' + v_q v_q')/v^2 and omega = (delta_omega + w_dq) e_o,
-    with delta_omega the frequency deviation
-    (v_d v_q' - v_q v_d')/(v_d^2 + v_q^2) from the frame speed (v_o^2 is
-    left out of the denominator); elsewhere delta_omega is NaN.
+    with delta_omega the frequency deviation from the frame speed, the
+    phase rate (v_d v_q' - v_q v_d')/(v_d^2 + v_q^2) of v_d + j v_q
+    (``geometry.phase_rate``; v_o^2 is left out of the denominator);
+    elsewhere delta_omega is NaN.
     """
     v, dvdq0 = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
     dv = inertial_derivative(v, dvdq0, cfg)
@@ -164,7 +164,7 @@ def dq0_invariants(vdq0, dvdq0, cfg):
     vd, vq, _ = np.moveaxis(v, -1, 0)
     dvd, dvq, _ = np.moveaxis(dvdq0, -1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta_omega = (vd * dvq - vq * dvd) / (vd * vd + vq * vq)
+        delta_omega = phase_rate(vd, vq, dvd, dvq)
     return Dq0Invariants(
         rho=b.rho.reshape(v_mag.shape)[()],
         omega_vec=b.omega_vec.reshape(v.shape),

@@ -1,15 +1,16 @@
 """Closed-form waveform generators with analytic derivatives.
 
 Every preset scenario is a sum, per channel, of components of the form
-m(t) * sin(theta(t)) where the magnitude profile m is
-``offset + amplitude*sin(rate*t + phase)`` and the angle profile is
-``slope*t + intercept + mod_amplitude*sin(mod_rate*t)``.  These two
-shapes cover DC, stationary and harmonic three-phase sets, and the
-sinusoidal frequency modulations of the time-variant scenarios, while
-keeping first and second derivatives available in closed form:
-``eval_arrays`` gives the cartesian v, v', v'', and ``phase_jets`` the
-three channels' magnitude and angle jets as one ``threephase.PhaseJet``
-(phase axis last) for the closed-form oracle.
+m(t) * sin(theta(t)), where the magnitude m and the angle theta are each
+a ``Profile``, ``offset + slope*t + amplitude*sin(rate*t)``.  That one
+shape covers DC, stationary and harmonic three-phase sets (a constant
+magnitude; an angle theta0 + w t), and the sinusoidal frequency
+modulations of the time-variant scenarios, while keeping first and
+second derivatives available in closed form: ``eval_arrays`` gives the
+cartesian v, v', v'', and ``phase_jets`` the three channels' magnitude
+and angle jets as one ``threephase.PhaseJet`` (phase axis last) for the
+closed-form oracle.  Both refuse an angle past ``geometry.MAX_ANGLE``,
+which float64 no longer resolves.
 """
 
 import math
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, InvalidRange, UnknownScenario
+from .geometry import MAX_ANGLE
 from .series import TimeSeries
 from .threephase import PhaseJet
 
@@ -29,46 +31,40 @@ EPS_ENVELOPE = 1e-12  # V; at or below it a channel's complex envelope is zero
 
 @dataclass(frozen=True)
 class Profile:
-    """Scalar magnitude profile offset + amplitude*sin(rate*t + phase)."""
+    """Scalar profile offset + slope*t + amplitude*sin(rate*t), of a
+    magnitude or of an angle."""
 
     offset: float
+    slope: float = 0.0
     amplitude: float = 0.0
     rate: float = 0.0
-    phase: float = 0.0
 
     def eval(self, t):
         """(f, f', f'') at t, a float or an array of times."""
-        s = np.sin(self.rate * t + self.phase)
-        c = np.cos(self.rate * t + self.phase)
-        f = self.offset + self.amplitude * s
-        df = self.amplitude * self.rate * c
+        rt = self.rate * t
+        s, c = np.sin(rt), np.cos(rt)
+        f = self.offset + self.slope * t + self.amplitude * s
+        df = self.slope + self.amplitude * self.rate * c
         ddf = -self.amplitude * self.rate**2 * s
         return f, df, ddf
 
 
 @dataclass(frozen=True)
-class AngleProfile:
-    """Angle slope*t + intercept + mod_amplitude*sin(mod_rate*t)."""
+class Component:
+    """magnitude(t) * sin(angle(t))."""
 
-    slope: float
-    intercept: float = 0.0
-    mod_amplitude: float = 0.0
-    mod_rate: float = 0.0
+    magnitude: Profile
+    angle: Profile
 
     def eval(self, t):
-        """(theta, theta', theta'') at t, as ``Profile.eval``."""
-        s = np.sin(self.mod_rate * t)
-        c = np.cos(self.mod_rate * t)
-        th = self.slope * t + self.intercept + self.mod_amplitude * s
-        dth = self.slope + self.mod_amplitude * self.mod_rate * c
-        ddth = -self.mod_amplitude * self.mod_rate**2 * s
-        return th, dth, ddth
-
-
-@dataclass(frozen=True)
-class Component:
-    magnitude: Profile
-    angle: AngleProfile
+        """(m, m', m'', theta, theta', theta'') at t.  Raises InvalidRange
+        where |theta| is past geometry.MAX_ANGLE (or not finite)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            angle = self.angle.eval(t)
+        worst = np.abs(angle[0]).max(initial=0.0)
+        if not worst <= MAX_ANGLE:
+            raise InvalidRange(f"signal angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
+        return self.magnitude.eval(t) + angle
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,7 @@ def _eval_channel(components, t):
     every entry of the time array t."""
     f = df = ddf = 0.0
     for comp in components:
-        m, dm, ddm = comp.magnitude.eval(t)
-        th, dth, ddth = comp.angle.eval(t)
+        m, dm, ddm, th, dth, ddth = comp.eval(t)
         s, c = np.sin(th), np.cos(th)
         f += m * s
         df += dm * s + m * dth * c
@@ -125,8 +120,7 @@ def _phase_jet(components, t):
     t = np.ravel(np.asarray(t, dtype=np.float64))
     z = dz = ddz = np.zeros(t.shape, dtype=np.complex128)
     for comp in components:
-        m, dm, ddm = comp.magnitude.eval(t)
-        th, dth, ddth = comp.angle.eval(t)
+        m, dm, ddm, th, dth, ddth = comp.eval(t)
         e = np.exp(1j * th)
         z = z + m * e
         dz = dz + (dm + 1j * m * dth) * e
@@ -184,15 +178,15 @@ def dc_model(vdc=5.0):
     """Constant voltage along the first axis."""
     if not 0 <= vdc < math.inf:
         raise InvalidParameter(f"vdc must be non-negative and finite, got {vdc}")
-    const = Component(Profile(vdc), AngleProfile(slope=0.0, intercept=math.pi / 2))
+    const = Component(Profile(vdc), Profile(math.pi / 2))
     return SignalModel(channels=((const,), (), ()))
 
 
 def single_phase_model(V=1.0, w_o=2.0 * math.pi, alpha=0.0):
     """Analytic-signal pair (V cos, V sin) in the first two channels."""
     _check_magnitudes("V", [V])
-    ch1 = Component(Profile(V), AngleProfile(w_o, alpha + math.pi / 2))
-    ch2 = Component(Profile(V), AngleProfile(w_o, alpha))
+    ch1 = Component(Profile(V), Profile(alpha + math.pi / 2, w_o))
+    ch2 = Component(Profile(V), Profile(alpha, w_o))
     return SignalModel(channels=((ch1,), (ch2,), ()))
 
 
@@ -209,28 +203,14 @@ def three_phase_model(
     _check_magnitudes("V", V)
     channels = []
     for i in range(3):
-        comps = [
-            Component(
-                Profile(V[i]),
-                AngleProfile(
-                    slope=w_o,
-                    intercept=theta0[i],
-                    mod_amplitude=mod_amplitude[i],
-                    mod_rate=mod_rate[i],
-                ),
-            )
-        ]
+        angle = Profile(theta0[i], w_o, mod_amplitude[i], mod_rate[i])
+        comps = [Component(Profile(V[i]), angle)]
         if harmonic is not None:
             h, Vh, theta0h = harmonic
             if int(h) != h or h < 2:
                 raise InvalidParameter(f"harmonic order must be >= 2, got {h}")
             _check_magnitudes("harmonic V", Vh)
-            comps.append(
-                Component(
-                    Profile(Vh[i]),
-                    AngleProfile(slope=h * w_o, intercept=theta0h[i]),
-                )
-            )
+            comps.append(Component(Profile(Vh[i]), Profile(theta0h[i], h * w_o)))
         channels.append(tuple(comps))
     return SignalModel(channels=tuple(channels))
 

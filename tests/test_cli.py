@@ -506,9 +506,21 @@ BAD_INPUT = [
     # a frame angle float64 cannot resolve, or one that overflows it; the
     # dq0 derivatives w_dq v overflow float64 even where the angle is small
     ("park-theta0-past-bound", ["park", "--scenario", "E0", "--theta0", "1e17"], 2,
-     "frame angle 1e+17 rad is past park.MAX_FRAME_ANGLE"),
+     "frame angle 1e+17 rad is past geometry.MAX_ANGLE"),
     ("park-wdq-angle-overflow", ["park", "--scenario", "E0", "--wdq", "1e300"], 2,
-     "park.MAX_FRAME_ANGLE"),
+     "geometry.MAX_ANGLE"),
+    # a signal angle float64 cannot resolve (w t near 3e19 rad), which
+    # gave rho of 280 1/s on the balanced E0 set
+    ("analyze-signal-angle-past-bound",
+     ["analyze", "--scenario", "E0", "--t0", "1e17", "--t1", "100000000000000128", "--dt", "16"],
+     2, "signal angle 3.14159e+19 rad is past geometry.MAX_ANGLE"),
+    ("generate-signal-angle-past-bound",
+     ["generate", "E0", "--t0", "1e17", "--t1", "100000000000000128", "--dt", "16"], 2,
+     "signal angle 3.14159e+19 rad is past geometry.MAX_ANGLE"),
+    # an angle that overflows float64 (it leaked a RuntimeWarning)
+    ("analyze-signal-angle-overflow",
+     ["analyze", "--scenario", "E6", "--t0", "1e306", "--t1", "1.0000000001e306", "--dt", "1e296"],
+     2, "signal angle inf rad is past geometry.MAX_ANGLE"),
     ("park-derivatives-overflow",
      ["park", "--scenario", "E0", "--t1", "1e-205", "--dt", "1e-207", "--wdq", "1e210"], 3,
      "dq0 derivatives of the voltage overflow float64"),

@@ -1,12 +1,16 @@
-"""Row-wise vector algebra: ``rowdot``, ``rownorm`` and ``np.cross`` over rows."""
+"""Row-wise vector algebra (``rowdot``, ``rownorm`` and ``np.cross`` over
+rows) and the planar phase rate Im(z'/z) of a phasor."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomfreq.geometry import rowdot, rownorm
+from geomfreq import frenet, hilbert, signals
+from geomfreq.geometry import phase_rate, rowdot, rownorm
+from geomfreq.numdiff import differentiate_arrays
 
 from reference import cross, dot
 
@@ -91,3 +95,54 @@ def test_lagrange_identity(a, b):
     # the row dot product is the plain-float one, row by row
     for k in range(n):
         assert abs(rowdot(a, b)[k] - dot(a[k], b[k])) <= 1e-12 * scale[k]
+
+
+# --------------------------------------------------- the planar phasor link
+
+# power-invariant Clarke rows e_x, e_y, with e_x x e_y = (1, 1, 1)/sqrt(3)
+CLARKE = np.array([[2.0, -1.0, -1.0], [0.0, math.sqrt(3.0), -math.sqrt(3.0)]]) / math.sqrt(6.0)
+ZERO_SEQUENCE = np.ones(3) / math.sqrt(3.0)
+
+
+def _phasor_gaps(sid):
+    """|Im(z'/z) - omega . (1, 1, 1)/sqrt(3)| and |Re(z'/z) - rho|, over
+    |omega|, at 400 instants in [0, 0.2] s; z = x + jy is the Clarke
+    phasor of the preset's voltage."""
+    jet = signals.eval_arrays(signals.make_scenario(sid), np.linspace(0.0, 0.2, 400))
+    b = frenet.invariants_batch(*jet)
+    (x, y), (dx, dy) = CLARKE @ jet[0].T, CLARKE @ jet[1].T
+    im_gap = np.abs(phase_rate(x, y, dx, dy) - b.omega_vec @ ZERO_SEQUENCE)
+    re_gap = np.abs((x * dx + y * dy) / (x * x + y * y) - b.rho)
+    return im_gap / b.omega_mag, re_gap / b.omega_mag
+
+
+@pytest.mark.parametrize("sid", ["E0", "E3", "E6"])
+def test_phasor_rates_are_the_invariants_without_zero_sequence(sid):
+    im_gap, re_gap = _phasor_gaps(sid)
+    assert im_gap.max() <= 1e-14
+    assert re_gap.max() <= 1e-14
+
+
+@pytest.mark.parametrize("sid", ["E1", "E2", "E4", "E5", "E7", "E8"])
+def test_phase_rate_is_not_omega_with_zero_sequence(sid):
+    assert _phasor_gaps(sid)[0].max() > 1e-4
+
+
+@pytest.mark.parametrize(
+    "tone",
+    [
+        lambda t: np.cos(100.0 * math.pi * t),
+        lambda t: (1.0 + 0.3 * np.sin(6.0 * math.pi * t))
+        * np.cos(100.0 * math.pi * t + 0.5 * np.sin(4.0 * math.pi * t)),
+    ],
+    ids=["50Hz", "am-pm"],
+)
+def test_embedding_rho_is_the_phasor_growth_rate(tone):
+    dt = 1e-4
+    t = dt * np.arange(8192)
+    embedded = hilbert.analytic_embed(t, dt, tone(t))
+    rep = hilbert.geometric_equivalence(embedded)
+    _, v, dv, _ = differentiate_arrays(embedded)
+    (x, y), (dx, dy) = v[:, :2].T, dv[:, :2].T
+    gap = np.abs((x * dx + y * dy) / (x * x + y * y) - rep.rho)
+    assert np.all(gap <= 1e-14 * rep.omega_mag)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from geomfreq import frenet, park, signals
 from geomfreq.errors import DegenerateSpeed, InvalidRange
+from geomfreq.geometry import MAX_ANGLE
 from geomfreq.park import ParkConfig
 
 from conftest import W_O
@@ -247,9 +248,9 @@ def test_dq0_route_round_trips_and_bounds_the_frame_angle(sid, w_dq, theta0, tim
     # rad) above or below the bound, far more than the rounding of w_dq t + theta0
     t, one = times[:1], [x[:1] for x in jet]
     for factor, refused in ((1.0 + 1e-12, True), (1.0 - 1e-12, False)):
-        edge = ParkConfig(w_dq=w_dq, theta0=sign * park.MAX_FRAME_ANGLE * factor - w_dq * t[0])
+        edge = ParkConfig(w_dq=w_dq, theta0=sign * MAX_ANGLE * factor - w_dq * t[0])
         if refused:
-            with pytest.raises(InvalidRange, match="MAX_FRAME_ANGLE"):
+            with pytest.raises(InvalidRange, match="geometry.MAX_ANGLE"):
                 park.to_dq0(t, *one, edge)
         else:
             park.to_dq0(t, *one, edge)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from geomfreq import frenet, signals
+from geomfreq import frenet, numdiff, signals
 from geomfreq.errors import InvalidParameter, InvalidRange, UnknownScenario
+from geomfreq.geometry import MAX_ANGLE
 
 from conftest import W_O
 
@@ -22,8 +23,8 @@ def test_preset_e0_parameters():
         (comp,) = ch
         assert comp.magnitude.offset == 12.0
         assert comp.angle.slope == W_O
-    assert model.channels[1][0].angle.intercept == -TWO_THIRDS_PI
-    assert model.channels[2][0].angle.intercept == TWO_THIRDS_PI
+    assert model.channels[1][0].angle.offset == -TWO_THIRDS_PI
+    assert model.channels[2][0].angle.offset == TWO_THIRDS_PI
 
 
 def test_preset_e4_harmonic_angles():
@@ -32,18 +33,18 @@ def test_preset_e4_harmonic_angles():
     for h in harmonics:
         assert h.angle.slope == 11 * W_O
         assert h.magnitude.offset == 0.5
-    assert harmonics[1].angle.intercept == pytest.approx(-2.7 * math.pi / 3.0)
-    assert harmonics[2].angle.intercept == pytest.approx(2.7 * math.pi / 3.0)
+    assert harmonics[1].angle.offset == pytest.approx(-2.7 * math.pi / 3.0)
+    assert harmonics[2].angle.offset == pytest.approx(2.7 * math.pi / 3.0)
 
 
 def test_preset_e8_modulation():
     model = signals.make_scenario("E8")
     mods = [ch[0].angle for ch in model.channels]
-    assert mods[0].mod_amplitude == math.pi
-    assert mods[1].mod_amplitude == math.pi
-    assert mods[2].mod_amplitude == pytest.approx(1.1 * math.pi)
+    assert mods[0].amplitude == math.pi
+    assert mods[1].amplitude == math.pi
+    assert mods[2].amplitude == pytest.approx(1.1 * math.pi)
     for m in mods:
-        assert m.mod_rate == pytest.approx(0.4 * math.pi)
+        assert m.rate == pytest.approx(0.4 * math.pi)
 
 
 def test_unknown_scenario():
@@ -143,6 +144,45 @@ def test_derivatives_match_finite_differences(sid, rng):
         ) / (12 * h2**2)
         assert np.linalg.norm(dv - fd1) <= 1e-5 * np.linalg.norm(dv)
         assert np.linalg.norm(ddv - fd2) <= 1e-5 * np.linalg.norm(ddv)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        signals.Profile(0.3, W_O, 0.8, 40.0 * math.pi),  # 50 Hz angle, 0.8 rad at 20 Hz
+        signals.Profile(12.0, 0.0, 1.5, 6.0 * math.pi),  # 12 V magnitude, 1.5 V at 3 Hz
+    ],
+    ids=["angle", "magnitude"],
+)
+def test_profile_derivatives_match_the_stencil(profile, rng):
+    # power-of-two steps with the times on the coarse grid keep t + k*h
+    # exact; the f'' step is coarser than check_signals' because the
+    # angle reaches 630 rad here, and its rounding is divided by h^2
+    h1, h2 = 2.0**-23, 2.0**-14
+    times = np.round(rng.uniform(-2.0, 2.0, 50) / h2) * h2
+    assert times.min() < 0.0 < times.max()
+    _, df, ddf = profile.eval(times)
+    stencil = np.arange(-2, 3)[:, None]  # t + k*h, k = -2..2
+    fd1 = numdiff.stencil_derivatives(profile.eval(times + stencil * h1)[0], h1)[0][0]
+    fd2 = numdiff.stencil_derivatives(profile.eval(times + stencil * h2)[0], h2)[1][0]
+    assert np.linalg.norm(df - fd1) <= 1e-5 * np.linalg.norm(df)
+    assert np.linalg.norm(ddf - fd2) <= 1e-5 * np.linalg.norm(ddf)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("slope, t", [(0.0, 0.0), (W_O, 3.7), (-11.0 * W_O, -250.0)])
+def test_signal_angle_bound(sign, slope, t):
+    # the angle at t sits 1e-12 relative (8.6e-3 rad) above or below the
+    # bound, far more than the rounding of offset + slope t
+    for factor, refused in ((1.0 + 1e-12, True), (1.0 - 1e-12, False)):
+        angle = signals.Profile(sign * MAX_ANGLE * factor - slope * t, slope)
+        model = signals.SignalModel(((signals.Component(signals.Profile(1.0), angle),), (), ()))
+        for evaluate in (signals.eval_arrays, signals.phase_jets):
+            if refused:
+                with pytest.raises(InvalidRange, match="geometry.MAX_ANGLE"):
+                    evaluate(model, (t,))
+            else:
+                evaluate(model, (t,))
 
 
 def test_balanced_modulation_null_rho_and_xi():

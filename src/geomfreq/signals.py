@@ -9,8 +9,10 @@ modulations of the time-variant scenarios, while keeping first and
 second derivatives available in closed form: ``eval_arrays`` gives the
 cartesian v, v', v'', and ``phase_jets`` the three channels' magnitude
 and angle jets as one ``threephase.PhaseJet`` (phase axis last) for the
-closed-form oracle.  Both refuse an angle past ``geometry.MAX_ANGLE``,
-which float64 no longer resolves.
+closed-form oracle.  Both run one kernel, ``_component_jets``, that
+evaluates every component of a model at once over slices of at most
+EVAL_ROWS times, and refuse an angle past ``geometry.MAX_ANGLE``, which
+float64 no longer resolves.
 """
 
 import math
@@ -27,12 +29,13 @@ TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 W_BASE = 100.0 * math.pi
 MAX_SAMPLES = 10_000_000  # largest sampling grid; its times alone are 80 MB
 EPS_ENVELOPE = 1e-12  # V; at or below it a channel's complex envelope is zero
+EVAL_ROWS = 65536  # times per slice of the signal kernel; bounds its (C, rows) temporaries
 
 
 @dataclass(frozen=True)
 class Profile:
-    """Scalar profile offset + slope*t + amplitude*sin(rate*t), of a
-    magnitude or of an angle."""
+    """Profile offset + slope*t + amplitude*sin(rate*t), of a magnitude
+    or of an angle; its fields are floats, or arrays broadcast against t."""
 
     offset: float
     slope: float = 0.0
@@ -45,7 +48,9 @@ class Profile:
         s, c = np.sin(rt), np.cos(rt)
         f = self.offset + self.slope * t + self.amplitude * s
         df = self.slope + self.amplitude * self.rate * c
-        ddf = -self.amplitude * self.rate**2 * s
+        # rate * rate, not rate**2, which on a float is libm pow and can round
+        # apart from an array's square: a float and a stacked profile agree
+        ddf = -self.amplitude * (self.rate * self.rate) * s
         return f, df, ddf
 
 
@@ -56,60 +61,69 @@ class Component:
     magnitude: Profile
     angle: Profile
 
-    def eval(self, t):
-        """(m, m', m'', theta, theta', theta'') at t.  Raises InvalidRange
-        where |theta| is past geometry.MAX_ANGLE (or not finite)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            angle = self.angle.eval(t)
-        worst = np.abs(angle[0]).max(initial=0.0)
-        if not worst <= MAX_ANGLE:
-            raise InvalidRange(f"signal angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
-        return self.magnitude.eval(t) + angle
-
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Immutable closed-form model of a three-channel waveform."""
+    """Immutable closed-form model of a three-channel waveform, with its
+    parameter table, built once: the channel, magnitude and angle of its
+    C components, channel-major, as a list and two Profiles of (C, 1)."""
 
     channels: tuple  # three tuples of Component
 
     def __post_init__(self):
         if len(self.channels) != 3:
             raise InvalidParameter("model must have exactly three channels")
-        object.__setattr__(
-            self, "channels", tuple(tuple(ch) for ch in self.channels)
-        )
+        channels = tuple(tuple(ch) for ch in self.channels)
+        object.__setattr__(self, "channels", channels)
+        table = [[*vars(comp.magnitude).values(), *vars(comp.angle).values()] for ch in channels for comp in ch]
+        cols = np.array(table, dtype=np.float64).reshape(-1, 8).T[:, :, None]
+        chan = [c for c, ch in enumerate(channels) for _ in ch]
+        object.__setattr__(self, "_table", (chan, Profile(*cols[:4]), Profile(*cols[4:])))
 
 
-def _eval_channel(components, t):
-    """Value and first two derivatives of sum_k m_k sin(theta_k) at
-    every entry of the time array t."""
-    f = df = ddf = 0.0
-    for comp in components:
-        m, dm, ddm, th, dth, ddth = comp.eval(t)
-        s, c = np.sin(th), np.cos(th)
-        f += m * s
-        df += dm * s + m * dth * c
-        ddf += (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c
-    return f, df, ddf
+def _component_jets(model, times):
+    """(rows, jet) for each slice rows of at most EVAL_ROWS times: jet is
+    (m, m', m'', theta, theta', theta'') of the C components, (C, rows)
+    each.  After the last slice, raises InvalidRange with the worst angle
+    of the first component whose |theta| is past geometry.MAX_ANGLE (or
+    not finite) at any time, yielding no jet from the slice it is found."""
+    chan, magnitude, angle = model._table
+    worst = np.zeros(len(chan))
+    for lo in range(0, times.size, EVAL_ROWS):
+        t = times[lo : lo + EVAL_ROWS]
+        with np.errstate(over="ignore", invalid="ignore"):
+            th = angle.eval(t)
+        worst = np.maximum(worst, np.abs(th[0]).max(axis=1, initial=0.0))
+        if (worst <= MAX_ANGLE).all():
+            yield slice(lo, lo + t.size), magnitude.eval(t) + th
+    bad = ~(worst <= MAX_ANGLE)
+    if bad.any():
+        raise InvalidRange(f"signal angle {worst[bad.argmax()]:.6g} rad is past geometry.MAX_ANGLE = 2**33")
 
 
 def eval_arrays(model, times):
-    """Exact analytic v, v', v'' at each of N times, as (N, 3) arrays."""
-    times = np.asarray(times, dtype=np.float64)
-    out = np.empty((3, times.size, 3))
-    for c, ch in enumerate(model.channels):
-        for d, x in enumerate(_eval_channel(ch, times)):
-            out[d, :, c] = x  # a scalar 0.0 for a channel without components
+    """Exact analytic v, v', v'' at each of N times (a time is N = 1), as
+    (N, 3) arrays."""
+    times = np.ravel(np.asarray(times, dtype=np.float64))
+    out = np.zeros((3, times.size, 3))
+    for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(model, times):
+        s, c = np.sin(th), np.cos(th)
+        terms = np.array((
+            m * s,
+            dm * s + m * dth * c,
+            (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c,
+        ))
+        acc = out[:, rows].transpose(0, 2, 1)  # a view: derivative, channel, time
+        for k, ch in enumerate(model._table[0]):
+            acc[:, ch] += terms[:, k]  # in component order from zero, as a per-channel sum
     return out[0], out[1], out[2]
 
 
-def _phase_jet(components, t):
-    """Magnitude and angle jet (V, V', V'', theta, theta', theta'') of a
-    channel, via its complex envelope, at a time t or at every entry of
-    a time array t; six arrays of t's shape.
+def phase_jets(model, t):
+    """The three-phase PhaseJet of a model at a time t (fields of shape
+    (3,)) or at every entry of a time array t ((N, 3) for N entries).
 
-    The channel sum_k m_k sin(theta_k) equals Im(z) with
+    A channel sum_k m_k sin(theta_k) is Im(z) with
     z = sum_k m_k exp(i theta_k); magnitude and phase derivatives come
     from z, z', z''.  Where the envelope vanishes the jet is all zero
     (the closed-form contribution of the channel is zero there).
@@ -118,30 +132,29 @@ def _phase_jet(components, t):
     # a scalar t runs as one entry of an array: numpy's complex scalar
     # and array loops round differently, the array loops alike at any N
     t = np.ravel(np.asarray(t, dtype=np.float64))
-    z = dz = ddz = np.zeros(t.shape, dtype=np.complex128)
-    for comp in components:
-        m, dm, ddm, th, dth, ddth = comp.eval(t)
+    out = np.zeros((6, t.size, 3))
+    for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(model, t):
         e = np.exp(1j * th)
-        z = z + m * e
-        dz = dz + (dm + 1j * m * dth) * e
-        ddz = ddz + (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e
-    V = np.abs(z)
-    live = V > EPS_ENVELOPE
-    V = np.where(live, V, 1.0)  # 1.0 keeps the dead entries finite
-    zc = z.conjugate()
-    dV = (zc * dz).real / V
-    dtheta = (zc * dz).imag / V**2
-    ddV = ((np.abs(dz) ** 2 + (zc * ddz).real) - dV**2) / V
-    ddtheta = (zc * ddz).imag / V**2 - 2.0 * (dV / V) * dtheta
-    jet = (V, dV, ddV, np.angle(z), dtheta, ddtheta)
-    return tuple(np.where(live, x, 0.0).reshape(shape) for x in jet)
-
-
-def phase_jets(model, t):
-    """The three-phase PhaseJet of a model at a time t (fields of shape
-    (3,)) or at every entry of a time array t of N entries ((N, 3))."""
-    channels = (_phase_jet(ch, t) for ch in model.channels)
-    return PhaseJet(*(np.stack(x, axis=-1) for x in zip(*channels)))
+        terms = np.array((
+            m * e,
+            (dm + 1j * m * dth) * e,
+            (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e,
+        ))
+        z, dz, ddz = acc = np.zeros((3, 3, terms.shape[-1]), dtype=np.complex128)
+        for k, ch in enumerate(model._table[0]):
+            acc[:, ch] += terms[:, k]
+        V = np.abs(z)
+        live = V > EPS_ENVELOPE
+        V = np.where(live, V, 1.0)  # 1.0 keeps the dead entries finite
+        zc = z.conjugate()
+        zdz, zddz = zc * dz, zc * ddz
+        dV = zdz.real / V
+        dtheta = zdz.imag / V**2
+        ddV = ((np.abs(dz) ** 2 + zddz.real) - dV**2) / V
+        ddtheta = zddz.imag / V**2 - 2.0 * (dV / V) * dtheta
+        jet = (V, dV, ddV, np.angle(z), dtheta, ddtheta)
+        out[:, rows] = np.where(live, jet, 0.0).transpose(0, 2, 1)
+    return PhaseJet(*out.reshape(6, *shape, 3))
 
 
 def sample_times(t0, t1, dt):

@@ -1,6 +1,7 @@
 """Scenario generators: presets, analytic jets, sampling, phase jets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from geomfreq import frenet, numdiff, signals
 from geomfreq.errors import InvalidParameter, InvalidRange, UnknownScenario
 from geomfreq.geometry import MAX_ANGLE
+from geomfreq.threephase import PhaseJet
 
 from conftest import W_O
 
@@ -211,3 +213,115 @@ def test_phase_jets_reproduce_channel_values(sid):
         s, c = np.sin(p.theta), np.cos(p.theta)
         assert p.V * s == pytest.approx(v, rel=1e-10, abs=1e-10)
         assert p.dV * s + p.V * p.dtheta * c == pytest.approx(dv, rel=1e-9, abs=1e-8)
+
+
+# ------------------------------------------ the kernel vs a per-component loop
+#
+# The signal kernel evaluates every component of a model at once; these
+# loops evaluate one component at a time, as the kernel's predecessor
+# did, and are its oracle: the same formulas in the same order, so the
+# kernel must give the same bits.  Both take a scalar time as one entry
+# of an array (a 0-d x**2 is libm pow, which can round unlike an
+# array's square).
+
+
+def _loop_component(comp, t):
+    """(m, m', m'', theta, theta', theta'') of one component at t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle = comp.angle.eval(t)
+    worst = np.abs(angle[0]).max(initial=0.0)
+    if not worst <= MAX_ANGLE:
+        raise InvalidRange(f"signal angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
+    return comp.magnitude.eval(t) + angle
+
+
+def _loop_channel(components, t):
+    f = df = ddf = 0.0
+    for comp in components:
+        m, dm, ddm, th, dth, ddth = _loop_component(comp, t)
+        s, c = np.sin(th), np.cos(th)
+        f += m * s
+        df += dm * s + m * dth * c
+        ddf += (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c
+    return f, df, ddf
+
+
+def loop_eval_arrays(model, times):
+    times = np.ravel(np.asarray(times, dtype=np.float64))
+    out = np.empty((3, times.size, 3))
+    for c, ch in enumerate(model.channels):
+        for d, x in enumerate(_loop_channel(ch, times)):
+            out[d, :, c] = x  # a scalar 0.0 for a channel without components
+    return out[0], out[1], out[2]
+
+
+def _loop_phase_jet(components, t):
+    shape = np.shape(t)
+    t = np.ravel(np.asarray(t, dtype=np.float64))
+    z = dz = ddz = np.zeros(t.shape, dtype=np.complex128)
+    for comp in components:
+        m, dm, ddm, th, dth, ddth = _loop_component(comp, t)
+        e = np.exp(1j * th)
+        z = z + m * e
+        dz = dz + (dm + 1j * m * dth) * e
+        ddz = ddz + (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e
+    V = np.abs(z)
+    live = V > signals.EPS_ENVELOPE
+    V = np.where(live, V, 1.0)
+    zc = z.conjugate()
+    dV = (zc * dz).real / V
+    dtheta = (zc * dz).imag / V**2
+    ddV = ((np.abs(dz) ** 2 + (zc * ddz).real) - dV**2) / V
+    ddtheta = (zc * ddz).imag / V**2 - 2.0 * (dV / V) * dtheta
+    jet = (V, dV, ddV, np.angle(z), dtheta, ddtheta)
+    return tuple(np.where(live, x, 0.0).reshape(shape) for x in jet)
+
+
+def loop_phase_jets(model, t):
+    channels = (_loop_phase_jet(ch, t) for ch in model.channels)
+    return PhaseJet(*(np.stack(x, axis=-1) for x in zip(*channels)))
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("sid", list(signals._PRESETS))
+@pytest.mark.parametrize(
+    "times, rows",
+    [
+        (0.0123, None),
+        ((-0.37,), None),
+        # 23 times over slices of 7 rows: three full slices and one of 2
+        (np.concatenate([[0.0, -0.0], np.linspace(-0.31, 2.47, 21)]), 7),
+    ],
+    ids=["scalar", "one", "slices"],
+)
+def test_kernel_matches_the_component_loop(sid, times, rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(signals, "EVAL_ROWS", rows)
+    model = signals.make_scenario(sid)
+    _assert_same_bits(signals.eval_arrays(model, times), loop_eval_arrays(model, times))
+    _assert_same_bits(
+        vars(signals.phase_jets(model, times)).values(),
+        vars(loop_phase_jets(model, times)).values(),
+    )
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_angle_refusal_names_the_first_component(rows, monkeypatch):
+    # both angles are past the bound at every time, the second further;
+    # the first is named with its worst angle over all times, 2**34 at
+    # t = 2, which slices of 2 rows reach only after the first slice
+    # past the bound
+    if rows is not None:
+        monkeypatch.setattr(signals, "EVAL_ROWS", rows)
+    first = signals.Component(signals.Profile(1.0), signals.Profile(1.5 * MAX_ANGLE, 0.25 * MAX_ANGLE))
+    second = signals.Component(signals.Profile(1.0), signals.Profile(3.0 * MAX_ANGLE))
+    model = signals.SignalModel(((first, second), (), ()))
+    message = re.escape(f"signal angle {2.0 * MAX_ANGLE:.6g} rad is past")
+    for evaluate in (signals.eval_arrays, signals.phase_jets, loop_eval_arrays, loop_phase_jets):
+        with pytest.raises(InvalidRange, match=message):
+            evaluate(model, (0.0, 0.5, 1.5, 2.0))

@@ -5,7 +5,9 @@ The inertial derivative of the voltage can be split two ways:
   v' = rho v + omega x v  (geometric symmetric + antisymmetric parts)
 The sums always agree.  The individual terms coincide only when the
 dq frame spins at the actual signal frequency; a Clarke frame
-(w_dq = 0) makes the rotation term vanish instead.
+(w_dq = 0) makes the rotation term vanish instead.  One call,
+``park.derivative_frame_check``, reports rho, omega, the deviation from
+the frame speed and both checks; the terms are rebuilt from them here.
 
 Run:  python3 demos/05_park_frame.py
 """
@@ -29,15 +31,14 @@ for label, cfg in (
     ("Clarke frame (w_dq = 0)", ParkConfig(0.0)),
 ):
     vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, cfg)
-    g = park.dq0_invariants(vdq0, dvdq0, cfg)
     rep = park.derivative_frame_check(vdq0, dvdq0, cfg)
     print(label)
     print(f"  v_dq0          = {vdq0}")
-    print(f"  delta_omega    = {g.delta_omega:+.4f} rad/s")
+    print(f"  delta_omega    = {rep.delta_omega:+.4f} rad/s")
     print(f"  rotating  dv   = {dvdq0}")
-    print(f"  rotation  term = {rep.rotation_term}")
-    print(f"  rho v          = {rep.sym_part}")
-    print(f"  omega x v      = {rep.antisym_part}")
+    print(f"  rotation  term = {np.cross((0.0, 0.0, cfg.w_dq), vdq0)}")
+    print(f"  rho v          = {rep.rho * vdq0}")
+    print(f"  omega x v      = {np.cross(rep.omega_vec, vdq0)}")
     print(f"  sum rel. err   = {rep.sum_rel_err:.3e}"
           f"   termwise equal: {rep.terms_equal}")
     print()

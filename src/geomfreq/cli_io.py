@@ -42,9 +42,12 @@ def read_waveform_csv(path):
 
     Raises MalformedCsv on undecodable text, a wrong header, ragged
     rows, unparsable, NaN or infinite numbers, or a time column with a
-    step off the median step dt by more than DT_JITTER_REL * max(dt, 1 s):
-    1e-9 s absolute for any step up to 1 s, 1e-9 relative above.  A
-    ragged row or bad number is reported for the first such line.
+    step off the median step dt by more than DT_JITTER_REL * max(dt, 1 s)
+    + 2 ulp(max |t|): 1e-9 s absolute for any step up to 1 s, 1e-9
+    relative above, plus the rounding of two stored times (each is
+    within half an ulp, so a step and the median are each within one
+    ulp of the true dt).  A ragged row or bad number is reported for
+    the first such line.
     """
     try:
         with open(path, encoding=ENCODING) as fh:
@@ -70,7 +73,9 @@ def read_waveform_csv(path):
     t = data[:, 0]
     steps = np.diff(t)
     dt = float(np.median(steps))
-    if dt <= 0 or np.any(np.abs(steps - dt) > DT_JITTER_REL * max(abs(dt), 1.0)):
+    # 2 ulp of max |t|, found without an (N,) temporary
+    tol = DT_JITTER_REL * max(abs(dt), 1.0) + 2.0 * np.spacing(max(t.max(), -t.min()))
+    if dt <= 0 or np.any(np.abs(steps - dt) > tol):
         raise MalformedCsv(f"{path}: time column is not uniformly spaced")
     return TimeSeries(t, dt, data[:, 1:])
 

@@ -28,11 +28,8 @@ class NonFiniteSample(InvalidRange):
 
 
 class TooFewSamples(GeomfreqError):
-    """Not enough samples for the requested stencil."""
-
-
-class TooShort(GeomfreqError):
-    """Signal too short for the discrete Hilbert transform."""
+    """Not enough samples for the requested stencil or for the
+    discrete Hilbert transform."""
 
 
 class DegenerateEnvelope(GeomfreqError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnvelope, FloatOverflow, TooShort
+from .errors import DegenerateEnvelope, FloatOverflow, TooFewSamples
 from .frenet import invariants
 from .geometry import phase_rate
 from .numdiff import differentiate_arrays
@@ -56,7 +56,7 @@ def analytic_embed(times, dt, u):
     u = np.asarray(u, dtype=np.float64)
     n = u.size
     if n < MIN_LENGTH:
-        raise TooShort(f"need at least {MIN_LENGTH} samples, got {n}")
+        raise TooFewSamples(f"need at least {MIN_LENGTH} samples, got {n}")
     weights = np.zeros(n)
     weights[0] = 1.0
     if n % 2 == 0:

@@ -15,8 +15,10 @@ components is P v' = v_hat' + r x v, and once more
 P v'' = v_hat'' + r x (P v' + v_hat'), where v_hat', v_hat'' are the
 derivatives of the dq0 component functions.  ``to_dq0``, ``from_dq0``,
 ``inertial_derivative`` and ``derivative_frame_check`` all use it.
-``MAX_SUM_REL_ERR`` bounds the sum identity of the two derivative splits
-for ``geomfreq park`` and ``validate`` alike.
+``derivative_frame_check`` is the one dq0 analysis: a single report of
+rho, omega, the deviation from the frame speed and the checks of the two
+derivative splits.  ``MAX_SUM_REL_ERR`` bounds the sum identity of those
+splits for ``geomfreq park`` and ``validate`` alike.
 
 A dq0 jet is the plain triple (v_dq0, v_hat', v_hat'') of ``to_dq0``,
 which ``from_dq0`` takes back.  Every function takes one instant or N
@@ -50,23 +52,16 @@ class ParkConfig:
 
 
 @dataclass(frozen=True)
-class Dq0Invariants:
+class FrameCheckReport:
+    """rho and omega of the voltage curve in dq0 components, and the
+    comparison of the rotation-split and geometric-split derivatives."""
+
     rho: float
     omega_vec: np.ndarray  # dq0 components
     delta_omega: float  # deviation from the frame speed; NaN where not balanced
     balanced: bool  # v_o = 0 and v_o' = 0, to the balance tolerance
-
-
-@dataclass(frozen=True)
-class FrameCheckReport:
-    """Comparison of the rotation-split and geometric-split derivatives."""
-
-    rotation_term: np.ndarray  # r x v, r = w_dq e_o
-    sym_part: np.ndarray  # rho v
-    antisym_part: np.ndarray  # omega x v
     sum_rel_err: float  # |(rho v + omega x v) - v'| / |v'|, v' = v_hat' + r x v
     terms_equal: bool  # v_hat' == rho v componentwise
-    balanced: bool  # where the balanced identity applies
     balanced_identity_err: float  # |v_hat' - rho v - dw e_o x v| / |v'|; NaN if not balanced
 
 
@@ -133,25 +128,32 @@ def inertial_derivative(vdq0, dvdq0, cfg):
     return np.asarray(dvdq0, dtype=np.float64) + _spin(cfg.w_dq, vdq0)
 
 
-def dq0_invariants(vdq0, dvdq0, cfg):
-    """rho and omega of the voltage curve, expressed in dq0 components:
-    ``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
-    derivative.  Raises ``DegenerateSpeed`` when |v| <= EPS_V anywhere.
+def derivative_frame_check(vdq0, dvdq0, cfg):
+    """rho and omega of the voltage curve in dq0 components
+    (``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
+    derivative), and the two splits of that derivative compared.
+    Raises ``DegenerateSpeed`` when |v| <= EPS_V anywhere.
+
+    Rotation split: v' = v_hat' + r x v with r = w_dq e_o.
+    Geometric split: v' = rho v + omega x v.
+    Their sums always agree; the individual terms coincide only when
+    the frame spins at the actual voltage frequency.
 
     Where the set is balanced, |v_o| <= BALANCE_TOL |v| and
-    |v_o'| <= BALANCE_TOL |v'|, this reduces to
-    rho = (v_d v_d' + v_q v_q')/v^2 and omega = (delta_omega + w_dq) e_o,
-    with delta_omega the frequency deviation from the frame speed, the
-    phase rate (v_d v_q' - v_q v_d')/(v_d^2 + v_q^2) of v_d + j v_q
+    |v_o'| <= BALANCE_TOL |v'|, rho = (v_d v_d' + v_q v_q')/v^2 and
+    omega = (delta_omega + w_dq) e_o, with delta_omega the frequency
+    deviation from the frame speed, the phase rate
+    (v_d v_q' - v_q v_d')/(v_d^2 + v_q^2) of v_d + j v_q
     (``geometry.phase_rate``; v_o^2 is left out of the denominator);
-    elsewhere delta_omega is NaN.
+    so v_hat' = rho v + delta_omega e_o x v as well.  Elsewhere
+    delta_omega and ``balanced_identity_err`` are NaN.
     """
-    v, dvdq0 = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
-    dv = inertial_derivative(v, dvdq0, cfg)
+    v, v_hat_prime = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
+    inertial = inertial_derivative(v, v_hat_prime, cfg)
     rows = v.reshape(-1, 3)
     # eps_w=0: omega is reported however small it is, never zeroed
     # v'' = 0 stands in: rho and omega do not depend on it
-    b = frenet.invariants_batch(rows, dv.reshape(-1, 3), np.zeros_like(rows), eps_w=0.0)
+    b = frenet.invariants_batch(rows, inertial.reshape(-1, 3), np.zeros_like(rows), eps_w=0.0)
     if b.degenerate.any():
         raise DegenerateSpeed(
             f"dq0 |v| <= {EPS_V} at {np.count_nonzero(b.degenerate)} of "
@@ -159,42 +161,20 @@ def dq0_invariants(vdq0, dvdq0, cfg):
         )
     v_mag = b.v_mag.reshape(v.shape[:-1])
     balanced = (np.abs(v[..., 2]) <= BALANCE_TOL * v_mag) & (
-        np.abs(dv[..., 2]) <= BALANCE_TOL * rownorm(dv)
+        np.abs(inertial[..., 2]) <= BALANCE_TOL * rownorm(inertial)
     )
     vd, vq, _ = np.moveaxis(v, -1, 0)
-    dvd, dvq, _ = np.moveaxis(dvdq0, -1, 0)
+    dvd, dvq, _ = np.moveaxis(v_hat_prime, -1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta_omega = phase_rate(vd, vq, dvd, dvq)
-    return Dq0Invariants(
-        rho=b.rho.reshape(v_mag.shape)[()],
-        omega_vec=b.omega_vec.reshape(v.shape),
-        delta_omega=np.where(balanced, delta_omega, np.nan)[()],
-        balanced=balanced,
-    )
-
-
-def derivative_frame_check(vdq0, dvdq0, cfg):
-    """Compare the two splits of the inertial derivative.
-
-    Rotation split: v' = v_hat' + r x v with r = w_dq e_o.
-    Geometric split: v' = rho v + omega x v.
-    Their sums always agree; the individual terms coincide only when
-    the frame spins at the actual voltage frequency.  Where the set is
-    balanced (see ``dq0_invariants``) v_hat' = rho v + delta_omega e_o x v
-    as well; ``balanced_identity_err`` is NaN elsewhere.
-    """
-    v, v_hat_prime = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
-    g = dq0_invariants(v, v_hat_prime, cfg)
-    inertial = inertial_derivative(v, v_hat_prime, cfg)
-    sym = g.rho[..., None] * v
-    antisym = np.cross(g.omega_vec, v)
+        delta_omega = np.where(balanced, phase_rate(vd, vq, dvd, dvq), np.nan)[()]
+    rho = b.rho.reshape(v_mag.shape)[()]
+    omega_vec = b.omega_vec.reshape(v.shape)
+    sym = rho[..., None] * v
+    antisym = np.cross(omega_vec, v)
     scale = np.maximum(rownorm(inertial), EPS_V)
     return FrameCheckReport(
-        rotation_term=_spin(cfg.w_dq, v),
-        sym_part=sym,
-        antisym_part=antisym,
+        rho=rho, omega_vec=omega_vec, delta_omega=delta_omega, balanced=balanced,
         sum_rel_err=rownorm(sym + antisym - inertial) / scale,
         terms_equal=rownorm(v_hat_prime - sym) <= TERM_TOL * scale,
-        balanced=g.balanced,
-        balanced_identity_err=rownorm(v_hat_prime - (sym + _spin(g.delta_omega, v))) / scale,
+        balanced_identity_err=rownorm(v_hat_prime - (sym + _spin(delta_omega, v))) / scale,
     )

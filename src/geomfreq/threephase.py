@@ -11,7 +11,8 @@ the same leading instant axis, with the phase axis last.  The published
 expression of xi through per-phase second-derivative combinations p_i,
 q_i was not reproduced (on E5 at t = 0.013 s it gives -94.9 where the
 Frenet route gives -1800.7); ``xi`` here projects the per-phase
-expansion of v''.
+expansion of v''.  ``closed_form_invariants`` is the one entry point:
+the magnitude v and the terms r_jk, u_jk it builds on stay inside it.
 """
 
 from dataclasses import dataclass, fields
@@ -21,13 +22,7 @@ import numpy as np
 from .errors import DegenerateSpeed, InvalidParameter
 from .frenet import EPS_V
 
-__all__ = [
-    "PhaseJet",
-    "Auxiliaries",
-    "ClosedFormInvariants",
-    "auxiliaries",
-    "closed_form_invariants",
-]
+__all__ = ["PhaseJet", "ClosedFormInvariants", "closed_form_invariants"]
 
 # phases j and k feeding component i of a cross product, ijk in {abc, bca, cab}
 _J = [1, 2, 0]
@@ -57,20 +52,6 @@ class PhaseJet:
 
 
 @dataclass(frozen=True)
-class Auxiliaries:
-    """Intermediate quantities of the closed forms.
-
-    ``r`` holds (r_bc, r_ca, r_ab) built from magnitude derivatives,
-    ``u`` the matching angle-derivative terms, and ``v`` the voltage
-    magnitude; ``r`` and ``u`` have the phase axis last.
-    """
-
-    v: float
-    r: np.ndarray
-    u: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClosedFormInvariants:
     """Closed-form invariants; ``xi`` comes from the self-consistent
     per-phase expansion of v'' (it matches the Frenet kernel)."""
@@ -80,15 +61,20 @@ class ClosedFormInvariants:
     xi: float
 
 
-def auxiliaries(jet):
-    """Evaluate v, r_jk and u_jk for a three-phase jet.
+def closed_form_invariants(jet):
+    """Closed-form (rho, omega, xi) of a three-phase voltage.
 
     v is the instantaneous voltage-vector magnitude
     sqrt(sum_i V_i^2 (1 - cos 2 theta_i) / 2); the 1/2 keeps it equal
-    to |v| of the cartesian route (1 - cos 2x = 2 sin^2 x).  Raises
-    ``DegenerateSpeed`` when v <= ``frenet.EPS_V`` at any instant.
+    to |v| of the cartesian route (1 - cos 2x = 2 sin^2 x).  rho sums
+    V_i^2 theta_i' sin(2 theta_i) + V_i V_i' (1 - cos 2 theta_i) over
+    the phases, normalized by 2 v^2; omega component i is
+    (r_jk + u_jk) / v^2 for ijk in {abc, bca, cab}, with r_jk built
+    from magnitude derivatives and u_jk the matching angle-derivative
+    terms.  Raises ``DegenerateSpeed`` when v <= ``frenet.EPS_V`` at
+    any instant.
     """
-    V, dV, _, th, dth, _ = vars(jet).values()
+    V, dV, ddV, th, dth, ddth = vars(jet).values()
     v = np.sqrt(np.sum(V**2 * (1.0 - np.cos(2.0 * th)) / 2.0, axis=-1))
     if np.any(v <= EPS_V):
         raise DegenerateSpeed(f"closed-form |v| = {np.min(v)} <= {EPS_V}")
@@ -96,29 +82,17 @@ def auxiliaries(jet):
     j, k = (..., _J), (..., _K)
     r = (V[j] * dV[k] - V[k] * dV[j]) * s[j] * s[k]
     u = V[j] * V[k] * (dth[k] * s[j] * c[k] - dth[j] * s[k] * c[j])
-    return Auxiliaries(v=v, r=r, u=u)
-
-
-def closed_form_invariants(jet):
-    """Closed-form (rho, omega, xi) of a three-phase voltage.
-
-    rho sums V_i^2 theta_i' sin(2 theta_i) + V_i V_i' (1 - cos 2 theta_i)
-    over the phases, normalized by 2 v^2; omega component i is
-    (r_jk + u_jk) / v^2 for ijk in {abc, bca, cab}.
-    """
-    aux = auxiliaries(jet)
-    V, dV, ddV, th, dth, ddth = vars(jet).values()
-    v2 = aux.v * aux.v
+    v2 = v * v
     rho = np.sum(
         V**2 * dth * np.sin(2.0 * th) + V * dV * (1.0 - np.cos(2.0 * th)), axis=-1
     ) / (2.0 * v2)
-    ru = aux.r + aux.u
+    ru = r + u
     omega_vec = ru / v2[..., None]
     denom = np.sum(ru**2, axis=-1)
     # project the per-phase v'' onto v x v'
-    ddv_i = (ddV - V * dth**2) * np.sin(th) + (2.0 * dV * dth + V * ddth) * np.cos(th)
+    ddv_i = (ddV - V * dth**2) * s + (2.0 * dV * dth + V * ddth) * c
     with np.errstate(divide="ignore", invalid="ignore"):
-        xi = aux.v * v2 * np.sum(ddv_i * omega_vec, axis=-1) / denom
+        xi = v * v2 * np.sum(ddv_i * omega_vec, axis=-1) / denom
     return ClosedFormInvariants(
         rho=rho, omega_vec=omega_vec, xi=np.where(denom > 0.0, xi, 0.0)[()]
     )

@@ -287,7 +287,7 @@ def check_park():
     cfg_sync = park.ParkConfig(w_dq=signals.W_BASE, theta0=-math.pi / 2)
     t = np.array([0.0125])
     vdq0, dvdq0, _ = park.to_dq0(t, *signals.eval_arrays(signals.make_scenario("E0"), t), cfg_sync)
-    w = park.dq0_invariants(vdq0, dvdq0, cfg_sync).omega_vec
+    w = park.derivative_frame_check(vdq0, dvdq0, cfg_sync).omega_vec
     remark7 = _worst(np.abs(w[:, :2]), np.abs(w[:, 2] - signals.W_BASE) / signals.W_BASE)
     return [
         PropertyResult("park", "invariants unchanged by dq0 round trip", round_trip, 1e-9),

@@ -15,6 +15,7 @@ import pytest
 import geomfreq
 from geomfreq import cli, cli_io, frenet, hilbert, park, signals, validate
 from geomfreq.errors import MalformedCsv
+from geomfreq.geometry import MAX_ANGLE
 
 from cli_help import HELP_80
 from conftest import W_O
@@ -183,6 +184,24 @@ def test_waveform_csv_rejects_jittered_grid(tmp_path):
     path.write_text("t,va,vb,vc\n0.0,1,2,3\n1e-4,1,2,3\n2.5e-4,1,2,3\n")
     with pytest.raises(MalformedCsv):
         cli_io.read_waveform_csv(path)
+
+
+@pytest.mark.parametrize(
+    "t0", [0.0, 1.0, 1e6, 8e6, 2.0**23, 1e7, 2e7, MAX_ANGLE / signals.W_BASE - 1.0]
+)
+def test_generated_files_read_back_at_any_start_time(tmp_path, t0):
+    # from 2**23 s on, float64 times are 1.86e-9 s or more apart, so steps
+    # of stored times stray from the median by more than 1e-9 s
+    path, jittered = tmp_path / "late.csv", tmp_path / "jittered.csv"
+    argv = ["--t0", repr(t0), "--t1", repr(t0 + 0.01), "--dt", "1e-4", "--out", str(path)]
+    assert cli.main(["generate", "E0", *argv]) == 0
+    assert cli.main(["analyze", "--csv", str(path), "--out", str(tmp_path / "an.csv")]) == 0
+    lines = path.read_text().splitlines()
+    t, rest = lines[10].split(",", 1)
+    lines[10] = f"{float(t) + 1e-6!r},{rest}"
+    jittered.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedCsv, match="not uniformly spaced"):
+        cli_io.read_waveform_csv(jittered)
 
 
 def test_analyze_reads_crlf_notes_and_a_bom_as_the_plain_file(tmp_path):

@@ -12,7 +12,7 @@ from geomfreq.errors import (
     FloatOverflow,
     InvalidRange,
     NonFiniteSample,
-    TooShort,
+    TooFewSamples,
 )
 
 DT = 1e-4
@@ -44,7 +44,7 @@ def test_embed_constant_has_no_quadrature():
 
 
 def test_embed_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(TooFewSamples):
         hilbert.analytic_embed(T[:8], DT, np.ones(8))
 
 

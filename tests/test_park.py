@@ -46,8 +46,8 @@ def test_clarke_case_rotates_at_signal_frequency():
     cfg = ParkConfig(w_dq=0.0)
     for t in (0.0, 0.003):
         _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(t), cfg)
-        g = park.dq0_invariants(vdq0, dvdq0, cfg)
-        assert g.delta_omega == pytest.approx(W_O, rel=1e-9)
+        rep = park.derivative_frame_check(vdq0, dvdq0, cfg)
+        assert rep.delta_omega == pytest.approx(W_O, rel=1e-9)
 
 
 def test_zero_input_zero_output():
@@ -107,17 +107,17 @@ def test_n_instants_equal_n_single_instants(sid, cfg):
 
 def test_synchronous_invariants_remark_single_phase_form():
     _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.0073), SYNC)
-    g = park.dq0_invariants(vdq0, dvdq0, SYNC)
-    assert g.rho == pytest.approx(0.0, abs=1e-9)
-    assert g.delta_omega == pytest.approx(0.0, abs=1e-6)
-    np.testing.assert_allclose(g.omega_vec, [0.0, 0.0, W_O], atol=1e-6)
+    rep = park.derivative_frame_check(vdq0, dvdq0, SYNC)
+    assert rep.rho == pytest.approx(0.0, abs=1e-9)
+    assert rep.delta_omega == pytest.approx(0.0, abs=1e-6)
+    np.testing.assert_allclose(rep.omega_vec, [0.0, 0.0, W_O], atol=1e-6)
 
 
 def test_constant_dq_signal_is_at_frame_speed():
     cfg = ParkConfig(w_dq=W_O + 2.0 * math.pi)
-    g = park.dq0_invariants((9.0, 4.0, 0.0), (0.0, 0.0, 0.0), cfg)
-    assert g.delta_omega == 0.0
-    np.testing.assert_allclose(g.omega_vec, [0.0, 0.0, cfg.w_dq], atol=1e-12)
+    rep = park.derivative_frame_check((9.0, 4.0, 0.0), (0.0, 0.0, 0.0), cfg)
+    assert rep.delta_omega == 0.0
+    np.testing.assert_allclose(rep.omega_vec, [0.0, 0.0, cfg.w_dq], atol=1e-12)
 
 
 def test_invariants_match_frenet_route(rng):
@@ -125,9 +125,9 @@ def test_invariants_match_frenet_route(rng):
     # reproduce rho v + omega x v = inertial derivative
     for _ in range(50):
         vdq0, dvdq0 = rng.normal(scale=10.0, size=(2, 3))
-        g = park.dq0_invariants(vdq0, dvdq0, SYNC)
+        rep = park.derivative_frame_check(vdq0, dvdq0, SYNC)
         inertial = park.inertial_derivative(vdq0, dvdq0, SYNC)
-        lhs = g.rho * vdq0 + np.cross(g.omega_vec, vdq0)
+        lhs = rep.rho * vdq0 + np.cross(rep.omega_vec, vdq0)
         np.testing.assert_allclose(
             lhs, inertial, atol=1e-9 * max(np.linalg.norm(inertial), 1.0)
         )
@@ -149,20 +149,19 @@ def test_dq0_invariants_equal_abc_frenet(sid, cfg):
     v, dv, ddv = signals.eval_arrays(signals.make_scenario(sid), times)
     ref = frenet.invariants_batch(v, dv, ddv)
     vdq0, dvdq0, _ = park.to_dq0(times, v, dv, ddv, cfg)
-    g = park.dq0_invariants(vdq0 * _CONFORMAL, dvdq0 * _CONFORMAL, cfg)
+    rep = park.derivative_frame_check(vdq0 * _CONFORMAL, dvdq0 * _CONFORMAL, cfg)
     tol = 1e-9 * ref.omega_mag
-    assert np.all(np.abs(g.rho - ref.rho) <= tol)
-    assert np.all(np.abs(np.linalg.norm(g.omega_vec, axis=1) - ref.omega_mag) <= tol)
+    assert np.all(np.abs(rep.rho - ref.rho) <= tol)
+    assert np.all(np.abs(np.linalg.norm(rep.omega_vec, axis=1) - ref.omega_mag) <= tol)
 
 
 def test_balanced_needs_zero_sequence_value_and_derivative():
     # on E8 at t = 0, v_o vanishes but v_o' does not: not balanced
     _, vdq0, dvdq0, _ = _to_dq0(_jet("E8", 0.0), SYNC)
     assert abs(vdq0[2]) <= 1e-9 * np.linalg.norm(vdq0)
-    g = park.dq0_invariants(vdq0, dvdq0, SYNC)
-    assert not g.balanced and math.isnan(g.delta_omega)
     rep = park.derivative_frame_check(vdq0, dvdq0, SYNC)
-    assert not rep.balanced and math.isnan(rep.balanced_identity_err)
+    assert not rep.balanced and math.isnan(rep.delta_omega)
+    assert math.isnan(rep.balanced_identity_err)
     # E0 is balanced at every instant, in any frame
     times = signals.sample_times(0.0, 0.1, 1e-4)
     jet = signals.eval_arrays(signals.make_scenario("E0"), times)
@@ -174,7 +173,7 @@ def test_balanced_needs_zero_sequence_value_and_derivative():
 
 def test_invariants_degenerate_speed():
     with pytest.raises(DegenerateSpeed):
-        park.dq0_invariants((0, 0, 0), (1, 0, 0), SYNC)
+        park.derivative_frame_check((0, 0, 0), (1, 0, 0), SYNC)
 
 
 # ------------------------------------------------ derivative frame check
@@ -192,7 +191,6 @@ def test_frame_check_clarke_derivative_is_rotating_derivative():
     cfg = ParkConfig(w_dq=0.0)
     _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.004), cfg)
     rep = park.derivative_frame_check(vdq0, dvdq0, cfg)
-    np.testing.assert_array_equal(rep.rotation_term, [0.0, 0.0, 0.0])
     np.testing.assert_array_equal(park.inertial_derivative(vdq0, dvdq0, cfg), dvdq0)
     assert rep.sum_rel_err <= 1e-9
 

@@ -37,25 +37,18 @@ def test_phasejet_needs_three_phases(phases):
             PhaseJet(**bad)
 
 
-def test_auxiliaries_balanced_magnitude():
-    aux = threephase.auxiliaries(_stationary_jet())
-    assert aux.v == pytest.approx(14.6969, abs=1e-4)
-    assert aux.v == pytest.approx(12.0 * math.sqrt(1.5), rel=1e-12)
-    # matches the cartesian speed at the same instant
+def test_closed_form_balanced_matches_the_cartesian_omega():
+    # omega = (v x v') / v^2, so this checks the closed-form |v| too
+    cf = threephase.closed_form_invariants(_stationary_jet())
     b = frenet.invariants_batch(*signals.eval_arrays(signals.make_scenario("E0"), (0.0,)))
-    assert aux.v == pytest.approx(b.v_mag[0], rel=1e-12)
+    np.testing.assert_allclose(cf.omega_vec, b.omega_vec[0], rtol=1e-12)
 
 
-def test_auxiliaries_zero_magnitudes_degenerate():
+def test_closed_form_zero_magnitudes_degenerate():
     jet = PhaseJet(V=np.zeros(3), dV=np.zeros(3), ddV=np.zeros(3),
                    theta=0.1 * np.arange(3), dtheta=np.full(3, W_O), ddtheta=np.zeros(3))
     with pytest.raises(DegenerateSpeed):
-        threephase.auxiliaries(jet)
-
-
-def test_auxiliaries_stationary_r_terms_vanish():
-    aux = threephase.auxiliaries(_stationary_jet(V=(12.0, 8.0, 10.0)))
-    np.testing.assert_array_equal(aux.r, [0.0, 0.0, 0.0])
+        threephase.closed_form_invariants(jet)
 
 
 def test_closed_form_positive_sequence():
@@ -74,7 +67,7 @@ def test_closed_form_unbalanced_special_case():
     # w_o * sum V_i^2 sin(2 theta_i) / (2 v^2)
     jet = _stationary_jet(V=(12.0, 8.0, 12.0), t=1.3e-3)
     cf = threephase.closed_form_invariants(jet)
-    v2 = threephase.auxiliaries(jet).v ** 2
+    v2 = float(np.sum(jet.V**2 * np.sin(jet.theta) ** 2))
     expected = W_O * float(np.sum(jet.V**2 * np.sin(2.0 * jet.theta))) / (2.0 * v2)
     assert cf.rho == pytest.approx(expected, rel=1e-12)
 

@@ -7,15 +7,12 @@ decomposed rate of change of frequency.
 """
 
 from .errors import (
-    DegenerateEnvelope,
     DegenerateInput,
-    DegenerateSpeed,
+    FloatOverflow,
     GeomfreqError,
     InvalidParameter,
-    InvalidRange,
     MalformedCsv,
-    TooFewSamples,
-    UnknownScenario,
+    NonFiniteSample,
 )
 from .frenet import EPS_V, EPS_W, GeomInvariants, frame, invariants, invariants_batch
 from .hilbert import analytic_embed, geometric_equivalence, instantaneous_frequency_classical

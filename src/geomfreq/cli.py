@@ -5,8 +5,10 @@ CSV from a scenario or a waveform CSV), validate (invariant suites),
 park (dq0 transform and derivative-frame checks), hilbert (analytic
 embedding and equivalence report).
 
-Exit codes: 0 success, 1 validation/assertion failure, 2 usage error,
-3 I/O or format error, or an input whose scale overflows float64.
+Exit codes: 0 success, 1 a failed check (validate, park or hilbert),
+2 a usage error (``InvalidParameter``), 3 an I/O or format error, a
+degenerate input or an input whose scale overflows float64
+(``OSError``, ``MalformedCsv``, ``DegenerateInput``, ``FloatOverflow``).
 
 Each parameter comes from its flag, else its INI key (``CONFIG_KEYS``),
 else a default; a bad value names the flag or key it came from.  A flag
@@ -28,16 +30,7 @@ import sys
 import numpy as np
 
 from . import analysis, cli_io, hilbert, numdiff, park, signals, validate
-from .errors import (
-    DegenerateEnvelope,
-    DegenerateInput,
-    FloatOverflow,
-    GeomfreqError,
-    InvalidParameter,
-    InvalidRange,
-    MalformedCsv,
-    UnknownScenario,
-)
+from .errors import DegenerateInput, FloatOverflow, GeomfreqError, InvalidParameter, MalformedCsv
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,13 +49,13 @@ def _flag(dest):
 def _check_positive(name, x):
     """Reject a non-positive, infinite or NaN value before it is used."""
     if not 0 < x < math.inf:
-        raise InvalidRange(f"{name} must be positive and finite, got {x}")
+        raise InvalidParameter(f"{name} must be positive and finite, got {x}")
 
 
 def _check_finite(name, x):
     """Reject an infinite or NaN value before it is used."""
     if not math.isfinite(x):
-        raise InvalidRange(f"{name} must be finite, got {x}")
+        raise InvalidParameter(f"{name} must be finite, got {x}")
 
 
 def _param(args, cfg, dest, fallback, check=None):
@@ -96,7 +89,7 @@ def _scenario_grid(args, cfg, missing=None, fallback=None):
     its grid (t0, t1, dt); generate's --vdc is read by the DC scenario only."""
     scenario = args.scenario or cfg.get("scenario.id", fallback)
     if scenario is None:
-        raise UnknownScenario(missing)
+        raise InvalidParameter(missing)
     grid = [_param(args, cfg, d, x) for d, x in (("t0", 0.0), ("t1", 0.1), ("dt", 1e-4))]
     model = signals.make_scenario(scenario)  # an unknown id is reported first
     if getattr(args, "vdc", None) is None:
@@ -188,7 +181,7 @@ def cmd_hilbert(args):
         _refuse(args, "by hilbert --csv", "freq", "t1", "dt")
         channel = _param(args, {}, "channel", 0)
         if channel not in (0, 1, 2):
-            raise InvalidRange(f"--channel must be 0, 1 or 2, got {channel}")
+            raise InvalidParameter(f"--channel must be 0, 1 or 2, got {channel}")
         series = cli_io.read_waveform_csv(args.csv)
         times, dt, u = series.times, series.dt, series.values[:, channel]
     else:
@@ -199,7 +192,7 @@ def cmd_hilbert(args):
         u = np.cos(2.0 * math.pi * freq * times)
     if u.size < hilbert.MIN_LENGTH:
         # a short file is a format error, a short synthetic range a usage error
-        error, source = (MalformedCsv, args.csv) if args.csv else (InvalidRange, "--t1/--dt")
+        error, source = (MalformedCsv, args.csv) if args.csv else (InvalidParameter, "--t1/--dt")
         raise error(
             f"{source}: the Hilbert transform needs at least "
             f"{hilbert.MIN_LENGTH} samples, got {u.size}"
@@ -279,13 +272,13 @@ def main(argv=None):
         # looked up by name on each call, not stored in the shared parser,
         # so a rebound ``cmd_*`` attribute is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except (UnknownScenario, InvalidParameter, InvalidRange) as exc:
+    except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedCsv, DegenerateInput, DegenerateEnvelope, FloatOverflow, OSError) as exc:
+    except (MalformedCsv, DegenerateInput, FloatOverflow, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except GeomfreqError as exc:
+    except GeomfreqError as exc:  # no class in ``errors`` reaches here
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

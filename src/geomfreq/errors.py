@@ -1,39 +1,21 @@
-"""Exception hierarchy shared by all geomfreq modules."""
+"""Exception hierarchy shared by all geomfreq modules: one class per kind
+of failure.  ``geomfreq.cli`` exits 2 on ``InvalidParameter`` (and its
+``NonFiniteSample``); 3 on ``MalformedCsv``, ``DegenerateInput`` and
+``FloatOverflow``; and 1 only when a check it ran failed."""
 
 
 class GeomfreqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateSpeed(GeomfreqError):
-    """The voltage vector magnitude is below threshold; the curve
-    parameterization breaks down at this sample."""
-
-
-class UnknownScenario(GeomfreqError):
-    """Requested scenario id is not one of the presets."""
-
-
 class InvalidParameter(GeomfreqError):
-    """Scenario parameter out of its valid range, or an unknown
-    validation scope."""
+    """A bad argument: an unknown scenario or validation scope, a
+    parameter out of its range, an empty or inverted sampling range, or
+    too few samples for a stencil or the discrete Hilbert transform."""
 
 
-class InvalidRange(GeomfreqError):
-    """Empty or inverted sampling range, or non-positive step."""
-
-
-class NonFiniteSample(InvalidRange):
+class NonFiniteSample(InvalidParameter):
     """A time series was given a NaN or infinite sample value."""
-
-
-class TooFewSamples(GeomfreqError):
-    """Not enough samples for the requested stencil or for the
-    discrete Hilbert transform."""
-
-
-class DegenerateEnvelope(GeomfreqError):
-    """Analytic-signal envelope vanishes at an evaluated sample."""
 
 
 class MalformedCsv(GeomfreqError):
@@ -42,7 +24,8 @@ class MalformedCsv(GeomfreqError):
 
 
 class DegenerateInput(GeomfreqError):
-    """Every row of the input is degenerate; nothing to analyze."""
+    """The curve's speed |v|, or the analytic envelope, vanishes where the
+    frame is needed: at an instant, or at every sample of the input."""
 
 
 class FloatOverflow(GeomfreqError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpeed
+from .errors import DegenerateInput
 from .geometry import rowdot, rownorm
 
 EPS_V = 1e-9  # V; below this the curve has no defined tangent
@@ -83,7 +83,7 @@ def _cross(a, b):
 def invariants(v, dv, ddv):
     """rho, omega and xi of one instant from the finite 3-vectors
     v, v', v'', bit for bit what ``invariants_batch`` gives that row.
-    Raises ``DegenerateSpeed`` when |v| <= EPS_V.
+    Raises ``DegenerateInput`` when |v| <= EPS_V.
 
     Inner products are ``np.dot``, which sums three products the way
     ``rowdot`` does (a fused multiply-add chain, not reproducible in
@@ -92,7 +92,7 @@ def invariants(v, dv, ddv):
     v, dv, ddv = (np.asarray(x, dtype=np.float64) for x in (v, dv, ddv))
     v_mag = math.sqrt(np.dot(v, v))
     if v_mag <= EPS_V:
-        raise DegenerateSpeed(f"|v| = {v_mag} <= {EPS_V}")
+        raise DegenerateInput(f"|v| = {v_mag} <= {EPS_V}")
     v2 = v_mag * v_mag
     vxdv = _cross(v, dv)
     omega_vec = vxdv / v2

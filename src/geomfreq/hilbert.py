@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnvelope, FloatOverflow, TooFewSamples
+from .errors import DegenerateInput, FloatOverflow, InvalidParameter
 from .frenet import invariants
 from .geometry import phase_rate
 from .numdiff import differentiate_arrays
@@ -56,7 +56,7 @@ def analytic_embed(times, dt, u):
     u = np.asarray(u, dtype=np.float64)
     n = u.size
     if n < MIN_LENGTH:
-        raise TooFewSamples(f"need at least {MIN_LENGTH} samples, got {n}")
+        raise InvalidParameter(f"need at least {MIN_LENGTH} samples, got {n}")
     weights = np.zeros(n)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -74,14 +74,14 @@ def analytic_embed(times, dt, u):
 def instantaneous_frequency_classical(embedded):
     """phi' = (u uh' - uh u') / (u^2 + uh^2), ``geometry.phase_rate``,
     on the retained samples of the embedded curve.  Raises
-    DegenerateEnvelope where the envelope vanishes, and FloatOverflow
+    DegenerateInput where the envelope vanishes, and FloatOverflow
     where a derivative, the envelope or phi' is not finite."""
     _, v, dv, _ = differentiate_arrays(embedded)
     u, uh, du, duh = v[:, 0], v[:, 1], dv[:, 0], dv[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = u**2 + uh**2
         if np.any(envelope <= EPS_ENVELOPE):
-            raise DegenerateEnvelope("analytic envelope vanishes at a sample")
+            raise DegenerateInput("analytic envelope vanishes at a sample")
         phi_dot = phase_rate(u, uh, du, duh)
     if not np.isfinite((envelope, phi_dot)).all():
         raise FloatOverflow("analytic envelope or its phase rate overflows float64")

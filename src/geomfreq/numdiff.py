@@ -13,7 +13,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import FloatOverflow, TooFewSamples
+from .errors import FloatOverflow, InvalidParameter
 
 TRIM = 2  # samples dropped on each side by the 5-point stencils
 MIN_SAMPLES = 2 * TRIM + 1  # the fewest samples the stencils take
@@ -27,7 +27,7 @@ def stencil_derivatives(values, dt):
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     if n < MIN_SAMPLES:
-        raise TooFewSamples(f"need at least {MIN_SAMPLES} samples, got {n}")
+        raise InvalidParameter(f"need at least {MIN_SAMPLES} samples, got {n}")
     f0 = values[:-4]
     f1 = values[1:-3]
     f2 = values[2:-2]

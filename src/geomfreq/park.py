@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frenet
-from .errors import DegenerateSpeed, FloatOverflow, InvalidRange
+from .errors import DegenerateInput, FloatOverflow, InvalidParameter
 from .frenet import EPS_V
 from .geometry import MAX_ANGLE, phase_rate, rownorm
 
@@ -97,14 +97,14 @@ def to_dq0(t, v, dv, ddv, cfg):
 
     P v' is the inertial derivative in dq0 components; the rotating
     derivatives are what is left of it after the rotation term r x v.
-    Raises InvalidRange for a frame angle past geometry.MAX_ANGLE,
+    Raises InvalidParameter for a frame angle past geometry.MAX_ANGLE,
     FloatOverflow on overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         theta = cfg.w_dq * np.asarray(t) + cfg.theta0
         worst = np.max(np.abs(theta), initial=0.0)
         if not worst <= MAX_ANGLE:
-            raise InvalidRange(f"frame angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
+            raise InvalidParameter(f"frame angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
         P = park_matrix(theta)
         vdq0 = _apply(P, v)
         dv = _apply(P, dv)
@@ -132,7 +132,7 @@ def derivative_frame_check(vdq0, dvdq0, cfg):
     """rho and omega of the voltage curve in dq0 components
     (``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
     derivative), and the two splits of that derivative compared.
-    Raises ``DegenerateSpeed`` when |v| <= EPS_V anywhere.
+    Raises ``DegenerateInput`` when |v| <= EPS_V anywhere.
 
     Rotation split: v' = v_hat' + r x v with r = w_dq e_o.
     Geometric split: v' = rho v + omega x v.
@@ -155,7 +155,7 @@ def derivative_frame_check(vdq0, dvdq0, cfg):
     # v'' = 0 stands in: rho and omega do not depend on it
     b = frenet.invariants_batch(rows, inertial.reshape(-1, 3), np.zeros_like(rows), eps_w=0.0)
     if b.degenerate.any():
-        raise DegenerateSpeed(
+        raise DegenerateInput(
             f"dq0 |v| <= {EPS_V} at {np.count_nonzero(b.degenerate)} of "
             f"{b.degenerate.size} instants"
         )

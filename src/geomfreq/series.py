@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloatOverflow, InvalidRange, NonFiniteSample
+from .errors import FloatOverflow, InvalidParameter, NonFiniteSample
 
 
 @dataclass(frozen=True)
@@ -24,16 +24,16 @@ class TimeSeries:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise InvalidRange(f"dt must be positive, got {self.dt}")
+            raise InvalidParameter(f"dt must be positive, got {self.dt}")
         times = np.asarray(self.times, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
         if times.ndim != 1 or values.shape != (times.size, 3):
-            raise InvalidRange(
+            raise InvalidParameter(
                 f"values shape {values.shape} does not match "
                 f"{times.shape} times and 3 channels"
             )
         if times.size < 1:
-            raise InvalidRange("time series needs at least one sample")
+            raise InvalidParameter("time series needs at least one sample")
         if not np.all(np.isfinite(values)):
             raise NonFiniteSample("non-finite sample value")
         object.__setattr__(self, "times", times)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidRange, UnknownScenario
+from .errors import InvalidParameter
 from .geometry import MAX_ANGLE
 from .series import TimeSeries
 from .threephase import PhaseJet
@@ -84,7 +84,7 @@ class SignalModel:
 def _component_jets(model, times):
     """(rows, jet) for each slice rows of at most EVAL_ROWS times: jet is
     (m, m', m'', theta, theta', theta'') of the C components, (C, rows)
-    each.  After the last slice, raises InvalidRange with the worst angle
+    each.  After the last slice, raises InvalidParameter with the worst angle
     of the first component whose |theta| is past geometry.MAX_ANGLE (or
     not finite) at any time, yielding no jet from the slice it is found."""
     chan, magnitude, angle = model._table
@@ -98,7 +98,7 @@ def _component_jets(model, times):
             yield slice(lo, lo + t.size), magnitude.eval(t) + th
     bad = ~(worst <= MAX_ANGLE)
     if bad.any():
-        raise InvalidRange(f"signal angle {worst[bad.argmax()]:.6g} rad is past geometry.MAX_ANGLE = 2**33")
+        raise InvalidParameter(f"signal angle {worst[bad.argmax()]:.6g} rad is past geometry.MAX_ANGLE = 2**33")
 
 
 def eval_arrays(model, times):
@@ -160,15 +160,15 @@ def phase_jets(model, t):
 def sample_times(t0, t1, dt):
     """The uniform grid t0 + k*dt, k = 0..n-1, whose last point is the
     one nearest t1; at least 2 points and at most MAX_SAMPLES, all
-    finite.  Raises InvalidRange otherwise, before allocating."""
+    finite.  Raises InvalidParameter otherwise, before allocating."""
     if not dt > 0:
-        raise InvalidRange(f"dt must be positive, got {dt}")
+        raise InvalidParameter(f"dt must be positive, got {dt}")
     span = (t1 - t0) / dt
     if not 0.5 < span < math.inf:  # fewer than 2 samples, NaN or infinite
-        raise InvalidRange(f"bad range [{t0}, {t1}] with dt {dt}")
+        raise InvalidParameter(f"bad range [{t0}, {t1}] with dt {dt}")
     n = int(round(span)) + 1
     if n > MAX_SAMPLES:
-        raise InvalidRange(
+        raise InvalidParameter(
             f"range [{t0}, {t1}] with dt {dt} needs more than "
             f"MAX_SAMPLES = {MAX_SAMPLES} samples"
         )
@@ -287,7 +287,7 @@ _PRESETS = {
 def make_scenario(scenario_id, **overrides):
     """Build a preset scenario model, optionally perturbing parameters."""
     if scenario_id not in _PRESETS:
-        raise UnknownScenario(f"unknown scenario {scenario_id!r}")
+        raise InvalidParameter(f"unknown scenario {scenario_id!r}")
     builder, defaults = _PRESETS[scenario_id]
     params = dict(defaults)
     params.update(overrides)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateSpeed, InvalidParameter
+from .errors import DegenerateInput, InvalidParameter
 from .frenet import EPS_V
 
 __all__ = ["PhaseJet", "ClosedFormInvariants", "closed_form_invariants"]
@@ -71,13 +71,13 @@ def closed_form_invariants(jet):
     the phases, normalized by 2 v^2; omega component i is
     (r_jk + u_jk) / v^2 for ijk in {abc, bca, cab}, with r_jk built
     from magnitude derivatives and u_jk the matching angle-derivative
-    terms.  Raises ``DegenerateSpeed`` when v <= ``frenet.EPS_V`` at
+    terms.  Raises ``DegenerateInput`` when v <= ``frenet.EPS_V`` at
     any instant.
     """
     V, dV, ddV, th, dth, ddth = vars(jet).values()
     v = np.sqrt(np.sum(V**2 * (1.0 - np.cos(2.0 * th)) / 2.0, axis=-1))
     if np.any(v <= EPS_V):
-        raise DegenerateSpeed(f"closed-form |v| = {np.min(v)} <= {EPS_V}")
+        raise DegenerateInput(f"closed-form |v| = {np.min(v)} <= {EPS_V}")
     s, c = np.sin(th), np.cos(th)
     j, k = (..., _J), (..., _K)
     r = (V[j] * dV[k] - V[k] * dV[j]) * s[j] * s[k]

@@ -8,7 +8,7 @@ exception included.
 
 import numpy as np
 
-from geomfreq.errors import DegenerateSpeed
+from geomfreq.errors import DegenerateInput
 from geomfreq.frenet import EPS_V, EPS_W, GeomInvariants
 
 _ZERO = np.zeros(3)
@@ -20,7 +20,7 @@ def invariants(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
     ``np.linalg.norm`` on the 3-vectors."""
     v_mag = float(np.linalg.norm(v))
     if v_mag <= eps_v:
-        raise DegenerateSpeed(f"|v| = {v_mag} <= {eps_v}")
+        raise DegenerateInput(f"|v| = {v_mag} <= {eps_v}")
     v2 = v_mag * v_mag
     vxdv = np.cross(v, dv)
     omega_vec = vxdv / v2

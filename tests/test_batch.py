@@ -19,7 +19,7 @@ import reference
 from conftest import scenario_arrays
 from geomfreq import analysis, cli, cli_io, frenet, hilbert, numdiff, signals
 from geomfreq.analysis import COLUMNS
-from geomfreq.errors import DegenerateSpeed, FloatOverflow
+from geomfreq.errors import DegenerateInput, FloatOverflow
 
 REL = 1e-10
 PRESETS = ("DC", "SINGLE_PHASE", "E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
@@ -66,11 +66,11 @@ def _assert_matches(b, v, dv, ddv):
 
 def _assert_rows_are_bits_of_batch(v, dv, ddv):
     """``frenet.invariants`` of row k equals row k of the batch, bit for
-    bit, and raises ``DegenerateSpeed`` where the batch row is degenerate."""
+    bit, and raises ``DegenerateInput`` where the batch row is degenerate."""
     b = frenet.invariants_batch(v, dv, ddv)
     for k in range(len(v)):
         if b.degenerate[k]:
-            with pytest.raises(DegenerateSpeed):
+            with pytest.raises(DegenerateInput):
                 frenet.invariants(v[k], dv[k], ddv[k])
             continue
         g = frenet.invariants(v[k], dv[k], ddv[k])

@@ -1,0 +1,43 @@
+"""One error class per kind of failure, each exported by the package and
+mapped by ``cli.main`` to one exit code."""
+
+import pytest
+
+import geomfreq
+from geomfreq import cli, errors
+from geomfreq.errors import GeomfreqError
+
+# 2 a usage error, 3 bad input; 1 is left to a failed check
+EXIT_CODES = {
+    "InvalidParameter": 2,
+    "NonFiniteSample": 2,
+    "MalformedCsv": 3,
+    "DegenerateInput": 3,
+    "FloatOverflow": 3,
+}
+
+
+def _defined(module):
+    """The GeomfreqError classes reachable as ``module.<name>``."""
+    return {
+        name: obj
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, GeomfreqError)
+    }
+
+
+def test_package_exports_every_error_class():
+    assert _defined(geomfreq) == _defined(errors)
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in _defined(errors).values() if c is not GeomfreqError],
+    ids=lambda c: c.__name__,
+)
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, cls):
+    def boom(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", boom)
+    assert cli.main(["validate"]) == EXIT_CODES.get(cls.__name__)
+    assert capsys.readouterr().err == "error: boom\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import numpy_reference
 from geomfreq import frenet, signals
-from geomfreq.errors import DegenerateSpeed
+from geomfreq.errors import DegenerateInput
 from geomfreq.geometry import rowdot, rownorm
 
 from conftest import OMEGA_POS, W_O, ddv_expansion, scenario_arrays
@@ -115,7 +115,7 @@ def test_invariants_negative_sequence():
 
 
 def test_invariants_degenerate_speed():
-    with pytest.raises(DegenerateSpeed):
+    with pytest.raises(DegenerateInput):
         frenet.invariants((0, 0, 0), (1, 0, 0), (0, 0, 0))
     b = frenet.invariants_batch(*_const((0, 0, 0), (1, 0, 0)))
     assert b.degenerate[0] and math.isnan(b.rho[0])
@@ -362,8 +362,8 @@ def _outcome(invariants, v, dv, ddv):
     try:
         with np.errstate(all="ignore"):
             g = invariants(v, dv, ddv)
-    except DegenerateSpeed as exc:
-        return "DegenerateSpeed", str(exc)
+    except DegenerateInput as exc:
+        return "DegenerateInput", str(exc)
     return tuple(
         (name, type(getattr(g, name)), np.asarray(getattr(g, name)).tobytes())
         for name in ("rho", "omega_vec", "omega_mag", "xi")

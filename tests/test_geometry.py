@@ -1,5 +1,6 @@
 """Row-wise vector algebra (``rowdot``, ``rownorm`` and ``np.cross`` over
-rows) and the planar phase rate Im(z'/z) of a phasor."""
+rows), the planar phase rate Im(z'/z) of a phasor, and the period means
+of rho and |omega|."""
 
 import math
 
@@ -12,6 +13,7 @@ from geomfreq import frenet, hilbert, signals
 from geomfreq.geometry import phase_rate, rowdot, rownorm
 from geomfreq.numdiff import differentiate_arrays
 
+from conftest import W_O
 from reference import cross, dot
 
 finite = st.floats(
@@ -146,3 +148,34 @@ def test_embedding_rho_is_the_phasor_growth_rate(tone):
     (x, y), (dx, dy) = v[:, :2].T, dv[:, :2].T
     gap = np.abs((x * dx + y * dy) / (x * x + y * y) - rep.rho)
     assert np.all(gap <= 1e-14 * rep.omega_mag)
+
+
+# --------------------------------------------------------- the period means
+
+# on a planar set, |omega| averages to the phasor frequency
+PERIOD = 0.02  # s, one cycle of the presets' 50 Hz
+
+
+def _period(sid):
+    """invariants_batch of the preset at 400 instants t = T k / 400 over one period T."""
+    times = PERIOD * np.arange(400) / 400
+    return frenet.invariants_batch(*signals.eval_arrays(signals.make_scenario(sid), times))
+
+
+@pytest.mark.parametrize("sid", ["E0", "E1", "E2", "E3"])
+def test_planar_sets_average_to_the_phasor_frequency(sid):
+    b = _period(sid)
+    assert abs(b.omega_mag.mean() - W_O) <= 1e-14 * W_O
+    assert abs(b.rho.mean()) <= 1e-12
+
+
+def test_unbalanced_planar_omega_swings_within_the_period():
+    # the phase of V+ e^{jwt} + V- e^{-jwt} winds once per period, unevenly
+    omega = _period("E2").omega_mag
+    assert omega.min() < 0.75 * W_O
+    assert omega.max() > 1.4 * W_O
+
+
+@pytest.mark.parametrize("sid", ["E4", "E5"])
+def test_non_planar_sets_do_not_average_to_the_phasor_frequency(sid):
+    assert abs(_period(sid).omega_mag.mean() - W_O) > 5e-3 * W_O

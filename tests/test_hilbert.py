@@ -7,13 +7,7 @@ import pytest
 
 import numpy_reference
 from geomfreq import hilbert
-from geomfreq.errors import (
-    DegenerateEnvelope,
-    FloatOverflow,
-    InvalidRange,
-    NonFiniteSample,
-    TooFewSamples,
-)
+from geomfreq.errors import DegenerateInput, FloatOverflow, InvalidParameter, NonFiniteSample
 
 DT = 1e-4
 # 0.4 s window: an integer number of 50 Hz periods, so the discrete
@@ -44,7 +38,7 @@ def test_embed_constant_has_no_quadrature():
 
 
 def test_embed_too_short():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(InvalidParameter):
         hilbert.analytic_embed(T[:8], DT, np.ones(8))
 
 
@@ -82,13 +76,13 @@ def test_analytic_pair_rejects_non_finite(bad):
     ids=["dt-zero", "dt-negative", "times-length"],
 )
 def test_analytic_embed_rejects_a_bad_grid(times, dt, says):
-    with pytest.raises(InvalidRange, match=says):
+    with pytest.raises(InvalidParameter, match=says):
         hilbert.analytic_embed(times, dt, np.ones(64))
 
 
 def test_classical_frequency_zero_signal():
     embedded = hilbert.analytic_embed(T[:64], DT, np.zeros(64))
-    with pytest.raises(DegenerateEnvelope):
+    with pytest.raises(DegenerateInput):
         hilbert.instantaneous_frequency_classical(embedded)
 
 

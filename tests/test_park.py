@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomfreq import frenet, park, signals
-from geomfreq.errors import DegenerateSpeed, InvalidRange
+from geomfreq.errors import DegenerateInput, InvalidParameter
 from geomfreq.geometry import MAX_ANGLE
 from geomfreq.park import ParkConfig
 
@@ -172,7 +172,7 @@ def test_balanced_needs_zero_sequence_value_and_derivative():
 
 
 def test_invariants_degenerate_speed():
-    with pytest.raises(DegenerateSpeed):
+    with pytest.raises(DegenerateInput):
         park.derivative_frame_check((0, 0, 0), (1, 0, 0), SYNC)
 
 
@@ -248,7 +248,7 @@ def test_dq0_route_round_trips_and_bounds_the_frame_angle(sid, w_dq, theta0, tim
     for factor, refused in ((1.0 + 1e-12, True), (1.0 - 1e-12, False)):
         edge = ParkConfig(w_dq=w_dq, theta0=sign * MAX_ANGLE * factor - w_dq * t[0])
         if refused:
-            with pytest.raises(InvalidRange, match="geometry.MAX_ANGLE"):
+            with pytest.raises(InvalidParameter, match="geometry.MAX_ANGLE"):
                 park.to_dq0(t, *one, edge)
         else:
             park.to_dq0(t, *one, edge)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geomfreq import frenet, numdiff, signals
-from geomfreq.errors import InvalidParameter, InvalidRange, UnknownScenario
+from geomfreq.errors import InvalidParameter
 from geomfreq.geometry import MAX_ANGLE
 from geomfreq.threephase import PhaseJet
 
@@ -50,7 +50,7 @@ def test_preset_e8_modulation():
 
 
 def test_unknown_scenario():
-    with pytest.raises(UnknownScenario):
+    with pytest.raises(InvalidParameter):
         signals.make_scenario("E9")
 
 
@@ -103,19 +103,19 @@ def test_sample_e0_constant_norm():
 
 
 def test_sample_empty_range():
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidParameter):
         signals.sample(signals.make_scenario("E0"), 0.1, 0.1, 1e-4)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidParameter):
         signals.sample(signals.make_scenario("E0"), 0.0, 0.1, -1e-4)
 
 
 def test_sample_times_grid_cap(monkeypatch):
     # one sample over the cap is refused before the grid is allocated
-    with pytest.raises(InvalidRange, match="MAX_SAMPLES"):
+    with pytest.raises(InvalidParameter, match="MAX_SAMPLES"):
         signals.sample_times(0.0, float(signals.MAX_SAMPLES), 1.0)
     monkeypatch.setattr(signals, "MAX_SAMPLES", 11)
     assert signals.sample_times(0.0, 10.0, 1.0).size == 11
-    with pytest.raises(InvalidRange, match="MAX_SAMPLES"):
+    with pytest.raises(InvalidParameter, match="MAX_SAMPLES"):
         signals.sample_times(0.0, 11.0, 1.0)
 
 
@@ -181,7 +181,7 @@ def test_signal_angle_bound(sign, slope, t):
         model = signals.SignalModel(((signals.Component(signals.Profile(1.0), angle),), (), ()))
         for evaluate in (signals.eval_arrays, signals.phase_jets):
             if refused:
-                with pytest.raises(InvalidRange, match="geometry.MAX_ANGLE"):
+                with pytest.raises(InvalidParameter, match="geometry.MAX_ANGLE"):
                     evaluate(model, (t,))
             else:
                 evaluate(model, (t,))
@@ -231,7 +231,7 @@ def _loop_component(comp, t):
         angle = comp.angle.eval(t)
     worst = np.abs(angle[0]).max(initial=0.0)
     if not worst <= MAX_ANGLE:
-        raise InvalidRange(f"signal angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
+        raise InvalidParameter(f"signal angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
     return comp.magnitude.eval(t) + angle
 
 
@@ -323,5 +323,5 @@ def test_angle_refusal_names_the_first_component(rows, monkeypatch):
     model = signals.SignalModel(((first, second), (), ()))
     message = re.escape(f"signal angle {2.0 * MAX_ANGLE:.6g} rad is past")
     for evaluate in (signals.eval_arrays, signals.phase_jets, loop_eval_arrays, loop_phase_jets):
-        with pytest.raises(InvalidRange, match=message):
+        with pytest.raises(InvalidParameter, match=message):
             evaluate(model, (0.0, 0.5, 1.5, 2.0))

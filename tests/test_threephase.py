@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geomfreq import frenet, signals, threephase
-from geomfreq.errors import DegenerateSpeed, InvalidParameter
+from geomfreq.errors import DegenerateInput, InvalidParameter
 from geomfreq.threephase import PhaseJet
 
 from conftest import OMEGA_POS, W_O
@@ -47,7 +47,7 @@ def test_closed_form_balanced_matches_the_cartesian_omega():
 def test_closed_form_zero_magnitudes_degenerate():
     jet = PhaseJet(V=np.zeros(3), dV=np.zeros(3), ddV=np.zeros(3),
                    theta=0.1 * np.arange(3), dtheta=np.full(3, W_O), ddtheta=np.zeros(3))
-    with pytest.raises(DegenerateSpeed):
+    with pytest.raises(DegenerateInput):
         threephase.closed_form_invariants(jet)
 
 

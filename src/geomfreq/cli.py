@@ -164,8 +164,8 @@ def cmd_park(args):
         cli_io.write_table(args.out, ("t", "vd", "vq", "vo"), (times, *vdq0.T))
         print(f"wrote {times.size} dq0 samples to {args.out}")
     # a NaN error must fail the check, so fold without dropping NaN
-    worst_sum = validate._worst(rep.sum_rel_err)
-    worst_balanced = validate._worst(rep.balanced_identity_err[rep.balanced])
+    worst_sum = validate.worst(rep.sum_rel_err)
+    worst_balanced = validate.worst(rep.balanced_identity_err[rep.balanced])
     print(f"sum identity worst relative error: {worst_sum:.3e}")
     print(
         f"balanced rotating-derivative identity worst error: {worst_balanced:.3e} "

@@ -9,7 +9,9 @@ voltage curve, from the rows of (N, 3) arrays v, v', v'':
     omega' = (v x v'') / |v|^2 - 2 rho omega = eta omega + tau (v x omega)
 
 ``invariants_batch`` evaluates them over every row and flags degenerate
-rows with NaN; ``frame`` builds the Frenet triad from its columns.  The
+rows with NaN; ``frame`` builds the Frenet triad from its columns, and
+``identity_residuals`` checks the splits of v' and omega' on them, over
+the floors max(|v'|, EPS_V) and max(|omega'|, |omega|).  The
 frame exists where |v| > EPS_V (tangent) and |omega| > EPS_W (normal and
 binormal); ``invariants_batch(eps_w=)`` is the one override of either.
 ``invariants`` is the same arithmetic on one row, for a caller that
@@ -170,6 +172,21 @@ def invariants_batch(v, dv, ddv, eps_w=EPS_W):
         no_rotation=no_rotation,
         overflow=overflow,
     )
+
+
+def identity_residuals(v, dv, b):
+    """Relative residuals of the two derivative splits on every row of
+    the (N, 3) arrays v, v' and b, their ``invariants_batch`` result:
+        reconstruction = |rho v + omega x v - v'| / max(|v'|, EPS_V)
+        rocof = |omega' - eta omega - tau (v x omega)| / max(|omega'|, |omega|)
+    Both are NaN on a degenerate row, and rocof also on a row without
+    rotation; an overflow is for b to flag, and warns of nothing."""
+    w = b.omega_vec
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v_split = b.rho[:, None] * v + np.cross(w, v) - dv
+        w_split = b.omega_dot - b.eta[:, None] * w - b.tau[:, None] * np.cross(v, w)
+        return (rownorm(v_split) / np.maximum(rownorm(dv), EPS_V),
+                rownorm(w_split) / np.maximum(rownorm(b.omega_dot), b.omega_mag))
 
 
 def frame(v, dv, ddv):

@@ -17,8 +17,9 @@ derivatives of the dq0 component functions.  ``to_dq0``, ``from_dq0``,
 ``inertial_derivative`` and ``derivative_frame_check`` all use it.
 ``derivative_frame_check`` is the one dq0 analysis: a single report of
 rho, omega, the deviation from the frame speed and the checks of the two
-derivative splits.  ``MAX_SUM_REL_ERR`` bounds the sum identity of those
-splits for ``geomfreq park`` and ``validate`` alike.
+derivative splits.  Its ``sum_rel_err`` is the reconstruction residual
+of ``frenet.identity_residuals`` on the dq0 rows, which
+``MAX_SUM_REL_ERR`` bounds for ``geomfreq park`` and ``validate`` alike.
 
 A dq0 jet is the plain triple (v_dq0, v_hat', v_hat'') of ``to_dq0``,
 which ``from_dq0`` takes back.  Every function takes one instant or N
@@ -60,7 +61,7 @@ class FrameCheckReport:
     omega_vec: np.ndarray  # dq0 components
     delta_omega: float  # deviation from the frame speed; NaN where not balanced
     balanced: bool  # v_o = 0 and v_o' = 0, to the balance tolerance
-    sum_rel_err: float  # |(rho v + omega x v) - v'| / |v'|, v' = v_hat' + r x v
+    sum_rel_err: float  # frenet.identity_residuals' reconstruction residual, v' = v_hat' + r x v
     terms_equal: bool  # v_hat' == rho v componentwise
     balanced_identity_err: float  # |v_hat' - rho v - dw e_o x v| / |v'|; NaN if not balanced
 
@@ -132,7 +133,8 @@ def derivative_frame_check(vdq0, dvdq0, cfg):
     """rho and omega of the voltage curve in dq0 components
     (``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
     derivative), and the two splits of that derivative compared.
-    Raises ``DegenerateInput`` when |v| <= EPS_V anywhere.
+    Raises ``DegenerateInput`` when |v| <= EPS_V anywhere, and
+    ``FloatOverflow`` when the invariants of an instant overflow float64.
 
     Rotation split: v' = v_hat' + r x v with r = w_dq e_o.
     Geometric split: v' = rho v + omega x v.
@@ -150,31 +152,29 @@ def derivative_frame_check(vdq0, dvdq0, cfg):
     """
     v, v_hat_prime = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
     inertial = inertial_derivative(v, v_hat_prime, cfg)
-    rows = v.reshape(-1, 3)
+    rows, inertial_rows = v.reshape(-1, 3), inertial.reshape(-1, 3)
     # eps_w=0: omega is reported however small it is, never zeroed
     # v'' = 0 stands in: rho and omega do not depend on it
-    b = frenet.invariants_batch(rows, inertial.reshape(-1, 3), np.zeros_like(rows), eps_w=0.0)
-    if b.degenerate.any():
-        raise DegenerateInput(
-            f"dq0 |v| <= {EPS_V} at {np.count_nonzero(b.degenerate)} of "
-            f"{b.degenerate.size} instants"
-        )
+    b = frenet.invariants_batch(rows, inertial_rows, np.zeros_like(rows), eps_w=0.0)
+    for bad, error, what in ((b.degenerate, DegenerateInput, f"|v| <= {EPS_V}"),
+                             (b.overflow, FloatOverflow, "invariants overflow float64")):
+        if bad.any():
+            raise error(f"dq0 {what} at {np.count_nonzero(bad)} of {bad.size} instants")
     v_mag = b.v_mag.reshape(v.shape[:-1])
-    balanced = (np.abs(v[..., 2]) <= BALANCE_TOL * v_mag) & (
-        np.abs(inertial[..., 2]) <= BALANCE_TOL * rownorm(inertial)
-    )
     vd, vq, _ = np.moveaxis(v, -1, 0)
     dvd, dvq, _ = np.moveaxis(v_hat_prime, -1, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta_omega = np.where(balanced, phase_rate(vd, vq, dvd, dvq), np.nan)[()]
-    rho = b.rho.reshape(v_mag.shape)[()]
-    omega_vec = b.omega_vec.reshape(v.shape)
+    rho, omega_vec = b.rho.reshape(v_mag.shape)[()], b.omega_vec.reshape(v.shape)
     sym = rho[..., None] * v
-    antisym = np.cross(omega_vec, v)
-    scale = np.maximum(rownorm(inertial), EPS_V)
-    return FrameCheckReport(
-        rho=rho, omega_vec=omega_vec, delta_omega=delta_omega, balanced=balanced,
-        sum_rel_err=rownorm(sym + antisym - inertial) / scale,
-        terms_equal=rownorm(v_hat_prime - sym) <= TERM_TOL * scale,
-        balanced_identity_err=rownorm(v_hat_prime - (sym + _spin(delta_omega, v))) / scale,
-    )
+    reconstruction = frenet.identity_residuals(rows, inertial_rows, b)[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inertial_mag = rownorm(inertial)
+        balanced = np.abs(v[..., 2]) <= BALANCE_TOL * v_mag
+        balanced &= np.abs(inertial[..., 2]) <= BALANCE_TOL * inertial_mag
+        delta_omega = np.where(balanced, phase_rate(vd, vq, dvd, dvq), np.nan)[()]
+        scale = np.maximum(inertial_mag, EPS_V)
+        return FrameCheckReport(
+            rho=rho, omega_vec=omega_vec, delta_omega=delta_omega, balanced=balanced,
+            sum_rel_err=reconstruction.reshape(v_mag.shape)[()],
+            terms_equal=rownorm(v_hat_prime - sym) <= TERM_TOL * scale,
+            balanced_identity_err=rownorm(v_hat_prime - (sym + _spin(delta_omega, v))) / scale,
+        )

@@ -13,7 +13,9 @@ maxes, NaN included.  The geometry suite checks the row helpers the
 kernel uses (``rowdot``, ``rownorm`` and ``np.cross``) on 500 random
 triples at once.  Draws come from fixed seeds (module constants), and
 the hilbert and park suites pass or fail by the bounds those modules
-name, which ``geomfreq hilbert`` and ``geomfreq park`` read too.
+name, which ``geomfreq hilbert`` and ``geomfreq park`` read too.  The
+residuals of the two derivative splits come from
+``frenet.identity_residuals``, and ``worst``, which keeps NaN, folds them.
 
 The CLI ``validate`` subcommand runs these and exits nonzero on any
 failure; the pytest suite asserts the same properties with finer
@@ -69,7 +71,7 @@ def check_geometry():
     ]
 
 
-def _worst(*xs):
+def worst(*xs):
     """Largest entry of the arrays or numbers xs (0.0 if all are empty).
     A NaN anywhere makes it NaN, so an undefined value fails its
     property instead of passing it (``max`` would drop it)."""
@@ -77,8 +79,8 @@ def _worst(*xs):
 
 
 def _rel(err, ref, floor):
-    """Worst relative error err / max(ref, floor), as ``_worst``."""
-    return _worst(err / np.maximum(ref, floor))
+    """Worst relative error err / max(ref, floor), as ``worst``."""
+    return worst(err / np.maximum(ref, floor))
 
 
 def _batch(model, times):
@@ -125,37 +127,33 @@ def check_frenet():
     planar = b.tau.reshape(len(THREE_PHASE_SCENARIOS), times.size)[[0, 1, 2, 3, 6], :40]
     stray_xi = math.inf if np.any(b.xi[b.no_rotation] != 0.0) else 0.0
     rot = ~(b.no_rotation | b.degenerate)
+    recon, rocof = (r[rot] for r in frenet.identity_residuals(v, dv, b))
     v, dv, ddv = v[rot], dv[rot], ddv[rot]
     vm, rho, tau, xi = b.v_mag[rot], b.rho[rot], b.tau[rot], b.xi[rot]
-    w, wm, w_dot = b.omega_vec[rot], b.omega_mag[rot], b.omega_dot[rot]
+    w, wm = b.omega_vec[rot], b.omega_mag[rot]
     n = dv - rho[:, None] * v
     nm = rownorm(n)
     # relative comparison is meaningful only when the torsion is
     # not itself a cancellation residue of a planar curve
     tw = np.abs(xi) >= 1e-3
-    rocof_res = w_dot - b.eta[rot][:, None] * w - tau[:, None] * np.cross(v, w)
     props = [
-        ("orthogonality of {v, n, omega}", 1e-9, _worst(
+        ("orthogonality of {v, n, omega}", 1e-9, worst(
             np.abs(rowdot(v, n)) / (vm * nm),
             np.abs(rowdot(v, w)) / (vm * wm),
             np.abs(rowdot(n, w)) / (nm * wm),
         )),
-        ("normal magnitude |n| = |omega||v|", 1e-9, _worst(np.abs(nm - wm * vm) / (wm * vm))),
-        ("v from n x omega", 1e-9, _worst(rownorm(np.cross(n, w) / (wm**2)[:, None] - v) / vm)),
-        ("omega from v x n", 1e-9, _worst(rownorm(np.cross(v, n) / (vm**2)[:, None] - w) / wm)),
-        ("torsion equals arc-length definition", 1e-10, _worst(
+        ("normal magnitude |n| = |omega||v|", 1e-9, worst(np.abs(nm - wm * vm) / (wm * vm))),
+        ("v from n x omega", 1e-9, worst(rownorm(np.cross(n, w) / (wm**2)[:, None] - v) / vm)),
+        ("omega from v x n", 1e-9, worst(rownorm(np.cross(v, n) / (vm**2)[:, None] - w) / wm)),
+        ("torsion equals arc-length definition", 1e-10, worst(
             np.abs(tau[tw] - _tau_arclength(v[tw], dv[tw], ddv[tw])) / np.abs(tau[tw])
         )),
-        ("reconstruction v' = rho v + omega x v", 1e-9, _worst(
-            rownorm(dv - (rho[:, None] * v + np.cross(w, v))) / np.maximum(rownorm(dv), 1e-300)
-        )),
-        ("RoCoF decomposition residual", 1e-8, _worst(
-            rownorm(rocof_res) / np.maximum(rownorm(w_dot), wm)
-        )),
+        ("reconstruction v' = rho v + omega x v", 1e-9, worst(recon)),
+        ("RoCoF decomposition residual", 1e-8, worst(rocof)),
         ("torsional frequency only with rotation", 0.0, stray_xi),
-        ("planarity of stationary balanced scenarios", 1e-8, _worst(np.abs(planar))),
+        ("planarity of stationary balanced scenarios", 1e-8, worst(np.abs(planar))),
     ]
-    return [PropertyResult("frenet_core", name, worst, tol) for name, tol, worst in props]
+    return [PropertyResult("frenet_core", name, value, tol) for name, tol, value in props]
 
 
 def check_threephase():
@@ -203,12 +201,12 @@ def check_signals():
     b = frenet.invariants_batch(  # the 200 E6 rows, then E0-E2
         *_rows(("E6", np.linspace(0.0, 5.0, 200)), *((sid, times) for sid in ("E0", "E1", "E2")))
     )
-    worst_e6 = _worst(np.abs(b.rho[:200]), np.abs(b.xi[:200]))
+    worst_e6 = worst(np.abs(b.rho[:200]), np.abs(b.xi[:200]))
     return [
         PropertyResult("signals", "analytic first derivative vs FD", worst_d1, 1e-5),
         PropertyResult("signals", "analytic second derivative vs FD", worst_d2, 1e-5),
         PropertyResult("signals", "E6 null rho and xi", worst_e6, 1e-8),
-        PropertyResult("signals", "E0-E2 null xi", _worst(np.abs(b.xi[200:])), 1e-8),
+        PropertyResult("signals", "E0-E2 null xi", worst(np.abs(b.xi[200:])), 1e-8),
     ]
 
 
@@ -217,7 +215,7 @@ def check_numdiff():
     model = signals.make_scenario("E0")
     for dt in (2e-4, 1e-4):
         _, v, dv, ddv = numdiff.differentiate_arrays(signals.sample(model, 0.0, 0.1, dt))
-        errs[dt] = _worst(np.abs(frenet.invariants_batch(v, dv, ddv).omega_mag - signals.W_BASE))
+        errs[dt] = worst(np.abs(frenet.invariants_batch(v, dv, ddv).omega_mag - signals.W_BASE))
     gain = errs[2e-4] / errs[1e-4]
     worst_conv = 0.0 if gain >= 8.0 else 8.0 - gain
 
@@ -225,7 +223,7 @@ def check_numdiff():
     t, v, dv, ddv = numdiff.differentiate_arrays(signals.sample(model6, 0.0, 1.0, 1e-4))
     num = frenet.invariants_batch(v, dv, ddv)
     ana = _batch(model6, t[5:-5])[3]
-    worst_num = _worst(
+    worst_num = worst(
         _rel(np.abs(num.omega_mag[5:-5] - ana.omega_mag), ana.omega_mag, 0.0),
         _rel(np.abs(num.rho[5:-5] - ana.rho), np.abs(ana.rho), 1.0),
         _rel(np.abs(num.xi[5:-5] - ana.xi), np.abs(ana.xi), 1.0),
@@ -266,7 +264,7 @@ def check_park():
     v, dv, ddv, g0 = _batch(signals.make_scenario("E8"), times)
     dq = park.to_dq0(times, v, dv, ddv, cfg)
     g1 = frenet.invariants_batch(*park.from_dq0(times, *dq, cfg))
-    round_trip = _worst(
+    round_trip = worst(
         _rel(np.abs(g0.rho - g1.rho), np.abs(g0.rho), 1.0),
         _rel(np.abs(g0.omega_mag - g1.omega_mag), g0.omega_mag, 0.0),
         _rel(np.abs(g0.xi - g1.xi), np.abs(g0.xi), 1.0),
@@ -288,10 +286,10 @@ def check_park():
     t = np.array([0.0125])
     vdq0, dvdq0, _ = park.to_dq0(t, *signals.eval_arrays(signals.make_scenario("E0"), t), cfg_sync)
     w = park.derivative_frame_check(vdq0, dvdq0, cfg_sync).omega_vec
-    remark7 = _worst(np.abs(w[:, :2]), np.abs(w[:, 2] - signals.W_BASE) / signals.W_BASE)
+    remark7 = worst(np.abs(w[:, :2]), np.abs(w[:, 2] - signals.W_BASE) / signals.W_BASE)
     return [
         PropertyResult("park", "invariants unchanged by dq0 round trip", round_trip, 1e-9),
-        PropertyResult("park", "sum identity of derivative splits", _worst(rep.sum_rel_err),
+        PropertyResult("park", "sum identity of derivative splits", worst(rep.sum_rel_err),
                        park.MAX_SUM_REL_ERR),
         PropertyResult("park", "Remark-7 reduction at synchronous speed", remark7, 1e-9),
     ]

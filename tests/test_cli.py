@@ -611,6 +611,16 @@ BAD_INPUT = [
     "argv, code, says", [case[1:] for case in BAD_INPUT], ids=[case[0] for case in BAD_INPUT]
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
+    argv, paths = bad_input_argv(argv, tmp_path)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says.format(**paths) in err
+
+
+def bad_input_argv(argv, tmp_path):
+    """A ``BAD_INPUT`` argv made runnable in tmp_path: the input files it
+    names written there, its placeholders filled in, and an --out file
+    for the commands that write one.  Returns (argv, paths by name)."""
     files = {"good": 64, "nan": 64, "inf": 64, "short": 4, "nine": 9}
     cells = {"nan": "nan", "inf": "inf"}
     paths = {}
@@ -660,9 +670,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, says):
     argv = [a.format(**paths) for a in argv]
     if argv[0] in ("analyze", "generate"):
         argv += ["--out", str(tmp_path / "out.csv")]
-    assert cli.main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and says.format(**paths) in err
+    return argv, paths
 
 
 @pytest.mark.parametrize(

@@ -326,6 +326,35 @@ def test_reconstruction_random_jets(j):
     assert rownorm(res)[0] <= 1e-9 * max(rownorm(dv)[0], 1.0)
 
 
+@pytest.mark.parametrize("eps_w", [0.0, frenet.EPS_W], ids=["eps_w=0", "default"])
+@given(j=jets)
+def test_identity_residuals_are_the_test_side_restatements(eps_w, j):
+    v, dv, ddv = j
+    b = frenet.invariants_batch(v, dv, ddv, eps_w=eps_w)
+    recon, rocof = frenet.identity_residuals(v, dv, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want_recon = rownorm(_velocity_residual(v, dv, b)) / np.maximum(rownorm(dv), frenet.EPS_V)
+        want_rocof = rownorm(b.omega_dot - b.eta[:, None] * b.omega_vec - _antisym(v, b)) / (
+            np.maximum(rownorm(b.omega_dot), b.omega_mag)
+        )
+    np.testing.assert_array_equal(recon, want_recon)
+    np.testing.assert_array_equal(rocof, want_rocof)
+
+
+def test_identity_residuals_are_nan_exactly_where_undefined():
+    e0 = _rows("E0", 0.0, 0.013)
+    rows = [_const((0, 0, 0), (1, 2, 3)), _const((5, 0, 0)), _const((1, 2, 3), (2, 4, 6)), e0]
+    v, dv, ddv = (np.concatenate(x) for x in zip(*rows))
+    b = frenet.invariants_batch(v, dv, ddv)
+    np.testing.assert_array_equal(b.degenerate, [True, False, False, False, False])
+    np.testing.assert_array_equal(b.no_rotation, [False, True, True, False, False])
+    recon, rocof = frenet.identity_residuals(v, dv, b)
+    np.testing.assert_array_equal(np.isnan(recon), b.degenerate)
+    np.testing.assert_array_equal(np.isnan(rocof), b.degenerate | b.no_rotation)
+    assert np.all(recon[~b.degenerate] <= 1e-12)
+    assert np.all(rocof[3:] <= 1e-8)
+
+
 def test_xi_zero_without_rotation():
     b = frenet.invariants_batch(*_const((3, 4, 0), (3, 4, 0), (1, 1, 1)))
     assert b.no_rotation[0]

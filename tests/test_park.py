@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomfreq import frenet, park, signals
-from geomfreq.errors import DegenerateInput, InvalidParameter
+from geomfreq.errors import DegenerateInput, FloatOverflow, InvalidParameter
 from geomfreq.geometry import MAX_ANGLE
 from geomfreq.park import ParkConfig
 
@@ -174,6 +174,21 @@ def test_balanced_needs_zero_sequence_value_and_derivative():
 def test_invariants_degenerate_speed():
     with pytest.raises(DegenerateInput):
         park.derivative_frame_check((0, 0, 0), (1, 0, 0), SYNC)
+
+
+@pytest.mark.parametrize("scale", [1.4e154, 1e200])
+def test_invariants_overflow_is_refused_without_a_warning(scale):
+    """|v|^2 leaves float64 past |v| ~ 1.34e154: a FloatOverflow, as in
+    ``analysis.analyze``, not NaN errors behind RuntimeWarnings."""
+    with pytest.raises(FloatOverflow, match="dq0 invariants overflow float64 at 1 of 2"):
+        park.derivative_frame_check(
+            np.array([[1.0, 0.0, 0.0], [scale, 0.0, 0.0]]),
+            np.array([[0.0, 1.0, 0.0], [0.0, 1e3, 0.0]]),
+            ParkConfig(w_dq=1.0),
+        )
+    # |v'|^2 past float64 alone (v' parallel to v) leaves exact invariants: no refusal
+    rep = park.derivative_frame_check((1.0, 0.0, 0.0), (scale, 0.0, 0.0), ParkConfig(w_dq=0.0))
+    assert rep.rho == scale and rep.sum_rel_err == 0.0 and rep.terms_equal
 
 
 # ------------------------------------------------ derivative frame check

@@ -19,7 +19,7 @@ from geomfreq.validate import (
     _rel,
     _sample_times,
     _tau_arclength,
-    _worst,
+    worst,
 )
 
 # ------------------------------------------------- per-scenario reference
@@ -37,16 +37,16 @@ def frenet_fold():
         "torsional frequency only with rotation": 0.0,
         "planarity of stationary balanced scenarios": 1e-8,
     }
-    worst = dict.fromkeys(tols, 0.0)
+    found = dict.fromkeys(tols, 0.0)
 
     def update(name, *values):
-        worst[name] = _worst(worst[name], *values)
+        found[name] = worst(found[name], *values)
 
     for sid in THREE_PHASE_SCENARIOS:
         model = signals.make_scenario(sid)
         v, dv, ddv, b = _batch(model, _sample_times())
         if np.any(b.xi[b.no_rotation] != 0.0):
-            worst["torsional frequency only with rotation"] = math.inf
+            found["torsional frequency only with rotation"] = math.inf
         rot = ~(b.no_rotation | b.degenerate)
         v, dv, ddv = v[rot], dv[rot], ddv[rot]
         vm, rho, tau, xi = b.v_mag[rot], b.rho[rot], b.tau[rot], b.xi[rot]
@@ -79,7 +79,7 @@ def frenet_fold():
         if sid in ("E0", "E1", "E2", "E3", "E6"):
             b = _batch(model, _sample_times()[:40])[3]
             update("planarity of stationary balanced scenarios", np.abs(b.tau))
-    return [(name, worst[name], tols[name]) for name in worst]
+    return [(name, found[name], tols[name]) for name in found]
 
 
 def threephase_fold():
@@ -89,11 +89,11 @@ def threephase_fold():
         times = _sample_times()
         b = _batch(model, times)[3]
         cf = threephase.closed_form_invariants(signals.phase_jets(model, times))
-        worst_rho = _worst(worst_rho, _rel(np.abs(cf.rho - b.rho), np.abs(b.rho), 1e-6))
-        worst_omega = _worst(
+        worst_rho = worst(worst_rho, _rel(np.abs(cf.rho - b.rho), np.abs(b.rho), 1e-6))
+        worst_omega = worst(
             worst_omega, _rel(rownorm(cf.omega_vec - b.omega_vec), b.omega_mag, 1e-6)
         )
-        worst_xi = _worst(worst_xi, _rel(np.abs(cf.xi - b.xi), np.abs(b.xi), 1e-6))
+        worst_xi = worst(worst_xi, _rel(np.abs(cf.xi - b.xi), np.abs(b.xi), 1e-6))
     return [
         ("closed-form rho vs Frenet", worst_rho, 1e-6),
         ("closed-form omega vs Frenet", worst_omega, 1e-6),
@@ -127,11 +127,11 @@ def signals_fold():
     worst_d1 = worst_d2 = 0.0
     for sid, times in signal_draws().items():
         model = signals.make_scenario(sid)
-        worst_d1 = _worst(worst_d1, _fd_error(model, times, H1, 1))
-        worst_d2 = _worst(worst_d2, _fd_error(model, times, H2, 2))
+        worst_d1 = worst(worst_d1, _fd_error(model, times, H1, 1))
+        worst_d2 = worst(worst_d2, _fd_error(model, times, H2, 2))
     b = _batch(signals.make_scenario("E6"), np.linspace(0.0, 5.0, 200))[3]
-    worst_e6 = _worst(np.abs(b.rho), np.abs(b.xi))
-    worst_plane = _worst(
+    worst_e6 = worst(np.abs(b.rho), np.abs(b.xi))
+    worst_plane = worst(
         *(
             np.abs(_batch(signals.make_scenario(sid), _sample_times()[:40])[3].xi)
             for sid in ("E0", "E1", "E2")
@@ -159,6 +159,13 @@ def test_worst_values_are_the_per_scenario_fold(scope):
     assert {r.module for r in results} == {scope}
     got = [(r.name, repr(r.worst), repr(r.tol)) for r in results]
     assert got == [(name, repr(w), repr(tol)) for name, w, tol in REFERENCE[scope]()]
+
+
+def test_worst_keeps_nan_and_folds_nothing_to_zero():
+    assert math.isnan(worst(np.array([1.0, np.nan]), 3.0))
+    assert math.isnan(worst(2.0, np.array([[0.5], [np.nan]])))
+    assert worst(np.array([1.0, 4.0]), 3.0) == 4.0
+    assert worst(np.array([])) == 0.0 and worst(np.array([]), np.empty((0, 3))) == 0.0
 
 
 # ------------------------------------------------------- planted NaN

@@ -5,9 +5,11 @@ The inertial derivative of the voltage can be split two ways:
   v' = rho v + omega x v  (geometric symmetric + antisymmetric parts)
 The sums always agree.  The individual terms coincide only when the
 dq frame spins at the actual signal frequency; a Clarke frame
-(w_dq = 0) makes the rotation term vanish instead.  One call,
-``park.derivative_frame_check``, reports rho, omega, the deviation from
-the frame speed and both checks; the terms are rebuilt from them here.
+(w_dq = 0) makes the rotation term vanish instead.  A frame is just its
+speed w_dq and initial angle theta0, passed to ``park.to_dq0``; one
+call, ``park.derivative_frame_check``, needs only w_dq and reports rho,
+omega, the deviation from the frame speed and both checks; the terms
+are rebuilt from them here.
 
 Run:  python3 demos/05_park_frame.py
 """
@@ -17,7 +19,6 @@ import math
 import numpy as np
 
 from geomfreq import frenet, park, signals
-from geomfreq.park import ParkConfig
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -25,18 +26,19 @@ W_O = 100.0 * math.pi
 t = 0.0073
 v, dv, ddv = (x[0] for x in signals.eval_arrays(signals.make_scenario("E0"), (t,)))
 
-for label, cfg in (
-    ("synchronous frame (w_dq = w_o, aligned)", ParkConfig(W_O, -math.pi / 2)),
-    ("detuned frame (w_dq = w_o + 2 pi)", ParkConfig(W_O + 2 * math.pi)),
-    ("Clarke frame (w_dq = 0)", ParkConfig(0.0)),
+SYNC = (W_O, -math.pi / 2)  # w_dq, theta0: synchronous and d-aligned
+for label, (w_dq, theta0) in (
+    ("synchronous frame (w_dq = w_o, aligned)", SYNC),
+    ("detuned frame (w_dq = w_o + 2 pi)", (W_O + 2 * math.pi, 0.0)),
+    ("Clarke frame (w_dq = 0)", (0.0, 0.0)),
 ):
-    vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, cfg)
-    rep = park.derivative_frame_check(vdq0, dvdq0, cfg)
+    vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, w_dq, theta0)
+    rep = park.derivative_frame_check(vdq0, dvdq0, w_dq)
     print(label)
     print(f"  v_dq0          = {vdq0}")
     print(f"  delta_omega    = {rep.delta_omega:+.4f} rad/s")
     print(f"  rotating  dv   = {dvdq0}")
-    print(f"  rotation  term = {np.cross((0.0, 0.0, cfg.w_dq), vdq0)}")
+    print(f"  rotation  term = {np.cross((0.0, 0.0, w_dq), vdq0)}")
     print(f"  rho v          = {rep.rho * vdq0}")
     print(f"  omega x v      = {np.cross(rep.omega_vec, vdq0)}")
     print(f"  sum rel. err   = {rep.sum_rel_err:.3e}"
@@ -44,11 +46,10 @@ for label, cfg in (
     print()
 
 print("rho, |omega|, xi are frame invariants (abc vs round trip):")
-sync = ParkConfig(W_O, -math.pi / 2)
 for sid, t in (("E5", 0.013), ("E8", 1.3)):
     rows = signals.eval_arrays(signals.make_scenario(sid), (t,))
     a = frenet.invariants_batch(*rows)
-    b = frenet.invariants_batch(*park.from_dq0(t, *park.to_dq0(t, *rows, sync), sync))
+    b = frenet.invariants_batch(*park.from_dq0(t, *park.to_dq0(t, *rows, *SYNC), *SYNC))
     print(f"  {sid} t={t}: rho {a.rho[0]:+.6f} / {b.rho[0]:+.6f}"
           f"   |omega| {a.omega_mag[0]:.4f} / {b.omega_mag[0]:.4f}"
           f"   xi {a.xi[0]:+.6f} / {b.xi[0]:+.6f}")

@@ -12,12 +12,11 @@ from .errors import (
     GeomfreqError,
     InvalidParameter,
     MalformedCsv,
-    NonFiniteSample,
 )
 from .frenet import EPS_V, EPS_W, GeomInvariants, frame, invariants, invariants_batch
 from .hilbert import analytic_embed, geometric_equivalence, instantaneous_frequency_classical
 from .numdiff import differentiate_arrays, lowpass_first_order, remove_zero_sequence
-from .park import ParkConfig, derivative_frame_check, from_dq0, to_dq0
+from .park import derivative_frame_check, from_dq0, to_dq0
 from .series import TimeSeries
 from .signals import SignalModel, eval_arrays, make_scenario, phase_jets, sample
 from .threephase import PhaseJet, closed_form_invariants

@@ -157,9 +157,8 @@ def cmd_park(args):
     theta0 = _param(args, cfg, "theta0", 0.0, _check_finite)
     model, grid = _scenario_grid(args, cfg, fallback="E0")
     times = signals.sample_times(*grid)
-    pcfg = park.ParkConfig(w_dq=w_dq, theta0=theta0)
-    vdq0, dvdq0, _ = park.to_dq0(times, *signals.eval_arrays(model, times), pcfg)
-    rep = park.derivative_frame_check(vdq0, dvdq0, pcfg)
+    vdq0, dvdq0, _ = park.to_dq0(times, *signals.eval_arrays(model, times), w_dq, theta0)
+    rep = park.derivative_frame_check(vdq0, dvdq0, w_dq)
     if args.out:
         cli_io.write_table(args.out, ("t", "vd", "vq", "vo"), (times, *vdq0.T))
         print(f"wrote {times.size} dq0 samples to {args.out}")

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all geomfreq modules: one class per kind
-of failure.  ``geomfreq.cli`` exits 2 on ``InvalidParameter`` (and its
-``NonFiniteSample``); 3 on ``MalformedCsv``, ``DegenerateInput`` and
-``FloatOverflow``; and 1 only when a check it ran failed."""
+of failure.  ``geomfreq.cli`` exits 2 on ``InvalidParameter``; 3 on
+``MalformedCsv``, ``DegenerateInput`` and ``FloatOverflow``; and 1 only
+when a check it ran failed."""
 
 
 class GeomfreqError(Exception):
@@ -10,12 +10,8 @@ class GeomfreqError(Exception):
 
 class InvalidParameter(GeomfreqError):
     """A bad argument: an unknown scenario or validation scope, a
-    parameter out of its range, an empty or inverted sampling range, or
-    too few samples for a stencil or the discrete Hilbert transform."""
-
-
-class NonFiniteSample(InvalidParameter):
-    """A time series was given a NaN or infinite sample value."""
+    parameter out of its range, an empty or inverted sampling range, a
+    non-finite sample, or too few samples for a stencil or the Hilbert transform."""
 
 
 class MalformedCsv(GeomfreqError):

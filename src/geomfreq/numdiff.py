@@ -55,7 +55,7 @@ def lowpass_first_order(series, time_constant):
     y[k] = y[k-1] + dt/(tc + dt) * (x[k] - y[k-1]), y[0] = x[0].
     """
     if not 0 < time_constant < np.inf:  # inf holds y at x[0]; NaN makes y NaN
-        raise ValueError(f"time_constant must be positive and finite, got {time_constant}")
+        raise InvalidParameter(f"time_constant must be positive and finite, got {time_constant}")
     alpha = series.dt / (time_constant + series.dt)
     # per channel in Python floats: the subtract, multiply and add of a
     # numpy row update, so the same bits, without numpy's per-call cost

@@ -25,6 +25,11 @@ A dq0 jet is the plain triple (v_dq0, v_hat', v_hat'') of ``to_dq0``,
 which ``from_dq0`` takes back.  Every function takes one instant or N
 at once: a time t of shape () or (N,), and array-likes of shape (3,) or
 (N, 3), components last.  N instants give the same bits as N calls.
+The frame is ``w_dq`` (rad/s; a float or one speed per instant) and,
+where the angle is read, ``theta0`` (rad, default 0).  Its axes are
+written once, in ``inverse_park_matrix``; ``park_matrix`` is
+diag(2/3, 2/3, 1/3) times that transpose, made C-contiguous because a
+strided operand rounds differently in ``@``.
 """
 
 import math
@@ -38,18 +43,10 @@ from .frenet import EPS_V
 from .geometry import MAX_ANGLE, phase_rate, rownorm
 
 _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
+_SCALE = np.array([[2.0 / 3.0], [2.0 / 3.0], [1.0 / 3.0]])  # diag(2/3, 2/3, 1/3)
 BALANCE_TOL = 1e-9  # balanced: |v_o| <= BALANCE_TOL |v| and |v_o'| <= BALANCE_TOL |v'|
 TERM_TOL = 1e-9  # terms_equal: |v_hat' - rho v| <= TERM_TOL |v'|
 MAX_SUM_REL_ERR = 1e-9  # pass bound of FrameCheckReport.sum_rel_err
-
-
-@dataclass(frozen=True)
-class ParkConfig:
-    """Angular speed and initial angle of the rotating frame; ``w_dq``
-    may also be an array, one speed per instant."""
-
-    w_dq: float  # rad/s
-    theta0: float = 0.0  # rad
 
 
 @dataclass(frozen=True)
@@ -57,29 +54,25 @@ class FrameCheckReport:
     """rho and omega of the voltage curve in dq0 components, and the
     comparison of the rotation-split and geometric-split derivatives."""
 
-    rho: float
-    omega_vec: np.ndarray  # dq0 components
-    delta_omega: float  # deviation from the frame speed; NaN where not balanced
-    balanced: bool  # v_o = 0 and v_o' = 0, to the balance tolerance
-    sum_rel_err: float  # frenet.identity_residuals' reconstruction residual, v' = v_hat' + r x v
-    terms_equal: bool  # v_hat' == rho v componentwise
-    balanced_identity_err: float  # |v_hat' - rho v - dw e_o x v| / |v'|; NaN if not balanced
-
-
-def park_matrix(theta):
-    """Amplitude-invariant abc -> dq0 matrix at frame angle theta,
-    shape (..., 3, 3) for theta of shape (...)."""
-    ang = np.asarray(theta)[..., None] + _SHIFTS
-    return np.stack(
-        [2.0 / 3.0 * np.cos(ang), -2.0 / 3.0 * np.sin(ang), np.full(ang.shape, 1.0 / 3.0)],
-        axis=-2,
-    )
+    rho: float  # float, or (N,) array
+    omega_vec: np.ndarray  # dq0 components, (3,) or (N, 3)
+    delta_omega: float  # float, or (N,) array: deviation from frame speed; NaN if not balanced
+    balanced: bool  # bool, or (N,) array: v_o = 0 and v_o' = 0, to the balance tolerance
+    sum_rel_err: float  # float, or (N,) array: frenet.identity_residuals' reconstruction residual
+    terms_equal: bool  # bool, or (N,) array: v_hat' == rho v componentwise
+    balanced_identity_err: float  # float, or (N,) array: |v_hat' - rho v - dw e_o x v| / |v'|
 
 
 def inverse_park_matrix(theta):
-    """dq0 -> abc; columns are the rotating axes expressed in abc."""
+    """dq0 -> abc at frame angle theta; columns are the rotating axes in abc."""
     ang = np.asarray(theta)[..., None] + _SHIFTS
     return np.stack([np.cos(ang), -np.sin(ang), np.ones(ang.shape)], axis=-1)
+
+
+def park_matrix(theta):
+    """Amplitude-invariant abc -> dq0 matrix: ``inverse_park_matrix``
+    transposed, its rows scaled by 2/3, 2/3 and 1/3."""
+    return np.ascontiguousarray(_SCALE * np.swapaxes(inverse_park_matrix(theta), -1, -2))
 
 
 def _apply(M, x):
@@ -93,7 +86,7 @@ def _spin(w, x):
     return np.stack([-w * x_q, w * x_d, np.zeros_like(w * x_d)], axis=-1)
 
 
-def to_dq0(t, v, dv, ddv, cfg):
+def to_dq0(t, v, dv, ddv, w_dq, theta0=0.0):
     """Transform abc v, v', v'' at times t into the dq0 jet (v_dq0, v_hat', v_hat'').
 
     P v' is the inertial derivative in dq0 components; the rotating
@@ -102,34 +95,34 @@ def to_dq0(t, v, dv, ddv, cfg):
     FloatOverflow on overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = cfg.w_dq * np.asarray(t) + cfg.theta0
+        theta = w_dq * np.asarray(t) + theta0
         worst = np.max(np.abs(theta), initial=0.0)
         if not worst <= MAX_ANGLE:
             raise InvalidParameter(f"frame angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
         P = park_matrix(theta)
         vdq0 = _apply(P, v)
         dv = _apply(P, dv)
-        dvdq0 = dv - _spin(cfg.w_dq, vdq0)
-        ddvdq0 = _apply(P, ddv) - _spin(cfg.w_dq, dv + dvdq0)
+        dvdq0 = dv - _spin(w_dq, vdq0)
+        ddvdq0 = _apply(P, ddv) - _spin(w_dq, dv + dvdq0)
     if not (np.isfinite(dvdq0).all() and np.isfinite(ddvdq0).all()):
         raise FloatOverflow("the dq0 derivatives of the voltage overflow float64")
     return vdq0, dvdq0, ddvdq0
 
 
-def from_dq0(t, vdq0, dvdq0, ddvdq0, cfg):
+def from_dq0(t, vdq0, dvdq0, ddvdq0, w_dq, theta0=0.0):
     """Inverse of ``to_dq0``: abc (v, v', v'') at times t."""
-    Q = inverse_park_matrix(cfg.w_dq * t + cfg.theta0)
-    dv = inertial_derivative(vdq0, dvdq0, cfg)
-    ddv = ddvdq0 + _spin(cfg.w_dq, dv + dvdq0)
+    Q = inverse_park_matrix(w_dq * t + theta0)
+    dv = inertial_derivative(vdq0, dvdq0, w_dq)
+    ddv = ddvdq0 + _spin(w_dq, dv + dvdq0)
     return _apply(Q, vdq0), _apply(Q, dv), _apply(Q, ddv)
 
 
-def inertial_derivative(vdq0, dvdq0, cfg):
+def inertial_derivative(vdq0, dvdq0, w_dq):
     """v' = v_hat' + r x v in dq0 components, r = w_dq e_o."""
-    return np.asarray(dvdq0, dtype=np.float64) + _spin(cfg.w_dq, vdq0)
+    return np.asarray(dvdq0, dtype=np.float64) + _spin(w_dq, vdq0)
 
 
-def derivative_frame_check(vdq0, dvdq0, cfg):
+def derivative_frame_check(vdq0, dvdq0, w_dq):
     """rho and omega of the voltage curve in dq0 components
     (``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
     derivative), and the two splits of that derivative compared.
@@ -151,7 +144,7 @@ def derivative_frame_check(vdq0, dvdq0, cfg):
     delta_omega and ``balanced_identity_err`` are NaN.
     """
     v, v_hat_prime = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
-    inertial = inertial_derivative(v, v_hat_prime, cfg)
+    inertial = inertial_derivative(v, v_hat_prime, w_dq)
     rows, inertial_rows = v.reshape(-1, 3), inertial.reshape(-1, 3)
     # eps_w=0: omega is reported however small it is, never zeroed
     # v'' = 0 stands in: rho and omega do not depend on it

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloatOverflow, InvalidParameter, NonFiniteSample
+from .errors import FloatOverflow, InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not 0 < self.dt < np.inf:  # NaN and inf steps too
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
         times = np.asarray(self.times, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
@@ -35,7 +35,7 @@ class TimeSeries:
         if times.size < 1:
             raise InvalidParameter("time series needs at least one sample")
         if not np.all(np.isfinite(values)):
-            raise NonFiniteSample("non-finite sample value")
+            raise InvalidParameter("non-finite sample value")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -45,8 +45,7 @@ class TimeSeries:
     def with_values(self, values):
         """This grid with values computed from this series' own, which
         are finite: a non-finite one is an overflow of that computation,
-        so it raises FloatOverflow rather than NonFiniteSample."""
-        try:
-            return TimeSeries(self.times, self.dt, values)
-        except NonFiniteSample:
-            raise FloatOverflow("values computed from the samples overflow float64") from None
+        so it raises FloatOverflow rather than InvalidParameter."""
+        if not np.isfinite(values).all():
+            raise FloatOverflow("values computed from the samples overflow float64")
+        return TimeSeries(self.times, self.dt, values)

@@ -259,11 +259,11 @@ def check_hilbert():
 
 
 def check_park():
-    cfg = park.ParkConfig(w_dq=signals.W_BASE, theta0=0.3)
+    frame = (signals.W_BASE, 0.3)  # w_dq, theta0
     times = _sample_times()[:40]
     v, dv, ddv, g0 = _batch(signals.make_scenario("E8"), times)
-    dq = park.to_dq0(times, v, dv, ddv, cfg)
-    g1 = frenet.invariants_batch(*park.from_dq0(times, *dq, cfg))
+    dq = park.to_dq0(times, v, dv, ddv, *frame)
+    g1 = frenet.invariants_batch(*park.from_dq0(times, *dq, *frame))
     round_trip = worst(
         _rel(np.abs(g0.rho - g1.rho), np.abs(g0.rho), 1.0),
         _rel(np.abs(g0.omega_mag - g1.omega_mag), g0.omega_mag, 0.0),
@@ -279,13 +279,13 @@ def check_park():
             continue
         draws.append((vdq0, dvdq0, rng.normal()))  # each draw has its own w_dq
     vdq0, dvdq0, w_dq = (np.array(x) for x in zip(*draws))
-    rep = park.derivative_frame_check(vdq0, dvdq0, park.ParkConfig(w_dq=w_dq))
+    rep = park.derivative_frame_check(vdq0, dvdq0, w_dq)
 
     # Remark 7: synchronous balanced frame reproduces the plane-curve result
-    cfg_sync = park.ParkConfig(w_dq=signals.W_BASE, theta0=-math.pi / 2)
     t = np.array([0.0125])
-    vdq0, dvdq0, _ = park.to_dq0(t, *signals.eval_arrays(signals.make_scenario("E0"), t), cfg_sync)
-    w = park.derivative_frame_check(vdq0, dvdq0, cfg_sync).omega_vec
+    jet = signals.eval_arrays(signals.make_scenario("E0"), t)
+    vdq0, dvdq0, _ = park.to_dq0(t, *jet, signals.W_BASE, -math.pi / 2)
+    w = park.derivative_frame_check(vdq0, dvdq0, signals.W_BASE).omega_vec
     remark7 = worst(np.abs(w[:, :2]), np.abs(w[:, 2] - signals.W_BASE) / signals.W_BASE)
     return [
         PropertyResult("park", "invariants unchanged by dq0 round trip", round_trip, 1e-9),

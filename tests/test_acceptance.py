@@ -13,7 +13,6 @@ import pytest
 
 from geomfreq import cli, frenet, hilbert, park, signals, threephase
 from geomfreq.geometry import rownorm
-from geomfreq.park import ParkConfig
 
 from conftest import ddv_expansion, scenario_arrays
 
@@ -182,22 +181,20 @@ def test_criterion_9_hilbert_equivalence():
 
 @criterion("criterion 10: rotating-frame derivative identities")
 def test_criterion_10_park_suite():
-    sync = ParkConfig(w_dq=W_O, theta0=-math.pi / 2.0)
     model = signals.make_scenario("E0")
     for t in (0.0, 0.0051, 0.023):
         v, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
-        vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, sync)
-        rep = park.derivative_frame_check(vdq0, dvdq0, sync)
+        vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, W_O, -math.pi / 2.0)  # synchronous
+        rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
         assert abs(rep.delta_omega) <= 1e-6
         assert rep.terms_equal
-        # Clarke special case: no rotation term at all
-        clarke = ParkConfig(w_dq=0.0)
-        vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, clarke)
-        np.testing.assert_array_equal(park.inertial_derivative(vdq0, dvdq0, clarke), dvdq0)
+        # Clarke special case (w_dq = 0): no rotation term at all
+        vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, 0.0)
+        np.testing.assert_array_equal(park.inertial_derivative(vdq0, dvdq0, 0.0), dvdq0)
     rng = np.random.default_rng(10)
     for _ in range(200):
         vdq0, dvdq0 = rng.normal(scale=10.0, size=(2, 3))
-        rep = park.derivative_frame_check(vdq0, dvdq0, sync)
+        rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
         assert rep.sum_rel_err <= 1e-9
 
 

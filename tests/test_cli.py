@@ -417,17 +417,17 @@ def _csv_bytes(header, rows):
 
 def test_park_and_hilbert_csv_cells(tmp_path):
     # every cell is the shortest round-trip repr of the value, LF endings
-    cfg = park.ParkConfig(w_dq=0.7 * W_O, theta0=0.3)
+    w_dq = 0.7 * W_O
     out = tmp_path / "dq.csv"
     assert cli.main(
-        ["park", "--scenario", "E8", "--wdq", repr(cfg.w_dq), "--theta0", "0.3",
+        ["park", "--scenario", "E8", "--wdq", repr(w_dq), "--theta0", "0.3",
          "--t1", "0.01", "--dt", "1e-3", "--out", str(out)]
     ) == 0
     model = signals.make_scenario("E8")
     rows = []
     for t in signals.sample_times(0.0, 0.01, 1e-3).tolist():
         v, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
-        rows.append((t, *park.to_dq0(t, v, dv, ddv, cfg)[0]))
+        rows.append((t, *park.to_dq0(t, v, dv, ddv, w_dq, 0.3)[0]))
     assert out.read_bytes() == _csv_bytes(("t", "vd", "vq", "vo"), rows)
 
     out = tmp_path / "hb.csv"

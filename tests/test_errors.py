@@ -10,7 +10,6 @@ from geomfreq.errors import GeomfreqError
 # 2 a usage error, 3 bad input; 1 is left to a failed check
 EXIT_CODES = {
     "InvalidParameter": 2,
-    "NonFiniteSample": 2,
     "MalformedCsv": 3,
     "DegenerateInput": 3,
     "FloatOverflow": 3,

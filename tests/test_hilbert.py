@@ -7,7 +7,7 @@ import pytest
 
 import numpy_reference
 from geomfreq import hilbert
-from geomfreq.errors import DegenerateInput, FloatOverflow, InvalidParameter, NonFiniteSample
+from geomfreq.errors import DegenerateInput, FloatOverflow, InvalidParameter
 
 DT = 1e-4
 # 0.4 s window: an integer number of 50 Hz periods, so the discrete
@@ -65,15 +65,16 @@ def test_analytic_pair_rejects_non_finite(bad):
     # checked once per array, before any row reaches frenet.invariants
     u = np.ones(64)
     u[17] = bad
-    with pytest.raises(NonFiniteSample, match="non-finite"):
+    with pytest.raises(InvalidParameter, match="non-finite"):
         hilbert.analytic_embed(T[:64], DT, u)
 
 
 @pytest.mark.parametrize(
     "times, dt, says",
     [(T[:64], 0.0, "dt must be positive"), (T[:64], -DT, "dt must be positive"),
+     (T[:64], math.nan, "dt must be positive"), (T[:64], math.inf, "dt must be positive"),
      (T[:63], DT, "does not match")],
-    ids=["dt-zero", "dt-negative", "times-length"],
+    ids=["dt-zero", "dt-negative", "dt-nan", "dt-inf", "times-length"],
 )
 def test_analytic_embed_rejects_a_bad_grid(times, dt, says):
     with pytest.raises(InvalidParameter, match=says):

@@ -154,7 +154,7 @@ def test_lowpass_is_the_numpy_loop_bit_for_bit(rng, scale):
 def test_lowpass_rejects_bad_time_constant():
     series = _series(np.zeros((10, 3)))
     for tc in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(InvalidParameter, match="positive and finite"):
             numdiff.lowpass_first_order(series, tc)
 
 

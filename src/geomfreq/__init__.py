@@ -13,7 +13,7 @@ from .errors import (
     InvalidParameter,
     MalformedCsv,
 )
-from .frenet import EPS_V, EPS_W, GeomInvariants, frame, invariants, invariants_batch
+from .frenet import EPS_V, EPS_W, frame, invariants, invariants_batch
 from .hilbert import analytic_embed, geometric_equivalence, instantaneous_frequency_classical
 from .numdiff import differentiate_arrays, lowpass_first_order, remove_zero_sequence
 from .park import derivative_frame_check, from_dq0, to_dq0

@@ -1,6 +1,8 @@
 """The analysis table of ``geomfreq analyze``: one row per sample, one
 column per invariant, computed as column arrays.  A row is degenerate or
-without rotation by the thresholds ``frenet.EPS_V`` and ``frenet.EPS_W``."""
+without rotation by the thresholds ``frenet.EPS_V`` and ``frenet.EPS_W``;
+the table writes 0.0 for omega and kappa on a row without rotation,
+where the kernel reports their rounding residue."""
 
 import numpy as np
 
@@ -32,9 +34,11 @@ def analyze(t, v, dv, ddv):
     Returns (columns, degenerate_speed_count): one float array per
     name in COLUMNS, NaN where a cell is undefined (every cell but t on
     a degenerate-speed row; eta and RoCoF on a row without rotation).
-    ``rotation_defined`` holds 1.0 or 0.0.  Raises DegenerateInput when
-    every sample is degenerate, and FloatOverflow when the invariants of
-    a sample that is not degenerate overflow float64.
+    On a row without rotation w1, w2, w3, w, xi, kappa and tau are 0.0,
+    and ``rotation_defined`` holds 0.0 there and 1.0 elsewhere.  Raises
+    DegenerateInput when every sample is degenerate, and FloatOverflow
+    when the invariants of a sample that is not degenerate overflow
+    float64.
     """
     t = np.asarray(t, dtype=np.float64)
     b = frenet.invariants_batch(v, dv, ddv)
@@ -47,6 +51,8 @@ def analyze(t, v, dv, ddv):
             f"the invariants overflow float64 at {rows.size} of {t.size} samples "
             f"(first at t = {float(t[rows[0]])!r})"
         )
+    for col in (b.omega_vec, b.omega_mag, b.kappa):
+        col[b.no_rotation] = 0.0
     rotation = np.where(b.no_rotation, 0.0, 1.0)
     rotation[b.degenerate] = np.nan
     columns = (

@@ -11,14 +11,14 @@ voltage curve, from the rows of (N, 3) arrays v, v', v'':
 ``invariants_batch`` evaluates them over every row and flags degenerate
 rows with NaN; ``frame`` builds the Frenet triad from its columns, and
 ``identity_residuals`` checks the splits of v' and omega' on them, over
-the floors max(|v'|, EPS_V) and max(|omega'|, |omega|).  The
-frame exists where |v| > EPS_V (tangent) and |omega| > EPS_W (normal and
-binormal); ``invariants_batch(eps_w=)`` is the one override of either.
-``invariants`` is the same arithmetic on one row, for a caller that
-holds one instant at a time, and gives the bits of that batch row.  It
-keeps the inner products in ``np.dot`` and forms the cross products in
-Python floats, since numpy's fixed cost per call dwarfs the arithmetic
-on three elements.
+the floors max(|v'|, EPS_V) and max(|omega'|, |omega|).  rho, omega
+and kappa exist where |v| > EPS_V (the tangent), however small omega is;
+the normal, binormal, torsion and RoCoF split need a rotation,
+|omega| > EPS_W.  ``invariants`` is the same arithmetic on one row, for
+a caller that holds one instant at a time, and gives the bits of that
+batch row.  It keeps the inner products in ``np.dot`` and forms the
+cross products in Python floats, since numpy's fixed cost per call
+dwarfs the arithmetic on three elements.
 """
 
 import math
@@ -26,25 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, InvalidParameter
 from .geometry import rowdot, rownorm
 
 EPS_V = 1e-9  # V; below this the curve has no defined tangent
 EPS_W = 1e-9  # rad/s; below this the curve is not rotating
-
-_ZERO = np.zeros(3)
-_ZERO.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class GeomInvariants:
-    """rho, omega and xi at one instant; without rotation omega and xi
-    are exact zeros."""
-
-    rho: float  # 1/s, radial frequency
-    omega_vec: np.ndarray  # rad/s, azimuthal frequency vector
-    omega_mag: float  # rad/s
-    xi: float  # 1/s, torsional frequency
 
 
 @dataclass(frozen=True)
@@ -52,12 +38,12 @@ class BatchInvariants:
     """Invariants and RoCoF of N samples, one array entry per sample.
 
     On a ``degenerate`` row (|v| <= EPS_V) every value is NaN.  On a
-    ``no_rotation`` row (|omega| <= eps_w) omega, kappa, tau and xi are
-    exact zeros and eta and omega_dot are NaN.  These two masks are
-    disjoint.  An ``overflow`` row is one that is not degenerate but
-    where a square or product left the float64 range: its values are
-    inf, NaN, or quotients flushed to zero by an infinite denominator,
-    not the invariants.
+    ``no_rotation`` row (|omega| <= EPS_W) omega and kappa are reported
+    however small they are, tau and xi are exact zeros, and eta and
+    omega_dot are NaN.  These two masks are disjoint.  An ``overflow``
+    row is one that is not degenerate but where a square or product left
+    the float64 range: its values are inf, NaN, or quotients flushed to
+    zero by an infinite denominator, not the invariants.
     """
 
     v_mag: np.ndarray  # (N,) V
@@ -83,9 +69,9 @@ def _cross(a, b):
 
 
 def invariants(v, dv, ddv):
-    """rho, omega and xi of one instant from the finite 3-vectors
-    v, v', v'', bit for bit what ``invariants_batch`` gives that row.
-    Raises ``DegenerateInput`` when |v| <= EPS_V.
+    """(rho, omega_vec, omega_mag, xi) of one instant from the finite
+    3-vectors v, v', v'', bit for bit what ``invariants_batch`` gives
+    that row.  Raises ``DegenerateInput`` when |v| <= EPS_V.
 
     Inner products are ``np.dot``, which sums three products the way
     ``rowdot`` does (a fused multiply-add chain, not reproducible in
@@ -99,33 +85,28 @@ def invariants(v, dv, ddv):
     vxdv = _cross(v, dv)
     omega_vec = vxdv / v2
     omega_mag = math.sqrt(np.dot(omega_vec, omega_vec))
-    rho = float(np.dot(v, dv)) / v2
+    xi = 0.0
     if omega_mag > EPS_W:  # a NaN omega counts as no rotation, as in the batch
-        tau = float(np.dot(v, _cross(dv, ddv))) / float(np.dot(vxdv, vxdv))
-        return GeomInvariants(
-            rho=rho, omega_vec=omega_vec, omega_mag=omega_mag, xi=v_mag * tau
-        )
-    return GeomInvariants(rho=rho, omega_vec=_ZERO, omega_mag=0.0, xi=0.0)
+        xi = v_mag * (float(np.dot(v, _cross(dv, ddv))) / float(np.dot(vxdv, vxdv)))
+    return float(np.dot(v, dv)) / v2, omega_vec, omega_mag, xi
 
 
 def _as_rows(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != 3:
-        raise ValueError(f"expected shape (N, 3), got {a.shape}")
+        raise InvalidParameter(f"expected shape (N, 3), got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite vector component")
+        raise InvalidParameter("non-finite vector component")
     return a
 
 
-def invariants_batch(v, dv, ddv, eps_w=EPS_W):
+def invariants_batch(v, dv, ddv):
     """Invariants and RoCoF split of every row of (N, 3) arrays; a
     degenerate, non-rotating or overflowing row is flagged (see
-    ``BatchInvariants``).  ``eps_w`` = 0.0 keeps omega however small it
-    is, for a caller that needs rho and omega on every row with |v| > EPS_V.
-    """
+    ``BatchInvariants``)."""
     v, dv, ddv = _as_rows(v), _as_rows(dv), _as_rows(ddv)
     if not v.shape == dv.shape == ddv.shape:
-        raise ValueError(f"shape mismatch {v.shape}, {dv.shape}, {ddv.shape}")
+        raise InvalidParameter(f"shape mismatch {v.shape}, {dv.shape}, {ddv.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v_mag = rownorm(v)
         v2 = v_mag * v_mag
@@ -141,7 +122,7 @@ def invariants_batch(v, dv, ddv, eps_w=EPS_W):
         kappa = omega_mag / v_mag
         xi = v_mag * tau
     degenerate = v_mag <= EPS_V
-    rotating = ~degenerate & (omega_mag > eps_w)
+    rotating = ~degenerate & (omega_mag > EPS_W)
     no_rotation = ~degenerate & ~rotating
     # past the float64 range a value is inf or NaN, or a quotient over an
     # infinite |v|^2, |v x v'|^2 or |omega|^2 is flushed to zero.  Implied
@@ -152,7 +133,7 @@ def invariants_batch(v, dv, ddv, eps_w=EPS_W):
         np.isfinite(vxdv2) & np.isfinite(omega2) & np.isfinite(xi) & np.isfinite(eta)
     )
     overflow = (~degenerate & ~tangent_ok) | (rotating & ~rotation_ok)
-    for col in (omega_vec, omega_mag, kappa, tau, xi):
+    for col in (tau, xi):
         col[no_rotation] = 0.0
     for col in (v_mag, rho, omega_vec, omega_mag, kappa, tau, xi):
         col[degenerate] = np.nan

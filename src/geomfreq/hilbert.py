@@ -106,11 +106,8 @@ def geometric_equivalence(embedded):
     xi = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            g = invariants(v[k], dv[k], ddv[k])
-            rho[k] = g.rho
-            omega_mag[k] = g.omega_mag
-            omega_z[k] = g.omega_vec[2]
-            xi[k] = g.xi
+            rho[k], omega_vec, omega_mag[k], xi[k] = invariants(v[k], dv[k], ddv[k])
+            omega_z[k] = omega_vec[2]
     if not np.isfinite((rho, omega_mag, xi)).all():
         raise FloatOverflow("the embedded curve's invariants overflow float64")
 

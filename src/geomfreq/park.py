@@ -125,7 +125,8 @@ def inertial_derivative(vdq0, dvdq0, w_dq):
 def derivative_frame_check(vdq0, dvdq0, w_dq):
     """rho and omega of the voltage curve in dq0 components
     (``frenet.invariants_batch`` of v = (v_d, v_q, v_o) and its inertial
-    derivative), and the two splits of that derivative compared.
+    derivative, which reports omega however small it is), and the two
+    splits of that derivative compared.
     Raises ``DegenerateInput`` when |v| <= EPS_V anywhere, and
     ``FloatOverflow`` when the invariants of an instant overflow float64.
 
@@ -146,9 +147,8 @@ def derivative_frame_check(vdq0, dvdq0, w_dq):
     v, v_hat_prime = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
     inertial = inertial_derivative(v, v_hat_prime, w_dq)
     rows, inertial_rows = v.reshape(-1, 3), inertial.reshape(-1, 3)
-    # eps_w=0: omega is reported however small it is, never zeroed
     # v'' = 0 stands in: rho and omega do not depend on it
-    b = frenet.invariants_batch(rows, inertial_rows, np.zeros_like(rows), eps_w=0.0)
+    b = frenet.invariants_batch(rows, inertial_rows, np.zeros_like(rows))
     for bad, error, what in ((b.degenerate, DegenerateInput, f"|v| <= {EPS_V}"),
                              (b.overflow, FloatOverflow, "invariants overflow float64")):
         if bad.any():

@@ -3,35 +3,32 @@
 
 Each is the old code as it ran, kept here only as a bit-for-bit oracle:
 the library must give exactly these bits, NaN and the degenerate-speed
-exception included.
+exception included.  ``invariants`` follows the kernel's no-rotation
+rule: omega however small, and xi an exact zero.
 """
 
 import numpy as np
 
 from geomfreq.errors import DegenerateInput
-from geomfreq.frenet import EPS_V, EPS_W, GeomInvariants
-
-_ZERO = np.zeros(3)
-_ZERO.flags.writeable = False
+from geomfreq.frenet import EPS_V, EPS_W
 
 
-def invariants(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
-    """rho, omega and xi of one instant with ``np.cross`` and
-    ``np.linalg.norm`` on the 3-vectors."""
+def invariants(v, dv, ddv):
+    """(rho, omega_vec, omega_mag, xi) of one instant with ``np.cross``
+    and ``np.linalg.norm`` on the 3-vectors."""
     v_mag = float(np.linalg.norm(v))
-    if v_mag <= eps_v:
-        raise DegenerateInput(f"|v| = {v_mag} <= {eps_v}")
+    if v_mag <= EPS_V:
+        raise DegenerateInput(f"|v| = {v_mag} <= {EPS_V}")
     v2 = v_mag * v_mag
     vxdv = np.cross(v, dv)
     omega_vec = vxdv / v2
     omega_mag = float(np.linalg.norm(omega_vec))
     rho = float(np.dot(v, dv)) / v2
-    if omega_mag > eps_w:  # a NaN omega counts as no rotation, as in the batch
+    xi = 0.0
+    if omega_mag > EPS_W:  # a NaN omega counts as no rotation, as in the batch
         tau = float(np.dot(v, np.cross(dv, ddv))) / float(np.dot(vxdv, vxdv))
-        return GeomInvariants(
-            rho=rho, omega_vec=omega_vec, omega_mag=omega_mag, xi=v_mag * tau
-        )
-    return GeomInvariants(rho=rho, omega_vec=_ZERO, omega_mag=0.0, xi=0.0)
+        xi = v_mag * tau
+    return rho, omega_vec, omega_mag, xi
 
 
 def lowpass_values(x, alpha):

@@ -48,8 +48,8 @@ def sub(a, b):
 
 
 class Invariants(NamedTuple):
-    """One instant.  Without rotation omega, kappa, tau and xi are
-    zeros and eta and omega_dot are None."""
+    """One instant.  Without rotation tau and xi are zeros and eta and
+    omega_dot are None; omega and kappa are kept however small."""
 
     v_mag: float
     rho: float
@@ -63,20 +63,22 @@ class Invariants(NamedTuple):
     omega_dot: Optional[tuple]
 
 
-def invariants(v, dv, ddv, eps_v=EPS_V, eps_w=EPS_W):
+def invariants(v, dv, ddv):
     """Invariants and RoCoF split of the 3-vectors v, v', v'', or None
-    when |v| <= eps_v."""
+    when |v| <= EPS_V."""
     v, dv, ddv = (tuple(float(x) for x in a) for a in (v, dv, ddv))
     v_mag = norm(v)
-    if v_mag <= eps_v:
+    if v_mag <= EPS_V:
         return None
     v2 = v_mag * v_mag
     rho = dot(v, dv) / v2
     vxdv = cross(v, dv)
     omega = over(vxdv, v2)
     omega_mag = norm(omega)
-    if omega_mag <= eps_w:
-        return Invariants(v_mag, rho, (0.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0, False, None, None)
+    if omega_mag <= EPS_W:
+        return Invariants(
+            v_mag, rho, omega, omega_mag, omega_mag / v_mag, 0.0, 0.0, False, None, None
+        )
     tau = dot(v, cross(dv, ddv)) / dot(vxdv, vxdv)
     omega_dot = sub(over(cross(v, ddv), v2), scaled(2.0 * rho, omega))
     eta = dot(omega, omega_dot) / (omega_mag * omega_mag)

@@ -19,7 +19,7 @@ import reference
 from conftest import scenario_arrays
 from geomfreq import analysis, cli, cli_io, frenet, hilbert, numdiff, signals
 from geomfreq.analysis import COLUMNS
-from geomfreq.errors import DegenerateInput, FloatOverflow
+from geomfreq.errors import DegenerateInput, FloatOverflow, InvalidParameter
 
 REL = 1e-10
 PRESETS = ("DC", "SINGLE_PHASE", "E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
@@ -34,8 +34,9 @@ def _reference(v, dv, ddv):
 def _assert_matches(b, v, dv, ddv):
     """Masks identical; values within REL of the row's scale: |omega|
     for rho, omega, xi, eta; |omega|/|v| for kappa, tau; |omega|^2 for
-    RoCoF.  Without rotation those scales are 0, so omega, kappa, tau,
-    xi must be exact zeros and rho is held to REL of |rho|."""
+    RoCoF.  Without rotation tau and xi must be exact zeros, eta and
+    RoCoF NaN, and rho is held to REL of |rho|; omega and kappa keep
+    their scale, however small."""
     refs = _reference(v, dv, ddv)
     assert b.v_mag.shape == (len(refs),)
     for k, g in enumerate(refs):
@@ -57,8 +58,7 @@ def _assert_matches(b, v, dv, ddv):
         assert abs(b.tau[k] - g.tau) <= REL * w / g.v_mag, k
         if not g.rotating:
             assert math.isnan(b.eta[k]) and np.all(np.isnan(b.omega_dot[k]))
-            for x in (b.omega_mag, b.kappa, b.tau, b.xi):
-                assert x[k] == 0.0
+            assert b.tau[k] == b.xi[k] == 0.0
         else:
             assert abs(b.eta[k] - g.eta) <= REL * w, k
             assert np.max(np.abs(b.omega_dot[k] - g.omega_dot)) <= REL * w * w, k
@@ -74,10 +74,8 @@ def _assert_rows_are_bits_of_batch(v, dv, ddv):
                 frenet.invariants(v[k], dv[k], ddv[k])
             continue
         g = frenet.invariants(v[k], dv[k], ddv[k])
-        for name in ("rho", "omega_vec", "omega_mag", "xi"):
-            np.testing.assert_array_equal(
-                getattr(g, name), getattr(b, name)[k], err_msg=f"{name} row {k}"
-            )
+        for name, x in zip(("rho", "omega_vec", "omega_mag", "xi"), g):
+            np.testing.assert_array_equal(x, getattr(b, name)[k], err_msg=f"{name} row {k}")
 
 
 def _outage_series(sid="E5", filter_tau=1.2e-4, remove_zero_seq=False):
@@ -200,14 +198,14 @@ def test_overflow_marks_rows_whose_products_leave_the_float_range():
 
 def test_batch_rejects_bad_shapes_and_values():
     ok = np.ones((4, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         frenet.invariants_batch(np.ones((4, 2)), ok, ok)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         frenet.invariants_batch(ok, np.ones((5, 3)), ok)
     for cell in (np.nan, np.inf):
         bad = ok.copy()
         bad[2, 1] = cell
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             frenet.invariants_batch(ok, bad, ok)
 
 
@@ -262,6 +260,23 @@ def test_cli_numeric_csv_layout_matches_parent_route(tmp_path):
     assert cli.main(argv) == 0
     series = numdiff.lowpass_first_order(cli_io.read_waveform_csv(wf), 1.2e-4)
     _check_csv_against_parent(out, *numdiff.differentiate_arrays(series))
+
+
+def test_analyze_writes_zeros_where_the_curve_does_not_rotate(tmp_path):
+    # the filtered outage decays along a fixed direction: the kernel
+    # reports omega's rounding residue there, the table writes 0.0
+    wf, out = tmp_path / "wf.csv", tmp_path / "an.csv"
+    cli_io.write_waveform_csv(wf, _outage_series(filter_tau=None))
+    argv = ["analyze", "--csv", str(wf), "--filter-tau", "1.2e-4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    series = numdiff.lowpass_first_order(cli_io.read_waveform_csv(wf), 1.2e-4)
+    b = frenet.invariants_batch(*numdiff.differentiate_arrays(series)[1:])
+    assert np.count_nonzero(b.omega_mag[b.no_rotation]) > 0
+    rows = [dict(zip(COLUMNS, ln.split(","))) for ln in out.read_text().splitlines()[1:-1]]
+    still = [r for r in rows if r["rotation_defined"] == "0"]
+    assert len(still) == np.count_nonzero(b.no_rotation)
+    for r in still:
+        assert [r[c] for c in ("w1", "w2", "w3", "w", "kappa")] == ["0.0"] * 5
 
 
 def test_analysis_csv_writes_in_blocks(tmp_path, monkeypatch):

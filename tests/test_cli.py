@@ -388,6 +388,15 @@ def test_hilbert_subcommand(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "t,rho,w,xi,phi_dot"
 
 
+def test_hilbert_csv_of_dc_passes(tmp_path, capsys):
+    # a straight line: omega_z and phi' are the same rounding residue
+    rec = tmp_path / "dc.csv"
+    assert cli.main(["generate", "DC", "--out", str(rec)]) == 0
+    capsys.readouterr()
+    assert cli.main(["hilbert", "--csv", str(rec)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
 def test_hilbert_grid_is_half_open(tmp_path):
     out = tmp_path / "hb.csv"
     rc = cli.main(["hilbert", "--t1", "0.01", "--dt", "1e-4", "--out", str(out)])

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import numpy_reference
+import reference
 from geomfreq import frenet, signals
 from geomfreq.errors import DegenerateInput
 from geomfreq.geometry import rowdot, rownorm
@@ -321,16 +322,25 @@ def test_appendix_identities_random_jets(j):
 def test_reconstruction_random_jets(j):
     v, dv, ddv = j
     assume(rownorm(v)[0] > 1e-3)
-    # eps_w = 0: the identity holds for any omega, however slow
-    res = _velocity_residual(v, dv, frenet.invariants_batch(v, dv, ddv, eps_w=0.0))
+    # the identity holds for any omega, however slow
+    res = _velocity_residual(v, dv, frenet.invariants_batch(v, dv, ddv))
     assert rownorm(res)[0] <= 1e-9 * max(rownorm(dv)[0], 1.0)
 
 
-@pytest.mark.parametrize("eps_w", [0.0, frenet.EPS_W], ids=["eps_w=0", "default"])
-@given(j=jets)
-def test_identity_residuals_are_the_test_side_restatements(eps_w, j):
+def _parallel(j):
+    """The jet with v' = c v: omega is rounding noise, a no_rotation row
+    whose omega the kernel still reports."""
     v, dv, ddv = j
-    b = frenet.invariants_batch(v, dv, ddv, eps_w=eps_w)
+    return v, dv[:, :1] * v, ddv
+
+
+# "default" draws any jet; "eps_w=0" draws jets that rotate by no more
+# than rounding, the DC case below the EPS_W mask
+@pytest.mark.parametrize("shape", [_parallel, lambda j: j], ids=["eps_w=0", "default"])
+@given(j=jets)
+def test_identity_residuals_are_the_test_side_restatements(shape, j):
+    v, dv, ddv = shape(j)
+    b = frenet.invariants_batch(v, dv, ddv)
     recon, rocof = frenet.identity_residuals(v, dv, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         want_recon = rownorm(_velocity_residual(v, dv, b)) / np.maximum(rownorm(dv), frenet.EPS_V)
@@ -353,6 +363,20 @@ def test_identity_residuals_are_nan_exactly_where_undefined():
     np.testing.assert_array_equal(np.isnan(rocof), b.degenerate | b.no_rotation)
     assert np.all(recon[~b.degenerate] <= 1e-12)
     assert np.all(rocof[3:] <= 1e-8)
+
+
+@pytest.mark.parametrize("w", [0.5e-9, 1e-9])
+def test_slow_rotation_keeps_omega_and_drops_torsion(w):
+    # 0 < |omega| <= EPS_W: a no_rotation row, yet omega = v x v'/|v|^2
+    v, dv, ddv = _const((2, 0, 0), (0.6, 2 * w, 0), (1, 2, 3))
+    b = frenet.invariants_batch(v, dv, ddv)
+    g = reference.invariants(v[0], dv[0], ddv[0])
+    assert b.no_rotation[0] and not g.rotating
+    assert 0.0 < b.omega_mag[0] <= frenet.EPS_W
+    np.testing.assert_array_equal(b.omega_vec[0], g.omega)
+    assert b.omega_mag[0] == g.omega_mag and b.kappa[0] == g.kappa
+    assert b.tau[0] == b.xi[0] == 0.0
+    assert math.isnan(b.eta[0]) and np.all(np.isnan(b.omega_dot[0]))
 
 
 def test_xi_zero_without_rotation():
@@ -393,10 +417,7 @@ def _outcome(invariants, v, dv, ddv):
             g = invariants(v, dv, ddv)
     except DegenerateInput as exc:
         return "DegenerateInput", str(exc)
-    return tuple(
-        (name, type(getattr(g, name)), np.asarray(getattr(g, name)).tobytes())
-        for name in ("rho", "omega_vec", "omega_mag", "xi")
-    )
+    return tuple((type(x), np.asarray(x).tobytes()) for x in g)
 
 
 @settings(max_examples=500)

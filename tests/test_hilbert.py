@@ -141,6 +141,14 @@ def test_equivalence_is_the_numpy_route_bit_for_bit(monkeypatch, signal):
         assert np.asarray(got_x).tobytes() == np.asarray(want_x).tobytes(), name
 
 
+def test_dc_embedding_keeps_both_bounds():
+    # the envelope is 5 V everywhere and the curve does not rotate: the
+    # kernel's omega_z is the same residue as phi', not a zero next to it
+    rep = hilbert.geometric_equivalence(hilbert.analytic_embed(T, DT, np.full(N, 5.0)))
+    assert rep.max_rel_dev <= hilbert.MAX_REL_DEV
+    assert rep.max_abs_xi <= hilbert.MAX_ABS_XI
+
+
 @pytest.mark.parametrize(
     "scale, says",
     [

@@ -7,8 +7,7 @@ import pkgutil
 
 import geomfreq
 
-# the one override: park keeps omega however small, analyze zeroes it below EPS_W
-ALLOWED = {("geomfreq.frenet", "invariants_batch", "eps_w")}
+ALLOWED = set()
 
 
 def test_no_tolerance_or_seed_keywords():

@@ -18,7 +18,8 @@ The cases:
   1e-205 s grid;
 - numeric ``analyze`` of a generated E5 recording: plain, with
   --filter-tau and with --remove-zero-seq;
-- ``hilbert`` of the synthetic tone, and --csv on each channel of E5;
+- ``hilbert`` of the synthetic tone, --csv on each channel of E5, and
+  --csv on a DC recording, a curve that does not rotate;
 - ``validate all``;
 - every ``BAD_INPUT`` row of tests/test_cli.py, with the input files
   that test writes;
@@ -78,6 +79,8 @@ def cases():
     for ch in "012":
         out[f"hilbert-csv-{ch}"] = [RECORDING, ("hilbert", "--csv", "in.csv", "--channel", ch,
                                                 "--out", "out.csv")]
+    out["hilbert-csv-dc"] = [("generate", "DC", "--out", "in.csv"),
+                             ("hilbert", "--csv", "in.csv", "--out", "out.csv")]
     out["validate-all"] = [("validate", "all")]
     rows, make_argv = _bad_input_rows()
     for name, argv, _code, _says in rows:

@@ -6,9 +6,9 @@ park (dq0 transform and derivative-frame checks), hilbert (analytic
 embedding and equivalence report).
 
 Exit codes: 0 success, 1 a failed check (validate, park or hilbert),
-2 a usage error (``InvalidParameter``), 3 an I/O or format error, a
-degenerate input or an input whose scale overflows float64
-(``OSError``, ``MalformedCsv``, ``DegenerateInput``, ``FloatOverflow``).
+2 a usage error (``InvalidParameter``), 3 any other ``GeomfreqError``
+(a format error, a degenerate input or an input whose scale overflows
+float64) or an ``OSError``.
 
 Each parameter comes from its flag, else its INI key (``CONFIG_KEYS``),
 else a default; a bad value names the flag or key it came from.  A flag
@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import analysis, cli_io, hilbert, numdiff, park, signals, validate
-from .errors import DegenerateInput, FloatOverflow, GeomfreqError, InvalidParameter, MalformedCsv
+from .errors import GeomfreqError, InvalidParameter, MalformedCsv
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -86,7 +86,7 @@ def _refuse(args, route, *dests):
 
 def _scenario_grid(args, cfg, missing=None, fallback=None):
     """The model of --scenario (else [scenario] id, else ``fallback``) and
-    its grid (t0, t1, dt); generate's --vdc is read by the DC scenario only."""
+    its grid (t0, t1, dt); generate's --vdc, read by DC only, goes to ``signals.dc_model``."""
     scenario = args.scenario or cfg.get("scenario.id", fallback)
     if scenario is None:
         raise InvalidParameter(missing)
@@ -96,7 +96,7 @@ def _scenario_grid(args, cfg, missing=None, fallback=None):
         return model, grid
     if scenario != "DC":
         _refuse(args, f"by scenario {scenario}", "vdc")
-    return signals.make_scenario(scenario, vdc=args.vdc), grid
+    return signals.dc_model(args.vdc), grid
 
 
 def cmd_generate(args):
@@ -274,12 +274,9 @@ def main(argv=None):
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedCsv, DegenerateInput, FloatOverflow, OSError) as exc:
+    except (GeomfreqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except GeomfreqError as exc:  # no class in ``errors`` reaches here
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Exception hierarchy shared by all geomfreq modules: one class per kind
-of failure.  ``geomfreq.cli`` exits 2 on ``InvalidParameter``; 3 on
-``MalformedCsv``, ``DegenerateInput`` and ``FloatOverflow``; and 1 only
-when a check it ran failed."""
+of failure.  ``geomfreq.cli`` exits 2 on ``InvalidParameter`` and 3 on
+any other ``GeomfreqError``; 1 means only that a check it ran failed."""
 
 
 class GeomfreqError(Exception):

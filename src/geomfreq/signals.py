@@ -284,14 +284,10 @@ _PRESETS = {
 }
 
 
-def make_scenario(scenario_id, **overrides):
-    """Build a preset scenario model, optionally perturbing parameters."""
+def make_scenario(scenario_id):
+    """The preset model of ``scenario_id``; any other model comes from its
+    builder (``dc_model``, ``single_phase_model``, ``three_phase_model``)."""
     if scenario_id not in _PRESETS:
         raise InvalidParameter(f"unknown scenario {scenario_id!r}")
-    builder, defaults = _PRESETS[scenario_id]
-    params = dict(defaults)
-    params.update(overrides)
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise InvalidParameter(str(exc)) from exc
+    builder, params = _PRESETS[scenario_id]
+    return builder(**params)

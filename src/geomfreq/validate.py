@@ -1,5 +1,7 @@
 """Self-check suites: each module's invariants evaluated on generated
-data, with the worst observed deviation reported per property.
+data, with the worst observed deviation reported per property.  A suite
+(a ``check_*`` function) returns ``(name, worst, tol)`` rows, and ``run``
+labels each row with the suite's ``_SUITES`` key as a ``PropertyResult``.
 
 The frenet_core, threephase_forms, signals, numdiff and park suites
 check the kernel ``analyze`` runs, ``frenet.invariants_batch`` over the
@@ -65,9 +67,9 @@ def check_geometry():
     rhs = rowdot(a, a) * rowdot(b, b) - rowdot(a, b) ** 2
     lagr = _rel(np.abs(rowdot(axb, axb) - rhs), np.abs(rhs), 1e-300)
     return [
-        PropertyResult("geometry", "cross orthogonal to factors", orth, 1e-12),
-        PropertyResult("geometry", "triple product cyclic", cyc, 1e-12),
-        PropertyResult("geometry", "Lagrange identity", lagr, 1e-10),
+        ("cross orthogonal to factors", orth, 1e-12),
+        ("triple product cyclic", cyc, 1e-12),
+        ("Lagrange identity", lagr, 1e-10),
     ]
 
 
@@ -136,24 +138,23 @@ def check_frenet():
     # relative comparison is meaningful only when the torsion is
     # not itself a cancellation residue of a planar curve
     tw = np.abs(xi) >= 1e-3
-    props = [
-        ("orthogonality of {v, n, omega}", 1e-9, worst(
+    return [
+        ("orthogonality of {v, n, omega}", worst(
             np.abs(rowdot(v, n)) / (vm * nm),
             np.abs(rowdot(v, w)) / (vm * wm),
             np.abs(rowdot(n, w)) / (nm * wm),
-        )),
-        ("normal magnitude |n| = |omega||v|", 1e-9, worst(np.abs(nm - wm * vm) / (wm * vm))),
-        ("v from n x omega", 1e-9, worst(rownorm(np.cross(n, w) / (wm**2)[:, None] - v) / vm)),
-        ("omega from v x n", 1e-9, worst(rownorm(np.cross(v, n) / (vm**2)[:, None] - w) / wm)),
-        ("torsion equals arc-length definition", 1e-10, worst(
+        ), 1e-9),
+        ("normal magnitude |n| = |omega||v|", worst(np.abs(nm - wm * vm) / (wm * vm)), 1e-9),
+        ("v from n x omega", worst(rownorm(np.cross(n, w) / (wm**2)[:, None] - v) / vm), 1e-9),
+        ("omega from v x n", worst(rownorm(np.cross(v, n) / (vm**2)[:, None] - w) / wm), 1e-9),
+        ("torsion equals arc-length definition", worst(
             np.abs(tau[tw] - _tau_arclength(v[tw], dv[tw], ddv[tw])) / np.abs(tau[tw])
-        )),
-        ("reconstruction v' = rho v + omega x v", 1e-9, worst(recon)),
-        ("RoCoF decomposition residual", 1e-8, worst(rocof)),
-        ("torsional frequency only with rotation", 0.0, stray_xi),
-        ("planarity of stationary balanced scenarios", 1e-8, worst(np.abs(planar))),
+        ), 1e-10),
+        ("reconstruction v' = rho v + omega x v", worst(recon), 1e-9),
+        ("RoCoF decomposition residual", worst(rocof), 1e-8),
+        ("torsional frequency only with rotation", stray_xi, 0.0),
+        ("planarity of stationary balanced scenarios", worst(np.abs(planar)), 1e-8),
     ]
-    return [PropertyResult("frenet_core", name, value, tol) for name, tol, value in props]
 
 
 def check_threephase():
@@ -167,9 +168,9 @@ def check_threephase():
     worst_omega = _rel(rownorm(cf.omega_vec - b.omega_vec), b.omega_mag, 1e-6)
     worst_xi = _rel(np.abs(cf.xi - b.xi), np.abs(b.xi), 1e-6)
     return [
-        PropertyResult("threephase_forms", "closed-form rho vs Frenet", worst_rho, 1e-6),
-        PropertyResult("threephase_forms", "closed-form omega vs Frenet", worst_omega, 1e-6),
-        PropertyResult("threephase_forms", "closed-form xi vs Frenet", worst_xi, 1e-6),
+        ("closed-form rho vs Frenet", worst_rho, 1e-6),
+        ("closed-form omega vs Frenet", worst_omega, 1e-6),
+        ("closed-form xi vs Frenet", worst_xi, 1e-6),
     ]
 
 
@@ -203,10 +204,10 @@ def check_signals():
     )
     worst_e6 = worst(np.abs(b.rho[:200]), np.abs(b.xi[:200]))
     return [
-        PropertyResult("signals", "analytic first derivative vs FD", worst_d1, 1e-5),
-        PropertyResult("signals", "analytic second derivative vs FD", worst_d2, 1e-5),
-        PropertyResult("signals", "E6 null rho and xi", worst_e6, 1e-8),
-        PropertyResult("signals", "E0-E2 null xi", worst(np.abs(b.xi[200:])), 1e-8),
+        ("analytic first derivative vs FD", worst_d1, 1e-5),
+        ("analytic second derivative vs FD", worst_d2, 1e-5),
+        ("E6 null rho and xi", worst_e6, 1e-8),
+        ("E0-E2 null xi", worst(np.abs(b.xi[200:])), 1e-8),
     ]
 
 
@@ -239,9 +240,9 @@ def check_numdiff():
     causal_leak = float(np.abs(filt.values[:k] - bumped.values[:k]).max())
 
     return [
-        PropertyResult("numdiff", "E0 halved-dt error gain >= 8", worst_conv, 0.0),
-        PropertyResult("numdiff", "E6 numeric vs analytic invariants", worst_num, 5e-3),
-        PropertyResult("numdiff", "low-pass filter causality", causal_leak, 0.0),
+        ("E0 halved-dt error gain >= 8", worst_conv, 0.0),
+        ("E6 numeric vs analytic invariants", worst_num, 5e-3),
+        ("low-pass filter causality", causal_leak, 0.0),
     ]
 
 
@@ -251,10 +252,8 @@ def check_hilbert():
     u = np.cos(2.0 * math.pi * 50.0 * t)
     report = hilbert.geometric_equivalence(hilbert.analytic_embed(t, dt, u))
     return [
-        PropertyResult("hilbert", "embedding omega equals classical phi'",
-                       report.max_rel_dev, hilbert.MAX_REL_DEV),
-        PropertyResult("hilbert", "embedding torsion is zero", report.max_abs_xi,
-                       hilbert.MAX_ABS_XI),
+        ("embedding omega equals classical phi'", report.max_rel_dev, hilbert.MAX_REL_DEV),
+        ("embedding torsion is zero", report.max_abs_xi, hilbert.MAX_ABS_XI),
     ]
 
 
@@ -288,10 +287,9 @@ def check_park():
     w = park.derivative_frame_check(vdq0, dvdq0, signals.W_BASE).omega_vec
     remark7 = worst(np.abs(w[:, :2]), np.abs(w[:, 2] - signals.W_BASE) / signals.W_BASE)
     return [
-        PropertyResult("park", "invariants unchanged by dq0 round trip", round_trip, 1e-9),
-        PropertyResult("park", "sum identity of derivative splits", worst(rep.sum_rel_err),
-                       park.MAX_SUM_REL_ERR),
-        PropertyResult("park", "Remark-7 reduction at synchronous speed", remark7, 1e-9),
+        ("invariants unchanged by dq0 round trip", round_trip, 1e-9),
+        ("sum identity of derivative splits", worst(rep.sum_rel_err), park.MAX_SUM_REL_ERR),
+        ("Remark-7 reduction at synchronous speed", remark7, 1e-9),
     ]
 
 
@@ -307,12 +305,15 @@ _SUITES = {
 
 
 def run(scope="all"):
-    """Run one module's property suite, or all of them; an unknown
+    """The properties of one module's suite, or of all of them in
+    ``_SUITES`` order, each labelled with its suite's key; an unknown
     scope raises InvalidParameter."""
-    if scope == "all":
-        return [res for suite in _SUITES.values() for res in suite()]
-    if scope not in _SUITES:
+    if scope != "all" and scope not in _SUITES:
         raise InvalidParameter(
             f"unknown validation scope {scope!r}; choose one of: all, {', '.join(_SUITES)}"
         )
-    return _SUITES[scope]()
+    return [
+        PropertyResult(module, *row)
+        for module in (_SUITES if scope == "all" else (scope,))
+        for row in _SUITES[module]()
+    ]

@@ -13,10 +13,10 @@ W_O = 100.0 * math.pi
 OMEGA_POS = W_O / math.sqrt(3.0)
 
 
-def scenario_arrays(scenario_id, t0, t1, dt, **overrides):
+def scenario_arrays(scenario_id, t0, t1, dt):
     """Times t0 + k*dt and the exact analytic (N, 3) arrays v, v', v''
     of a preset scenario on that grid."""
-    model = signals.make_scenario(scenario_id, **overrides)
+    model = signals.make_scenario(scenario_id)
     times = t0 + dt * np.arange(int(round((t1 - t0) / dt)) + 1)
     return (times, *signals.eval_arrays(model, times))
 

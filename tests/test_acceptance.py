@@ -36,9 +36,9 @@ def criterion(label):
     return deco
 
 
-def _rows(scenario_id, t0, t1, dt, **overrides):
+def _rows(scenario_id, t0, t1, dt):
     """v, v', v'' of a preset at t0 + k*dt, and their invariants."""
-    v, dv, ddv = scenario_arrays(scenario_id, t0, t1, dt, **overrides)[1:]
+    v, dv, ddv = scenario_arrays(scenario_id, t0, t1, dt)[1:]
     return v, dv, ddv, frenet.invariants_batch(v, dv, ddv)
 
 
@@ -57,13 +57,8 @@ def test_criterion_1_stationary_sequences():
     assert np.all(np.abs(b.xi) <= 1e-9)
     np.testing.assert_allclose(b.omega_vec, np.full_like(b.omega_vec, OMEGA_POS), rtol=1e-6)
     assert np.all(np.abs(b.omega_mag - W_O) <= 1e-9 * W_O)
-    negative = _rows(
-        "E0",
-        0.0,
-        0.1,
-        1e-3,
-        theta0=(0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0),
-    )[3]
+    model = signals.three_phase_model(theta0=(0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0))
+    negative = frenet.invariants_batch(*signals.eval_arrays(model, 1e-3 * np.arange(101)))
     np.testing.assert_allclose(
         negative.omega_vec, np.full_like(negative.omega_vec, -OMEGA_POS), rtol=1e-6
     )

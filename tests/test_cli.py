@@ -53,11 +53,13 @@ def test_generate_row_count_and_header(tmp_path):
     assert len(lines) == 402  # header + 401 samples
 
 
-def test_generate_dc_constant_column(tmp_path):
+# 5 is dc_model's default level, so only 3 shows that --vdc is applied
+@pytest.mark.parametrize("vdc", ["5", "3"])
+def test_generate_dc_constant_column(tmp_path, vdc):
     out = tmp_path / "dc.csv"
-    assert cli.main(["generate", "DC", "--vdc", "5", "--out", str(out)]) == 0
+    assert cli.main(["generate", "DC", "--vdc", vdc, "--out", str(out)]) == 0
     series = cli_io.read_waveform_csv(out)
-    np.testing.assert_array_equal(series.values[:, 0], 5.0)
+    np.testing.assert_array_equal(series.values[:, 0], float(vdc))
     np.testing.assert_array_equal(series.values[:, 1:], 0.0)
 
 

@@ -7,8 +7,9 @@ import geomfreq
 from geomfreq import cli, errors
 from geomfreq.errors import GeomfreqError
 
-# 2 a usage error, 3 bad input; 1 is left to a failed check
+# 2 a usage error, 3 any other error; 1 is left to a failed check
 EXIT_CODES = {
+    "GeomfreqError": 3,
     "InvalidParameter": 2,
     "MalformedCsv": 3,
     "DegenerateInput": 3,
@@ -30,8 +31,7 @@ def test_package_exports_every_error_class():
 
 
 @pytest.mark.parametrize(
-    "cls", [c for c in _defined(errors).values() if c is not GeomfreqError],
-    ids=lambda c: c.__name__,
+    "cls", list(_defined(errors).values()), ids=lambda c: c.__name__,
 )
 def test_each_error_class_exits_with_its_code(monkeypatch, capsys, cls):
     def boom(args):

@@ -106,9 +106,7 @@ def test_invariants_positive_sequence(t):
 
 
 def test_invariants_negative_sequence():
-    model = signals.make_scenario(
-        "E0", theta0=(0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)
-    )
+    model = signals.three_phase_model(theta0=(0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0))
     b = frenet.invariants_batch(*signals.eval_arrays(model, (0.0, 0.007, 0.021)))
     for k in range(3):
         np.testing.assert_allclose(b.omega_vec[k], [-OMEGA_POS] * 3, rtol=1e-6)

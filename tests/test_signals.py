@@ -65,8 +65,6 @@ def test_invalid_parameters():
         signals.dc_model(vdc=-2.0)
     with pytest.raises(InvalidParameter, match="vdc"):
         signals.dc_model(vdc=math.inf)
-    with pytest.raises(InvalidParameter):
-        signals.make_scenario("E0", bogus=1.0)
 
 
 # ---------------------------------------------------------- eval_arrays

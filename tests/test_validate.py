@@ -161,6 +161,21 @@ def test_worst_values_are_the_per_scenario_fold(scope):
     assert got == [(name, repr(w), repr(tol)) for name, w, tol in REFERENCE[scope]()]
 
 
+def test_all_is_every_suite_in_order_labelled_with_its_scope():
+    """``run("all")`` is ``run(s)`` for each suite s in ``_SUITES`` order,
+    field by field, and ``run(s)`` labels each of its results s."""
+
+    def fields(results):
+        return [(r.module, r.name, repr(r.worst), repr(r.tol)) for r in results]
+
+    each = []
+    for scope in validate._SUITES:
+        results = validate.run(scope)
+        assert results and all(r.module == scope for r in results)
+        each += fields(results)
+    assert fields(validate.run("all")) == each
+
+
 def test_worst_keeps_nan_and_folds_nothing_to_zero():
     assert math.isnan(worst(np.array([1.0, np.nan]), 3.0))
     assert math.isnan(worst(2.0, np.array([[0.5], [np.nan]])))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvalidParameter
-from .geometry import rowdot, rownorm
+from .geometry import rowcross, rowdot, rownorm
 
 EPS_V = 1e-9  # V; below this the curve has no defined tangent
 EPS_W = 1e-9  # rad/s; below this the curve is not rotating
@@ -111,12 +111,12 @@ def invariants_batch(v, dv, ddv):
         v_mag = rownorm(v)
         v2 = v_mag * v_mag
         rho = rowdot(v, dv) / v2
-        vxdv = np.cross(v, dv)
+        vxdv = rowcross(v, dv)
         omega_vec = vxdv / v2[:, None]
         omega_mag = rownorm(omega_vec)
         vxdv2 = rowdot(vxdv, vxdv)
-        tau = rowdot(v, np.cross(dv, ddv)) / vxdv2
-        omega_dot = np.cross(v, ddv) / v2[:, None] - 2.0 * rho[:, None] * omega_vec
+        tau = rowdot(v, rowcross(dv, ddv)) / vxdv2
+        omega_dot = rowcross(v, ddv) / v2[:, None] - 2.0 * rho[:, None] * omega_vec
         omega2 = omega_mag**2
         eta = rowdot(omega_vec, omega_dot) / omega2
         kappa = omega_mag / v_mag
@@ -164,8 +164,8 @@ def identity_residuals(v, dv, b):
     rotation; an overflow is for b to flag, and warns of nothing."""
     w = b.omega_vec
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v_split = b.rho[:, None] * v + np.cross(w, v) - dv
-        w_split = b.omega_dot - b.eta[:, None] * w - b.tau[:, None] * np.cross(v, w)
+        v_split = b.rho[:, None] * v + rowcross(w, v) - dv
+        w_split = b.omega_dot - b.eta[:, None] * w - b.tau[:, None] * rowcross(v, w)
         return (rownorm(v_split) / np.maximum(rownorm(dv), EPS_V),
                 rownorm(w_split) / np.maximum(rownorm(b.omega_dot), b.omega_mag))
 

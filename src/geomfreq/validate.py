@@ -12,7 +12,7 @@ threephase_forms and signals suites join every scenario's rows and call
 each kernel once per suite: a row's bits do not depend on the rows
 beside it, and a max over the joined rows is the fold of per-scenario
 maxes, NaN included.  The geometry suite checks the row helpers the
-kernel uses (``rowdot``, ``rownorm`` and ``np.cross``) on 500 random
+kernel uses (``rowdot``, ``rownorm`` and ``rowcross``) on 500 random
 triples at once.  Draws come from fixed seeds (module constants), and
 the hilbert and park suites pass or fail by the bounds those modules
 name, which ``geomfreq hilbert`` and ``geomfreq park`` read too.  The
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import frenet, hilbert, numdiff, park, signals, threephase
 from .errors import InvalidParameter
-from .geometry import rowdot, rownorm
+from .geometry import rowcross, rowdot, rownorm
 
 THREE_PHASE_SCENARIOS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 T_MAX = 2.0  # s, latest sampled instant
@@ -58,11 +58,11 @@ def _sample_times():
 def check_geometry():
     rng = np.random.default_rng(GEOMETRY_SEED)
     a, b, c = np.moveaxis(rng.normal(scale=10.0, size=(500, 3, 3)), 1, 0)
-    axb = np.cross(a, b)
+    axb = rowcross(a, b)
     orth = _rel(np.abs(rowdot(a, axb)), rownorm(a) * rownorm(axb), 1e-300)
-    t1 = rowdot(a, np.cross(b, c))
-    t2 = rowdot(c, np.cross(a, b))
-    t3 = rowdot(b, np.cross(c, a))
+    t1 = rowdot(a, rowcross(b, c))
+    t2 = rowdot(c, rowcross(a, b))
+    t3 = rowdot(b, rowcross(c, a))
     cyc = _rel(np.maximum(np.abs(t1 - t2), np.abs(t1 - t3)), np.abs(t1), 1e-300)
     rhs = rowdot(a, a) * rowdot(b, b) - rowdot(a, b) ** 2
     lagr = _rel(np.abs(rowdot(axb, axb) - rhs), np.abs(rhs), 1e-300)
@@ -118,7 +118,7 @@ def _tau_arclength(v, dv, ddv):
         + 3.0 * dv_scalar**2 * v / vm**5
         - ddv_scalar * v / vm**4
     )
-    return rowdot(xd, np.cross(xdd, xddd)) / rowdot(xdd, xdd)
+    return rowdot(xd, rowcross(xdd, xddd)) / rowdot(xdd, xdd)
 
 
 def check_frenet():
@@ -145,8 +145,8 @@ def check_frenet():
             np.abs(rowdot(n, w)) / (nm * wm),
         ), 1e-9),
         ("normal magnitude |n| = |omega||v|", worst(np.abs(nm - wm * vm) / (wm * vm)), 1e-9),
-        ("v from n x omega", worst(rownorm(np.cross(n, w) / (wm**2)[:, None] - v) / vm), 1e-9),
-        ("omega from v x n", worst(rownorm(np.cross(v, n) / (vm**2)[:, None] - w) / wm), 1e-9),
+        ("v from n x omega", worst(rownorm(rowcross(n, w) / (wm**2)[:, None] - v) / vm), 1e-9),
+        ("omega from v x n", worst(rownorm(rowcross(v, n) / (vm**2)[:, None] - w) / wm), 1e-9),
         ("torsion equals arc-length definition", worst(
             np.abs(tau[tw] - _tau_arclength(v[tw], dv[tw], ddv[tw])) / np.abs(tau[tw])
         ), 1e-10),
@@ -184,7 +184,7 @@ def check_signals():
     h2 = 2.0**-19  # ~1.9e-6 s
     draws = {}
     for _ in range(100):
-        sid = str(rng.choice(THREE_PHASE_SCENARIOS))
+        sid = THREE_PHASE_SCENARIOS[rng.integers(len(THREE_PHASE_SCENARIOS))]
         draws.setdefault(sid, []).append(round(float(rng.uniform(0.01, 2.0)) / h2) * h2)
     jets = []
     for sid, times in draws.items():
@@ -269,16 +269,11 @@ def check_park():
         _rel(np.abs(g0.xi - g1.xi), np.abs(g0.xi), 1.0),
     )
 
-    rng = np.random.default_rng(PARK_SEED)
-    draws = []
-    for _ in range(200):
-        vdq0 = rng.normal(scale=10.0, size=3)
-        dvdq0 = rng.normal(scale=100.0, size=3)
-        if np.linalg.norm(vdq0) < 1e-3:
-            continue
-        draws.append((vdq0, dvdq0, rng.normal()))  # each draw has its own w_dq
-    vdq0, dvdq0, w_dq = (np.array(x) for x in zip(*draws))
-    rep = park.derivative_frame_check(vdq0, dvdq0, w_dq)
+    # 200 draws, one row each: v_dq0, v_hat' and its own w_dq; at
+    # PARK_SEED every |v_dq0| >= 1e-3, away from the origin where the
+    # frame is undefined (tests/test_validate.py checks it)
+    draws = np.random.default_rng(PARK_SEED).standard_normal((200, 7))
+    rep = park.derivative_frame_check(draws[:, :3] * 10.0, draws[:, 3:6] * 100.0, draws[:, 6])
 
     # Remark 7: synchronous balanced frame reproduces the plane-curve result
     t = np.array([0.0125])

@@ -11,7 +11,7 @@ import numpy_reference
 import reference
 from geomfreq import frenet, signals
 from geomfreq.errors import DegenerateInput
-from geomfreq.geometry import rowdot, rownorm
+from geomfreq.geometry import rowcross, rowdot, rownorm
 
 from conftest import OMEGA_POS, W_O, ddv_expansion, scenario_arrays
 
@@ -436,10 +436,15 @@ def test_invariants_is_the_numpy_body_on_random_rows(rng):
         )
 
 
-@given(st.tuples(*(st.floats(allow_nan=False),) * 6))
-def test_cross_is_np_cross_bit_for_bit(c):
+@given(st.lists(st.tuples(*(st.floats(allow_nan=False),) * 6), min_size=2, max_size=8))
+def test_cross_is_np_cross_bit_for_bit(rows):
     # full float range and infinities: products overflow to inf and
-    # inf - inf gives NaN, in the same places as np.cross
-    a, b = np.array(c[:3]), np.array(c[3:])
+    # inf - inf gives NaN, in the same places as np.cross.  _cross takes
+    # two 3-vectors; rowcross also (N, 3) rows, N = 0, 1 and several
+    c = np.array(rows)
+    a, b = c[:, :3], c[:, 3:]
     with np.errstate(all="ignore"):
-        assert frenet._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        assert frenet._cross(a[0], b[0]).tobytes() == np.cross(a[0], b[0]).tobytes()
+        for x, y in ((a[0], b[0]), (a[:0], b[:0]), (a[:1], b[:1]), (a, b)):
+            got, want = rowcross(x, y), np.cross(x, y)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())

@@ -2,8 +2,10 @@
 call over the rows of every scenario.  Their worst values must be the
 fold of per-scenario worst values that the loops below computed, one
 kernel call per scenario, before the rows were joined; the loops are
-kept here only as that reference.  A NaN planted in the rows of the
-first or the last scenario must fail exactly the property it feeds."""
+kept here only as that reference.  The park suite draws its 200 rows
+in one call; its reference draws them one at a time.  A NaN planted in
+the rows of the first or the last scenario must fail exactly the
+property it feeds."""
 
 import dataclasses
 import math
@@ -11,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from geomfreq import frenet, numdiff, signals, threephase, validate
+from geomfreq import frenet, numdiff, park, signals, threephase, validate
 from geomfreq.geometry import rowdot, rownorm
 from geomfreq.validate import (
     THREE_PHASE_SCENARIOS,
@@ -145,10 +147,51 @@ def signals_fold():
     ]
 
 
+def park_draws():
+    """The park suite's draws, one at a time: (v_dq0, v_hat', w_dq) of
+    each draw with |v_dq0| >= 1e-3, and how many draws fell under it."""
+    rng = np.random.default_rng(validate.PARK_SEED)
+    draws, skipped = [], 0
+    for _ in range(200):
+        vdq0 = rng.normal(scale=10.0, size=3)
+        dvdq0 = rng.normal(scale=100.0, size=3)
+        if np.linalg.norm(vdq0) < 1e-3:
+            skipped += 1
+            continue
+        draws.append((vdq0, dvdq0, rng.normal()))  # each draw has its own w_dq
+    return draws, skipped
+
+
+def park_fold():
+    frame = (signals.W_BASE, 0.3)  # w_dq, theta0
+    times = _sample_times()[:40]
+    v, dv, ddv, g0 = _batch(signals.make_scenario("E8"), times)
+    dq = park.to_dq0(times, v, dv, ddv, *frame)
+    g1 = frenet.invariants_batch(*park.from_dq0(times, *dq, *frame))
+    round_trip = worst(
+        _rel(np.abs(g0.rho - g1.rho), np.abs(g0.rho), 1.0),
+        _rel(np.abs(g0.omega_mag - g1.omega_mag), g0.omega_mag, 0.0),
+        _rel(np.abs(g0.xi - g1.xi), np.abs(g0.xi), 1.0),
+    )
+    vdq0, dvdq0, w_dq = (np.array(x) for x in zip(*park_draws()[0]))
+    rep = park.derivative_frame_check(vdq0, dvdq0, w_dq)
+    t = np.array([0.0125])
+    jet = signals.eval_arrays(signals.make_scenario("E0"), t)
+    vdq0, dvdq0, _ = park.to_dq0(t, *jet, signals.W_BASE, -math.pi / 2)
+    w = park.derivative_frame_check(vdq0, dvdq0, signals.W_BASE).omega_vec
+    remark7 = worst(np.abs(w[:, :2]), np.abs(w[:, 2] - signals.W_BASE) / signals.W_BASE)
+    return [
+        ("invariants unchanged by dq0 round trip", round_trip, 1e-9),
+        ("sum identity of derivative splits", worst(rep.sum_rel_err), park.MAX_SUM_REL_ERR),
+        ("Remark-7 reduction at synchronous speed", remark7, 1e-9),
+    ]
+
+
 REFERENCE = {
     "frenet_core": frenet_fold,
     "threephase_forms": threephase_fold,
     "signals": signals_fold,
+    "park": park_fold,
 }
 
 
@@ -159,6 +202,19 @@ def test_worst_values_are_the_per_scenario_fold(scope):
     assert {r.module for r in results} == {scope}
     got = [(r.name, repr(r.worst), repr(r.tol)) for r in results]
     assert got == [(name, repr(w), repr(tol)) for name, w, tol in REFERENCE[scope]()]
+
+
+def test_no_park_draw_falls_under_the_filter():
+    """The suite takes all 200 rows, where the loop skips a draw with
+    |v_dq0| < 1e-3 (and its w_dq with it): the two see the same draws,
+    bit for bit, only while no draw at PARK_SEED is skipped."""
+    draws, skipped = park_draws()
+    assert skipped == 0
+    rows = np.random.default_rng(validate.PARK_SEED).standard_normal((200, 7))
+    assert np.all(rownorm(rows[:, :3] * 10.0) >= 1e-3)
+    assert [x.tobytes() for draw in draws for x in map(np.asarray, draw)] == [
+        x.tobytes() for row in rows for x in (row[:3] * 10.0, row[3:6] * 100.0, row[6])
+    ]
 
 
 def test_all_is_every_suite_in_order_labelled_with_its_scope():

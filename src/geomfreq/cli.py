@@ -176,6 +176,9 @@ def cmd_park(args):
 
 
 def cmd_hilbert(args):
+    """The embedding report of a --csv channel, or of the tone cos(2 pi freq t)
+    on [0, t1): channel 0 of ``signals.single_phase_model``, so refused past
+    ``geometry.MAX_ANGLE``.  A short file is a format error, a short range a usage error."""
     if args.csv:
         _refuse(args, "by hilbert --csv", "freq", "t1", "dt")
         channel = _param(args, {}, "channel", 0)
@@ -188,9 +191,8 @@ def cmd_hilbert(args):
         dt = _param(args, {}, "dt", 1e-4, _check_positive)
         freq = _param(args, {}, "freq", 50.0, _check_positive)
         times = signals.sample_times(0.0, _param(args, {}, "t1", 0.4096), dt)[:-1]  # half-open
-        u = np.cos(2.0 * math.pi * freq * times)
+        u = signals.eval_arrays(signals.single_phase_model(1.0, 2.0 * math.pi * freq), times)[0][:, 0]
     if u.size < hilbert.MIN_LENGTH:
-        # a short file is a format error, a short synthetic range a usage error
         error, source = (MalformedCsv, args.csv) if args.csv else (InvalidParameter, "--t1/--dt")
         raise error(
             f"{source}: the Hilbert transform needs at least "

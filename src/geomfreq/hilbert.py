@@ -100,10 +100,7 @@ def geometric_equivalence(embedded):
     times, v, dv, ddv = differentiate_arrays(embedded)
     n = times.size
 
-    rho = np.empty(n)
-    omega_mag = np.empty(n)
-    omega_z = np.empty(n)
-    xi = np.empty(n)
+    rho, omega_mag, omega_z, xi = np.empty((4, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             rho[k], omega_vec, omega_mag[k], xi[k] = invariants(v[k], dv[k], ddv[k])
@@ -115,13 +112,5 @@ def geometric_equivalence(embedded):
     dev = np.abs(omega_z[mid] - phi_dot[mid]) / np.maximum(
         np.abs(phi_dot[mid]), EPS_PHI_DOT
     )
-    return EquivalenceReport(
-        times=times,
-        rho=rho,
-        omega_mag=omega_mag,
-        omega_z=omega_z,
-        xi=xi,
-        phi_dot=phi_dot,
-        max_rel_dev=float(dev.max()),
-        max_abs_xi=float(np.abs(xi).max()),
-    )
+    return EquivalenceReport(times, rho, omega_mag, omega_z, xi, phi_dot,
+                             float(dev.max()), float(np.abs(xi).max()))

@@ -22,8 +22,8 @@ MIN_SAMPLES = 2 * TRIM + 1  # the fewest samples the stencils take
 def stencil_derivatives(values, dt):
     """First and second derivatives of sampled columns.
 
-    Returns (d1, d2) for the interior samples values[TRIM:-TRIM].
-    """
+    Returns (d1, d2) for the interior samples values[TRIM:-TRIM].  Raises
+    FloatOverflow when the step's square overflows float64."""
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     if n < MIN_SAMPLES:
@@ -34,7 +34,10 @@ def stencil_derivatives(values, dt):
     f3 = values[3:-1]
     f4 = values[4:]
     d1 = (f0 - 8.0 * f1 + 8.0 * f3 - f4) / (12.0 * dt)
-    d2 = (-f0 + 16.0 * f1 - 30.0 * f2 + 16.0 * f3 - f4) / (12.0 * dt**2)
+    try:  # dt**2 is libm pow, whose bits the outputs keep: dt * dt can round apart
+        d2 = (-f0 + 16.0 * f1 - 30.0 * f2 + 16.0 * f3 - f4) / (12.0 * dt**2)
+    except OverflowError:  # a float's ** raises where a product gives inf
+        raise FloatOverflow(f"the stencil step dt = {dt} s squared overflows float64") from None
     return d1, d2
 
 

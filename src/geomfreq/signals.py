@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import FloatOverflow, InvalidParameter
 from .geometry import MAX_ANGLE
 from .series import TimeSeries
 from .threephase import PhaseJet
@@ -103,19 +103,23 @@ def _component_jets(model, times):
 
 def eval_arrays(model, times):
     """Exact analytic v, v', v'' at each of N times (a time is N = 1), as
-    (N, 3) arrays."""
+    (N, 3) arrays.  Raises FloatOverflow where one leaves the float64 range."""
     times = np.ravel(np.asarray(times, dtype=np.float64))
     out = np.zeros((3, times.size, 3))
     for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(model, times):
         s, c = np.sin(th), np.cos(th)
-        terms = np.array((
-            m * s,
-            dm * s + m * dth * c,
-            (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c,
-        ))
         acc = out[:, rows].transpose(0, 2, 1)  # a view: derivative, channel, time
-        for k, ch in enumerate(model._table[0]):
-            acc[:, ch] += terms[:, k]  # in component order from zero, as a per-channel sum
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                terms = np.array((
+                    m * s,
+                    dm * s + m * dth * c,
+                    (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c,
+                ))
+                for k, ch in enumerate(model._table[0]):
+                    acc[:, ch] += terms[:, k]  # in component order from zero, as a per-channel sum
+        except FloatingPointError:
+            raise FloatOverflow("the signal's derivatives overflow float64") from None
     return out[0], out[1], out[2]
 
 
@@ -164,9 +168,9 @@ def sample_times(t0, t1, dt):
     if not dt > 0:
         raise InvalidParameter(f"dt must be positive, got {dt}")
     span = (t1 - t0) / dt
-    if not 0.5 < span < math.inf:  # fewer than 2 samples, NaN or infinite
+    n = int(round(span)) + 1 if 0.5 < span < math.inf else 0  # 0 for a NaN or infinite span
+    if n < 2 or not math.isfinite(t0 + dt * (n - 1)):  # the last point, as numpy forms it
         raise InvalidParameter(f"bad range [{t0}, {t1}] with dt {dt}")
-    n = int(round(span)) + 1
     if n > MAX_SAMPLES:
         raise InvalidParameter(
             f"range [{t0}, {t1}] with dt {dt} needs more than "

@@ -444,9 +444,9 @@ def test_park_and_hilbert_csv_cells(tmp_path):
     out = tmp_path / "hb.csv"
     assert cli.main(["hilbert", "--t1", "0.01", "--dt", "1e-4", "--out", str(out)]) == 0
     t = signals.sample_times(0.0, 0.01, 1e-4)[:-1]
-    rep = hilbert.geometric_equivalence(
-        hilbert.analytic_embed(t, 1e-4, np.cos(2.0 * math.pi * 50.0 * t))
-    )
+    # the tone is channel 0 of the single-phase model, sin(w t + pi/2)
+    u = signals.eval_arrays(signals.single_phase_model(1.0, 2.0 * math.pi * 50.0), t)[0][:, 0]
+    rep = hilbert.geometric_equivalence(hilbert.analytic_embed(t, 1e-4, u))
     rows = zip(rep.times, rep.rho, rep.omega_mag, rep.xi, rep.phi_dot)
     assert out.read_bytes() == _csv_bytes(("t", "rho", "w", "xi", "phi_dot"), rows)
 
@@ -463,10 +463,10 @@ def _waveform(path, rows, cell="1.0"):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _recording(phases, rows=64):
-    """Lines of a waveform CSV whose k-th sample is ``phases(k)``."""
+def _recording(phases, rows=64, dt=1e-4):
+    """Lines of a waveform CSV whose k-th sample, at k dt, is ``phases(k)``."""
     return ["t,va,vb,vc\n"] + [
-        ",".join(map(repr, (k * 1e-4, *phases(k)))) + "\n" for k in range(rows)
+        ",".join(map(repr, (k * dt, *phases(k)))) + "\n" for k in range(rows)
     ]
 
 
@@ -488,6 +488,9 @@ BAD_INPUT = [
     ("park-t1-negative", ["park", "--scenario", "E0", "--t1=-1"], 2, "bad range"),
     ("hilbert-t1-nan", ["hilbert", "--t1", "nan"], 2, "bad range"),
     ("hilbert-t1-inf", ["hilbert", "--t1", "inf"], 2, "bad range"),
+    # a grid whose last point, rounded to the nearest t1, overflows float64
+    ("generate-last-point-overflow", ["generate", "DC", "--t1", "1.5e308", "--dt", "1e308"], 2,
+     "bad range"),
     # filter time constant: positive and finite, checked before the filter runs
     ("filter-tau-zero", ["analyze", "--csv", "{good}", "--filter-tau", "0"], 2,
      "--filter-tau"),
@@ -504,6 +507,15 @@ BAD_INPUT = [
     ("hilbert-freq-zero", ["hilbert", "--freq", "0"], 2, "--freq"),
     ("hilbert-freq-negative", ["hilbert", "--freq", "-50"], 2, "--freq"),
     ("hilbert-freq-inf", ["hilbert", "--freq", "inf"], 2, "--freq"),
+    # the test tone is built by signals, which refuses an angle past
+    # geometry.MAX_ANGLE (1e12 Hz passed on 2.6e12 rad; 1e308 Hz leaked
+    # two RuntimeWarnings before its exit 2)
+    ("hilbert-freq-angle-past-bound", ["hilbert", "--freq", "1e12"], 2,
+     "signal angle 2.57296e+12 rad is past geometry.MAX_ANGLE"),
+    ("hilbert-freq-angle-overflow", ["hilbert", "--freq", "1e308"], 2, "geometry.MAX_ANGLE"),
+    # an angle within the bound at a rate whose square overflows float64
+    ("hilbert-freq-rate-overflow", ["hilbert", "--freq", "1e200", "--t1", "1e-195",
+                                    "--dt", "1e-198"], 3, "signal's derivatives overflow float64"),
     # DC level: non-negative and finite, checked before sampling
     ("generate-vdc-inf", ["generate", "DC", "--vdc", "inf"], 2, "vdc"),
     ("generate-vdc-nan", ["generate", "DC", "--vdc", "nan"], 2, "vdc"),
@@ -586,6 +598,12 @@ BAD_INPUT = [
      "derivatives of the samples overflow float64"),
     ("hilbert-csv-overflow-transform", ["hilbert", "--csv", "{huge_1e307}"], 3,
      "Hilbert transform overflows float64"),
+    # a step whose square overflows float64 (a float's ** raised
+    # OverflowError, a traceback with exit 1)
+    ("csv-overflow-step-square", ["analyze", "--csv", "{step_2e154}"], 3,
+     "stencil step dt = 2e+154 s squared overflows float64"),
+    ("hilbert-csv-overflow-step-square", ["hilbert", "--csv", "{step_2e154}"], 3,
+     "stencil step dt = 2e+154 s squared overflows float64"),
     # the zero-sequence removal or the low-pass filter of finite samples
     # overflows: the same one finiteness check as a recording's samples
     ("csv-overflow-zero-sequence", ["analyze", "--csv", "{huge_sum}", "--remove-zero-seq"], 3,
@@ -661,6 +679,7 @@ def bad_input_argv(argv, tmp_path):
         "huge_1e305": _recording(lambda k: (1e305 * math.cos(0.3 * k), 0.0, 0.0)),
         "huge_1e307": _recording(lambda k: (1e307 * math.cos(0.3 * k), 0.0, 0.0)),
         "huge_sum": _recording(lambda k: ((-1) ** (k + 1) * 1e308, -1.5e308, -1.5e308)),
+        "step_2e154": _recording(lambda k: (math.cos(0.3 * k), 0.0, 0.0), dt=2e154),
         "balanced_1e80": _recording(
             lambda k: [1e80 * math.cos(W_O * k * 1e-4 - p) for p in (0.0, 2.0944, -2.0944)]
         ),

@@ -85,6 +85,25 @@ def test_stencil_overflow_is_raised():
         numdiff.differentiate_arrays(_series(values, 1e-4))
 
 
+def test_stencil_step_square_overflow_is_raised():
+    # a float's ** raises OverflowError past a step of about 1.34e154 s;
+    # that is an overflow of the input's scale, named by its step
+    values = np.cos(0.3 * np.arange(64))[:, None] * [1.0, 0.0, 0.0]
+    with pytest.raises(FloatOverflow, match=r"step dt = 2e\+154 s squared overflows"):
+        numdiff.differentiate_arrays(_series(values, 2e154))
+    assert np.isfinite(numdiff.differentiate_arrays(_series(values, 1e154))[3]).all()
+
+
+def test_stencil_second_derivative_divides_by_the_pow_square():
+    # dt**2 is libm pow, which can round one ulp apart from dt * dt: with
+    # glibc, 12 dt**2 and 12 (dt * dt) differ at dt = 0.0588.  The second
+    # derivative keeps the pow bits that every output was written with
+    dt = 0.0588
+    f = np.cos(0.3 * np.arange(5.0))
+    d2 = numdiff.stencil_derivatives(f, dt)[1]
+    assert d2[0] == (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * dt**2)
+
+
 @pytest.mark.parametrize(
     "derive",
     [numdiff.remove_zero_sequence, lambda s: numdiff.lowpass_first_order(s, 2e-4)],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geomfreq import frenet, numdiff, signals
-from geomfreq.errors import InvalidParameter
+from geomfreq.errors import FloatOverflow, InvalidParameter
 from geomfreq.geometry import MAX_ANGLE
 from geomfreq.threephase import PhaseJet
 
@@ -115,6 +115,21 @@ def test_sample_times_grid_cap(monkeypatch):
     assert signals.sample_times(0.0, 10.0, 1.0).size == 11
     with pytest.raises(InvalidParameter, match="MAX_SAMPLES"):
         signals.sample_times(0.0, 11.0, 1.0)
+
+
+def test_sample_times_last_point_within_float64():
+    # 1.5 steps round to 2: the last point, 2e308, would overflow
+    with pytest.raises(InvalidParameter, match="bad range"):
+        signals.sample_times(0.0, 1.5e308, 1e308)
+    assert signals.sample_times(0.0, 1.4e308, 1e308).tolist() == [0.0, 1e308]
+
+
+def test_derivative_overflow_is_raised_without_a_warning():
+    # the angle stays within the bound, but the rate 2 pi 1e200 rad/s
+    # squares past float64 in v'' (pytest turns a RuntimeWarning into an error)
+    model = signals.single_phase_model(1.0, 2.0 * math.pi * 1e200)
+    with pytest.raises(FloatOverflow, match="signal's derivatives overflow float64"):
+        signals.eval_arrays(model, [0.0, 1e-198])
 
 
 def test_sample_long_window_finite():

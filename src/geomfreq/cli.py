@@ -176,9 +176,9 @@ def cmd_park(args):
 
 
 def cmd_hilbert(args):
-    """The embedding report of a --csv channel, or of the tone cos(2 pi freq t)
-    on [0, t1): channel 0 of ``signals.single_phase_model``, so refused past
-    ``geometry.MAX_ANGLE``.  A short file is a format error, a short range a usage error."""
+    """The embedding report of a --csv channel, or of the tone cos(2 pi freq t) on [0, t1):
+    channel 0 of ``signals.single_phase_model``, so refused past ``geometry.MAX_ANGLE``, and
+    refused at or past Nyquist.  A short file is a format error, a short range a usage error."""
     if args.csv:
         _refuse(args, "by hilbert --csv", "freq", "t1", "dt")
         channel = _param(args, {}, "channel", 0)
@@ -192,12 +192,12 @@ def cmd_hilbert(args):
         freq = _param(args, {}, "freq", 50.0, _check_positive)
         times = signals.sample_times(0.0, _param(args, {}, "t1", 0.4096), dt)[:-1]  # half-open
         u = signals.eval_arrays(signals.single_phase_model(1.0, 2.0 * math.pi * freq), times)[0][:, 0]
+        if freq * dt >= 0.5:  # at or past Nyquist the samples are those of a lower tone
+            raise InvalidParameter(f"--freq {freq} is at or past the Nyquist limit 0.5/--dt = {0.5 / dt:.6g}")
     if u.size < hilbert.MIN_LENGTH:
         error, source = (MalformedCsv, args.csv) if args.csv else (InvalidParameter, "--t1/--dt")
-        raise error(
-            f"{source}: the Hilbert transform needs at least "
-            f"{hilbert.MIN_LENGTH} samples, got {u.size}"
-        )
+        raise error(f"{source}: the Hilbert transform needs at least "
+                    f"{hilbert.MIN_LENGTH} samples, got {u.size}")
     report = hilbert.geometric_equivalence(hilbert.analytic_embed(times, dt, u))
     if args.out:
         cli_io.write_table(

@@ -22,14 +22,13 @@ of ``frenet.identity_residuals`` on the dq0 rows, which
 ``MAX_SUM_REL_ERR`` bounds for ``geomfreq park`` and ``validate`` alike.
 
 A dq0 jet is the plain triple (v_dq0, v_hat', v_hat'') of ``to_dq0``,
-which ``from_dq0`` takes back.  Every function takes one instant or N
-at once: a time t of shape () or (N,), and array-likes of shape (3,) or
-(N, 3), components last.  N instants give the same bits as N calls.
-The frame is ``w_dq`` (rad/s; a float or one speed per instant) and,
-where the angle is read, ``theta0`` (rad, default 0).  Its axes are
-written once, in ``inverse_park_matrix``; ``park_matrix`` is
-diag(2/3, 2/3, 1/3) times that transpose, made C-contiguous because a
-strided operand rounds differently in ``@``.
+which ``from_dq0`` takes back.  Every function takes times of shape
+(N,) and rows of shape (N, 3), and refuses any other shape.  The frame
+is ``w_dq`` (rad/s; a float or one speed per row) and, where the angle
+is read, ``theta0`` (rad, default 0).  Its axes are written once, in
+``inverse_park_matrix``; ``park_matrix`` is diag(2/3, 2/3, 1/3) times
+that transpose, made C-contiguous because a strided operand rounds
+differently in ``@``.
 """
 
 import math
@@ -54,13 +53,13 @@ class FrameCheckReport:
     """rho and omega of the voltage curve in dq0 components, and the
     comparison of the rotation-split and geometric-split derivatives."""
 
-    rho: float  # float, or (N,) array
-    omega_vec: np.ndarray  # dq0 components, (3,) or (N, 3)
-    delta_omega: float  # float, or (N,) array: deviation from frame speed; NaN if not balanced
-    balanced: bool  # bool, or (N,) array: v_o = 0 and v_o' = 0, to the balance tolerance
-    sum_rel_err: float  # float, or (N,) array: frenet.identity_residuals' reconstruction residual
-    terms_equal: bool  # bool, or (N,) array: v_hat' == rho v componentwise
-    balanced_identity_err: float  # float, or (N,) array: |v_hat' - rho v - dw e_o x v| / |v'|
+    rho: np.ndarray
+    omega_vec: np.ndarray  # dq0 components, (N, 3)
+    delta_omega: np.ndarray  # deviation from frame speed; NaN if not balanced
+    balanced: np.ndarray  # v_o = 0 and v_o' = 0, to the balance tolerance
+    sum_rel_err: np.ndarray  # frenet.identity_residuals' reconstruction residual
+    terms_equal: np.ndarray  # v_hat' == rho v componentwise
+    balanced_identity_err: np.ndarray  # |v_hat' - rho v - dw e_o x v| / |v'|
 
 
 def inverse_park_matrix(theta):
@@ -75,14 +74,24 @@ def park_matrix(theta):
     return np.ascontiguousarray(_SCALE * np.swapaxes(inverse_park_matrix(theta), -1, -2))
 
 
+def _rows(t, *xs):
+    """t (None for no times) as (N,) and each x as (N, 3) float64 arrays."""
+    t, *xs = (x if x is None else np.asarray(x, dtype=np.float64) for x in (t, *xs))
+    n = xs[0].shape[:1]
+    if any(x.shape != (*n, 3) for x in xs) or t is not None and t.shape != n:
+        got = ", ".join(str(x.shape) for x in (t, *xs) if x is not None)
+        raise InvalidParameter(f"park takes (N,) times and (N, 3) rows, got shapes {got}")
+    return t, xs
+
+
 def _apply(M, x):
-    """M x for stacks of 3x3 matrices and 3-vectors."""
-    return (M @ np.asarray(x)[..., None])[..., 0]
+    """M x for stacks of 3x3 matrices and rows."""
+    return (M @ x[..., None])[..., 0]
 
 
 def _spin(w, x):
     """(w e_o) x x: the rotation term of a frame spinning at w about e_o."""
-    x_d, x_q, _ = np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0)
+    x_d, x_q, _ = x.T
     return np.stack([-w * x_q, w * x_d, np.zeros_like(w * x_d)], axis=-1)
 
 
@@ -94,14 +103,14 @@ def to_dq0(t, v, dv, ddv, w_dq, theta0=0.0):
     Raises InvalidParameter for a frame angle past geometry.MAX_ANGLE,
     FloatOverflow on overflow.
     """
+    t, (v, dv, ddv) = _rows(t, v, dv, ddv)
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = w_dq * np.asarray(t) + theta0
+        theta = w_dq * t + theta0
         worst = np.max(np.abs(theta), initial=0.0)
         if not worst <= MAX_ANGLE:
             raise InvalidParameter(f"frame angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
         P = park_matrix(theta)
-        vdq0 = _apply(P, v)
-        dv = _apply(P, dv)
+        vdq0, dv = _apply(P, v), _apply(P, dv)
         dvdq0 = dv - _spin(w_dq, vdq0)
         ddvdq0 = _apply(P, ddv) - _spin(w_dq, dv + dvdq0)
     if not (np.isfinite(dvdq0).all() and np.isfinite(ddvdq0).all()):
@@ -111,6 +120,7 @@ def to_dq0(t, v, dv, ddv, w_dq, theta0=0.0):
 
 def from_dq0(t, vdq0, dvdq0, ddvdq0, w_dq, theta0=0.0):
     """Inverse of ``to_dq0``: abc (v, v', v'') at times t."""
+    t, (vdq0, dvdq0, ddvdq0) = _rows(t, vdq0, dvdq0, ddvdq0)
     Q = inverse_park_matrix(w_dq * t + theta0)
     dv = inertial_derivative(vdq0, dvdq0, w_dq)
     ddv = ddvdq0 + _spin(w_dq, dv + dvdq0)
@@ -119,7 +129,8 @@ def from_dq0(t, vdq0, dvdq0, ddvdq0, w_dq, theta0=0.0):
 
 def inertial_derivative(vdq0, dvdq0, w_dq):
     """v' = v_hat' + r x v in dq0 components, r = w_dq e_o."""
-    return np.asarray(dvdq0, dtype=np.float64) + _spin(w_dq, vdq0)
+    _, (vdq0, dvdq0) = _rows(None, vdq0, dvdq0)
+    return dvdq0 + _spin(w_dq, vdq0)
 
 
 def derivative_frame_check(vdq0, dvdq0, w_dq):
@@ -144,30 +155,24 @@ def derivative_frame_check(vdq0, dvdq0, w_dq):
     so v_hat' = rho v + delta_omega e_o x v as well.  Elsewhere
     delta_omega and ``balanced_identity_err`` are NaN.
     """
-    v, v_hat_prime = np.asarray(vdq0, dtype=np.float64), np.asarray(dvdq0, dtype=np.float64)
+    _, (v, v_hat_prime) = _rows(None, vdq0, dvdq0)
     inertial = inertial_derivative(v, v_hat_prime, w_dq)
-    rows, inertial_rows = v.reshape(-1, 3), inertial.reshape(-1, 3)
     # v'' = 0 stands in: rho and omega do not depend on it
-    b = frenet.invariants_batch(rows, inertial_rows, np.zeros_like(rows))
+    b = frenet.invariants_batch(v, inertial, np.zeros_like(v))
     for bad, error, what in ((b.degenerate, DegenerateInput, f"|v| <= {EPS_V}"),
                              (b.overflow, FloatOverflow, "invariants overflow float64")):
         if bad.any():
             raise error(f"dq0 {what} at {np.count_nonzero(bad)} of {bad.size} instants")
-    v_mag = b.v_mag.reshape(v.shape[:-1])
-    vd, vq, _ = np.moveaxis(v, -1, 0)
-    dvd, dvq, _ = np.moveaxis(v_hat_prime, -1, 0)
-    rho, omega_vec = b.rho.reshape(v_mag.shape)[()], b.omega_vec.reshape(v.shape)
-    sym = rho[..., None] * v
-    reconstruction = frenet.identity_residuals(rows, inertial_rows, b)[0]
+    sym = b.rho[:, None] * v
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inertial_mag = rownorm(inertial)
-        balanced = np.abs(v[..., 2]) <= BALANCE_TOL * v_mag
-        balanced &= np.abs(inertial[..., 2]) <= BALANCE_TOL * inertial_mag
-        delta_omega = np.where(balanced, phase_rate(vd, vq, dvd, dvq), np.nan)[()]
+        balanced = np.abs(v[:, 2]) <= BALANCE_TOL * b.v_mag
+        balanced &= np.abs(inertial[:, 2]) <= BALANCE_TOL * inertial_mag
+        delta_omega = np.where(balanced, phase_rate(*v.T[:2], *v_hat_prime.T[:2]), np.nan)
         scale = np.maximum(inertial_mag, EPS_V)
         return FrameCheckReport(
-            rho=rho, omega_vec=omega_vec, delta_omega=delta_omega, balanced=balanced,
-            sum_rel_err=reconstruction.reshape(v_mag.shape)[()],
+            rho=b.rho, omega_vec=b.omega_vec, delta_omega=delta_omega, balanced=balanced,
+            sum_rel_err=frenet.identity_residuals(v, inertial, b)[0],
             terms_equal=rownorm(v_hat_prime - sym) <= TERM_TOL * scale,
             balanced_identity_err=rownorm(v_hat_prime - (sym + _spin(delta_omega, v))) / scale,
         )

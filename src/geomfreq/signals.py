@@ -98,6 +98,7 @@ def _component_jets(model, times):
             yield slice(lo, lo + t.size), magnitude.eval(t) + th
     bad = ~(worst <= MAX_ANGLE)
     if bad.any():
+        worst[np.isnan(worst)] = np.inf  # inf * 0 at t = 0 leaves a NaN angle
         raise InvalidParameter(f"signal angle {worst[bad.argmax()]:.6g} rad is past geometry.MAX_ANGLE = 2**33")
 
 

@@ -178,19 +178,20 @@ def test_criterion_9_hilbert_equivalence():
 def test_criterion_10_park_suite():
     model = signals.make_scenario("E0")
     for t in (0.0, 0.0051, 0.023):
-        v, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
+        t = np.array([t])  # one instant: (1,) times and (1, 3) rows
+        v, dv, ddv = signals.eval_arrays(model, t)
         vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, W_O, -math.pi / 2.0)  # synchronous
         rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
-        assert abs(rep.delta_omega) <= 1e-6
-        assert rep.terms_equal
+        assert abs(rep.delta_omega[0]) <= 1e-6
+        assert rep.terms_equal[0]
         # Clarke special case (w_dq = 0): no rotation term at all
         vdq0, dvdq0, _ = park.to_dq0(t, v, dv, ddv, 0.0)
         np.testing.assert_array_equal(park.inertial_derivative(vdq0, dvdq0, 0.0), dvdq0)
     rng = np.random.default_rng(10)
     for _ in range(200):
-        vdq0, dvdq0 = rng.normal(scale=10.0, size=(2, 3))
+        vdq0, dvdq0 = rng.normal(scale=10.0, size=(2, 1, 3))
         rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
-        assert rep.sum_rel_err <= 1e-9
+        assert rep.sum_rel_err[0] <= 1e-9
 
 
 @criterion("criterion 11: filtered numeric analysis flags imbalance onset")

@@ -437,8 +437,8 @@ def test_park_and_hilbert_csv_cells(tmp_path):
     model = signals.make_scenario("E8")
     rows = []
     for t in signals.sample_times(0.0, 0.01, 1e-3).tolist():
-        v, dv, ddv = (x[0] for x in signals.eval_arrays(model, (t,)))
-        rows.append((t, *park.to_dq0(t, v, dv, ddv, w_dq, 0.3)[0]))
+        t_row = np.array([t])  # one instant: (1,) times and (1, 3) rows
+        rows.append((t, *park.to_dq0(t_row, *signals.eval_arrays(model, t_row), w_dq, 0.3)[0][0]))
     assert out.read_bytes() == _csv_bytes(("t", "vd", "vq", "vo"), rows)
 
     out = tmp_path / "hb.csv"
@@ -509,10 +509,18 @@ BAD_INPUT = [
     ("hilbert-freq-inf", ["hilbert", "--freq", "inf"], 2, "--freq"),
     # the test tone is built by signals, which refuses an angle past
     # geometry.MAX_ANGLE (1e12 Hz passed on 2.6e12 rad; 1e308 Hz leaked
-    # two RuntimeWarnings before its exit 2)
+    # two RuntimeWarnings before its exit 2); the 1e308 Hz rate overflows
+    # to inf, and its NaN angle inf * 0 at t = 0 is reported as inf
     ("hilbert-freq-angle-past-bound", ["hilbert", "--freq", "1e12"], 2,
      "signal angle 2.57296e+12 rad is past geometry.MAX_ANGLE"),
-    ("hilbert-freq-angle-overflow", ["hilbert", "--freq", "1e308"], 2, "geometry.MAX_ANGLE"),
+    ("hilbert-freq-angle-overflow", ["hilbert", "--freq", "1e308"], 2,
+     "signal angle inf rad is past geometry.MAX_ANGLE"),
+    # a tone at or past the Nyquist frequency 0.5/dt: its samples are those
+    # of a lower tone (7000 Hz at 1e-4 s passed with |omega| at 2174 Hz)
+    ("hilbert-freq-past-nyquist", ["hilbert", "--freq", "7000"], 2,
+     "--freq 7000.0 is at or past the Nyquist limit 0.5/--dt = 5000"),
+    ("hilbert-freq-at-nyquist", ["hilbert", "--freq", "5000"], 2,
+     "--freq 5000.0 is at or past the Nyquist limit 0.5/--dt = 5000"),
     # an angle within the bound at a rate whose square overflows float64
     ("hilbert-freq-rate-overflow", ["hilbert", "--freq", "1e200", "--t1", "1e-195",
                                     "--dt", "1e-198"], 3, "signal's derivatives overflow float64"),

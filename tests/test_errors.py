@@ -1,6 +1,8 @@
 """One error class per kind of failure, each exported by the package and
 mapped by ``cli.main`` to one exit code."""
 
+import inspect
+
 import pytest
 
 import geomfreq
@@ -28,6 +30,16 @@ def _defined(module):
 
 def test_package_exports_every_error_class():
     assert _defined(geomfreq) == _defined(errors)
+    # and nothing else but its version and its own submodules: every
+    # function has one import path, from its module
+    public = {
+        name
+        for name, obj in vars(geomfreq).items()
+        if not name.startswith("_")
+        and not (inspect.ismodule(obj) and obj.__name__ == f"geomfreq.{name}")
+    }
+    assert public == set(_defined(errors))
+    assert isinstance(geomfreq.__version__, str)
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,9 @@ ASYNC = (0.7 * W_O, 0.3)
 
 
 def _jet(sid, t):
-    """(t, v, v', v'') of a preset at one time, with 3-vectors."""
-    return (t, *(x[0] for x in signals.eval_arrays(signals.make_scenario(sid), (t,))))
+    """(t, v, v', v'') of a preset at one time, as (1,) times and (1, 3) rows."""
+    t = np.array([t])
+    return (t, *signals.eval_arrays(signals.make_scenario(sid), t))
 
 
 def _e0_jet(t):
@@ -59,7 +60,7 @@ def test_park_matrix_inverts_inverse_park_matrix(theta):
 def test_synchronous_balanced_is_constant():
     for t in (0.0, 0.0042, 0.017):
         _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(t), *SYNC)
-        np.testing.assert_allclose(vdq0, [12.0, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(vdq0, [[12.0, 0.0, 0.0]], atol=1e-9)
         np.testing.assert_allclose(dvdq0, 0.0, atol=1e-6)
 
 
@@ -67,13 +68,13 @@ def test_clarke_case_rotates_at_signal_frequency():
     for t in (0.0, 0.003):
         _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(t), 0.0)
         rep = park.derivative_frame_check(vdq0, dvdq0, 0.0)
-        assert rep.delta_omega == pytest.approx(W_O, rel=1e-9)
+        assert rep.delta_omega[0] == pytest.approx(W_O, rel=1e-9)
 
 
 def test_zero_input_zero_output():
-    _, vdq0, dvdq0, ddvdq0 = _to_dq0((0.1, np.zeros(3), np.zeros(3), np.zeros(3)), *SYNC)
+    _, vdq0, dvdq0, ddvdq0 = _to_dq0((np.array([0.1]), *np.zeros((3, 1, 3))), *SYNC)
     for x in (vdq0, dvdq0, ddvdq0):
-        np.testing.assert_array_equal(x, [0, 0, 0])
+        np.testing.assert_array_equal(x, [[0, 0, 0]])
 
 
 def test_round_trip_restores_jet():
@@ -100,23 +101,55 @@ def test_rotating_derivatives_match_finite_differences():
 @pytest.mark.parametrize("frame", [SYNC, ASYNC], ids=["sync", "async"])
 @pytest.mark.parametrize("sid", ["E0", "E5", "E8"])
 def test_n_instants_equal_n_single_instants(sid, frame):
+    # a row's bits do not depend on the rows beside it: N rows against
+    # their (1, 3) slices, one instant each
     times = np.linspace(0.0, 1.9, 37)
     v, dv, ddv = signals.eval_arrays(signals.make_scenario(sid), times)
     dq = park.to_dq0(times, v, dv, ddv, *frame)
     back = park.from_dq0(times, *dq, *frame)
     rep = park.derivative_frame_check(*dq[:2], frame[0])
-    for k, t in enumerate(times.tolist()):
-        one = park.to_dq0(t, v[k], dv[k], ddv[k], *frame)
+    for k in range(times.size):
+        row = slice(k, k + 1)
+        one = park.to_dq0(times[row], v[row], dv[row], ddv[row], *frame)
         assert len(one) == len(dq) == 3
         for x, xs in zip(one, dq):
-            np.testing.assert_array_equal(x, xs[k])
-        for x, xs in zip(park.from_dq0(t, *one, *frame), back):
-            np.testing.assert_array_equal(x, xs[k])
+            np.testing.assert_array_equal(x, xs[row])
+        for x, xs in zip(park.from_dq0(times[row], *one, *frame), back):
+            np.testing.assert_array_equal(x, xs[row])
         rep_one = park.derivative_frame_check(*one[:2], frame[0])
         for f in dataclasses.fields(rep):
+            assert isinstance(getattr(rep_one, f.name), np.ndarray), f.name
             np.testing.assert_array_equal(
-                getattr(rep_one, f.name), getattr(rep, f.name)[k], err_msg=f.name
+                getattr(rep_one, f.name), getattr(rep, f.name)[row], err_msg=f.name, strict=True
             )
+
+
+# every function takes (N,) times and (N, 3) rows: one instant is N = 1,
+# not a scalar time or a (3,) vector
+_ONE = _jet("E5", 0.013)
+_VECTOR = [x[0] for x in _ONE[1:]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: park.to_dq0(0.013, *_ONE[1:], *SYNC),
+    lambda: park.from_dq0(0.013, *_ONE[1:], *SYNC),
+    lambda: park.to_dq0(np.array([0.013, 0.014]), *_ONE[1:], *SYNC),
+], ids=["scalar-to_dq0", "scalar-from_dq0", "two-times-one-row"])
+def test_times_not_one_per_row_are_refused(call):
+    with pytest.raises(InvalidParameter, match=r"\(N,\) times and \(N, 3\) rows"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: park.to_dq0(_ONE[0], *_VECTOR, *SYNC),
+    lambda: park.from_dq0(_ONE[0], *_VECTOR, *SYNC),
+    lambda: park.inertial_derivative(*_VECTOR[:2], W_O),
+    lambda: park.derivative_frame_check(*_VECTOR[:2], W_O),
+    lambda: park.derivative_frame_check(_ONE[1], _VECTOR[1], W_O),
+], ids=["to_dq0", "from_dq0", "inertial_derivative", "derivative_frame_check", "mixed"])
+def test_vector_is_refused(call):
+    with pytest.raises(InvalidParameter, match=r"\(N, 3\) rows, got shapes .*\(3,\)"):
+        call()
 
 
 # -------------------------------------------------------- dq0 invariants
@@ -125,23 +158,23 @@ def test_n_instants_equal_n_single_instants(sid, frame):
 def test_synchronous_invariants_remark_single_phase_form():
     _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.0073), *SYNC)
     rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
-    assert rep.rho == pytest.approx(0.0, abs=1e-9)
-    assert rep.delta_omega == pytest.approx(0.0, abs=1e-6)
-    np.testing.assert_allclose(rep.omega_vec, [0.0, 0.0, W_O], atol=1e-6)
+    assert rep.rho[0] == pytest.approx(0.0, abs=1e-9)
+    assert rep.delta_omega[0] == pytest.approx(0.0, abs=1e-6)
+    np.testing.assert_allclose(rep.omega_vec, [[0.0, 0.0, W_O]], atol=1e-6)
 
 
 def test_constant_dq_signal_is_at_frame_speed():
     w_dq = W_O + 2.0 * math.pi
-    rep = park.derivative_frame_check((9.0, 4.0, 0.0), (0.0, 0.0, 0.0), w_dq)
-    assert rep.delta_omega == 0.0
-    np.testing.assert_allclose(rep.omega_vec, [0.0, 0.0, w_dq], atol=1e-12)
+    rep = park.derivative_frame_check([(9.0, 4.0, 0.0)], [(0.0, 0.0, 0.0)], w_dq)
+    assert rep.delta_omega[0] == 0.0
+    np.testing.assert_allclose(rep.omega_vec, [[0.0, 0.0, w_dq]], atol=1e-12)
 
 
 def test_invariants_match_frenet_route(rng):
     # with v_o != 0 the full three-component omega expression must still
     # reproduce rho v + omega x v = inertial derivative
     for _ in range(50):
-        vdq0, dvdq0 = rng.normal(scale=10.0, size=(2, 3))
+        vdq0, dvdq0 = rng.normal(scale=10.0, size=(2, 1, 3))
         rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
         inertial = park.inertial_derivative(vdq0, dvdq0, W_O)
         lhs = rep.rho * vdq0 + np.cross(rep.omega_vec, vdq0)
@@ -173,10 +206,10 @@ def test_dq0_invariants_equal_abc_frenet(sid, frame):
 def test_balanced_needs_zero_sequence_value_and_derivative():
     # on E8 at t = 0, v_o vanishes but v_o' does not: not balanced
     _, vdq0, dvdq0, _ = _to_dq0(_jet("E8", 0.0), *SYNC)
-    assert abs(vdq0[2]) <= 1e-9 * np.linalg.norm(vdq0)
+    assert abs(vdq0[0, 2]) <= 1e-9 * np.linalg.norm(vdq0)
     rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
-    assert not rep.balanced and math.isnan(rep.delta_omega)
-    assert math.isnan(rep.balanced_identity_err)
+    assert not rep.balanced[0] and math.isnan(rep.delta_omega[0])
+    assert math.isnan(rep.balanced_identity_err[0])
     # E0 is balanced at every instant, in any frame
     times = signals.sample_times(0.0, 0.1, 1e-4)
     jet = signals.eval_arrays(signals.make_scenario("E0"), times)
@@ -188,7 +221,7 @@ def test_balanced_needs_zero_sequence_value_and_derivative():
 
 def test_invariants_degenerate_speed():
     with pytest.raises(DegenerateInput):
-        park.derivative_frame_check((0, 0, 0), (1, 0, 0), W_O)
+        park.derivative_frame_check([(0, 0, 0)], [(1, 0, 0)], W_O)
 
 
 @pytest.mark.parametrize("scale", [1.4e154, 1e200])
@@ -202,8 +235,8 @@ def test_invariants_overflow_is_refused_without_a_warning(scale):
             1.0,
         )
     # |v'|^2 past float64 alone (v' parallel to v) leaves exact invariants: no refusal
-    rep = park.derivative_frame_check((1.0, 0.0, 0.0), (scale, 0.0, 0.0), 0.0)
-    assert rep.rho == scale and rep.sum_rel_err == 0.0 and rep.terms_equal
+    rep = park.derivative_frame_check([(1.0, 0.0, 0.0)], [(scale, 0.0, 0.0)], 0.0)
+    assert rep.rho[0] == scale and rep.sum_rel_err[0] == 0.0 and rep.terms_equal[0]
 
 
 # ------------------------------------------------ derivative frame check
@@ -212,27 +245,27 @@ def test_invariants_overflow_is_refused_without_a_warning(scale):
 def test_frame_check_synchronous_termwise_equal():
     _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.011), *SYNC)
     rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
-    assert rep.sum_rel_err <= 1e-9
-    assert rep.terms_equal
-    assert rep.balanced_identity_err <= 1e-9
+    assert rep.sum_rel_err[0] <= 1e-9
+    assert rep.terms_equal[0]
+    assert rep.balanced_identity_err[0] <= 1e-9
 
 
 def test_frame_check_clarke_derivative_is_rotating_derivative():
     _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.004), 0.0)
     rep = park.derivative_frame_check(vdq0, dvdq0, 0.0)
     np.testing.assert_array_equal(park.inertial_derivative(vdq0, dvdq0, 0.0), dvdq0)
-    assert rep.sum_rel_err <= 1e-9
+    assert rep.sum_rel_err[0] <= 1e-9
 
 
 def test_frame_check_generic_sums_agree_terms_differ(rng):
     for _ in range(20):
-        vdq0, dvdq0 = rng.normal(scale=5.0, size=(2, 3))
+        vdq0, dvdq0 = rng.normal(scale=5.0, size=(2, 1, 3))
         rep = park.derivative_frame_check(vdq0, dvdq0, W_O)
-        assert rep.sum_rel_err <= 1e-9
+        assert rep.sum_rel_err[0] <= 1e-9
     # a frame spinning away from the signal cannot match termwise
     _, vdq0, dvdq0, _ = _to_dq0(_e0_jet(0.006), 0.5 * W_O)
     rep = park.derivative_frame_check(vdq0, dvdq0, 0.5 * W_O)
-    assert not rep.terms_equal
+    assert not rep.terms_equal[0]
 
 
 # --------------------------------------------------- frame invariance
@@ -241,9 +274,8 @@ def test_frame_check_generic_sums_agree_terms_differ(rng):
 @pytest.mark.parametrize("sid,t", [("E1", 0.0062), ("E5", 0.013), ("E8", 1.3)])
 def test_geometric_invariants_are_frame_invariant(sid, t):
     j = _jet(sid, t)
-    g_abc = frenet.invariants_batch(*(x[None] for x in j[1:]))
-    back = park.from_dq0(*_to_dq0(j, *SYNC), *SYNC)
-    g_rt = frenet.invariants_batch(*(x[None] for x in back))
+    g_abc = frenet.invariants_batch(*j[1:])
+    g_rt = frenet.invariants_batch(*park.from_dq0(*_to_dq0(j, *SYNC), *SYNC))
     assert g_rt.rho[0] == pytest.approx(g_abc.rho[0], rel=1e-9, abs=1e-9)
     assert g_rt.omega_mag[0] == pytest.approx(g_abc.omega_mag[0], rel=1e-9)
     assert g_rt.xi[0] == pytest.approx(g_abc.xi[0], rel=1e-9, abs=1e-9)

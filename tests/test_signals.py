@@ -244,6 +244,7 @@ def _loop_component(comp, t):
         angle = comp.angle.eval(t)
     worst = np.abs(angle[0]).max(initial=0.0)
     if not worst <= MAX_ANGLE:
+        worst = np.inf if np.isnan(worst) else worst  # a NaN angle is reported as inf
         raise InvalidParameter(f"signal angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
     return comp.magnitude.eval(t) + angle
 
@@ -321,6 +322,15 @@ def test_kernel_matches_the_component_loop(sid, times, rows, monkeypatch):
         vars(signals.phase_jets(model, times)).values(),
         vars(loop_phase_jets(model, times)).values(),
     )
+
+
+def test_nan_angle_is_reported_as_inf():
+    # a rate that overflowed to inf makes the angle inf * 0 = NaN at t = 0
+    comp = signals.Component(signals.Profile(1.0), signals.Profile(0.0, math.inf))
+    model = signals.SignalModel(((comp,), (), ()))
+    for evaluate in (signals.eval_arrays, signals.phase_jets, loop_eval_arrays, loop_phase_jets):
+        with pytest.raises(InvalidParameter, match="signal angle inf rad is past"):
+            evaluate(model, (0.0, 1.0))
 
 
 @pytest.mark.parametrize("rows", [None, 2])

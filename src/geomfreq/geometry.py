@@ -7,11 +7,25 @@ axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
 
 import numpy as np
 
-__all__ = ["MAX_ANGLE", "phase_rate", "rowcross", "rowdot", "rownorm"]
+from .errors import InvalidParameter
+
+__all__ = ["MAX_ANGLE", "check_angle", "phase_rate", "rowcross", "rowdot", "rownorm"]
 
 # largest signal or Park frame angle: past it, float64 resolves an angle
 # such as w t + theta0 to worse than 1.9e-6 rad
 MAX_ANGLE = 2.0**33  # rad, 316 days at 50 Hz
+
+
+def check_angle(what, theta):
+    """theta (rad), refused with InvalidParameter past MAX_ANGLE: the
+    message names the largest |angle| along the last axis of the first
+    row past it, and reads a NaN (inf * 0 at t = 0 leaves one) as inf."""
+    worst = np.abs(theta).max(axis=-1, initial=0.0)
+    if not (worst <= MAX_ANGLE).all():
+        worst = np.ravel(np.where(np.isnan(worst), np.inf, worst))
+        first = worst[(worst > MAX_ANGLE).argmax()]
+        raise InvalidParameter(f"{what} angle {first:.6g} rad is past geometry.MAX_ANGLE = 2**33")
+    return theta
 
 
 def rowdot(a, b):

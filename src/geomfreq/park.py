@@ -39,7 +39,7 @@ import numpy as np
 from . import frenet
 from .errors import DegenerateInput, FloatOverflow, InvalidParameter
 from .frenet import EPS_V
-from .geometry import MAX_ANGLE, phase_rate, rownorm
+from .geometry import check_angle, phase_rate, rownorm
 
 _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 _SCALE = np.array([[2.0 / 3.0], [2.0 / 3.0], [1.0 / 3.0]])  # diag(2/3, 2/3, 1/3)
@@ -105,11 +105,7 @@ def to_dq0(t, v, dv, ddv, w_dq, theta0=0.0):
     """
     t, (v, dv, ddv) = _rows(t, v, dv, ddv)
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = w_dq * t + theta0
-        worst = np.max(np.abs(theta), initial=0.0)
-        if not worst <= MAX_ANGLE:
-            raise InvalidParameter(f"frame angle {worst:.6g} rad is past geometry.MAX_ANGLE = 2**33")
-        P = park_matrix(theta)
+        P = park_matrix(check_angle("frame", w_dq * t + theta0))
         vdq0, dv = _apply(P, v), _apply(P, dv)
         dvdq0 = dv - _spin(w_dq, vdq0)
         ddvdq0 = _apply(P, ddv) - _spin(w_dq, dv + dvdq0)
@@ -119,9 +115,10 @@ def to_dq0(t, v, dv, ddv, w_dq, theta0=0.0):
 
 
 def from_dq0(t, vdq0, dvdq0, ddvdq0, w_dq, theta0=0.0):
-    """Inverse of ``to_dq0``: abc (v, v', v'') at times t."""
+    """Inverse of ``to_dq0``, refusing the same frame angles: abc (v, v', v'') at times t."""
     t, (vdq0, dvdq0, ddvdq0) = _rows(t, vdq0, dvdq0, ddvdq0)
-    Q = inverse_park_matrix(w_dq * t + theta0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = inverse_park_matrix(check_angle("frame", w_dq * t + theta0))
     dv = inertial_derivative(vdq0, dvdq0, w_dq)
     ddv = ddvdq0 + _spin(w_dq, dv + dvdq0)
     return _apply(Q, vdq0), _apply(Q, dv), _apply(Q, ddv)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatOverflow, InvalidParameter
-from .geometry import MAX_ANGLE
+from .geometry import MAX_ANGLE, check_angle
 from .series import TimeSeries
 from .threephase import PhaseJet
 
@@ -84,9 +84,9 @@ class SignalModel:
 def _component_jets(model, times):
     """(rows, jet) for each slice rows of at most EVAL_ROWS times: jet is
     (m, m', m'', theta, theta', theta'') of the C components, (C, rows)
-    each.  After the last slice, raises InvalidParameter with the worst angle
-    of the first component whose |theta| is past geometry.MAX_ANGLE (or
-    not finite) at any time, yielding no jet from the slice it is found."""
+    each.  After the last slice, ``geometry.check_angle`` names the worst
+    angle of the first component whose |theta| is past MAX_ANGLE (or not
+    finite) at any time; no jet is yielded from the slice it is found."""
     chan, magnitude, angle = model._table
     worst = np.zeros(len(chan))
     for lo in range(0, times.size, EVAL_ROWS):
@@ -96,10 +96,7 @@ def _component_jets(model, times):
         worst = np.maximum(worst, np.abs(th[0]).max(axis=1, initial=0.0))
         if (worst <= MAX_ANGLE).all():
             yield slice(lo, lo + t.size), magnitude.eval(t) + th
-    bad = ~(worst <= MAX_ANGLE)
-    if bad.any():
-        worst[np.isnan(worst)] = np.inf  # inf * 0 at t = 0 leaves a NaN angle
-        raise InvalidParameter(f"signal angle {worst[bad.argmax()]:.6g} rad is past geometry.MAX_ANGLE = 2**33")
+    check_angle("signal", worst[:, None])
 
 
 def eval_arrays(model, times):
@@ -200,11 +197,11 @@ def dc_model(vdc=5.0):
     return SignalModel(channels=((const,), (), ()))
 
 
-def single_phase_model(V=1.0, w_o=2.0 * math.pi, alpha=0.0):
+def single_phase_model(V=1.0, w_o=2.0 * math.pi):
     """Analytic-signal pair (V cos, V sin) in the first two channels."""
     _check_magnitudes("V", [V])
-    ch1 = Component(Profile(V), Profile(alpha + math.pi / 2, w_o))
-    ch2 = Component(Profile(V), Profile(alpha, w_o))
+    ch1 = Component(Profile(V), Profile(math.pi / 2, w_o))
+    ch2 = Component(Profile(V), Profile(0.0, w_o))
     return SignalModel(channels=((ch1,), (ch2,), ()))
 
 

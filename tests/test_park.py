@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,11 +304,27 @@ def test_dq0_route_round_trips_and_bounds_the_frame_angle(sid, w_dq, theta0, tim
     assert np.all(rep.sum_rel_err <= park.MAX_SUM_REL_ERR)
     # theta0 puts the frame angle at the first instant 1e-12 relative (8.6e-3
     # rad) above or below the bound, far more than the rounding of w_dq t + theta0
-    t, one = times[:1], [x[:1] for x in jet]
-    for factor, refused in ((1.0 + 1e-12, True), (1.0 - 1e-12, False)):
-        edge = sign * MAX_ANGLE * factor - w_dq * t[0]
-        if refused:
-            with pytest.raises(InvalidParameter, match="geometry.MAX_ANGLE"):
-                park.to_dq0(t, *one, w_dq, edge)
-        else:
-            park.to_dq0(t, *one, w_dq, edge)
+    t = times[:1]
+    for transform, rows in ((park.to_dq0, jet), (park.from_dq0, dq)):
+        one = [x[:1] for x in rows]
+        for factor, refused in ((1.0 + 1e-12, True), (1.0 - 1e-12, False)):
+            edge = sign * MAX_ANGLE * factor - w_dq * t[0]
+            if refused:
+                with pytest.raises(InvalidParameter, match="geometry.MAX_ANGLE"):
+                    transform(t, *one, w_dq, edge)
+            else:
+                transform(t, *one, w_dq, edge)
+
+
+@pytest.mark.parametrize("transform", [park.to_dq0, park.from_dq0])
+@pytest.mark.parametrize(
+    "w_dq, theta0, angle",
+    [(0.0, 1e17, "1e+17"), (0.0, math.nan, "inf"), (math.inf, 0.0, "inf")],
+    ids=["past-bound", "nan-theta0", "inf-wdq"],
+)
+def test_both_transforms_refuse_a_frame_angle_alike(transform, w_dq, theta0, angle):
+    # an infinite w_dq makes the angle inf * 0 = NaN at t = 0, read as inf
+    t, rows = np.array([0.0, 1e-3]), np.array([[12.0, 0.0, 0.0], [0.0, 12.0, 0.0]])
+    message = f"frame angle {angle} rad is past geometry.MAX_ANGLE = 2**33"
+    with pytest.raises(InvalidParameter, match="^" + re.escape(message) + "$"):
+        transform(t, rows, rows, rows, w_dq, theta0)

@@ -165,10 +165,12 @@ def cmd_park(args):
     # a NaN error must fail the check, so fold without dropping NaN
     worst_sum = validate.worst(rep.sum_rel_err)
     worst_balanced = validate.worst(rep.balanced_identity_err[rep.balanced])
+    balanced = np.count_nonzero(rep.balanced)
     print(f"sum identity worst relative error: {worst_sum:.3e}")
-    print(
+    print(  # a worst error over no instant would read 0
         f"balanced rotating-derivative identity worst error: {worst_balanced:.3e} "
-        f"(checked on {np.count_nonzero(rep.balanced)} of {times.size} instants)"
+        f"(checked on {balanced} of {times.size} instants)" if balanced else
+        f"balanced rotating-derivative identity not checked: none of {times.size} instants is balanced"
     )
     ok = worst_sum <= park.MAX_SUM_REL_ERR
     print("PASS" if ok else "FAIL")

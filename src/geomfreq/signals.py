@@ -9,10 +9,11 @@ modulations of the time-variant scenarios, while keeping first and
 second derivatives available in closed form: ``eval_arrays`` gives the
 cartesian v, v', v'', and ``phase_jets`` the three channels' magnitude
 and angle jets as one ``threephase.PhaseJet`` (phase axis last) for the
-closed-form oracle.  Both run one kernel, ``_component_jets``, that
-evaluates every component of a model at once over slices of at most
-EVAL_ROWS times, and refuse an angle past ``geometry.MAX_ANGLE``, which
-float64 no longer resolves.
+closed-form oracle, of one model or of a sequence of M as M*N rows,
+model-major.  Both run one kernel, ``_component_jets``, over one table
+of every component (channel c of model m is channel 3m + c) at once, in
+slices of at most EVAL_ROWS times, and refuse an angle past
+``geometry.MAX_ANGLE``, which float64 no longer resolves.
 """
 
 import math
@@ -65,8 +66,8 @@ class Component:
 @dataclass(frozen=True)
 class SignalModel:
     """Immutable closed-form model of a three-channel waveform, with its
-    parameter table, built once: the channel, magnitude and angle of its
-    C components, channel-major, as a list and two Profiles of (C, 1)."""
+    parameter table, built once: the channel of each of its C components,
+    channel-major, and their magnitude and angle profile fields, (C, 8)."""
 
     channels: tuple  # three tuples of Component
 
@@ -76,18 +77,30 @@ class SignalModel:
         channels = tuple(tuple(ch) for ch in self.channels)
         object.__setattr__(self, "channels", channels)
         table = [[*vars(comp.magnitude).values(), *vars(comp.angle).values()] for ch in channels for comp in ch]
-        cols = np.array(table, dtype=np.float64).reshape(-1, 8).T[:, :, None]
         chan = [c for c, ch in enumerate(channels) for _ in ch]
-        object.__setattr__(self, "_table", (chan, Profile(*cols[:4]), Profile(*cols[4:])))
+        object.__setattr__(self, "_table", (chan, np.array(table, dtype=np.float64).reshape(-1, 8)))
 
 
-def _component_jets(model, times):
+def _join(models):
+    """(M, table): the tables of one model or of a sequence of M joined in
+    order, as one table (chan, magnitude, angle) in which channel 3m + c is
+    channel c of model m; magnitude and angle are Profiles of (C, 1)."""
+    models = (models,) if isinstance(models, SignalModel) else tuple(models)
+    if not models:
+        raise InvalidParameter("no signal model to evaluate")
+    chan = [3 * m + c for m, model in enumerate(models) for c in model._table[0]]
+    cols = np.concatenate([model._table[1] for model in models]).T[:, :, None]
+    return len(models), (chan, Profile(*cols[:4]), Profile(*cols[4:]))
+
+
+def _component_jets(table, times):
     """(rows, jet) for each slice rows of at most EVAL_ROWS times: jet is
-    (m, m', m'', theta, theta', theta'') of the C components, (C, rows)
-    each.  After the last slice, ``geometry.check_angle`` names the worst
-    angle of the first component whose |theta| is past MAX_ANGLE (or not
-    finite) at any time; no jet is yielded from the slice it is found."""
-    chan, magnitude, angle = model._table
+    (m, m', m'', theta, theta', theta'') of the C components of a joined
+    table (``_join``), (C, rows) each.  After the last slice,
+    ``geometry.check_angle`` names the worst angle of the first component
+    whose |theta| is past MAX_ANGLE (or not finite) at any time; no jet is
+    yielded from the slice it is found."""
+    chan, magnitude, angle = table
     worst = np.zeros(len(chan))
     for lo in range(0, times.size, EVAL_ROWS):
         t = times[lo : lo + EVAL_ROWS]
@@ -99,14 +112,16 @@ def _component_jets(model, times):
     check_angle("signal", worst[:, None])
 
 
-def eval_arrays(model, times):
-    """Exact analytic v, v', v'' at each of N times (a time is N = 1), as
-    (N, 3) arrays.  Raises FloatOverflow where one leaves the float64 range."""
+def eval_arrays(models, times):
+    """Exact analytic v, v', v'' of one model or of a sequence of M at
+    each of N times (a time is N = 1), as (M*N, 3) arrays, model-major.
+    Raises FloatOverflow where one leaves the float64 range."""
+    M, table = _join(models)
     times = np.ravel(np.asarray(times, dtype=np.float64))
-    out = np.zeros((3, times.size, 3))
-    for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(model, times):
+    out = np.zeros((3, M, times.size, 3))
+    for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(table, times):
         s, c = np.sin(th), np.cos(th)
-        acc = out[:, rows].transpose(0, 2, 1)  # a view: derivative, channel, time
+        acc = out[:, :, rows].transpose(0, 1, 3, 2)  # a view: derivative, model, channel, time
         try:
             with np.errstate(over="raise", invalid="raise"):
                 terms = np.array((
@@ -114,36 +129,38 @@ def eval_arrays(model, times):
                     dm * s + m * dth * c,
                     (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c,
                 ))
-                for k, ch in enumerate(model._table[0]):
-                    acc[:, ch] += terms[:, k]  # in component order from zero, as a per-channel sum
+                for k, ch in enumerate(table[0]):
+                    acc[:, ch // 3, ch % 3] += terms[:, k]  # in component order from zero, as a per-channel sum
         except FloatingPointError:
             raise FloatOverflow("the signal's derivatives overflow float64") from None
-    return out[0], out[1], out[2]
+    return tuple(out.reshape(3, M * times.size, 3))
 
 
-def phase_jets(model, t):
+def phase_jets(models, t):
     """The three-phase PhaseJet of a model at a time t (fields of shape
-    (3,)) or at every entry of a time array t ((N, 3) for N entries).
+    (3,)) or at every entry of a time array t ((N, 3) for N entries); of
+    a sequence of M models, (M*N, 3), model-major.
 
     A channel sum_k m_k sin(theta_k) is Im(z) with
     z = sum_k m_k exp(i theta_k); magnitude and phase derivatives come
     from z, z', z''.  Where the envelope vanishes the jet is all zero
     (the closed-form contribution of the channel is zero there).
     """
-    shape = np.shape(t)
+    M, table = _join(models)
+    shape = np.shape(t) if isinstance(models, SignalModel) else (M * np.size(t),)
     # a scalar t runs as one entry of an array: numpy's complex scalar
     # and array loops round differently, the array loops alike at any N
     t = np.ravel(np.asarray(t, dtype=np.float64))
-    out = np.zeros((6, t.size, 3))
-    for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(model, t):
+    out = np.empty((6, M, t.size, 3))
+    for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(table, t):
         e = np.exp(1j * th)
         terms = np.array((
             m * e,
             (dm + 1j * m * dth) * e,
             (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e,
         ))
-        z, dz, ddz = acc = np.zeros((3, 3, terms.shape[-1]), dtype=np.complex128)
-        for k, ch in enumerate(model._table[0]):
+        z, dz, ddz = acc = np.zeros((3, 3 * M, e.shape[-1]), dtype=np.complex128)
+        for k, ch in enumerate(table[0]):
             acc[:, ch] += terms[:, k]
         V = np.abs(z)
         live = V > EPS_ENVELOPE
@@ -155,7 +172,7 @@ def phase_jets(model, t):
         ddV = ((np.abs(dz) ** 2 + zddz.real) - dV**2) / V
         ddtheta = zddz.imag / V**2 - 2.0 * (dV / V) * dtheta
         jet = (V, dV, ddV, np.angle(z), dtheta, ddtheta)
-        out[:, rows] = np.where(live, jet, 0.0).transpose(0, 2, 1)
+        out[:, :, rows] = np.where(live, jet, 0.0).reshape(6, M, 3, -1).transpose(0, 1, 3, 2)
     return PhaseJet(*out.reshape(6, *shape, 3))
 
 

@@ -7,19 +7,20 @@ The frenet_core, threephase_forms, signals, numdiff and park suites
 check the kernel ``analyze`` runs, ``frenet.invariants_batch`` over the
 arrays of ``signals.eval_arrays`` or ``numdiff.differentiate_arrays``;
 the closed-form oracle (``threephase``) and the dq0 transforms
-(``park``) take the same time arrays.  The frenet_core,
-threephase_forms and signals suites join every scenario's rows and call
-each kernel once per suite: a row's bits do not depend on the rows
-beside it, and a max over the joined rows is the fold of per-scenario
-maxes, NaN included.  The geometry suite checks the row helpers the
-kernel uses (``rowdot``, ``rownorm`` and ``rowcross``) on 500 random
-triples at once.  Draws come from fixed seeds (module constants), and
-the hilbert and park suites pass or fail by the bounds those modules
-name, which ``geomfreq hilbert`` and ``geomfreq park`` read too.  The
-residuals of the two derivative splits come from
-``frenet.identity_residuals``, and ``worst``, which keeps NaN, folds them.
-An error between two routes on rho, |omega| or xi (rates of one curve)
-is read over the row's |omega| (``_over_omega``), any other over its own reference.
+(``park``) take the same time arrays.  frenet_core and threephase_forms
+give the signal kernel the nine presets as one sequence of models, and
+call each kernel once (signals: once per draw group, for E6 and for
+E0-E2): a row's bits do not depend on the rows beside it, and a max over
+joined rows is the fold of per-scenario maxes, NaN included.  The
+geometry suite checks the row helpers the kernel uses (``rowdot``,
+``rownorm`` and ``rowcross``) on 500 random triples at once.  Draws come
+from fixed seeds (module constants), and the hilbert and park suites
+pass or fail by the bounds those modules name, which ``geomfreq
+hilbert`` and ``geomfreq park`` read too.  The residuals of the two
+derivative splits come from ``frenet.identity_residuals``, and
+``worst``, which keeps NaN, folds them.  An error between two routes on
+rho, |omega| or xi (rates of one curve) is read over the row's |omega|
+(``_over_omega``), any other over its own reference.
 
 The CLI ``validate`` subcommand runs these and exits nonzero on any
 failure; the pytest suite asserts the same properties with finer
@@ -87,22 +88,11 @@ def _over_omega(ref, *errs):
     return worst(*(np.abs(e) / ref.omega_mag for e in errs))
 
 
-def _batch(model, times):
-    """Analytic v, v', v'' of a model at the given times, and their
-    invariants from the batch kernel that ``analyze`` runs."""
-    v, dv, ddv = signals.eval_arrays(model, times)
+def _batch(models, times):
+    """Analytic v, v', v'' of a model (or a sequence, model-major) at the
+    given times, and their invariants from the batch kernel ``analyze`` runs."""
+    v, dv, ddv = signals.eval_arrays(models, times)
     return v, dv, ddv, frenet.invariants_batch(v, dv, ddv)
-
-
-def _join(groups):
-    """Field k of each group (a tuple of arrays), joined row-wise in order."""
-    return tuple(map(np.concatenate, zip(*groups)))
-
-
-def _rows(*pairs):
-    """Analytic v, v', v'' of each (scenario id, times) pair, joined
-    row-wise in order, so that one kernel call covers every scenario."""
-    return _join(signals.eval_arrays(signals.make_scenario(sid), t) for sid, t in pairs)
 
 
 def _tau_arclength(v, dv, ddv):
@@ -125,8 +115,7 @@ def _tau_arclength(v, dv, ddv):
 
 def check_frenet():
     times = _sample_times()
-    v, dv, ddv = _rows(*((sid, times) for sid in THREE_PHASE_SCENARIOS))
-    b = frenet.invariants_batch(v, dv, ddv)
+    v, dv, ddv, b = _batch(list(map(signals.make_scenario, THREE_PHASE_SCENARIOS)), times)
     # torsion of the stationary balanced scenarios E0-E3 and E6 at the first 40 times
     planar = b.tau.reshape(len(THREE_PHASE_SCENARIOS), times.size)[[0, 1, 2, 3, 6], :40]
     stray_xi = math.inf if np.any(b.xi[b.no_rotation] != 0.0) else 0.0
@@ -161,11 +150,9 @@ def check_frenet():
 
 def check_threephase():
     times = _sample_times()
-    models = [signals.make_scenario(sid) for sid in THREE_PHASE_SCENARIOS]
-    b = frenet.invariants_batch(*_join(signals.eval_arrays(m, times) for m in models))
-    # each field of the scenarios' jets (a PhaseJet's vars, in order) joined
-    jet = threephase.PhaseJet(*_join(vars(signals.phase_jets(m, times)).values() for m in models))
-    cf = threephase.closed_form_invariants(jet)
+    models = list(map(signals.make_scenario, THREE_PHASE_SCENARIOS))
+    b = _batch(models, times)[3]
+    cf = threephase.closed_form_invariants(signals.phase_jets(models, times))
     return [
         ("closed-form rho vs Frenet", _over_omega(b, cf.rho - b.rho), 1e-12),
         ("closed-form omega vs Frenet", _over_omega(b, rownorm(cf.omega_vec - b.omega_vec)), 1e-6),
@@ -195,10 +182,9 @@ def check_signals():
     d1, d2 = dv[2, 0], ddv[2, 1]
     fd1 = numdiff.stencil_derivatives(v[:, 0], h1)[0][0]
     fd2 = numdiff.stencil_derivatives(v[:, 1], h2)[1][0]
-    times = _sample_times()[:40]
-    b = frenet.invariants_batch(  # the 200 E6 rows, then E0-E2
-        *_rows(("E6", np.linspace(0.0, 5.0, 200)), *((sid, times) for sid in ("E0", "E1", "E2")))
-    )
+    e6 = signals.eval_arrays(signals.make_scenario("E6"), np.linspace(0.0, 5.0, 200))
+    e0_e2 = signals.eval_arrays(list(map(signals.make_scenario, ("E0", "E1", "E2"))), _sample_times()[:40])
+    b = frenet.invariants_batch(*map(np.concatenate, zip(e6, e0_e2)))  # the 200 E6 rows, then E0-E2
     worst_e6 = worst(np.abs(b.rho[:200]), np.abs(b.xi[:200]))
     return [
         ("analytic first derivative vs FD", worst(rownorm(d1 - fd1) / rownorm(d1)), 1e-5),

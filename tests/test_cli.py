@@ -361,6 +361,15 @@ def test_park_reads_the_array_route(monkeypatch, capsys):
     assert out[-1] == "PASS"
 
 
+def test_park_says_when_no_instant_is_balanced(capsys):
+    """E1 is unbalanced at every instant: no worst error is printed for
+    the balanced identity, and the sum identity alone decides PASS."""
+    assert cli.main(["park", "--scenario", "E1", "--t1", "0.02", "--dt", "1e-4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == "balanced rotating-derivative identity not checked: none of 201 instants is balanced"
+    assert out[-1] == "PASS"
+
+
 # ------------------------------------------------------------ park/hilbert
 
 

@@ -348,3 +348,52 @@ def test_angle_refusal_names_the_first_component(rows, monkeypatch):
     for evaluate in (signals.eval_arrays, signals.phase_jets, loop_eval_arrays, loop_phase_jets):
         with pytest.raises(InvalidParameter, match=message):
             evaluate(model, (0.0, 0.5, 1.5, 2.0))
+
+
+# ------------------------------------------------ a sequence of models
+
+
+def _joined(per_model):
+    """Field k of each model's result, as (N, 3) rows, joined model-major."""
+    return [np.concatenate([np.reshape(x, (-1, 3)) for x in field]) for field in zip(*per_model)]
+
+
+@pytest.mark.parametrize(
+    "times, rows",
+    [
+        (0.0123, None),
+        (np.concatenate([[0.0, -0.0], np.linspace(-0.31, 2.47, 21)]), 7),
+    ],
+    ids=["scalar", "slices"],
+)
+def test_a_sequence_is_its_models_joined(times, rows, monkeypatch):
+    """Every preset, DC and SINGLE_PHASE with their channels of no
+    component among them, in one call: the rows of the per-model calls
+    and of the component loop, model-major, bit for bit."""
+    if rows is not None:
+        monkeypatch.setattr(signals, "EVAL_ROWS", rows)
+    models = [signals.make_scenario(sid) for sid in signals._PRESETS]
+    assert len(models) == 11
+    got = signals.eval_arrays(models, times)
+    _assert_same_bits(got, _joined(signals.eval_arrays(m, times) for m in models))
+    _assert_same_bits(got, _joined(loop_eval_arrays(m, times) for m in models))
+    got = vars(signals.phase_jets(models, times)).values()
+    _assert_same_bits(got, _joined(vars(signals.phase_jets(m, times)).values() for m in models))
+    _assert_same_bits(got, _joined(vars(loop_phase_jets(m, times)).values() for m in models))
+
+
+def test_a_sequence_refuses_its_model_past_the_angle_bound():
+    far = signals.three_phase_model(theta0=(0.0, 0.0, 3.0 * MAX_ANGLE))
+    times = (0.0, 0.5)
+    with pytest.raises(InvalidParameter) as alone:
+        signals.eval_arrays(far, times)
+    models = [signals.make_scenario("E0"), far, signals.make_scenario("E7")]
+    for evaluate in (signals.eval_arrays, signals.phase_jets):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(str(alone.value))}$"):
+            evaluate(models, times)
+
+
+def test_an_empty_sequence_is_refused():
+    for evaluate in (signals.eval_arrays, signals.phase_jets):
+        with pytest.raises(InvalidParameter, match="no signal model"):
+            evaluate([], (0.0,))

@@ -178,9 +178,9 @@ def cmd_park(args):
 
 
 def cmd_hilbert(args):
-    """The embedding report of a --csv channel, or of the tone cos(2 pi freq t) on [0, t1):
-    channel 0 of ``signals.single_phase_model``, so refused past ``geometry.MAX_ANGLE``, and
-    refused at or past Nyquist.  A short file is a format error, a short range a usage error."""
+    """The embedding report of a --csv channel, or of ``hilbert.tone``, cos(2 pi freq t) on
+    [0, t1): refused past ``geometry.MAX_ANGLE``, then at or past Nyquist.  A short file is a
+    format error, a short range a usage error."""
     if args.csv:
         _refuse(args, "by hilbert --csv", "freq", "t1", "dt")
         channel = _param(args, {}, "channel", 0)
@@ -190,10 +190,9 @@ def cmd_hilbert(args):
         times, dt, u = series.times, series.dt, series.values[:, channel]
     else:
         _refuse(args, "by hilbert without --csv", "channel")
-        dt = _param(args, {}, "dt", 1e-4, _check_positive)
-        freq = _param(args, {}, "freq", 50.0, _check_positive)
-        times = signals.sample_times(0.0, _param(args, {}, "t1", 0.4096), dt)[:-1]  # half-open
-        u = signals.eval_arrays(signals.single_phase_model(1.0, 2.0 * math.pi * freq), times)[0][:, 0]
+        dt = _param(args, {}, "dt", hilbert.TONE_DT, _check_positive)
+        freq = _param(args, {}, "freq", hilbert.TONE_FREQ, _check_positive)
+        times, u = hilbert.tone(freq, _param(args, {}, "t1", hilbert.TONE_T1), dt)
         if freq * dt >= 0.5:  # at or past Nyquist the samples are those of a lower tone
             raise InvalidParameter(f"--freq {freq} is at or past the Nyquist limit 0.5/--dt = {0.5 / dt:.6g}")
     if u.size < hilbert.MIN_LENGTH:

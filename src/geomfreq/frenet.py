@@ -16,9 +16,9 @@ and kappa exist where |v| > EPS_V (the tangent), however small omega is;
 the normal, binormal, torsion and RoCoF split need a rotation,
 |omega| > EPS_W.  ``invariants`` is the same arithmetic on one row, for
 a caller that holds one instant at a time, and gives the bits of that
-batch row.  It keeps the inner products in ``np.dot`` and forms the
-cross products in Python floats, since numpy's fixed cost per call
-dwarfs the arithmetic on three elements.
+batch row.  It takes inner products with ``ndarray.dot``, ``np.dot``'s
+routine without its dispatch, and forms the cross products and quotients
+in Python floats: numpy's fixed cost per call dwarfs their arithmetic.
 """
 
 import math
@@ -61,11 +61,9 @@ class BatchInvariants:
 
 
 def _cross(a, b):
-    """a x b of two 3-vectors in Python floats: the products and
-    differences ``np.cross`` forms, without its per-call overhead."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    """a x b of two 3-sequences of floats, as np.cross forms it, in a tuple."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def invariants(v, dv, ddv):
@@ -73,22 +71,25 @@ def invariants(v, dv, ddv):
     3-vectors v, v', v'', bit for bit what ``invariants_batch`` gives
     that row.  Raises ``DegenerateInput`` when |v| <= EPS_V.
 
-    Inner products are ``np.dot``, which sums three products the way
-    ``rowdot`` does (a fused multiply-add chain, not reproducible in
-    Python floats before 3.13); |x| is the square root of ``np.dot(x, x)``,
-    as ``np.linalg.norm`` computes it.  Cross products are ``_cross``."""
-    v, dv, ddv = (np.asarray(x, dtype=np.float64) for x in (v, dv, ddv))
-    v_mag = math.sqrt(np.dot(v, v))
+    Inner products are ``ndarray.dot``, ``np.dot``'s routine without its
+    dispatch: a fused multiply-add chain, as in ``rowdot``, that Python floats
+    cannot reproduce before 3.13; |x| = sqrt(x.dot(x)), as ``np.linalg.norm``.
+    ``_cross`` and the quotients are single IEEE operations in Python floats."""
+    v, dv = np.asarray(v, np.float64), np.asarray(dv, np.float64)
+    v_mag = math.sqrt(v.dot(v))
     if v_mag <= EPS_V:
         raise DegenerateInput(f"|v| = {v_mag} <= {EPS_V}")
     v2 = v_mag * v_mag
-    vxdv = _cross(v, dv)
-    omega_vec = vxdv / v2
-    omega_mag = math.sqrt(np.dot(omega_vec, omega_vec))
+    dv_floats = dv.tolist()
+    w0, w1, w2 = vxdv = _cross(v.tolist(), dv_floats)
+    omega_vec = np.array((w0 / v2, w1 / v2, w2 / v2))
+    omega_mag = math.sqrt(omega_vec.dot(omega_vec))
     xi = 0.0
     if omega_mag > EPS_W:  # a NaN omega counts as no rotation, as in the batch
-        xi = v_mag * (float(np.dot(v, _cross(dv, ddv))) / float(np.dot(vxdv, vxdv)))
-    return float(np.dot(v, dv)) / v2, omega_vec, omega_mag, xi
+        w = np.array(vxdv)
+        dvxddv = np.array(_cross(dv_floats, np.asarray(ddv, np.float64).tolist()))
+        xi = v_mag * (float(v.dot(dvxddv)) / float(w.dot(w)))
+    return float(v.dot(dv)) / v2, omega_vec, omega_mag, xi
 
 
 def _as_rows(a):

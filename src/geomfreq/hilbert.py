@@ -8,7 +8,8 @@ instantaneous frequency phi' = Im(z'/z) of z = u + j uh, which
 ``geometry.phase_rate`` computes; both quantities are computed from the
 rows of ``numdiff.differentiate_arrays``, so that their agreement is an
 algebraic identity.  ``MAX_REL_DEV`` and ``MAX_ABS_XI`` bound that
-agreement for ``geomfreq hilbert`` and ``validate`` alike.
+agreement, and ``tone`` builds the default input, for ``geomfreq
+hilbert`` and ``validate`` alike.
 """
 
 from dataclasses import dataclass
@@ -20,12 +21,16 @@ from .frenet import invariants
 from .geometry import phase_rate
 from .numdiff import differentiate_arrays
 from .series import TimeSeries
+from .signals import eval_arrays, sample_times, single_phase_model
 
 MIN_LENGTH = 16
 EPS_ENVELOPE = 1e-12  # V^2; at or below it the squared envelope u^2 + uh^2 vanishes
 EPS_PHI_DOT = 1e-12  # rad/s; floor of |phi'| in the relative deviation
 MAX_REL_DEV = 1e-9  # pass bound of EquivalenceReport.max_rel_dev
 MAX_ABS_XI = 1e-12  # 1/s, pass bound of EquivalenceReport.max_abs_xi
+TONE_FREQ = 50.0  # Hz, the default tone
+TONE_T1 = 0.4096  # s, end of its half-open window [0, t1)
+TONE_DT = 1e-4  # s, its step: 4096 samples
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,13 @@ class EquivalenceReport:
     max_abs_xi: float
 
 
+def tone(freq, t1, dt):
+    """Times of [0, t1) at step dt, and u = cos(2 pi freq t) on them (channel 0
+    of ``signals.single_phase_model``, so a bad grid or angle is refused there)."""
+    times = sample_times(0.0, t1, dt)[:-1]  # half-open
+    return times, eval_arrays(single_phase_model(1.0, 2.0 * np.pi * freq), times)[0][:, 0]
+
+
 def analytic_embed(times, dt, u):
     """The plane curve (u, uh, 0) of u sampled at ``times``, as a
     TimeSeries, with uh the discrete Hilbert transform of u.
@@ -58,12 +70,10 @@ def analytic_embed(times, dt, u):
     if n < MIN_LENGTH:
         raise InvalidParameter(f"need at least {MIN_LENGTH} samples, got {n}")
     weights = np.zeros(n)
+    weights[: (n + 1) // 2] = 2.0
     weights[0] = 1.0
     if n % 2 == 0:
-        weights[1 : n // 2] = 2.0
         weights[n // 2] = 1.0
-    else:
-        weights[1 : (n + 1) // 2] = 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         analytic = np.fft.ifft(np.fft.fft(u) * weights)
     if np.isfinite(u).all() and not np.isfinite(analytic.imag).all():
@@ -109,8 +119,6 @@ def geometric_equivalence(embedded):
         raise FloatOverflow("the embedded curve's invariants overflow float64")
 
     mid = slice(n // 4, 3 * n // 4)
-    dev = np.abs(omega_z[mid] - phi_dot[mid]) / np.maximum(
-        np.abs(phi_dot[mid]), EPS_PHI_DOT
-    )
+    dev = np.abs(omega_z[mid] - phi_dot[mid]) / np.maximum(np.abs(phi_dot[mid]), EPS_PHI_DOT)
     return EquivalenceReport(times, rho, omega_mag, omega_z, xi, phi_dot,
                              float(dev.max()), float(np.abs(xi).max()))

@@ -228,11 +228,9 @@ def check_numdiff():
 
 
 def check_hilbert():
-    """The embedding identities on the default ``geomfreq hilbert`` tone: 50 Hz,
-    4096 samples at 1e-4 s, channel 0 of ``signals.single_phase_model``."""
-    t = 1e-4 * np.arange(4096)
-    u = signals.eval_arrays(signals.single_phase_model(1.0, 2.0 * math.pi * 50.0), t)[0][:, 0]
-    report = hilbert.geometric_equivalence(hilbert.analytic_embed(t, 1e-4, u))
+    """The embedding identities on the default ``geomfreq hilbert`` tone."""
+    t, u = hilbert.tone(hilbert.TONE_FREQ, hilbert.TONE_T1, hilbert.TONE_DT)
+    report = hilbert.geometric_equivalence(hilbert.analytic_embed(t, hilbert.TONE_DT, u))
     return [
         ("embedding omega equals classical phi'", report.max_rel_dev, hilbert.MAX_REL_DEV),
         ("embedding torsion is zero", report.max_abs_xi, hilbert.MAX_ABS_XI),

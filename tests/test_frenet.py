@@ -436,15 +436,37 @@ def test_invariants_is_the_numpy_body_on_random_rows(rng):
         )
 
 
+@pytest.mark.parametrize(
+    "jet",
+    [
+        ((3, 1, 0), (-1, 2, 1), (1, 0, 5)),  # rotating, with torsion
+        ((3, 1, 0), (6, 2, 0), (1, 0, 5)),  # v' parallel to v: no rotation
+        ((0, 0, 0), (1, 0, 0), (0, 0, 0)),  # degenerate
+    ],
+    ids=["rotating", "no_rotation", "degenerate"],
+)
+def test_invariants_takes_lists_and_int_tuples(jet):
+    # each input is converted to float64 once, whatever its type: integer
+    # tuples (past 2**53, where float64 rounds and int64 products wrap) and
+    # lists of floats (tenths, which round) give the bits of float64 arrays
+    big = tuple(tuple(c * (2**53 + 1) for c in x) for x in jet)
+    tenths = [[0.1 * c for c in x] for x in jet]
+    for given_jet in (jet, big, tenths):
+        arrays = [np.array(x, dtype=np.float64) for x in given_jet]
+        assert _outcome(frenet.invariants, *given_jet) == _outcome(frenet.invariants, *arrays)
+
+
 @given(st.lists(st.tuples(*(st.floats(allow_nan=False),) * 6), min_size=2, max_size=8))
 def test_cross_is_np_cross_bit_for_bit(rows):
     # full float range and infinities: products overflow to inf and
-    # inf - inf gives NaN, in the same places as np.cross.  _cross takes
-    # two 3-vectors; rowcross also (N, 3) rows, N = 0, 1 and several
+    # inf - inf gives NaN, in the same places as np.cross.  _cross, the
+    # per-instant cross of frenet.invariants, takes two sequences of
+    # three Python floats; rowcross also (N, 3) rows, N = 0, 1 and several
     c = np.array(rows)
     a, b = c[:, :3], c[:, 3:]
     with np.errstate(all="ignore"):
-        assert frenet._cross(a[0], b[0]).tobytes() == np.cross(a[0], b[0]).tobytes()
+        got = np.array(frenet._cross(a[0].tolist(), b[0].tolist()))
+        assert got.tobytes() == np.cross(a[0], b[0]).tobytes()
         for x, y in ((a[0], b[0]), (a[:0], b[:0]), (a[:1], b[:1]), (a, b)):
             got, want = rowcross(x, y), np.cross(x, y)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())

@@ -29,8 +29,8 @@ EPS_PHI_DOT = 1e-12  # rad/s; floor of |phi'| in the relative deviation
 MAX_REL_DEV = 1e-9  # pass bound of EquivalenceReport.max_rel_dev
 MAX_ABS_XI = 1e-12  # 1/s, pass bound of EquivalenceReport.max_abs_xi
 TONE_FREQ = 50.0  # Hz, the default tone
-TONE_T1 = 0.4096  # s, end of its half-open window [0, t1)
-TONE_DT = 1e-4  # s, its step: 4096 samples
+TONE_T1 = 0.4  # s, end of its half-open window [0, t1)
+TONE_DT = 1e-4  # s, its step: 4000 samples, 20 whole periods of TONE_FREQ
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from geomfreq import frenet, signals
 from geomfreq.geometry import rowdot
 
 W_O = 100.0 * math.pi
 OMEGA_POS = W_O / math.sqrt(3.0)
+DRAWN_T1 = 0.1  # s, end of the window drawn models are checked on
 
 
 def scenario_arrays(scenario_id, t0, t1, dt):
@@ -42,6 +44,42 @@ def ddv_expansion(v, dv, ddv):
     return SimpleNamespace(
         b=b, n=n, a2=a2, b2=b2, c2=c2, residual=residual, rho_prime=rho_prime
     )
+
+
+def _magnitude(draw, lo, hi):
+    """A magnitude Profile whose offset is in [lo, hi] V, with a slope of
+    up to one offset per second and a swing of up to 0.3 offsets, so it
+    stays above 0.6 offsets on [0, DRAWN_T1]."""
+    offset = draw(st.floats(lo, hi))
+    return signals.Profile(offset, draw(st.floats(-offset, offset)),
+                           draw(st.floats(0.0, 0.3 * offset)), draw(st.floats(0.0, 100.0)))
+
+
+def _angle(draw, theta0):
+    """An angle Profile at 1, 3, 5 or 11 times 50 Hz, within 5%, from
+    theta0, frequency modulated by up to pi rad at up to 4 pi rad/s."""
+    w = draw(st.sampled_from((1, 3, 5, 11))) * W_O * draw(st.floats(0.95, 1.05))
+    return signals.Profile(theta0, w, draw(st.floats(0.0, math.pi)),
+                           draw(st.floats(0.0, 4.0 * math.pi)))
+
+
+@st.composite
+def signal_models(draw):
+    """A three-phase SignalModel whose magnitudes vary: each channel has a
+    component of 0.5-20 V, near its phase of a balanced set (within 0.5
+    rad), and may add a second of at most 0.3 times the first's offset at
+    any phase.  Every term of both Profiles is drawn."""
+    channels = []
+    for c in range(3):
+        first = _magnitude(draw, 0.5, 20.0)
+        theta0 = -2.0 * math.pi / 3.0 * c + draw(st.floats(-0.5, 0.5))
+        comps = [signals.Component(first, _angle(draw, theta0))]
+        if draw(st.booleans()):
+            second = _magnitude(draw, 0.0, 0.3 * first.offset)
+            phase = draw(st.floats(-math.pi, math.pi))
+            comps.append(signals.Component(second, _angle(draw, phase)))
+        channels.append(tuple(comps))
+    return signals.SignalModel(channels=tuple(channels))
 
 
 @pytest.fixture(scope="session")

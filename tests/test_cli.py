@@ -244,6 +244,16 @@ def test_validate_cli_exit_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "scope, n",
+    [("geometry", 3), ("frenet_core", 9), ("threephase_forms", 3), ("signals", 4),
+     ("numdiff", 3), ("hilbert", 2), ("park", 3), ("all", 27)],
+)
+def test_validate_ends_with_its_property_count(capsys, scope, n):
+    assert cli.main(["validate", scope]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"{n}/{n} properties passed"
+
+
+@pytest.mark.parametrize(
     "scope, prop",
     [("frenet_core", "reconstruction"),
      ("threephase_forms", "closed-form omega vs Frenet")],
@@ -354,11 +364,14 @@ def test_validate_suites_read_the_array_route(monkeypatch, scope):
 
 
 def test_park_reads_the_array_route(monkeypatch, capsys):
+    # E0 is balanced at every instant in the default frame and in the
+    # Clarke frame (--wdq 0), so the balanced identity is checked on each
     _no_per_sample_route(monkeypatch)
-    assert cli.main(["park", "--scenario", "E0", "--t1", "0.02", "--dt", "1e-4"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[-2].endswith("(checked on 201 of 201 instants)")
-    assert out[-1] == "PASS"
+    for frame in ([], ["--wdq", "0"]):
+        assert cli.main(["park", "--scenario", "E0", "--t1", "0.02", "--dt", "1e-4", *frame]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2].endswith("(checked on 201 of 201 instants)")
+        assert out[-1] == "PASS"
 
 
 def test_park_says_when_no_instant_is_balanced(capsys):
@@ -392,11 +405,15 @@ def test_park_subcommand(tmp_path, capsys):
 
 
 def test_hilbert_subcommand(tmp_path, capsys):
+    # the default window: every sample but the two the stencil trims at each end
     out = tmp_path / "hb.csv"
+    samples = hilbert.tone(hilbert.TONE_FREQ, hilbert.TONE_T1, hilbert.TONE_DT)[0].size
     rc = cli.main(["hilbert", "--freq", "50", "--out", str(out)])
     assert rc == 0
-    assert "PASS" in capsys.readouterr().out
-    assert out.read_text().splitlines()[0] == "t,rho,w,xi,phi_dot"
+    said = capsys.readouterr().out.splitlines()
+    assert said[0] == f"wrote {samples - 4} rows to {out}" and said[-1] == "PASS"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,rho,w,xi,phi_dot" and len(lines) == 1 + samples - 4
 
 
 def test_hilbert_csv_of_dc_passes(tmp_path, capsys):
@@ -517,11 +534,11 @@ BAD_INPUT = [
     ("hilbert-freq-negative", ["hilbert", "--freq", "-50"], 2, "--freq"),
     ("hilbert-freq-inf", ["hilbert", "--freq", "inf"], 2, "--freq"),
     # the test tone is built by signals, which refuses an angle past
-    # geometry.MAX_ANGLE (1e12 Hz passed on 2.6e12 rad; 1e308 Hz leaked
+    # geometry.MAX_ANGLE (a 1e12 Hz tone passed, past 2.5e12 rad; 1e308 Hz leaked
     # two RuntimeWarnings before its exit 2); the 1e308 Hz rate overflows
     # to inf, and its NaN angle inf * 0 at t = 0 is reported as inf
     ("hilbert-freq-angle-past-bound", ["hilbert", "--freq", "1e12"], 2,
-     "signal angle 2.57296e+12 rad is past geometry.MAX_ANGLE"),
+     "signal angle 2.51265e+12 rad is past geometry.MAX_ANGLE"),
     ("hilbert-freq-angle-overflow", ["hilbert", "--freq", "1e308"], 2,
      "signal angle inf rad is past geometry.MAX_ANGLE"),
     # a tone at or past the Nyquist frequency 0.5/dt: its samples are those
@@ -541,6 +558,8 @@ BAD_INPUT = [
     ("csv-inf-cell", ["analyze", "--csv", "{inf}", "--mode", "numeric"], 3, "NaN or infinite"),
     ("hilbert-csv-nan-cell", ["hilbert", "--csv", "{nan}"], 3, "NaN or infinite"),
     ("numeric-no-csv", ["analyze", "--mode", "numeric"], 2, "numeric mode needs --csv"),
+    ("analyze-unknown-scenario", ["analyze", "--scenario", "NOPE"], 2,
+     "unknown scenario 'NOPE'"),
     ("csv-four-rows", ["analyze", "--csv", "{short}", "--mode", "numeric"], 3,
      "at least 5 samples"),
     # waveform files the reader rejects, each named in the message
@@ -552,6 +571,8 @@ BAD_INPUT = [
     # a channel whose analytic envelope vanishes is bad input, not a failed check
     ("hilbert-csv-zero-channel", ["hilbert", "--csv", "{zero_vb}", "--channel", "1"], 3,
      "envelope vanishes"),
+    # |v| vanishes at every sample: no row to analyze
+    ("csv-all-degenerate", ["analyze", "--csv", "{zeros}"], 3, "every sample is degenerate"),
     # too few samples for the Hilbert transform: a short file is a format
     # error, a short synthetic range a usage error
     ("hilbert-csv-nine-rows", ["hilbert", "--csv", "{nine}"], 3, "at least 16 samples"),
@@ -602,13 +623,16 @@ BAD_INPUT = [
      "{cfg_not_utf8}: not UTF-8 text"),
     # a recording whose scale overflows float64 where a sample is not
     # degenerate: |v|^2, |v x v'|^2 (a tau of -0.0 otherwise), the stencil,
-    # the Hilbert transform or the analytic envelope
+    # the Hilbert transform, the analytic envelope or, from a 1e152 V tone
+    # on, v' x v'' of the embedded curve
     ("csv-overflow-v-squared", ["analyze", "--csv", "{huge}"], 3,
      "invariants overflow float64"),
     ("csv-overflow-tau-denominator", ["analyze", "--csv", "{balanced_1e80}"], 3,
      "invariants overflow float64"),
     ("csv-overflow-stencil", ["analyze", "--csv", "{huge_1e307}"], 3,
      "derivatives of the samples overflow float64"),
+    ("hilbert-csv-overflow-invariants", ["hilbert", "--csv", "{tone_1e152}"], 3,
+     "embedded curve's invariants overflow float64"),
     ("hilbert-csv-overflow-envelope", ["hilbert", "--csv", "{huge}"], 3,
      "envelope or its phase rate overflows float64"),
     ("hilbert-csv-overflow-stencil", ["hilbert", "--csv", "{huge_1e305}"], 3,
@@ -692,6 +716,10 @@ def bad_input_argv(argv, tmp_path):
         "empty": ["# no header, no rows\n"],
         "jitter": [*good[:10], f"{float(t_jitter) + 1e-7!r},{rest}", *good[11:]],
         "zero_vb": [ln.replace(",-0.5,", ",0.0,") for ln in good[:-1]],
+        "zeros": _recording(lambda k: (0.0, 0.0, 0.0)),
+        "tone_1e152": _recording(
+            lambda k: (1e152 * math.cos(2.0 * math.pi * 50.0 * k * 1e-4), 0.0, 0.0), rows=400
+        ),
         "huge": _recording(lambda k: (1e300 * math.cos(0.3 * k), 0.0, 0.0)),
         "huge_1e305": _recording(lambda k: (1e305 * math.cos(0.3 * k), 0.0, 0.0)),
         "huge_1e307": _recording(lambda k: (1e307 * math.cos(0.3 * k), 0.0, 0.0)),
@@ -741,6 +769,32 @@ def test_config_keys_the_route_does_not_read_are_ignored(tmp_path, ini, argv, sa
     assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
     assert cli.main([*same_as, "--out", str(plain)]) == 0
     assert out.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "ini, argv, flags",
+    [
+        ("[park]\nwdq = 300\ntheta0 = 0.7\n", ["park", "--scenario", "E8"],
+         ["--wdq", "300", "--theta0", "0.7"]),
+        ("[sampling]\nt0 = 0.0\nt1 = 0.05\ndt = 2e-4\n[filter]\ntau = 4e-4\n",
+         ["generate", "E6"], ["--t0", "0.0", "--t1", "0.05", "--dt", "2e-4"]),
+        ("[scenario]\nid = E6\n[sampling]\nt1 = 0.05\n[filter]\ntau = 4e-4\n",
+         ["analyze", "--csv", "{rec}"], ["--filter-tau", "4e-4"]),
+    ],
+    ids=["park-frame", "generate-sampling", "numeric-filter"],
+)
+def test_config_keys_write_what_their_flags_write(tmp_path, ini, argv, flags):
+    """A key the route reads writes the bytes of its flag, and those differ
+    from the bytes of the default it replaces."""
+    rec, cfg = tmp_path / "rec.csv", tmp_path / "run.ini"
+    _waveform(rec, 64)
+    cfg.write_text(ini)
+    argv = [a.format(rec=rec) for a in argv]
+    outs = [tmp_path / f"{name}.csv" for name in ("config", "flags", "default")]
+    for extra, out in zip((["--config", str(cfg)], flags, []), outs):
+        assert cli.main([*argv, *extra, "--out", str(out)]) == 0
+    config, flagged, default = (out.read_bytes() for out in outs)
+    assert config == flagged != default
 
 
 # --------------------------------------------------------- shared parser

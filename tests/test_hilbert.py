@@ -167,3 +167,12 @@ def test_overflow_is_raised(scale, says):
 def test_largest_scale_before_overflow_keeps_the_equivalence():
     rep = hilbert.geometric_equivalence(hilbert.analytic_embed(T, DT, 1e150 * _tone()))
     assert rep.max_rel_dev <= 1e-9 and rep.max_abs_xi == 0.0
+
+
+def test_default_tone_writes_its_own_frequency():
+    # the DFT takes the window as one period of a periodic signal, so only
+    # a whole number of periods gives the tone's frequency on every row
+    t, u = hilbert.tone(hilbert.TONE_FREQ, hilbert.TONE_T1, hilbert.TONE_DT)
+    rep = hilbert.geometric_equivalence(hilbert.analytic_embed(t, hilbert.TONE_DT, u))
+    w = 2.0 * math.pi * hilbert.TONE_FREQ
+    assert np.abs(rep.omega_mag / w - 1.0).max() <= 1e-6

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import frenet
 from .errors import DegenerateInput, FloatOverflow
+from .geometry import as_rows
 
 COLUMNS = (
     "t",
@@ -36,11 +37,12 @@ def analyze(t, v, dv, ddv):
     a degenerate-speed row; eta and RoCoF on a row without rotation).
     On a row without rotation w1, w2, w3, w, xi, kappa and tau are 0.0,
     and ``rotation_defined`` holds 0.0 there and 1.0 elsewhere.  Raises
-    DegenerateInput when every sample is degenerate, and FloatOverflow
-    when the invariants of a sample that is not degenerate overflow
-    float64.
+    InvalidParameter unless t is (N,) and the rows finite (N, 3)
+    (``geometry.as_rows``), DegenerateInput when every sample is
+    degenerate, and FloatOverflow when the invariants of a sample that
+    is not degenerate overflow float64.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t, (v, dv, ddv) = as_rows(t, v, dv, ddv)
     b = frenet.invariants_batch(v, dv, ddv)
     degenerate = int(np.count_nonzero(b.degenerate))
     if degenerate and degenerate == b.degenerate.size:

@@ -21,7 +21,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .analysis import COLUMNS
-from .errors import MalformedCsv
+from .errors import InvalidParameter, MalformedCsv
 from .series import TimeSeries
 
 WAVEFORM_HEADER = ("t", "va", "vb", "vc")
@@ -126,11 +126,14 @@ def _flag(x):
 
 
 def write_table(path, header, columns, footer=None):
-    """Write equal-length float arrays, one per name in ``header``, as
-    CSV rows, then ``# footer`` if given.  Rows are formatted in blocks
-    of BLOCK_ROWS, so the text held at once stays bounded."""
+    """Write equal-length float arrays, one per name in ``header``, as CSV
+    rows in blocks of BLOCK_ROWS, then ``# footer`` if given.  Other
+    columns are refused with InvalidParameter before the file is opened."""
+    lengths = [len(col) for col in columns]
+    if len(lengths) != len(header) or len(set(lengths)) != 1:
+        raise InvalidParameter(f"{len(header)} column names for column lengths {lengths}")
     fmts = [_flag if name == "rotation_defined" else repr for name in header]
-    n = len(columns[0])
+    n = lengths[0]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, BLOCK_ROWS):

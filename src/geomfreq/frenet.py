@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidParameter
-from .geometry import rowcross, rowdot, rownorm
+from .errors import DegenerateInput
+from .geometry import as_rows, rowcross, rowdot, rownorm
 
 EPS_V = 1e-9  # V; below this the curve has no defined tangent
 EPS_W = 1e-9  # rad/s; below this the curve is not rotating
@@ -92,22 +92,11 @@ def invariants(v, dv, ddv):
     return float(v.dot(dv)) / v2, omega_vec, omega_mag, xi
 
 
-def _as_rows(a):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 3:
-        raise InvalidParameter(f"expected shape (N, 3), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameter("non-finite vector component")
-    return a
-
-
 def invariants_batch(v, dv, ddv):
     """Invariants and RoCoF split of every row of (N, 3) arrays; a
     degenerate, non-rotating or overflowing row is flagged (see
     ``BatchInvariants``)."""
-    v, dv, ddv = _as_rows(v), _as_rows(dv), _as_rows(ddv)
-    if not v.shape == dv.shape == ddv.shape:
-        raise InvalidParameter(f"shape mismatch {v.shape}, {dv.shape}, {ddv.shape}")
+    _, (v, dv, ddv) = as_rows(None, v, dv, ddv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v_mag = rownorm(v)
         v2 = v_mag * v_mag
@@ -176,8 +165,8 @@ def frame(v, dv, ddv):
     tangent v/|v|, the unit normal n/|n| with n = v' - rho v, and the
     unit binormal omega/|omega|.  All three are NaN on a row without
     rotation, where the normal and binormal are undefined."""
+    _, (v, dv, ddv) = as_rows(None, v, dv, ddv)
     b = invariants_batch(v, dv, ddv)
-    v, dv = np.asarray(v, dtype=np.float64), np.asarray(dv, dtype=np.float64)
     n = dv - b.rho[:, None] * v
     with np.errstate(divide="ignore", invalid="ignore"):
         triad = (

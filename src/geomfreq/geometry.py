@@ -1,5 +1,5 @@
-"""Row-wise 3-vector algebra shared by the array kernels, and the
-planar phase rate of a phasor.
+"""Row-wise 3-vector algebra and the one check of (N,) times and (N, 3)
+rows (``as_rows``) shared by the array kernels, and a phasor's phase rate.
 
 Vectors are float64 numpy arrays with the three components on the last
 axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 
-__all__ = ["MAX_ANGLE", "check_angle", "phase_rate", "rowcross", "rowdot", "rownorm"]
+__all__ = ["MAX_ANGLE", "as_rows", "check_angle", "phase_rate", "rowcross", "rowdot", "rownorm"]
 
 # largest signal or Park frame angle: past it, float64 resolves an angle
 # such as w t + theta0 to worse than 1.9e-6 rad
@@ -26,6 +26,19 @@ def check_angle(what, theta):
         first = worst[(worst > MAX_ANGLE).argmax()]
         raise InvalidParameter(f"{what} angle {first:.6g} rad is past geometry.MAX_ANGLE = 2**33")
     return theta
+
+
+def as_rows(t, *xs):
+    """t (None for no times) as (N,) and each x as (N, 3) float64 arrays, N
+    the rows of the first x; InvalidParameter for another shape or a non-finite x."""
+    t, *xs = (x if x is None else np.asarray(x, dtype=np.float64) for x in (t, *xs))
+    n = xs[0].shape[:1]
+    if any(x.shape != (*n, 3) for x in xs) or t is not None and t.shape != n:
+        got = ", ".join(str(x.shape) for x in (t, *xs) if x is not None)
+        raise InvalidParameter(f"expected (N,) times and (N, 3) rows, got shapes {got}")
+    if not all(np.isfinite(x).all() for x in xs):
+        raise InvalidParameter("non-finite sample value")
+    return t, xs
 
 
 def rowdot(a, b):

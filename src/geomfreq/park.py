@@ -22,8 +22,8 @@ of ``frenet.identity_residuals`` on the dq0 rows, which
 ``MAX_SUM_REL_ERR`` bounds for ``geomfreq park`` and ``validate`` alike.
 
 A dq0 jet is the plain triple (v_dq0, v_hat', v_hat'') of ``to_dq0``,
-which ``from_dq0`` takes back.  Every function takes times of shape
-(N,) and rows of shape (N, 3), and refuses any other shape.  The frame
+which ``from_dq0`` takes back.  Every function takes (N,) times and
+finite (N, 3) rows, as ``geometry.as_rows`` checks them.  The frame
 is ``w_dq`` (rad/s; a float or one speed per row) and, where the angle
 is read, ``theta0`` (rad, default 0).  Its axes are written once, in
 ``inverse_park_matrix``; ``park_matrix`` is diag(2/3, 2/3, 1/3) times
@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frenet
-from .errors import DegenerateInput, FloatOverflow, InvalidParameter
+from .errors import DegenerateInput, FloatOverflow
 from .frenet import EPS_V
-from .geometry import check_angle, phase_rate, rownorm
+from .geometry import as_rows, check_angle, phase_rate, rownorm
 
 _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 _SCALE = np.array([[2.0 / 3.0], [2.0 / 3.0], [1.0 / 3.0]])  # diag(2/3, 2/3, 1/3)
@@ -74,16 +74,6 @@ def park_matrix(theta):
     return np.ascontiguousarray(_SCALE * np.swapaxes(inverse_park_matrix(theta), -1, -2))
 
 
-def _rows(t, *xs):
-    """t (None for no times) as (N,) and each x as (N, 3) float64 arrays."""
-    t, *xs = (x if x is None else np.asarray(x, dtype=np.float64) for x in (t, *xs))
-    n = xs[0].shape[:1]
-    if any(x.shape != (*n, 3) for x in xs) or t is not None and t.shape != n:
-        got = ", ".join(str(x.shape) for x in (t, *xs) if x is not None)
-        raise InvalidParameter(f"park takes (N,) times and (N, 3) rows, got shapes {got}")
-    return t, xs
-
-
 def _apply(M, x):
     """M x for stacks of 3x3 matrices and rows."""
     return (M @ x[..., None])[..., 0]
@@ -103,7 +93,7 @@ def to_dq0(t, v, dv, ddv, w_dq, theta0=0.0):
     Raises InvalidParameter for a frame angle past geometry.MAX_ANGLE,
     FloatOverflow on overflow.
     """
-    t, (v, dv, ddv) = _rows(t, v, dv, ddv)
+    t, (v, dv, ddv) = as_rows(t, v, dv, ddv)
     with np.errstate(over="ignore", invalid="ignore"):
         P = park_matrix(check_angle("frame", w_dq * t + theta0))
         vdq0, dv = _apply(P, v), _apply(P, dv)
@@ -116,7 +106,7 @@ def to_dq0(t, v, dv, ddv, w_dq, theta0=0.0):
 
 def from_dq0(t, vdq0, dvdq0, ddvdq0, w_dq, theta0=0.0):
     """Inverse of ``to_dq0``, refusing the same frame angles: abc (v, v', v'') at times t."""
-    t, (vdq0, dvdq0, ddvdq0) = _rows(t, vdq0, dvdq0, ddvdq0)
+    t, (vdq0, dvdq0, ddvdq0) = as_rows(t, vdq0, dvdq0, ddvdq0)
     with np.errstate(over="ignore", invalid="ignore"):
         Q = inverse_park_matrix(check_angle("frame", w_dq * t + theta0))
     dv = inertial_derivative(vdq0, dvdq0, w_dq)
@@ -126,7 +116,7 @@ def from_dq0(t, vdq0, dvdq0, ddvdq0, w_dq, theta0=0.0):
 
 def inertial_derivative(vdq0, dvdq0, w_dq):
     """v' = v_hat' + r x v in dq0 components, r = w_dq e_o."""
-    _, (vdq0, dvdq0) = _rows(None, vdq0, dvdq0)
+    _, (vdq0, dvdq0) = as_rows(None, vdq0, dvdq0)
     return dvdq0 + _spin(w_dq, vdq0)
 
 
@@ -152,7 +142,7 @@ def derivative_frame_check(vdq0, dvdq0, w_dq):
     so v_hat' = rho v + delta_omega e_o x v as well.  Elsewhere
     delta_omega and ``balanced_identity_err`` are NaN.
     """
-    _, (v, v_hat_prime) = _rows(None, vdq0, dvdq0)
+    _, (v, v_hat_prime) = as_rows(None, vdq0, dvdq0)
     inertial = inertial_derivative(v, v_hat_prime, w_dq)
     # v'' = 0 stands in: rho and omega do not depend on it
     b = frenet.invariants_batch(v, inertial, np.zeros_like(v))

@@ -6,12 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatOverflow, InvalidParameter
+from .geometry import as_rows
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Three voltage channels on a uniform grid: values[k] is
-    (va, vb, vc) at times[k], and dt is the grid step.
+    """Three voltage channels on a uniform grid: values[k] is (va, vb, vc)
+    at times[k] (``geometry.as_rows``), and dt is the grid step.
 
     ``times`` is stored as given, whether ``signals.sample`` built it or
     a file held it, so it round-trips bit-exactly and a slice of the
@@ -25,17 +26,9 @@ class TimeSeries:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:  # NaN and inf steps too
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
-        times = np.asarray(self.times, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if times.ndim != 1 or values.shape != (times.size, 3):
-            raise InvalidParameter(
-                f"values shape {values.shape} does not match "
-                f"{times.shape} times and 3 channels"
-            )
+        times, (values,) = as_rows(self.times, self.values)
         if times.size < 1:
             raise InvalidParameter("time series needs at least one sample")
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameter("non-finite sample value")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 

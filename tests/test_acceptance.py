@@ -211,8 +211,7 @@ def test_criterion_11_numeric_imbalance_detection(tmp_path):
     out = tmp_path / "analysis.csv"
     cli_io.write_waveform_csv(wf, series)
     rc = cli.main(
-        ["analyze", "--csv", str(wf), "--mode", "numeric",
-         "--filter-tau", "2e-4", "--out", str(out)]
+        ["analyze", "--csv", str(wf), "--filter-tau", "2e-4", "--out", str(out)]
     )
     assert rc == 0
 

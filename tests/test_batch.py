@@ -255,8 +255,7 @@ def test_cli_numeric_csv_layout_matches_parent_route(tmp_path):
     raw = _outage_series(filter_tau=None)
     wf, out = tmp_path / "wf.csv", tmp_path / "an.csv"
     cli_io.write_waveform_csv(wf, raw)
-    argv = ["analyze", "--csv", str(wf), "--mode", "numeric",
-            "--filter-tau", "1.2e-4", "--out", str(out)]
+    argv = ["analyze", "--csv", str(wf), "--filter-tau", "1.2e-4", "--out", str(out)]
     assert cli.main(argv) == 0
     series = numdiff.lowpass_first_order(cli_io.read_waveform_csv(wf), 1.2e-4)
     _check_csv_against_parent(out, *numdiff.differentiate_arrays(series))

@@ -1,4 +1,5 @@
-"""The waveform reader against a per-cell ``float()`` reference.
+"""The waveform reader against a per-cell ``float()`` reference, and
+the column checks of the table writer.
 
 Files are written with sizes next to ``cli_io.BLOCK_ROWS`` (the reader
 parses that many lines per block), comment and blank lines anywhere,
@@ -7,6 +8,7 @@ ending.  The parse must match the reference bit for bit, and the first
 ragged or bad line of a file must be the one the error names.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomfreq import cli_io, signals
-from geomfreq.errors import MalformedCsv
+from geomfreq.errors import InvalidParameter, MalformedCsv
 
 DT = 1e-4
 SIZES = [cli_io.BLOCK_ROWS - 1, cli_io.BLOCK_ROWS, cli_io.BLOCK_ROWS + 1,
@@ -136,3 +138,17 @@ def test_reader_peak_memory_is_bounded_per_sample(tmp_path):
     assert len(series) == n
     # the float array (32 B/sample) and its blocks while they are joined
     assert peak / n < 120
+
+
+@pytest.mark.parametrize("columns, lengths", [
+    ((np.zeros(3), np.zeros(3)), "[3, 3]"),
+    ((np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3)), "[3, 3, 3, 3]"),
+    ((np.zeros(3), np.zeros(2), np.zeros(3)), "[3, 2, 3]"),
+], ids=["fewer-columns", "more-columns", "unequal-lengths"])
+def test_writer_refuses_columns_that_do_not_fit_the_header(tmp_path, columns, lengths):
+    # zipped, they would write the shortest column's rows or drop a column
+    path = tmp_path / "table.csv"
+    with pytest.raises(InvalidParameter,
+                       match=re.escape(f"3 column names for column lengths {lengths}")):
+        cli_io.write_table(path, ("t", "a", "b"), columns)
+    assert not path.exists()

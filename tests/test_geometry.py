@@ -1,6 +1,6 @@
 """Row-wise vector algebra (``rowdot``, ``rownorm`` and ``np.cross`` over
-rows), the planar phase rate Im(z'/z) of a phasor, and the period means
-of rho and |omega|."""
+rows), the one check of times and rows, the planar phase rate Im(z'/z)
+of a phasor, and the period means of rho and |omega|."""
 
 import math
 
@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomfreq import frenet, hilbert, signals
+from geomfreq import analysis, frenet, hilbert, park, signals
+from geomfreq.errors import InvalidParameter
 from geomfreq.geometry import phase_rate, rowdot, rownorm
 from geomfreq.numdiff import differentiate_arrays
+from geomfreq.series import TimeSeries
 
-from conftest import W_O
+from conftest import W_O, scenario_arrays
 from reference import cross, dot
 
 finite = st.floats(
@@ -99,7 +101,47 @@ def test_lagrange_identity(a, b):
         assert abs(rowdot(a, b)[k] - dot(a[k], b[k])) <= 1e-12 * scale[k]
 
 
+# ------------------------------------------------------- times and rows
+
+E0 = scenario_arrays("E0", 0.0, 0.01, 1e-3)  # 11 times and their rows v, v', v''
+# every function that takes one curve's rows, called as (t, v, v', v'')
+TAKES_ROWS = {
+    "invariants_batch": lambda t, *jet: frenet.invariants_batch(*jet),
+    "frame": lambda t, *jet: frenet.frame(*jet),
+    "analyze": analysis.analyze,
+    "to_dq0": lambda t, *jet: park.to_dq0(t, *jet, W_O),
+    "from_dq0": lambda t, *jet: park.from_dq0(t, *jet, W_O),
+    "inertial_derivative": lambda t, v, dv, ddv: park.inertial_derivative(v, dv, W_O),
+    "derivative_frame_check": lambda t, v, dv, ddv: park.derivative_frame_check(v, dv, W_O),
+    "TimeSeries": lambda t, v, dv, ddv: TimeSeries(t, 1e-3, v),
+}
+TAKES_TIMES = ("analyze", "to_dq0", "from_dq0", "TimeSeries")
+
+
+@pytest.mark.parametrize("call", TAKES_ROWS.values(), ids=TAKES_ROWS)
+def test_rows_are_refused_alike_everywhere(call):
+    t, v, dv, ddv = E0
+    call(t, v, dv, ddv)
+    shapes = r"^expected \(N,\) times and \(N, 3\) rows, got shapes (\(11,\), )?\(11, 2\)"
+    with pytest.raises(InvalidParameter, match=shapes):
+        call(t, v[:, :2], dv, ddv)
+    for cell in (np.nan, np.inf):
+        bad = v.copy()
+        bad[4, 1] = cell
+        with pytest.raises(InvalidParameter, match="^non-finite sample value$"):
+            call(t, bad, dv, ddv)
+
+
+@pytest.mark.parametrize("name", TAKES_TIMES)
+def test_times_not_one_per_row_are_refused_everywhere(name):
+    # 7 times beside 11 rows: analyze once returned them next to 11-row columns
+    t, v, dv, ddv = E0
+    with pytest.raises(InvalidParameter, match=r"got shapes \(7,\), \(11, 3\)"):
+        TAKES_ROWS[name](t[:7], v, dv, ddv)
+
+
 # --------------------------------------------------- the planar phasor link
+
 
 # power-invariant Clarke rows e_x, e_y, with e_x x e_y = (1, 1, 1)/sqrt(3)
 CLARKE = np.array([[2.0, -1.0, -1.0], [0.0, math.sqrt(3.0), -math.sqrt(3.0)]]) / math.sqrt(6.0)

@@ -73,7 +73,7 @@ def test_analytic_pair_rejects_non_finite(bad):
     "times, dt, says",
     [(T[:64], 0.0, "dt must be positive"), (T[:64], -DT, "dt must be positive"),
      (T[:64], math.nan, "dt must be positive"), (T[:64], math.inf, "dt must be positive"),
-     (T[:63], DT, "does not match")],
+     (T[:63], DT, r"expected \(N,\) times and \(N, 3\) rows, got shapes \(63,\), \(64, 3\)")],
     ids=["dt-zero", "dt-negative", "dt-nan", "dt-inf", "times-length"],
 )
 def test_analytic_embed_rejects_a_bad_grid(times, dt, says):

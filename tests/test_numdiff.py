@@ -73,8 +73,14 @@ def test_too_few_samples():
 def test_wrong_channel_count():
     # a recording is three channels: the constructor refuses any other count
     for channels in (1, 2, 4):
-        with pytest.raises(InvalidParameter, match="3 channels"):
+        shapes = rf"\(N, 3\) rows, got shapes \(10,\), \(10, {channels}\)$"
+        with pytest.raises(InvalidParameter, match=shapes):
             TimeSeries(1e-3 * np.arange(10), 1e-3, np.ones((10, channels)))
+
+
+def test_a_series_has_a_sample():
+    with pytest.raises(InvalidParameter, match="^time series needs at least one sample$"):
+        TimeSeries(np.zeros(0), 1e-3, np.zeros((0, 3)))
 
 
 def test_stencil_overflow_is_raised():

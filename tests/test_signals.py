@@ -67,6 +67,13 @@ def test_invalid_parameters():
         signals.dc_model(vdc=math.inf)
 
 
+def test_a_model_is_three_channels():
+    comp = signals.Component(signals.Profile(1.0), signals.Profile(0.0, W_O))
+    for channels in ((), ((comp,), (comp,)), ((comp,),) * 4):
+        with pytest.raises(InvalidParameter, match="^model must have exactly three channels$"):
+            signals.SignalModel(channels)
+
+
 # ---------------------------------------------------------- eval_arrays
 
 

@@ -15,7 +15,6 @@ parses each cell as ``float()`` does.  It returns a three-channel
 blocks of BLOCK_ROWS lines, so the text held at once stays bounded.
 """
 
-import configparser
 from itertools import islice, repeat
 
 import numpy as np
@@ -156,6 +155,8 @@ def read_config(path):
     """Read an INI-style config into a flat {section.key: value} dict.
     Raises MalformedCsv if the file is missing, is not UTF-8 text or INI
     parsing rejects it."""
+    import configparser  # deferred: only a --config run parses an INI
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding=ENCODING)

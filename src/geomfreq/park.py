@@ -20,6 +20,8 @@ rho, omega, the deviation from the frame speed and the checks of the two
 derivative splits.  Its ``sum_rel_err`` is the reconstruction residual
 of ``frenet.identity_residuals`` on the dq0 rows, which
 ``MAX_SUM_REL_ERR`` bounds for ``geomfreq park`` and ``validate`` alike.
+``geomfreq park`` also bounds ``balanced_identity_err`` by
+``MAX_BALANCED_ERR`` wherever an instant is balanced.
 
 A dq0 jet is the plain triple (v_dq0, v_hat', v_hat'') of ``to_dq0``,
 which ``from_dq0`` takes back.  Every function takes (N,) times and
@@ -46,6 +48,7 @@ _SCALE = np.array([[2.0 / 3.0], [2.0 / 3.0], [1.0 / 3.0]])  # diag(2/3, 2/3, 1/3
 BALANCE_TOL = 1e-9  # balanced: |v_o| <= BALANCE_TOL |v| and |v_o'| <= BALANCE_TOL |v'|
 TERM_TOL = 1e-9  # terms_equal: |v_hat' - rho v| <= TERM_TOL |v'|
 MAX_SUM_REL_ERR = 1e-9  # pass bound of FrameCheckReport.sum_rel_err
+MAX_BALANCED_ERR = 1e-9  # pass bound of balanced_identity_err on balanced instants
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import FloatOverflow, InvalidParameter
 from .geometry import MAX_ANGLE, check_angle
 from .series import TimeSeries
-from .threephase import PhaseJet
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 W_BASE = 100.0 * math.pi
@@ -146,6 +145,8 @@ def phase_jets(models, t):
     from z, z', z''.  Where the envelope vanishes the jet is all zero
     (the closed-form contribution of the channel is zero there).
     """
+    from .threephase import PhaseJet  # deferred: generate and analyze build no PhaseJet
+
     M, table = _join(models)
     shape = np.shape(t) if isinstance(models, SignalModel) else (M * np.size(t),)
     # a scalar t runs as one entry of an array: numpy's complex scalar

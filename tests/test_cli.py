@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import os
 import subprocess
@@ -345,6 +346,17 @@ def test_park_says_when_no_instant_is_balanced(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-2] == "balanced rotating-derivative identity not checked: none of 201 instants is balanced"
     assert out[-1] == "PASS"
+
+
+def test_park_fails_where_the_balanced_identity_breaks(monkeypatch, capsys):
+    """A frame rotation term of the wrong sign leaves the sum identity
+    whole, but breaks the balanced identity on every balanced instant."""
+    spin = park._spin
+    monkeypatch.setattr(park, "_spin", lambda w, x: -spin(w, x))
+    assert cli.main(["park", "--scenario", "E0", "--t1", "0.02", "--dt", "1e-4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].endswith("(checked on 201 of 201 instants)")
+    assert out[-1] == "FAIL"
 
 
 # ------------------------------------------------------------ park/hilbert
@@ -840,6 +852,34 @@ def test_parser_is_not_built_at_import():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "0\n"
+
+
+# what a console run imports, and then runs, in one fresh interpreter
+COLD_PATH = """
+import json, sys
+import argparse, numpy
+before = set(sys.modules)
+import geomfreq.cli
+loaded = sorted(set(sys.modules) - before)
+rcs = [geomfreq.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([loaded, rcs]))
+"""
+
+
+def test_a_console_run_imports_only_what_its_subcommand_runs(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario]\nid = E6\n[sampling]\nt1 = 0.01\n")
+    argvs = [["validate", "geometry"], ["park", "--t1", "0.01", "--dt", "1e-3"],
+             ["hilbert", "--t1", "0.04"],
+             ["generate", "--config", str(cfg), "--out", str(tmp_path / "e6.csv")]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomfreq.__file__)))
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded, rcs = json.loads(proc.stdout.splitlines()[-1])
+    deferred = {"geomfreq.validate", "geomfreq.park", "geomfreq.hilbert",
+                "geomfreq.threephase", "configparser"}
+    assert deferred.isdisjoint(loaded) and "geomfreq.signals" in loaded
+    assert rcs == [0, 0, 0, 0]
 
 
 def test_command_rebound_after_the_first_call_is_the_one_that_runs(monkeypatch, capsys):

@@ -18,6 +18,8 @@ The cases:
   1e-205 s grid;
 - numeric ``analyze`` of a generated E5 recording: plain, with
   --filter-tau and with --remove-zero-seq;
+- ``generate``, analytic and numeric ``analyze`` and ``park`` that read
+  their scenario, grid, filter and frame from one INI through --config;
 - ``hilbert`` of the synthetic tone, --csv on each channel of E5, and
   --csv on a DC recording, a curve that does not rotate;
 - ``validate all``;
@@ -44,6 +46,9 @@ HERE = pathlib.Path(__file__).resolve().parents[1]
 PRESETS = ("DC", "SINGLE_PHASE", *(f"E{k}" for k in range(9)))
 RECORDING = ("generate", "E5", "--out", "in.csv")
 TIMEOUT = 600  # s, per subprocess
+# one INI for every configured case; each route reads its own sections
+CONFIG = ("[scenario]\nid = E6\n[sampling]\nt1 = 0.05\ndt = 2e-4\n"
+          "[filter]\ntau = 2e-4\n[park]\nwdq = 300\ntheta0 = 0.7\n")
 
 
 def _bad_input_rows():
@@ -55,6 +60,15 @@ def _bad_input_rows():
     import test_cli
 
     return test_cli.BAD_INPUT, test_cli.bad_input_argv
+
+
+def _configured(*argv):
+    """A step that writes CONFIG to run.ini in the case directory and
+    returns the argv with --config run.ini."""
+    def step(d):
+        (d / "run.ini").write_text(CONFIG)
+        return (*argv, "--config", "run.ini")
+    return step
 
 
 def cases():
@@ -75,6 +89,10 @@ def cases():
                         ("zero-seq", ("--remove-zero-seq",))):
         out[f"numeric-{name}"] = [RECORDING,
                                   ("analyze", "--csv", "in.csv", *flags, "--out", "out.csv")]
+    out["config-generate"] = [_configured("generate", "--out", "out.csv")]
+    out["config-analyze"] = [_configured("analyze", "--out", "out.csv")]
+    out["config-numeric"] = [RECORDING, _configured("analyze", "--csv", "in.csv", "--out", "out.csv")]
+    out["config-park"] = [_configured("park", "--out", "out.csv")]
     out["hilbert-tone"] = [("hilbert",)]
     for ch in "012":
         out[f"hilbert-csv-{ch}"] = [RECORDING, ("hilbert", "--csv", "in.csv", "--channel", ch,

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import analysis, cli_io, numdiff, signals
 from .errors import GeomfreqError, InvalidParameter, MalformedCsv
+from .geometry import check_positive, worst
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -55,12 +56,6 @@ CONFIG_KEYS = {"t0": "sampling.t0", "t1": "sampling.t1", "dt": "sampling.dt",
 
 def _flag(dest):
     return "--" + dest.replace("_", "-")
-
-
-def _check_positive(name, x):
-    """Reject a non-positive, infinite or NaN value before it is used."""
-    if not 0 < x < math.inf:
-        raise InvalidParameter(f"{name} must be positive and finite, got {x}")
 
 
 def _check_finite(name, x):
@@ -139,7 +134,7 @@ def cmd_analyze(args):
             )
         if args.remove_zero_seq:
             series = numdiff.remove_zero_sequence(series)
-        filter_tau = _param(args, cfg, "filter_tau", None, _check_positive)
+        filter_tau = _param(args, cfg, "filter_tau", None, check_positive)
         if filter_tau is not None:
             series = numdiff.lowpass_first_order(series, filter_tau)
         columns, degenerate = analysis.analyze(*numdiff.differentiate_arrays(series))
@@ -177,9 +172,8 @@ def cmd_park(args):
     if args.out:
         cli_io.write_table(args.out, ("t", "vd", "vq", "vo"), (times, *vdq0.T))
         print(f"wrote {times.size} dq0 samples to {args.out}")
-    # np.max keeps NaN (a NaN error must fail the check); an empty fold is 0.0
-    worst_sum = float(np.max(rep.sum_rel_err, initial=0.0))
-    worst_balanced = float(np.max(rep.balanced_identity_err[rep.balanced], initial=0.0))
+    worst_sum = worst(rep.sum_rel_err)
+    worst_balanced = worst(rep.balanced_identity_err[rep.balanced])
     balanced = np.count_nonzero(rep.balanced)
     print(f"sum identity worst relative error: {worst_sum:.3e}")
     print(  # a worst error over no instant would read 0
@@ -207,8 +201,8 @@ def cmd_hilbert(args):
         times, dt, u = series.times, series.dt, series.values[:, channel]
     else:
         _refuse(args, "by hilbert without --csv", "channel")
-        dt = _param(args, {}, "dt", hilbert.TONE_DT, _check_positive)
-        freq = _param(args, {}, "freq", hilbert.TONE_FREQ, _check_positive)
+        dt = _param(args, {}, "dt", hilbert.TONE_DT, check_positive)
+        freq = _param(args, {}, "freq", hilbert.TONE_FREQ, check_positive)
         times, u = hilbert.tone(freq, _param(args, {}, "t1", hilbert.TONE_T1), dt)
         if freq * dt >= 0.5:  # at or past Nyquist the samples are those of a lower tone
             raise InvalidParameter(f"--freq {freq} is at or past the Nyquist limit 0.5/--dt = {0.5 / dt:.6g}")

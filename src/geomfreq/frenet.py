@@ -165,7 +165,6 @@ def frame(v, dv, ddv):
     tangent v/|v|, the unit normal n/|n| with n = v' - rho v, and the
     unit binormal omega/|omega|.  All three are NaN on a row without
     rotation, where the normal and binormal are undefined."""
-    _, (v, dv, ddv) = as_rows(None, v, dv, ddv)
     b = invariants_batch(v, dv, ddv)
     n = dv - b.rho[:, None] * v
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,5 +1,7 @@
-"""Row-wise 3-vector algebra and the one check of (N,) times and (N, 3)
-rows (``as_rows``) shared by the array kernels, and a phasor's phase rate.
+"""Row-wise 3-vector algebra, a phasor's phase rate, and the package's
+single checks: (N,) times and (N, 3) rows (``as_rows``), the angle bound
+(``check_angle``), a positive and finite scalar (``check_positive``),
+and ``worst``, the NaN-keeping fold of every verdict's errors.
 
 Vectors are float64 numpy arrays with the three components on the last
 axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
@@ -8,8 +10,6 @@ axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
 import numpy as np
 
 from .errors import InvalidParameter
-
-__all__ = ["MAX_ANGLE", "as_rows", "check_angle", "phase_rate", "rowcross", "rowdot", "rownorm"]
 
 # largest signal or Park frame angle: past it, float64 resolves an angle
 # such as w t + theta0 to worse than 1.9e-6 rad
@@ -20,12 +20,25 @@ def check_angle(what, theta):
     """theta (rad), refused with InvalidParameter past MAX_ANGLE: the
     message names the largest |angle| along the last axis of the first
     row past it, and reads a NaN (inf * 0 at t = 0 leaves one) as inf."""
-    worst = np.abs(theta).max(axis=-1, initial=0.0)
-    if not (worst <= MAX_ANGLE).all():
-        worst = np.ravel(np.where(np.isnan(worst), np.inf, worst))
-        first = worst[(worst > MAX_ANGLE).argmax()]
+    largest = np.abs(theta).max(axis=-1, initial=0.0)
+    if not (largest <= MAX_ANGLE).all():
+        largest = np.ravel(np.where(np.isnan(largest), np.inf, largest))
+        first = largest[(largest > MAX_ANGLE).argmax()]
         raise InvalidParameter(f"{what} angle {first:.6g} rad is past geometry.MAX_ANGLE = 2**33")
     return theta
+
+
+def check_positive(name, x):
+    """Reject a non-positive, infinite or NaN value before it is used."""
+    if not 0 < x < np.inf:
+        raise InvalidParameter(f"{name} must be positive and finite, got {x}")
+
+
+def worst(*xs):
+    """Largest entry of the arrays or numbers xs (0.0 if all are empty).
+    A NaN anywhere makes it NaN, so an undefined value fails its check
+    instead of passing it (``max`` would drop it)."""
+    return float(np.max(np.concatenate([np.ravel(x) for x in xs]), initial=0.0))
 
 
 def as_rows(t, *xs):

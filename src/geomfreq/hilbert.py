@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInput, FloatOverflow, InvalidParameter
 from .frenet import invariants
-from .geometry import phase_rate
+from .geometry import phase_rate, worst
 from .numdiff import differentiate_arrays
 from .series import TimeSeries
 from .signals import eval_arrays, sample_times, single_phase_model
@@ -121,4 +121,4 @@ def geometric_equivalence(embedded):
     mid = slice(n // 4, 3 * n // 4)
     dev = np.abs(omega_z[mid] - phi_dot[mid]) / np.maximum(np.abs(phi_dot[mid]), EPS_PHI_DOT)
     return EquivalenceReport(times, rho, omega_mag, omega_z, xi, phi_dot,
-                             float(dev.max()), float(np.abs(xi).max()))
+                             worst(dev), worst(np.abs(xi)))

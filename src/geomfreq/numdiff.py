@@ -14,6 +14,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import FloatOverflow, InvalidParameter
+from .geometry import check_positive
 
 TRIM = 2  # samples dropped on each side by the 5-point stencils
 MIN_SAMPLES = 2 * TRIM + 1  # the fewest samples the stencils take
@@ -57,8 +58,7 @@ def lowpass_first_order(series, time_constant):
 
     y[k] = y[k-1] + dt/(tc + dt) * (x[k] - y[k-1]), y[0] = x[0].
     """
-    if not 0 < time_constant < np.inf:  # inf holds y at x[0]; NaN makes y NaN
-        raise InvalidParameter(f"time_constant must be positive and finite, got {time_constant}")
+    check_positive("time_constant", time_constant)  # inf holds y at x[0]; NaN makes y NaN
     alpha = series.dt / (time_constant + series.dt)
     # per channel in Python floats: the subtract, multiply and add of a
     # numpy row update, so the same bits, without numpy's per-call cost

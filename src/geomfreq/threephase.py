@@ -22,8 +22,6 @@ import numpy as np
 from .errors import DegenerateInput, InvalidParameter
 from .frenet import EPS_V
 
-__all__ = ["PhaseJet", "ClosedFormInvariants", "closed_form_invariants"]
-
 # phases j and k feeding component i of a cross product, ijk in {abc, bca, cab}
 _J = [1, 2, 0]
 _K = [2, 0, 1]

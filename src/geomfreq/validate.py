@@ -18,9 +18,11 @@ from fixed seeds (module constants), and the hilbert and park suites
 pass or fail by the bounds those modules name, which ``geomfreq
 hilbert`` and ``geomfreq park`` read too.  The residuals of the two
 derivative splits come from ``frenet.identity_residuals``, and
-``worst``, which keeps NaN, folds them.  An error between two routes on
-rho, |omega| or xi (rates of one curve) is read over the row's |omega|
-(``_over_omega``), any other over its own reference.
+``geometry.worst``, the one fold of every verdict (``geomfreq park``'s
+and the hilbert report's too), folds them keeping NaN.  An error
+between two routes on rho, |omega| or xi (rates of one curve) is read
+over the row's |omega| (``_over_omega``), any other over its own
+reference.
 
 The CLI ``validate`` subcommand runs these and exits nonzero on any
 failure; the pytest suite asserts the same properties with finer
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import frenet, hilbert, numdiff, park, signals, threephase
 from .errors import InvalidParameter
-from .geometry import rowcross, rowdot, rownorm
+from .geometry import rowcross, rowdot, rownorm, worst
 
 THREE_PHASE_SCENARIOS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 T_MAX = 2.0  # s, latest sampled instant
@@ -74,13 +76,6 @@ def check_geometry():
         ("triple product cyclic", cyc, 1e-12),
         ("Lagrange identity", lagr, 1e-10),
     ]
-
-
-def worst(*xs):
-    """Largest entry of the arrays or numbers xs (0.0 if all are empty).
-    A NaN anywhere makes it NaN, so an undefined value fails its
-    property instead of passing it (``max`` would drop it)."""
-    return float(np.max(np.concatenate([np.ravel(x) for x in xs]), initial=0.0))
 
 
 def _over_omega(ref, *errs):
@@ -218,7 +213,7 @@ def check_numdiff():
     k = 60
     bumped_values[k] += 3.0
     bumped = numdiff.lowpass_first_order(base.with_values(bumped_values), 5e-4)
-    causal_leak = float(np.abs(filt.values[:k] - bumped.values[:k]).max())
+    causal_leak = worst(np.abs(filt.values[:k] - bumped.values[:k]))
 
     return [
         ("E0 halved-dt error gain >= 8", worst_conv, 0.0),

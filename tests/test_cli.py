@@ -281,12 +281,19 @@ def test_geometry_suite_fails_on_nan_inner(monkeypatch):
     assert results and not all(r.passed for r in results)
 
 
-def test_park_fails_on_nan_sum_identity(monkeypatch, capsys):
-    monkeypatch.setattr(
-        park,
-        "derivative_frame_check",
-        _nan_on_first_call(park.derivative_frame_check, "sum_rel_err"),
-    )
+@pytest.mark.parametrize("field", ["sum_rel_err", "balanced_identity_err"])
+def test_park_fails_on_a_nan_identity_error(monkeypatch, capsys, field):
+    """One NaN error at a balanced E0 instant fails the fold it feeds."""
+    check = park.derivative_frame_check
+
+    def poisoned(*args):
+        rep = check(*args)
+        assert rep.balanced.all()
+        err = getattr(rep, field).copy()
+        err[3] = math.nan
+        return dataclasses.replace(rep, **{field: err})
+
+    monkeypatch.setattr(park, "derivative_frame_check", poisoned)
     assert cli.main(["park", "--scenario", "E0", "--t1", "0.01", "--dt", "1e-3"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 

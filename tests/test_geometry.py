@@ -2,6 +2,7 @@
 rows), the one check of times and rows, the planar phase rate Im(z'/z)
 of a phasor, and the period means of rho and |omega|."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -130,6 +131,30 @@ def test_rows_are_refused_alike_everywhere(call):
         bad[4, 1] = cell
         with pytest.raises(InvalidParameter, match="^non-finite sample value$"):
             call(t, bad, dv, ddv)
+
+
+def _bits(out):
+    """(dtype, shape, bytes) of every array or number in a call's result."""
+    if dataclasses.is_dataclass(out):
+        out = [getattr(out, f.name) for f in dataclasses.fields(out)]
+    if isinstance(out, (tuple, list)):
+        return [_bits(x) for x in out]
+    out = np.asarray(out)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("call", TAKES_ROWS.values(), ids=TAKES_ROWS)
+def test_rows_of_any_number_type_give_the_float64_bits(call):
+    """Lists, int tuples and float32 rows are read as the float64 rows of
+    the same numbers (``frame`` leaves the check to ``invariants_batch``)."""
+    t, *jet = E0
+    assert _bits(call(t.tolist(), *(x.tolist() for x in jet))) == _bits(call(t, *jet))
+    ints = [np.round(x).astype(int) for x in jet]
+    want = _bits(call(t, *(x.astype(np.float64) for x in ints)))
+    assert _bits(call(t, *(tuple(map(tuple, x.tolist())) for x in ints))) == want
+    singles = [x.astype(np.float32) for x in jet]
+    want = _bits(call(t, *(x.astype(np.float64) for x in singles)))
+    assert _bits(call(t, *singles)) == want
 
 
 @pytest.mark.parametrize("name", TAKES_TIMES)

@@ -179,7 +179,8 @@ def test_lowpass_is_the_numpy_loop_bit_for_bit(rng, scale):
 def test_lowpass_rejects_bad_time_constant():
     series = _series(np.zeros((10, 3)))
     for tc in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(InvalidParameter, match="positive and finite"):
+        message = f"^time_constant must be positive and finite, got {tc}$"
+        with pytest.raises(InvalidParameter, match=message):
             numdiff.lowpass_first_order(series, tc)
 
 

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from geomfreq import frenet, numdiff, park, signals, threephase, validate
-from geomfreq.geometry import rowdot, rownorm
+from geomfreq.geometry import rowdot, rownorm, worst
 from geomfreq.validate import (
     THREE_PHASE_SCENARIOS,
     _batch,
     _sample_times,
     _tau_arclength,
-    worst,
 )
 
 # ------------------------------------------------- per-scenario reference

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import analysis, cli_io, numdiff, signals
 from .errors import GeomfreqError, InvalidParameter, MalformedCsv
-from .geometry import check_positive, worst
+from .geometry import check_nonnegative, check_positive, worst
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -96,13 +96,13 @@ def _scenario_grid(args, cfg, missing=None, fallback=None):
     scenario = args.scenario or cfg.get("scenario.id", fallback)
     if scenario is None:
         raise InvalidParameter(missing)
-    grid = [_param(args, cfg, d, x) for d, x in (("t0", 0.0), ("t1", 0.1), ("dt", 1e-4))]
     model = signals.make_scenario(scenario)  # an unknown id is reported first
+    grid = [_param(args, cfg, *p) for p in (("t0", 0.0), ("t1", 0.1), ("dt", 1e-4, check_positive))]
     if getattr(args, "vdc", None) is None:
         return model, grid
     if scenario != "DC":
         _refuse(args, f"by scenario {scenario}", "vdc")
-    return signals.dc_model(args.vdc), grid
+    return signals.dc_model(_param(args, cfg, "vdc", None, check_nonnegative)), grid
 
 
 def cmd_generate(args):

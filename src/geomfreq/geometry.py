@@ -1,7 +1,8 @@
 """Row-wise 3-vector algebra, a phasor's phase rate, and the package's
-single checks: (N,) times and (N, 3) rows (``as_rows``), the angle bound
-(``check_angle``), a positive and finite scalar (``check_positive``),
-and ``worst``, the NaN-keeping fold of every verdict's errors.
+single checks: (N,) times and finite (N, 3) rows (``as_rows``), angles
+(``check_angle``), finite steps > 0 (``check_positive``), finite magnitudes
+>= 0 (``check_nonnegative``), the overflow rule (``check_overflow``: NaN or
+inf from finite input is a FloatOverflow) and ``worst``, every verdict's fold.
 
 Vectors are float64 numpy arrays with the three components on the last
 axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
@@ -9,7 +10,7 @@ axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import FloatOverflow, InvalidParameter
 
 # largest signal or Park frame angle: past it, float64 resolves an angle
 # such as w t + theta0 to worse than 1.9e-6 rad
@@ -32,6 +33,18 @@ def check_positive(name, x):
     """Reject a non-positive, infinite or NaN value before it is used."""
     if not 0 < x < np.inf:
         raise InvalidParameter(f"{name} must be positive and finite, got {x}")
+
+
+def check_nonnegative(name, x):
+    """Reject a negative, infinite or NaN value before it is used."""
+    if not 0 <= x < np.inf:
+        raise InvalidParameter(f"{name} must be non-negative and finite, got {x}")
+
+
+def check_overflow(message, *xs):
+    """Raise FloatOverflow(message) unless the arrays xs, computed from finite input, are finite."""
+    if not all(np.isfinite(x).all() for x in xs):
+        raise FloatOverflow(message)
 
 
 def worst(*xs):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, FloatOverflow, InvalidParameter
+from .errors import DegenerateInput, InvalidParameter
 from .frenet import invariants
-from .geometry import phase_rate, worst
+from .geometry import check_overflow, phase_rate, worst
 from .numdiff import differentiate_arrays
 from .series import TimeSeries
 from .signals import eval_arrays, sample_times, single_phase_model
@@ -62,23 +62,23 @@ def analytic_embed(times, dt, u):
     The transform zeroes the negative-frequency half of the spectrum,
     doubles the positive half and keeps DC and Nyquist unchanged; the
     quadrature part of the inverse transform is uh.  Raises
-    FloatOverflow when the transform of a finite u is not finite, and
-    TimeSeries' errors for a bad grid or a non-finite u.
+    TimeSeries' errors for a bad grid or a non-finite u, then
+    FloatOverflow when the transform is not finite.
     """
     u = np.asarray(u, dtype=np.float64)
     n = u.size
     if n < MIN_LENGTH:
         raise InvalidParameter(f"need at least {MIN_LENGTH} samples, got {n}")
+    curve = TimeSeries(times, dt, np.column_stack([u, np.zeros((n, 2))]))  # (u, 0, 0)
     weights = np.zeros(n)
     weights[: (n + 1) // 2] = 2.0
     weights[0] = 1.0
     if n % 2 == 0:
         weights[n // 2] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        analytic = np.fft.ifft(np.fft.fft(u) * weights)
-    if np.isfinite(u).all() and not np.isfinite(analytic.imag).all():
-        raise FloatOverflow("the Hilbert transform overflows float64")
-    return TimeSeries(times, dt, np.column_stack([u, analytic.imag, np.zeros(n)]))
+        uh = np.fft.ifft(np.fft.fft(u) * weights).imag
+    check_overflow("the Hilbert transform overflows float64", uh)
+    return curve.with_values(np.column_stack([u, uh, np.zeros(n)]))
 
 
 def instantaneous_frequency_classical(embedded):
@@ -93,8 +93,7 @@ def instantaneous_frequency_classical(embedded):
         if np.any(envelope <= EPS_ENVELOPE):
             raise DegenerateInput("analytic envelope vanishes at a sample")
         phi_dot = phase_rate(u, uh, du, duh)
-    if not np.isfinite((envelope, phi_dot)).all():
-        raise FloatOverflow("analytic envelope or its phase rate overflows float64")
+    check_overflow("analytic envelope or its phase rate overflows float64", envelope, phi_dot)
     return phi_dot
 
 
@@ -115,8 +114,7 @@ def geometric_equivalence(embedded):
         for k in range(n):
             rho[k], omega_vec, omega_mag[k], xi[k] = invariants(v[k], dv[k], ddv[k])
             omega_z[k] = omega_vec[2]
-    if not np.isfinite((rho, omega_mag, xi)).all():
-        raise FloatOverflow("the embedded curve's invariants overflow float64")
+    check_overflow("the embedded curve's invariants overflow float64", rho, omega_mag, xi)
 
     mid = slice(n // 4, 3 * n // 4)
     dev = np.abs(omega_z[mid] - phi_dot[mid]) / np.maximum(np.abs(phi_dot[mid]), EPS_PHI_DOT)

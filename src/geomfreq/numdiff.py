@@ -14,7 +14,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import FloatOverflow, InvalidParameter
-from .geometry import check_positive
+from .geometry import check_overflow, check_positive
 
 TRIM = 2  # samples dropped on each side by the 5-point stencils
 MIN_SAMPLES = 2 * TRIM + 1  # the fewest samples the stencils take
@@ -48,8 +48,7 @@ def differentiate_arrays(series):
     overflows float64."""
     with np.errstate(over="ignore", invalid="ignore"):
         d1, d2 = stencil_derivatives(series.values, series.dt)
-    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
-        raise FloatOverflow("the stencil derivatives of the samples overflow float64")
+    check_overflow("the stencil derivatives of the samples overflow float64", d1, d2)
     return series.times[TRIM:-TRIM], series.values[TRIM:-TRIM], d1, d2
 
 

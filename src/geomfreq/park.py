@@ -41,7 +41,7 @@ import numpy as np
 from . import frenet
 from .errors import DegenerateInput, FloatOverflow
 from .frenet import EPS_V
-from .geometry import as_rows, check_angle, phase_rate, rownorm
+from .geometry import as_rows, check_angle, check_overflow, phase_rate, rownorm
 
 _SHIFTS = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 _SCALE = np.array([[2.0 / 3.0], [2.0 / 3.0], [1.0 / 3.0]])  # diag(2/3, 2/3, 1/3)
@@ -102,8 +102,7 @@ def to_dq0(t, v, dv, ddv, w_dq, theta0=0.0):
         vdq0, dv = _apply(P, v), _apply(P, dv)
         dvdq0 = dv - _spin(w_dq, vdq0)
         ddvdq0 = _apply(P, ddv) - _spin(w_dq, dv + dvdq0)
-    if not (np.isfinite(dvdq0).all() and np.isfinite(ddvdq0).all()):
-        raise FloatOverflow("the dq0 derivatives of the voltage overflow float64")
+    check_overflow("the dq0 derivatives of the voltage overflow float64", dvdq0, ddvdq0)
     return vdq0, dvdq0, ddvdq0
 
 

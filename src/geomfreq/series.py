@@ -5,14 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloatOverflow, InvalidParameter
-from .geometry import as_rows
+from .errors import InvalidParameter
+from .geometry import as_rows, check_overflow, check_positive
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Three voltage channels on a uniform grid: values[k] is (va, vb, vc)
-    at times[k] (``geometry.as_rows``), and dt is the grid step.
+    """Three voltage channels on a grid of step dt (``geometry.check_positive``):
+    values[k] is (va, vb, vc) at times[k] (``geometry.as_rows``).
 
     ``times`` is stored as given, whether ``signals.sample`` built it or
     a file held it, so it round-trips bit-exactly and a slice of the
@@ -24,8 +24,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:  # NaN and inf steps too
-            raise InvalidParameter(f"dt must be positive, got {self.dt}")
+        check_positive("dt", self.dt)
         times, (values,) = as_rows(self.times, self.values)
         if times.size < 1:
             raise InvalidParameter("time series needs at least one sample")
@@ -36,9 +35,7 @@ class TimeSeries:
         return self.times.size
 
     def with_values(self, values):
-        """This grid with values computed from this series' own, which
-        are finite: a non-finite one is an overflow of that computation,
-        so it raises FloatOverflow rather than InvalidParameter."""
-        if not np.isfinite(values).all():
-            raise FloatOverflow("values computed from the samples overflow float64")
+        """This grid with values computed from this series' own finite ones:
+        a non-finite one is a FloatOverflow (``geometry.check_overflow``)."""
+        check_overflow("values computed from the samples overflow float64", values)
         return TimeSeries(self.times, self.dt, values)

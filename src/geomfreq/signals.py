@@ -13,7 +13,8 @@ closed-form oracle, of one model or of a sequence of M as M*N rows,
 model-major.  Both run one kernel, ``_component_jets``, over one table
 of every component (channel c of model m is channel 3m + c) at once, in
 slices of at most EVAL_ROWS times, and refuse an angle past
-``geometry.MAX_ANGLE``, which float64 no longer resolves.
+``geometry.MAX_ANGLE``, which float64 no longer resolves.  The builders
+refuse a bad magnitude and ``sample_times`` a bad step (``geometry``'s checks).
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatOverflow, InvalidParameter
-from .geometry import MAX_ANGLE, check_angle
+from .geometry import MAX_ANGLE, check_angle, check_nonnegative, check_positive
 from .series import TimeSeries
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -181,8 +182,7 @@ def sample_times(t0, t1, dt):
     """The uniform grid t0 + k*dt, k = 0..n-1, whose last point is the
     one nearest t1; at least 2 points and at most MAX_SAMPLES, all
     finite.  Raises InvalidParameter otherwise, before allocating."""
-    if not dt > 0:
-        raise InvalidParameter(f"dt must be positive, got {dt}")
+    check_positive("dt", dt)
     span = (t1 - t0) / dt
     n = int(round(span)) + 1 if 0.5 < span < math.inf else 0  # 0 for a NaN or infinite span
     if n < 2 or not math.isfinite(t0 + dt * (n - 1)):  # the last point, as numpy forms it
@@ -201,23 +201,16 @@ def sample(model, t0, t1, dt):
     return TimeSeries(times, dt, eval_arrays(model, times)[0])
 
 
-def _check_magnitudes(name, values):
-    for x in values:
-        if x < 0:
-            raise InvalidParameter(f"{name} must be non-negative, got {x}")
-
-
 def dc_model(vdc=5.0):
     """Constant voltage along the first axis."""
-    if not 0 <= vdc < math.inf:
-        raise InvalidParameter(f"vdc must be non-negative and finite, got {vdc}")
+    check_nonnegative("vdc", vdc)
     const = Component(Profile(vdc), Profile(math.pi / 2))
     return SignalModel(channels=((const,), (), ()))
 
 
 def single_phase_model(V=1.0, w_o=2.0 * math.pi):
     """Analytic-signal pair (V cos, V sin) in the first two channels."""
-    _check_magnitudes("V", [V])
+    check_nonnegative("V", V)
     ch1 = Component(Profile(V), Profile(math.pi / 2, w_o))
     ch2 = Component(Profile(V), Profile(0.0, w_o))
     return SignalModel(channels=((ch1,), (ch2,), ()))
@@ -233,16 +226,16 @@ def three_phase_model(
 ):
     """Three-phase set V_i sin(w_o t + theta0_i + A_i sin(B_i t)), with
     an optional additive harmonic (h, V_h, theta0_h)."""
-    _check_magnitudes("V", V)
     channels = []
     for i in range(3):
+        check_nonnegative("V", V[i])
         angle = Profile(theta0[i], w_o, mod_amplitude[i], mod_rate[i])
         comps = [Component(Profile(V[i]), angle)]
         if harmonic is not None:
             h, Vh, theta0h = harmonic
             if int(h) != h or h < 2:
                 raise InvalidParameter(f"harmonic order must be >= 2, got {h}")
-            _check_magnitudes("harmonic V", Vh)
+            check_nonnegative("harmonic V", Vh[i])
             comps.append(Component(Profile(Vh[i]), Profile(theta0h[i], h * w_o)))
         channels.append(tuple(comps))
     return SignalModel(channels=tuple(channels))

@@ -480,15 +480,18 @@ def _recording(phases, rows=64, dt=1e-4):
 
 
 BAD_INPUT = [
-    # sample step: a usage error before it divides anything
+    # sample step: a usage error naming its flag, before it divides anything
     ("analyze-dt-zero", ["analyze", "--scenario", "E0", "--dt", "0"], 2,
-     "dt must be positive"),
+     "--dt must be positive and finite"),
     ("analyze-dt-nan", ["analyze", "--scenario", "E0", "--dt", "nan"], 2,
-     "dt must be positive"),
-    ("park-dt-zero", ["park", "--scenario", "E0", "--dt", "0"], 2, "dt must be positive"),
-    ("park-dt-negative", ["park", "--scenario", "E0", "--dt=-1e-3"], 2, "dt must be positive"),
-    ("hilbert-dt-zero", ["hilbert", "--dt", "0"], 2, "dt must be positive"),
-    ("hilbert-dt-negative", ["hilbert", "--dt=-1e-4"], 2, "dt must be positive"),
+     "--dt must be positive and finite"),
+    ("generate-dt-zero", ["generate", "E0", "--dt", "0"], 2, "--dt must be positive and finite"),
+    ("park-dt-zero", ["park", "--scenario", "E0", "--dt", "0"], 2,
+     "--dt must be positive and finite"),
+    ("park-dt-negative", ["park", "--scenario", "E0", "--dt=-1e-3"], 2,
+     "--dt must be positive and finite"),
+    ("hilbert-dt-zero", ["hilbert", "--dt", "0"], 2, "--dt must be positive and finite"),
+    ("hilbert-dt-negative", ["hilbert", "--dt=-1e-4"], 2, "--dt must be positive and finite"),
     # sampling range: at least 2 finite samples
     ("generate-t1-nan", ["generate", "E0", "--t1", "nan"], 2, "bad range"),
     ("generate-t1-inf", ["generate", "E0", "--t1", "inf"], 2, "bad range"),
@@ -534,8 +537,10 @@ BAD_INPUT = [
     ("hilbert-freq-rate-overflow", ["hilbert", "--freq", "1e200", "--t1", "1e-195",
                                     "--dt", "1e-198"], 3, "signal's derivatives overflow float64"),
     # DC level: non-negative and finite, checked before sampling
-    ("generate-vdc-inf", ["generate", "DC", "--vdc", "inf"], 2, "vdc"),
-    ("generate-vdc-nan", ["generate", "DC", "--vdc", "nan"], 2, "vdc"),
+    ("generate-vdc-inf", ["generate", "DC", "--vdc", "inf"], 2,
+     "--vdc must be non-negative and finite"),
+    ("generate-vdc-nan", ["generate", "DC", "--vdc", "nan"], 2,
+     "--vdc must be non-negative and finite"),
     # waveform files the numeric path cannot use: a format error
     ("csv-nan-cell", ["analyze", "--csv", "{nan}"], 3, "NaN or infinite"),
     ("csv-inf-cell", ["analyze", "--csv", "{inf}"], 3, "NaN or infinite"),
@@ -593,6 +598,8 @@ BAD_INPUT = [
     # config files: a value that is not a number names its key; an
     # unparsable or missing file is a format error
     ("config-dt-not-a-number", ["generate", "E0", "--config", "{cfg_dt}"], 2, "sampling.dt"),
+    ("config-dt-zero", ["generate", "E0", "--config", "{cfg_dt_zero}"], 2,
+     "sampling.dt must be positive and finite"),
     ("config-tau-not-a-number", ["analyze", "--csv", "{good}", "--config", "{cfg_tau}"], 2,
      "filter.tau"),
     ("config-tau-zero", ["analyze", "--csv", "{good}", "--config", "{cfg_tau_zero}"], 2,
@@ -687,6 +694,7 @@ def bad_input_argv(argv, tmp_path):
         _waveform(paths[name], rows, cells.get(name, "1.0"))
     configs = {
         "cfg_dt": "[sampling]\ndt = abc\n",
+        "cfg_dt_zero": "[sampling]\ndt = 0\n",
         "cfg_tau": "[filter]\ntau = x\n",
         "cfg_tau_zero": "[filter]\ntau = 0\n",
         "cfg_bare": "dt = 1e-4\n",

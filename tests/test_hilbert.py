@@ -71,8 +71,10 @@ def test_analytic_pair_rejects_non_finite(bad):
 
 @pytest.mark.parametrize(
     "times, dt, says",
-    [(T[:64], 0.0, "dt must be positive"), (T[:64], -DT, "dt must be positive"),
-     (T[:64], math.nan, "dt must be positive"), (T[:64], math.inf, "dt must be positive"),
+    [(T[:64], 0.0, "^dt must be positive and finite, got 0.0$"),
+     (T[:64], -DT, "^dt must be positive and finite, got -0.0001$"),
+     (T[:64], math.nan, "^dt must be positive and finite, got nan$"),
+     (T[:64], math.inf, "^dt must be positive and finite, got inf$"),
      (T[:63], DT, r"expected \(N,\) times and \(N, 3\) rows, got shapes \(63,\), \(64, 3\)")],
     ids=["dt-zero", "dt-negative", "dt-nan", "dt-inf", "times-length"],
 )

@@ -9,6 +9,7 @@ import pytest
 from geomfreq import frenet, numdiff, signals
 from geomfreq.errors import FloatOverflow, InvalidParameter
 from geomfreq.geometry import MAX_ANGLE
+from geomfreq.series import TimeSeries
 from geomfreq.threephase import PhaseJet
 
 from conftest import W_O
@@ -67,6 +68,22 @@ def test_invalid_parameters():
         signals.dc_model(vdc=math.inf)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name, build",
+    [("vdc", signals.dc_model),
+     ("V", signals.single_phase_model),
+     ("V", lambda x: signals.three_phase_model(V=(12.0, x, 12.0))),
+     ("harmonic V", lambda x: signals.three_phase_model(harmonic=(11, (0.5, 0.5, x), (0.0,) * 3)))],
+    ids=["dc", "single-phase", "three-phase", "harmonic"],
+)
+def test_a_bad_magnitude_is_refused_when_the_model_is_built(name, build, bad):
+    # a NaN or inf magnitude is a bad parameter, not a later non-finite
+    # sample or FloatOverflow
+    with pytest.raises(InvalidParameter, match=f"^{name} must be non-negative and finite, got {bad}$"):
+        build(bad)
+
+
 def test_a_model_is_three_channels():
     comp = signals.Component(signals.Profile(1.0), signals.Profile(0.0, W_O))
     for channels in ((), ((comp,), (comp,)), ((comp,),) * 4):
@@ -112,6 +129,18 @@ def test_sample_empty_range():
         signals.sample(signals.make_scenario("E0"), 0.1, 0.1, 1e-4)
     with pytest.raises(InvalidParameter):
         signals.sample(signals.make_scenario("E0"), 0.0, 0.1, -1e-4)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "grid",
+    [lambda dt: signals.sample_times(0.0, 1.0, dt),
+     lambda dt: TimeSeries(np.arange(4.0), dt, np.zeros((4, 3)))],
+    ids=["sample_times", "TimeSeries"],
+)
+def test_a_bad_step_is_refused_alike(grid, dt):
+    with pytest.raises(InvalidParameter, match=f"^dt must be positive and finite, got {dt}$"):
+        grid(dt)
 
 
 def test_sample_times_grid_cap(monkeypatch):

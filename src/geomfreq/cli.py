@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 a failed check (validate, park or hilbert),
 (a format error, a degenerate input or an input whose scale overflows
 float64) or an ``OSError``.
 
-Each parameter comes from its flag, else its INI key (``CONFIG_KEYS``),
-else a default; a bad value names the flag or key it came from.  A flag
-the chosen route would not read (``generate E0 --vdc 3``, say) is a
+Each parameter comes from its flag, else its INI key (``CONFIG_KEYS``), else a
+default; a ``geometry`` check (``check_finite``, say) names a bad value's flag
+or key.  A flag the chosen route would not read (``generate E0 --vdc 3``) is a
 usage error; a config key never is, as one INI serves several commands.
 
 ``main(argv)`` may be called many times in one process (the test suite
@@ -35,14 +35,13 @@ subcommand runs it: deferring it would move its import, not remove it.
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
 
 from . import analysis, cli_io, numdiff, signals
 from .errors import GeomfreqError, InvalidParameter, MalformedCsv
-from .geometry import check_nonnegative, check_positive, worst
+from .geometry import check_finite, check_nonnegative, check_positive, worst
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,12 +55,6 @@ CONFIG_KEYS = {"t0": "sampling.t0", "t1": "sampling.t1", "dt": "sampling.dt",
 
 def _flag(dest):
     return "--" + dest.replace("_", "-")
-
-
-def _check_finite(name, x):
-    """Reject an infinite or NaN value before it is used."""
-    if not math.isfinite(x):
-        raise InvalidParameter(f"{name} must be finite, got {x}")
 
 
 def _param(args, cfg, dest, fallback, check=None):
@@ -163,8 +156,8 @@ def cmd_park(args):
     from . import park
 
     cfg = cli_io.read_config(args.config) if args.config else {}
-    w_dq = _param(args, cfg, "wdq", signals.W_BASE, _check_finite)
-    theta0 = _param(args, cfg, "theta0", 0.0, _check_finite)
+    w_dq = _param(args, cfg, "wdq", signals.W_BASE, check_finite)
+    theta0 = _param(args, cfg, "theta0", 0.0, check_finite)
     model, grid = _scenario_grid(args, cfg, fallback="E0")
     times = signals.sample_times(*grid)
     vdq0, dvdq0, _ = park.to_dq0(times, *signals.eval_arrays(model, times), w_dq, theta0)

@@ -1,8 +1,8 @@
-"""Row-wise 3-vector algebra, a phasor's phase rate, and the package's
-single checks: (N,) times and finite (N, 3) rows (``as_rows``), angles
-(``check_angle``), finite steps > 0 (``check_positive``), finite magnitudes
->= 0 (``check_nonnegative``), the overflow rule (``check_overflow``: NaN or
-inf from finite input is a FloatOverflow) and ``worst``, every verdict's fold.
+"""Row-wise 3-vector algebra, a phasor's phase rate, and the package's single
+checks: ``as_rows`` ((N,) times and finite (N, 3) rows), ``check_angle``,
+``check_finite``, ``check_positive`` (finite steps > 0), ``check_nonnegative``
+(finite magnitudes >= 0), ``check_overflow`` (NaN or inf from finite input is a
+FloatOverflow) and ``worst``, every verdict's fold.
 
 Vectors are float64 numpy arrays with the three components on the last
 axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
@@ -27,6 +27,12 @@ def check_angle(what, theta):
         first = largest[(largest > MAX_ANGLE).argmax()]
         raise InvalidParameter(f"{what} angle {first:.6g} rad is past geometry.MAX_ANGLE = 2**33")
     return theta
+
+
+def check_finite(name, x):
+    """Reject an infinite or NaN value before it is used."""
+    if not -np.inf < x < np.inf:
+        raise InvalidParameter(f"{name} must be finite, got {x}")
 
 
 def check_positive(name, x):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatOverflow, InvalidParameter
-from .geometry import MAX_ANGLE, check_angle, check_nonnegative, check_positive
+from .geometry import MAX_ANGLE, check_angle, check_finite, check_nonnegative, check_positive
 from .series import TimeSeries
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -233,6 +233,7 @@ def three_phase_model(
         comps = [Component(Profile(V[i]), angle)]
         if harmonic is not None:
             h, Vh, theta0h = harmonic
+            check_finite("harmonic order", h)
             if int(h) != h or h < 2:
                 raise InvalidParameter(f"harmonic order must be >= 2, got {h}")
             check_nonnegative("harmonic V", Vh[i])

@@ -55,11 +55,20 @@ def _magnitude(draw, lo, hi):
                            draw(st.floats(0.0, 0.3 * offset)), draw(st.floats(0.0, 100.0)))
 
 
+def _speed(draw):
+    """An angular speed at 1, 3, 5 or 11 times 50 Hz, within 5%."""
+    return draw(st.sampled_from((1, 3, 5, 11))) * W_O * draw(st.floats(0.95, 1.05))
+
+
+def _phase(draw, c):
+    """Channel c's phase in a balanced set, within 0.5 rad."""
+    return -2.0 * math.pi / 3.0 * c + draw(st.floats(-0.5, 0.5))
+
+
 def _angle(draw, theta0):
-    """An angle Profile at 1, 3, 5 or 11 times 50 Hz, within 5%, from
-    theta0, frequency modulated by up to pi rad at up to 4 pi rad/s."""
-    w = draw(st.sampled_from((1, 3, 5, 11))) * W_O * draw(st.floats(0.95, 1.05))
-    return signals.Profile(theta0, w, draw(st.floats(0.0, math.pi)),
+    """An angle Profile at ``_speed`` from theta0, frequency modulated by
+    up to pi rad at up to 4 pi rad/s."""
+    return signals.Profile(theta0, _speed(draw), draw(st.floats(0.0, math.pi)),
                            draw(st.floats(0.0, 4.0 * math.pi)))
 
 
@@ -72,14 +81,25 @@ def signal_models(draw):
     channels = []
     for c in range(3):
         first = _magnitude(draw, 0.5, 20.0)
-        theta0 = -2.0 * math.pi / 3.0 * c + draw(st.floats(-0.5, 0.5))
-        comps = [signals.Component(first, _angle(draw, theta0))]
+        comps = [signals.Component(first, _angle(draw, _phase(draw, c)))]
         if draw(st.booleans()):
             second = _magnitude(draw, 0.0, 0.3 * first.offset)
             phase = draw(st.floats(-math.pi, math.pi))
             comps.append(signals.Component(second, _angle(draw, phase)))
         channels.append(tuple(comps))
     return signals.SignalModel(channels=tuple(channels))
+
+
+@st.composite
+def stationary_models(draw):
+    """A stationary three-phase SignalModel, as ``signal_models`` draws its
+    first components but with one speed for all three and every slope,
+    swing and modulation term 0: V_c sin(w t + theta0_c), V_c in 0.5-20 V."""
+    w = _speed(draw)
+    return signals.SignalModel(channels=tuple(
+        (signals.Component(signals.Profile(draw(st.floats(0.5, 20.0))), signals.Profile(_phase(draw, c), w)),)
+        for c in range(3)
+    ))
 
 
 @pytest.fixture(scope="session")

@@ -84,6 +84,13 @@ def test_a_bad_magnitude_is_refused_when_the_model_is_built(name, build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_harmonic_order_is_a_bad_parameter(h):
+    # int(h) would raise ValueError on a NaN and OverflowError on an inf
+    with pytest.raises(InvalidParameter, match=f"^harmonic order must be finite, got {h}$"):
+        signals.three_phase_model(harmonic=(h, (0.5,) * 3, (0.0,) * 3))
+
+
 def test_a_model_is_three_channels():
     comp = signals.Component(signals.Profile(1.0), signals.Profile(0.0, W_O))
     for channels in ((), ((comp,), (comp,)), ((comp,),) * 4):

@@ -1,12 +1,14 @@
 """Row-wise 3-vector algebra, a phasor's phase rate, and the package's single
 checks: ``as_rows`` ((N,) times and finite (N, 3) rows), ``check_angle``,
-``check_finite``, ``check_positive`` (finite steps > 0), ``check_nonnegative``
-(finite magnitudes >= 0), ``check_overflow`` (NaN or inf from finite input is a
-FloatOverflow) and ``worst``, every verdict's fold.
+``check_finite``, ``check_positive`` and ``check_nonnegative`` (a scalar within
+float64's range; > 0, >= 0), ``check_overflow`` (NaN or inf from finite input
+is a FloatOverflow) and ``worst``, every verdict's fold.
 
 Vectors are float64 numpy arrays with the three components on the last
 axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
 """
+
+import sys
 
 import numpy as np
 
@@ -30,20 +32,20 @@ def check_angle(what, theta):
 
 
 def check_finite(name, x):
-    """Reject an infinite or NaN value before it is used."""
-    if not -np.inf < x < np.inf:
+    """Reject a NaN or infinite value, or an int past float64's range, before it is used."""
+    if not -np.inf < x < np.inf or isinstance(x, int) and abs(x) > sys.float_info.max:
         raise InvalidParameter(f"{name} must be finite, got {x}")
 
 
 def check_positive(name, x):
-    """Reject a non-positive, infinite or NaN value before it is used."""
-    if not 0 < x < np.inf:
+    """Reject a non-positive, infinite or NaN value, or an int past float64's range."""
+    if not 0 < x < np.inf or isinstance(x, int) and x > sys.float_info.max:
         raise InvalidParameter(f"{name} must be positive and finite, got {x}")
 
 
 def check_nonnegative(name, x):
-    """Reject a negative, infinite or NaN value before it is used."""
-    if not 0 <= x < np.inf:
+    """Reject a negative, infinite or NaN value, or an int past float64's range."""
+    if not 0 <= x < np.inf or isinstance(x, int) and x > sys.float_info.max:
         raise InvalidParameter(f"{name} must be non-negative and finite, got {x}")
 
 

@@ -68,7 +68,7 @@ def test_invalid_parameters():
         signals.dc_model(vdc=math.inf)
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, pytest.param(10**400, id="int-past-float64")])
 @pytest.mark.parametrize(
     "name, build",
     [("vdc", signals.dc_model),
@@ -78,15 +78,16 @@ def test_invalid_parameters():
     ids=["dc", "single-phase", "three-phase", "harmonic"],
 )
 def test_a_bad_magnitude_is_refused_when_the_model_is_built(name, build, bad):
-    # a NaN or inf magnitude is a bad parameter, not a later non-finite
-    # sample or FloatOverflow
+    # a NaN, inf or past-float64 magnitude is a bad parameter, not a later
+    # non-finite sample, FloatOverflow or OverflowError
     with pytest.raises(InvalidParameter, match=f"^{name} must be non-negative and finite, got {bad}$"):
         build(bad)
 
 
-@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-past-float64")])
 def test_a_non_finite_harmonic_order_is_a_bad_parameter(h):
-    # int(h) would raise ValueError on a NaN and OverflowError on an inf
+    # int(h) would raise ValueError on a NaN and OverflowError on an inf,
+    # and h * w_o OverflowError on an int past float64's range
     with pytest.raises(InvalidParameter, match=f"^harmonic order must be finite, got {h}$"):
         signals.three_phase_model(harmonic=(h, (0.5,) * 3, (0.0,) * 3))
 
@@ -138,7 +139,7 @@ def test_sample_empty_range():
         signals.sample(signals.make_scenario("E0"), 0.0, 0.1, -1e-4)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, pytest.param(10**400, id="int-past-float64")])
 @pytest.mark.parametrize(
     "grid",
     [lambda dt: signals.sample_times(0.0, 1.0, dt),

@@ -1,6 +1,6 @@
 """Per-stage, one-shot and peak-memory figures of one source tree of geomfreq.
 
-    python tools/bench.py TREE --out BENCH_<pr>.json [--k K] [--n N] [--scale S]
+    python tools/bench.py TREE --out BENCH_<pr>.json [--scale S]
 
 A tree is a checkout of this repository (a directory holding
 ``src/geomfreq``).  The tool writes one JSON file with three tables:
@@ -19,19 +19,26 @@ A tree is a checkout of this repository (a directory holding
   from ``getrusage(RUSAGE_CHILDREN)`` in a wrapper process of its own
   (that field is the largest of every child reaped so far).
 
-It also records the platform, CPU, Python and numpy versions, the CPUs
-this process may run on (``nproc``), K, N and S.  Every figure comes
-from ``perf_counter`` in this process or in a stage process it starts,
-or from ``getrusage``.  S scales the three input sizes (S = 0.001 runs
-in a few seconds, for a smoke test); the hilbert tone and the fixed
-argvs keep their size.
+K = 3 and N = 10.  It also records the platform, CPU, Python and numpy
+versions, the CPUs this process may run on (``nproc``), K, N and S.
+Every figure comes from ``perf_counter`` in this process or in a stage
+process it starts, or from ``getrusage``.  S scales the three input
+sizes and N, to no fewer than 2 processes (S = 0.001 runs in a few
+seconds, for a smoke test); the hilbert tone and the fixed argvs keep
+their size.
 
-It runs on Linux (``/proc/cpuinfo``, ``ru_maxrss`` in KiB).  Subprocesses
-run with PYTHONPATH=<tree>/src and PYTHONDONTWRITEBYTECODE=1 in an empty
-temporary directory, so each one compiles the sources it imports, as a
-console run without a writable ``__pycache__`` would.  To compare two
-trees, run the tool on each, alternating, on one idle host: the figures
-depend on the host, and their spread is in the files.
+It runs on Linux (``/proc/cpuinfo``, ``ru_maxrss`` in KiB). Subprocesses
+run in a new temporary directory and import a copy of <tree>/src made in
+it, so every tree is read from a path of the same length: the peak RSS
+of the numeric ``analyze`` read 298.0 and 290.4 MiB (one 1M-sample
+column apart) for the same sources imported from two different paths,
+through where the allocator placed its arrays. PYTHONPYCACHEPREFIX
+points at a fresh directory beside the copy and PYTHONDONTWRITEBYTECODE
+is unset: the stage processes and one untimed run of each command
+compile every module that the timed runs then read from there, whatever
+state the tree's own ``__pycache__`` is in. To compare two trees, run
+the tool on each, alternating, on one idle host: the figures depend on
+the host, and their spread is in the files.
 """
 
 import argparse
@@ -39,6 +46,7 @@ import json
 import os
 import pathlib
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +56,8 @@ import timeit
 
 import numpy as np
 
+K = 3  # calls per stage and process; the best is kept
+N = 10  # fresh processes of the stages and per command
 STAGE_ROWS = 100_000  # E5 rows of the per-stage input
 CSV_ROWS = 50_000  # E5 rows of the recording that ``analyze --csv`` reads
 RSS_SAMPLES = 1_000_000  # E5 samples of each peak-memory run
@@ -131,6 +141,8 @@ def wall(n, csv_rows, env, tmp):
         "hilbert": (*cli, "hilbert"),
         "import geomfreq.cli": (sys.executable, "-c", "import geomfreq.cli"),
     }
+    for cmd in commands.values():  # untimed: fills the bytecode cache
+        _run(cmd, env, tmp)
     runs = {name: [] for name in commands}
     for _ in range(n):  # interleaved, so a slow spell of the host hits every command alike
         for name, cmd in commands.items():
@@ -174,25 +186,26 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", type=_tree, metavar="TREE")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--k", type=int, default=3, help="calls per stage and process; the best is kept (default 3)")
-    parser.add_argument("--n", type=int, default=10, help="fresh processes per command and of the stages (default 10)")
-    parser.add_argument("--scale", type=float, default=1.0, help="factor on the three input sizes (default 1)")
+    parser.add_argument("--scale", type=float, default=1.0, help="factor on the three input sizes and N (default 1)")
     args = parser.parse_args(argv)
-    if args.k < 1 or args.n < 1 or not 0 < args.scale <= 1:
-        parser.error("--k and --n must be at least 1, and --scale in (0, 1]")
+    if not 0 < args.scale <= 1:
+        parser.error("--scale must be in (0, 1]")
     rows, csv_rows, samples = (max(16, round(x * args.scale)) for x in (STAGE_ROWS, CSV_ROWS, RSS_SAMPLES))
-    env = dict(os.environ, PYTHONPATH=str(args.tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    n = max(2, round(N * args.scale))
     with tempfile.TemporaryDirectory(prefix="bench_") as tmp:
         tmp = pathlib.Path(tmp)
+        shutil.copytree(args.tree / "src", tmp / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONPYCACHEPREFIX=str(tmp / "pycache"))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)  # the untimed runs must write the cache
         report = {
             "host": host(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "k": args.k,
-            "n": args.n,
+            "k": K,
+            "n": n,
             "scale": args.scale,
-            "stages": stages(args.k, args.n, rows, env, tmp),
-            "wall_s": wall(args.n, csv_rows, env, tmp),
+            "stages": stages(K, n, rows, env, tmp),
+            "wall_s": wall(n, csv_rows, env, tmp),
             "peak_rss_mib": peak_rss(samples, env, tmp),
         }
     with open(args.out, "w") as fh:

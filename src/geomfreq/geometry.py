@@ -8,8 +8,6 @@ Vectors are float64 numpy arrays with the three components on the last
 axis, shape (..., 3); cross products are ``rowcross`` on the same rows.
 """
 
-import sys
-
 import numpy as np
 
 from .errors import FloatOverflow, InvalidParameter
@@ -33,19 +31,19 @@ def check_angle(what, theta):
 
 def check_finite(name, x):
     """Reject a NaN or infinite value, or an int past float64's range, before it is used."""
-    if not -np.inf < x < np.inf or isinstance(x, int) and abs(x) > sys.float_info.max:
+    if not -np.inf < x < np.inf or isinstance(x, int) and abs(x) > np.finfo(float).max.item():
         raise InvalidParameter(f"{name} must be finite, got {x}")
 
 
 def check_positive(name, x):
     """Reject a non-positive, infinite or NaN value, or an int past float64's range."""
-    if not 0 < x < np.inf or isinstance(x, int) and x > sys.float_info.max:
+    if not 0 < x < np.inf or isinstance(x, int) and x > np.finfo(float).max.item():
         raise InvalidParameter(f"{name} must be positive and finite, got {x}")
 
 
 def check_nonnegative(name, x):
     """Reject a negative, infinite or NaN value, or an int past float64's range."""
-    if not 0 <= x < np.inf or isinstance(x, int) and x > sys.float_info.max:
+    if not 0 <= x < np.inf or isinstance(x, int) and x > np.finfo(float).max.item():
         raise InvalidParameter(f"{name} must be non-negative and finite, got {x}")
 
 

@@ -119,6 +119,7 @@ def cmd_analyze(args):
         _refuse(args, "in numeric mode", "scenario", "t0", "t1", "dt")
         if args.csv is None:
             raise InvalidParameter("numeric mode needs --csv")
+        filter_tau = _param(args, cfg, "filter_tau", None, check_positive)
         series = cli_io.read_waveform_csv(args.csv)
         if len(series) < numdiff.MIN_SAMPLES:
             raise MalformedCsv(
@@ -127,7 +128,6 @@ def cmd_analyze(args):
             )
         if args.remove_zero_seq:
             series = numdiff.remove_zero_sequence(series)
-        filter_tau = _param(args, cfg, "filter_tau", None, check_positive)
         if filter_tau is not None:
             series = numdiff.lowpass_first_order(series, filter_tau)
         columns, degenerate = analysis.analyze(*numdiff.differentiate_arrays(series))

@@ -10,12 +10,13 @@ flag, and an optional trailing ``# key=value`` comment line.
 The waveform reader decodes the file as UTF-8 (a leading byte-order
 mark is dropped), skips '#' comment and blank lines anywhere, accepts
 LF or CRLF line endings, needs the exact header ``t,va,vb,vc``, and
-parses each cell as ``float()`` does.  It returns a three-channel
+reads each cell to ``float()``'s bits (numpy's parser reads each block;
+``float()`` takes the cells it refuses).  It returns a three-channel
 ``TimeSeries`` on the file's own time column.  Both directions work in
 blocks of BLOCK_ROWS lines, so the text held at once stays bounded.
 """
 
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +51,8 @@ def read_waveform_csv(path):
     """
     try:
         with open(path, encoding=ENCODING) as fh:
-            first = next(filter(_is_row, fh), "").rstrip("\n")
+            rows = filter(_is_row, fh)
+            first = next(rows, "").rstrip("\n")
             if not first:
                 raise MalformedCsv(f"{path}: empty file")
             header = tuple(col.strip() for col in first.split(","))
@@ -59,7 +61,7 @@ def read_waveform_csv(path):
                     f"{path}: header must be {','.join(WAVEFORM_HEADER)}, got {first!r}"
                 )
             blocks = []
-            while block := list(islice(fh, BLOCK_ROWS)):
+            while block := list(islice(rows, BLOCK_ROWS)):
                 blocks.append(_parse_block(path, block))
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from exc
@@ -84,21 +86,18 @@ def _is_row(line):
     return bool(line.strip()) and not line.lstrip().startswith("#")
 
 
-def _parse_block(path, block):
-    """The (k, 4) floats of a block of k file lines, all its cells
-    converted by one ``float()`` pass.  A block that fails it (a comment,
-    blank, ragged or bad line) is walked line by line instead, which
-    skips comment and blank lines and names the first bad one."""
-    cells = ",".join(block).split(",")
-    # each line's last cell keeps its "\n"; those fall at 4i+3 only if
-    # every line has four cells (the file's last line may lack the "\n")
-    if len(cells) == 4 * len(block) and all(map(str.endswith, cells[3:-1:4], repeat("\n"))):
-        try:
-            return np.array(cells, dtype=np.float64).reshape(-1, 4)
-        except ValueError:
-            pass
+def _parse_block(path, lines):
+    """The (k, 4) floats of k data lines by numpy's parser, or else by
+    ``float()`` per cell, which also takes ``1_0`` and non-ASCII digits
+    and names the first ragged or bad line."""
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == 4:
+            return data
+    except ValueError:
+        pass
     rows = []
-    for ln in filter(_is_row, block):
+    for ln in lines:
         ln = ln.rstrip("\n")
         parts = ln.split(",")
         if len(parts) != 4:
@@ -107,7 +106,7 @@ def _parse_block(path, block):
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise MalformedCsv(f"{path}: bad number in {ln!r}") from exc
-    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+    return np.array(rows, dtype=np.float64)
 
 
 def _undecodable(path, exc):

@@ -512,6 +512,10 @@ BAD_INPUT = [
      "--filter-tau"),
     ("filter-tau-inf", ["analyze", "--csv", "{good}", "--filter-tau", "inf"], 2,
      "--filter-tau"),
+    # refused before the recording is read: a 1M-row file was parsed first,
+    # and a missing one was a file error (exit 3)
+    ("filter-tau-before-read", ["analyze", "--csv", "{csv_missing}", "--filter-tau", "0"], 2,
+     "--filter-tau"),
     # hilbert channel and frequency ranges
     ("hilbert-channel-3", ["hilbert", "--csv", "{good}", "--channel", "3"], 2, "--channel"),
     ("hilbert-channel-negative", ["hilbert", "--csv", "{good}", "--channel", "-1"], 2,
@@ -704,6 +708,7 @@ def bad_input_argv(argv, tmp_path):
         paths[name] = tmp_path / f"{name}.ini"
         paths[name].write_text(text)
     paths["cfg_missing"] = tmp_path / "cfg_missing.ini"  # named, never written
+    paths["csv_missing"] = tmp_path / "csv_missing.csv"  # named, never written
     good = paths["good"].read_text().splitlines(keepends=True)
     t_jitter, rest = good[10].split(",", 1)
     waveforms = {

@@ -124,6 +124,44 @@ def test_a_short_and_a_long_line_in_one_block_are_ragged(tmp_path):
     assert str(err.value) == f"{path}: expected 4 columns, got {rows[3]!r}"
 
 
+def test_reader_takes_the_cells_numpy_refuses_as_float_does(tmp_path):
+    # numpy's parser refuses digit-group underscores and non-ASCII digits,
+    # which float() reads: 1_0 is 10, and the Arabic-Indic digits are 0.5
+    # and 25; a block holding one of them is read by float() per cell
+    odd = ["1_0", "\u0660.\u0665", "\u0662\u0665", " 2_5.0e-1_0 "]
+    rows = [f"{k * DT!r},{k / 7!r},-0.5,{-k / 3!r}" for k in range(2 * cli_io.BLOCK_ROWS + 1)]
+    for k, cell in zip((0, 3, cli_io.BLOCK_ROWS + 5, 2 * cli_io.BLOCK_ROWS), odd):
+        rows[k] = f"{k * DT!r},{cell},-0.5,{cell}"
+    path = tmp_path / "wf.csv"
+    lines = _write(path, rows, [], ("\n", False, True))
+    series = cli_io.read_waveform_csv(path)
+    got = np.column_stack([series.times, series.values])
+    want = _reference(lines)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert want[3, 1] == 0.5 and want[-1, 3] == 2.5e-9
+
+
+def test_a_block_of_only_comment_and_blank_lines_is_skipped(tmp_path):
+    # more than a block of them between two data rows; numpy warns on a
+    # parse of no lines, and pytest turns a warning into an error
+    notes = [(2, NOTES[k % len(NOTES)]) for k in range(2 * cli_io.BLOCK_ROWS + 3)]
+    rows = [f"{k * DT!r},1.0,-0.5,-0.5" for k in range(4)]
+    path = tmp_path / "wf.csv"
+    lines = _write(path, rows, notes, ("\r\n", True, False))
+    series = cli_io.read_waveform_csv(path)
+    assert np.array_equal(np.column_stack([series.times, series.values]), _reference(lines))
+
+
+def test_a_file_of_five_cell_lines_names_the_first(tmp_path):
+    # numpy's parser reads every line alike, as five columns
+    rows = [f"{k * DT!r},1.0,-0.5,-0.5,0.0" for k in range(cli_io.BLOCK_ROWS + 1)]
+    path = tmp_path / "wf.csv"
+    _write(path, rows, [], ("\n", False, True))
+    with pytest.raises(MalformedCsv) as err:
+        cli_io.read_waveform_csv(path)
+    assert str(err.value) == f"{path}: expected 4 columns, got {rows[0]!r}"
+
+
 def test_reader_peak_memory_is_bounded_per_sample(tmp_path):
     n = 50_000
     path = tmp_path / "e5.csv"

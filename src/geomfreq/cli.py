@@ -181,8 +181,9 @@ def cmd_park(args):
 
 def cmd_hilbert(args):
     """The embedding report of a --csv channel, or of ``hilbert.tone``, cos(2 pi freq t) on
-    [0, t1): refused past ``geometry.MAX_ANGLE``, then at or past Nyquist.  A short file is a
-    format error, a short range a usage error."""
+    [0, t1): refused past ``geometry.MAX_ANGLE``, then at or past Nyquist, before the tone
+    is built (its |angle| grows with t >= 0, so its last time meets either refusal of the
+    signal kernel).  A short file is a format error, a short range a usage error."""
     from . import hilbert
 
     if args.csv:
@@ -196,9 +197,12 @@ def cmd_hilbert(args):
         _refuse(args, "by hilbert without --csv", "channel")
         dt = _param(args, {}, "dt", hilbert.TONE_DT, check_positive)
         freq = _param(args, {}, "freq", hilbert.TONE_FREQ, check_positive)
-        times, u = hilbert.tone(freq, _param(args, {}, "t1", hilbert.TONE_T1), dt)
+        t1 = _param(args, {}, "t1", hilbert.TONE_T1)
+        last = signals.sample_times(0.0, t1, dt)[-2:-1]  # the tone's last time
+        signals.eval_arrays(hilbert.tone_model(freq), last)  # refuses a bad angle or rate there
         if freq * dt >= 0.5:  # at or past Nyquist the samples are those of a lower tone
             raise InvalidParameter(f"--freq {freq} is at or past the Nyquist limit 0.5/--dt = {0.5 / dt:.6g}")
+        times, u = hilbert.tone(freq, t1, dt)
     if u.size < hilbert.MIN_LENGTH:
         error, source = (MalformedCsv, args.csv) if args.csv else (InvalidParameter, "--t1/--dt")
         raise error(f"{source}: the Hilbert transform needs at least "

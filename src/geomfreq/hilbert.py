@@ -8,8 +8,8 @@ instantaneous frequency phi' = Im(z'/z) of z = u + j uh, which
 ``geometry.phase_rate`` computes; both quantities are computed from the
 rows of ``numdiff.differentiate_arrays``, so that their agreement is an
 algebraic identity.  ``MAX_REL_DEV`` and ``MAX_ABS_XI`` bound that
-agreement, and ``tone`` builds the default input, for ``geomfreq
-hilbert`` and ``validate`` alike.
+agreement, and ``tone`` builds the default input (``tone_model``'s
+channel 0), for ``geomfreq hilbert`` and ``validate`` alike.
 """
 
 from dataclasses import dataclass
@@ -48,11 +48,16 @@ class EquivalenceReport:
     max_abs_xi: float
 
 
+def tone_model(freq):
+    """The model whose channel 0 is cos(2 pi freq t)."""
+    return single_phase_model(1.0, 2.0 * np.pi * freq)
+
+
 def tone(freq, t1, dt):
     """Times of [0, t1) at step dt, and u = cos(2 pi freq t) on them (channel 0
-    of ``signals.single_phase_model``, so a bad grid or angle is refused there)."""
+    of ``tone_model``, so a bad grid or angle is refused by ``signals``)."""
     times = sample_times(0.0, t1, dt)[:-1]  # half-open
-    return times, eval_arrays(single_phase_model(1.0, 2.0 * np.pi * freq), times)[0][:, 0]
+    return times, eval_arrays(tone_model(freq), times)[0][:, 0]
 
 
 def analytic_embed(times, dt, u):

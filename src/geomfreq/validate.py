@@ -14,7 +14,9 @@ E0-E2): a row's bits do not depend on the rows beside it, and a max over
 joined rows is the fold of per-scenario maxes, NaN included.  The
 geometry suite checks the row helpers the kernel uses (``rowdot``,
 ``rownorm`` and ``rowcross``) on 500 random triples at once.  Draws come
-from fixed seeds (module constants), and the hilbert and park suites
+from in-code SplitMix64 streams, one per drawing site, each seeded in
+``SEEDS``: every run draws alike on any numpy, and no command loads
+``numpy.random``.  The hilbert and park suites
 pass or fail by the bounds those modules name, which ``geomfreq
 hilbert`` and ``geomfreq park`` read too.  The residuals of the two
 derivative splits come from ``frenet.identity_residuals``, and
@@ -40,7 +42,7 @@ from .geometry import rowcross, rowdot, rownorm, worst
 
 THREE_PHASE_SCENARIOS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 T_MAX = 2.0  # s, latest sampled instant
-TIMES_SEED, GEOMETRY_SEED, SIGNALS_SEED, PARK_SEED = 7, 11, 3, 5  # every run draws alike
+SEEDS = {"times": 7, "geometry": 11, "signals": 3, "park": 5}  # every run draws alike
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,34 @@ class PropertyResult:
         return self.worst <= self.tol
 
 
+def _splitmix64(stream, n):
+    """The first n outputs of SplitMix64 (Steele, Lea and Flood, OOPSLA 2014)
+    seeded with SEEDS[stream], in uint64 arrays, which wrap without a warning."""
+    z = np.uint64(SEEDS[stream]) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _uniform(stream, n):
+    """n uniforms in [0, 1): the top 53 bits of each output."""
+    return (_splitmix64(stream, n) >> 11) * 2.0**-53
+
+
+def _normal(stream, n):
+    """n standard normals, Box-Muller from the stream's 2n uniforms in pairs."""
+    u1, u2 = _uniform(stream, 2 * n).reshape(n, 2).T
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+
+
 def _sample_times():
-    """60 instants in [1e-3, T_MAX), the same on every call."""
-    return np.random.default_rng(TIMES_SEED).uniform(1e-3, T_MAX, size=60)
+    """60 instants in [1e-3, T_MAX) from the "times" stream, the same on
+    every call and on any numpy."""
+    return 1e-3 + (T_MAX - 1e-3) * _uniform("times", 60)
 
 
 def check_geometry():
-    rng = np.random.default_rng(GEOMETRY_SEED)
-    a, b, c = np.moveaxis(rng.normal(scale=10.0, size=(500, 3, 3)), 1, 0)
+    a, b, c = np.moveaxis(10.0 * _normal("geometry", 4500).reshape(500, 3, 3), 1, 0)
     axb = rowcross(a, b)
     orth = worst(np.abs(rowdot(a, axb)) / (rownorm(a) * rownorm(axb)))
     t1 = rowdot(a, rowcross(b, c))
@@ -156,7 +178,6 @@ def check_threephase():
 
 
 def check_signals():
-    rng = np.random.default_rng(SIGNALS_SEED)
     # power-of-two steps with snapped times keep t + k*h exactly
     # representable, so the stencil sees a perfectly uniform grid; the
     # second derivative divides by h^2 and needs the larger step to stay
@@ -164,9 +185,9 @@ def check_signals():
     h1 = 2.0**-23  # ~1.2e-7 s
     h2 = 2.0**-19  # ~1.9e-6 s
     draws = {}
-    for _ in range(100):
-        sid = THREE_PHASE_SCENARIOS[rng.integers(len(THREE_PHASE_SCENARIOS))]
-        draws.setdefault(sid, []).append(round(float(rng.uniform(0.01, 2.0)) / h2) * h2)
+    for u_sid, u_t in _uniform("signals", 200).reshape(100, 2):  # a scenario and a time per draw
+        sid = THREE_PHASE_SCENARIOS[int(u_sid * len(THREE_PHASE_SCENARIOS))]
+        draws.setdefault(sid, []).append(round((0.01 + 1.99 * float(u_t)) / h2) * h2)
     jets = []
     for sid, times in draws.items():
         # grid[k + 2, j] is t + k * (h1, h2)[j], so t itself at k = 0
@@ -240,10 +261,10 @@ def check_park():
     g1 = frenet.invariants_batch(*park.from_dq0(times, *dq, *frame))
     round_trip = _over_omega(g0, g1.rho - g0.rho, g1.omega_mag - g0.omega_mag, g1.xi - g0.xi)
 
-    # 200 draws, one row each: v_dq0, v_hat' and its own w_dq; at
-    # PARK_SEED every |v_dq0| >= 1e-3, away from the origin where the
+    # 200 draws, one row each: v_dq0, v_hat' and its own w_dq; in the
+    # "park" stream every |v_dq0| >= 1e-3, away from the origin where the
     # frame is undefined (tests/test_validate.py checks it)
-    draws = np.random.default_rng(PARK_SEED).standard_normal((200, 7))
+    draws = _normal("park", 1400).reshape(200, 7)
     rep = park.derivative_frame_check(draws[:, :3] * 10.0, draws[:, 3:6] * 100.0, draws[:, 6])
 
     # Remark 7: synchronous balanced frame reproduces the plane-curve result

@@ -417,6 +417,27 @@ def test_hilbert_grid_is_half_open(tmp_path):
     assert rows[0].startswith("0.0002,")
 
 
+def test_a_tone_past_nyquist_is_refused_before_it_is_built(monkeypatch, capsys):
+    """990,000 samples past Nyquist: the signal kernel sees only the tone's
+    last time, where its |angle| is largest, and no tone is built (building
+    it first took 0.43-0.61 s and 128.1 MiB to reach the same refusal)."""
+    original = signals.eval_arrays
+    sizes = []
+
+    def counted(models, times):
+        sizes.append(np.size(times))
+        return original(models, times)
+
+    def built(*args):
+        raise AssertionError("the tone was built")
+
+    monkeypatch.setattr(signals, "eval_arrays", counted)
+    monkeypatch.setattr(hilbert, "tone", built)
+    assert cli.main(["hilbert", "--freq", "6000", "--t1", "99", "--dt", "1e-4"]) == 2
+    assert "--freq 6000.0 is at or past the Nyquist limit" in capsys.readouterr().err
+    assert sizes == [1]
+
+
 def test_hilbert_csv_writes_the_recordings_own_times(tmp_path):
     # a recording that starts late: hilbert --csv and analyze --csv both
     # report the file's times on the rows the stencil retains
@@ -882,7 +903,7 @@ before = set(sys.modules)
 import geomfreq.cli
 loaded = sorted(set(sys.modules) - before)
 rcs = [geomfreq.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([loaded, rcs]))
+print(json.dumps([loaded, rcs, "numpy.random" in sys.modules]))
 """
 
 
@@ -891,15 +912,17 @@ def test_a_console_run_imports_only_what_its_subcommand_runs(tmp_path):
     cfg.write_text("[scenario]\nid = E6\n[sampling]\nt1 = 0.01\n")
     argvs = [["validate", "geometry"], ["park", "--t1", "0.01", "--dt", "1e-3"],
              ["hilbert", "--t1", "0.04"],
-             ["generate", "--config", str(cfg), "--out", str(tmp_path / "e6.csv")]]
+             ["generate", "--config", str(cfg), "--out", str(tmp_path / "e6.csv")],
+             ["validate", "all"]]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomfreq.__file__)))
     proc = subprocess.run([sys.executable, "-c", COLD_PATH, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True)
-    loaded, rcs = json.loads(proc.stdout.splitlines()[-1])
+    loaded, rcs, random_loaded = json.loads(proc.stdout.splitlines()[-1])
     deferred = {"geomfreq.validate", "geomfreq.park", "geomfreq.hilbert",
                 "geomfreq.threephase", "configparser"}
     assert deferred.isdisjoint(loaded) and "geomfreq.signals" in loaded
-    assert rcs == [0, 0, 0, 0]
+    assert rcs == [0, 0, 0, 0, 0]
+    assert not random_loaded  # the validate suites draw from their own streams
 
 
 def test_command_rebound_after_the_first_call_is_the_one_that_runs(monkeypatch, capsys):

@@ -9,6 +9,7 @@ property it feeds."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,12 +105,13 @@ H2 = 2.0**-19
 
 
 def signal_draws():
-    """The suite's draw groups: scenario id -> its snapped times."""
-    rng = np.random.default_rng(3)
+    """The suite's draw groups: scenario id -> its snapped times, from the
+    "signals" stream's uniforms taken two at a time."""
+    u = iter(validate._uniform("signals", 200).tolist())
     draws = {}
     for _ in range(100):
-        sid = str(rng.choice(THREE_PHASE_SCENARIOS))
-        draws.setdefault(sid, []).append(round(float(rng.uniform(0.01, 2.0)) / H2) * H2)
+        sid = THREE_PHASE_SCENARIOS[math.floor(next(u) * len(THREE_PHASE_SCENARIOS))]
+        draws.setdefault(sid, []).append(round((0.01 + 1.99 * next(u)) / H2) * H2)
     return {sid: np.array(times) for sid, times in draws.items()}
 
 
@@ -146,15 +148,16 @@ def signals_fold():
 def park_draws():
     """The park suite's draws, one at a time: (v_dq0, v_hat', w_dq) of
     each draw with |v_dq0| >= 1e-3, and how many draws fell under it."""
-    rng = np.random.default_rng(validate.PARK_SEED)
+    normals = iter(validate._normal("park", 1400))
     draws, skipped = [], 0
     for _ in range(200):
-        vdq0 = rng.normal(scale=10.0, size=3)
-        dvdq0 = rng.normal(scale=100.0, size=3)
+        vdq0 = 10.0 * np.array([next(normals) for _ in range(3)])
+        dvdq0 = 100.0 * np.array([next(normals) for _ in range(3)])
+        w_dq = next(normals)  # each draw has its own w_dq
         if np.linalg.norm(vdq0) < 1e-3:
             skipped += 1
             continue
-        draws.append((vdq0, dvdq0, rng.normal()))  # each draw has its own w_dq
+        draws.append((vdq0, dvdq0, w_dq))
     return draws, skipped
 
 
@@ -202,7 +205,7 @@ def test_worst_values_are_the_per_scenario_fold(scope):
 
 def test_rho_error_is_read_over_the_rows_omega(monkeypatch):
     """+1e-7 1/s on the closed-form rho of the row with the largest |rho|
-    (E5, rho = 311.1, |omega| = 297.4) is 3.4e-10 of that row's |omega|,
+    (E5, rho = 310.9, |omega| = 303.5) is 3.3e-10 of that row's |omega|,
     past the 1e-12 tolerance of "closed-form rho vs Frenet"."""
     original = threephase.closed_form_invariants
     rows = []
@@ -216,20 +219,65 @@ def test_rho_error_is_read_over_the_rows_omega(monkeypatch):
 
     monkeypatch.setattr(threephase, "closed_form_invariants", planted)
     assert _failed("threephase_forms") == ["closed-form rho vs Frenet"]
-    assert rows == [5 * T60.size + 52]  # E5 at its 53rd time
+    assert rows == [5 * T60.size + 20]  # E5 at its 21st time
 
 
 def test_no_park_draw_falls_under_the_filter():
     """The suite takes all 200 rows, where the loop skips a draw with
     |v_dq0| < 1e-3 (and its w_dq with it): the two see the same draws,
-    bit for bit, only while no draw at PARK_SEED is skipped."""
+    bit for bit, only while no draw of the "park" stream is skipped."""
     draws, skipped = park_draws()
     assert skipped == 0
-    rows = np.random.default_rng(validate.PARK_SEED).standard_normal((200, 7))
+    rows = validate._normal("park", 1400).reshape(200, 7)
     assert np.all(rownorm(rows[:, :3] * 10.0) >= 1e-3)
     assert [x.tobytes() for draw in draws for x in map(np.asarray, draw)] == [
         x.tobytes() for row in rows for x in (row[:3] * 10.0, row[3:6] * 100.0, row[6])
     ]
+
+
+# ------------------------------------------------------- draw streams
+
+MASK = 2**64 - 1
+
+
+def splitmix64(seed, n):
+    """SplitMix64 in Python ints, one output at a time."""
+    state, out = seed, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_splitmix64_reads_the_published_vector(monkeypatch):
+    monkeypatch.setitem(validate.SEEDS, "start 0", 0)
+    assert validate._splitmix64("start 0", 3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+    ]
+    assert splitmix64(0, 3) == validate._splitmix64("start 0", 3).tolist()
+
+
+@pytest.mark.parametrize("stream", validate.SEEDS)
+def test_every_stream_is_its_python_int_transcription(stream):
+    """10,000 draws of each stream, raw and as uniforms, bit for bit, and
+    its normals within a few ulp of the Box-Muller formula in ``math``;
+    numpy's uint64 arrays wrap with no warning under ``-W error``."""
+    raw = splitmix64(validate.SEEDS[stream], 20_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = validate._splitmix64(stream, 10_000)
+        uniforms = validate._uniform(stream, 20_000)
+        normals = validate._normal(stream, 10_000)
+    assert got.dtype == np.uint64 and got.tolist() == raw[:10_000]
+    u = [(x >> 11) * 2.0**-53 for x in raw]
+    assert uniforms.tolist() == u and 0.0 <= min(u) and max(u) < 1.0
+    expected = [
+        math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
+        for u1, u2 in zip(u[0::2], u[1::2])
+    ]
+    np.testing.assert_allclose(normals, expected, rtol=0, atol=1e-14)
 
 
 def test_all_is_every_suite_in_order_labelled_with_its_scope():

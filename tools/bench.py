@@ -15,7 +15,8 @@ A tree is a checkout of this repository (a directory holding
   E7``, ``analyze --csv`` of a 50,000-row E5 recording, ``validate all``
   and ``hilbert``, and of a bare ``import geomfreq.cli``;
 - ``peak_rss_mib``: the peak resident set of ``generate``, analytic
-  ``analyze`` and numeric ``analyze`` on 1,000,000 E5 samples, each read
+  ``analyze`` and numeric ``analyze`` on 1,000,000 E5 samples, and of
+  ``validate all`` (fixed draws: its ``samples`` is null), each read
   from ``getrusage(RUSAGE_CHILDREN)`` in a wrapper process of its own
   (that field is the largest of every child reaped so far).
 
@@ -156,15 +157,16 @@ def peak_rss(samples, env, tmp):
     """Run name -> peak RSS (MiB) of one child, from its own wrapper."""
     cli = (sys.executable, "-m", "geomfreq.cli")
     runs = {
-        "generate": ("generate", "E5", *grid(samples, RSS_DT), "--out", "big.csv"),
-        "analyze (analytic)": ("analyze", "--scenario", "E5", *grid(samples, RSS_DT), "--out", os.devnull),
-        "analyze (numeric)": ("analyze", "--csv", "big.csv", "--out", os.devnull),
+        "generate": (("generate", "E5", *grid(samples, RSS_DT), "--out", "big.csv"), samples),
+        "analyze (analytic)": (("analyze", "--scenario", "E5", *grid(samples, RSS_DT), "--out", os.devnull), samples),
+        "analyze (numeric)": (("analyze", "--csv", "big.csv", "--out", os.devnull), samples),
+        "validate all": (("validate", "all"), None),
     }
     out = {}
-    for name, argv in runs.items():  # in order: the numeric run reads generate's file
+    for name, (argv, size) in runs.items():  # in order: the numeric run reads generate's file
         proc = subprocess.run((sys.executable, "-c", WRAPPER, *cli, *argv), env=env, cwd=tmp,
                               check=True, capture_output=True, text=True)
-        out[name] = {"argv": list(argv), "samples": samples, "peak_rss_mib": int(proc.stdout) / 1024}
+        out[name] = {"argv": list(argv), "samples": size, "peak_rss_mib": int(proc.stdout) / 1024}
     return out
 
 

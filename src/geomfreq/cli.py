@@ -198,7 +198,7 @@ def cmd_hilbert(args):
         dt = _param(args, {}, "dt", hilbert.TONE_DT, check_positive)
         freq = _param(args, {}, "freq", hilbert.TONE_FREQ, check_positive)
         t1 = _param(args, {}, "t1", hilbert.TONE_T1)
-        last = signals.sample_times(0.0, t1, dt)[-2:-1]  # the tone's last time
+        last = dt * (signals.grid_size(0.0, t1, dt) - 2)  # the tone's last time, sample_times(0, t1, dt)[-2]
         signals.eval_arrays(hilbert.tone_model(freq), last)  # refuses a bad angle or rate there
         if freq * dt >= 0.5:  # at or past Nyquist the samples are those of a lower tone
             raise InvalidParameter(f"--freq {freq} is at or past the Nyquist limit 0.5/--dt = {0.5 / dt:.6g}")

@@ -13,8 +13,10 @@ closed-form oracle, of one model or of a sequence of M as M*N rows,
 model-major.  Both run one kernel, ``_component_jets``, over one table
 of every component (channel c of model m is channel 3m + c) at once, in
 slices of at most EVAL_ROWS times, and refuse an angle past
-``geometry.MAX_ANGLE``, which float64 no longer resolves.  The builders
-refuse a bad magnitude and ``sample_times`` a bad step (``geometry``'s checks).
+``geometry.MAX_ANGLE``, which float64 no longer resolves, and then, slice
+by slice, a jet that leaves float64's range, by ``geometry.check_overflow``
+on what each computes under ``np.errstate(ignore)``.  The builders refuse
+a bad magnitude and ``sample_times`` a bad step (``geometry``'s checks).
 """
 
 import math
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloatOverflow, InvalidParameter
-from .geometry import MAX_ANGLE, check_angle, check_finite, check_nonnegative, check_positive
+from .errors import InvalidParameter
+from .geometry import MAX_ANGLE, check_angle, check_finite, check_nonnegative, check_overflow, check_positive
 from .series import TimeSeries
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -99,40 +101,40 @@ def _component_jets(table, times):
     table (``_join``), (C, rows) each.  After the last slice,
     ``geometry.check_angle`` names the worst angle of the first component
     whose |theta| is past MAX_ANGLE (or not finite) at any time; no jet is
-    yielded from the slice it is found."""
+    yielded from the slice it is found.  A magnitude jet past float64's
+    range is left to the caller's ``geometry.check_overflow``."""
     chan, magnitude, angle = table
     worst = np.zeros(len(chan))
     for lo in range(0, times.size, EVAL_ROWS):
         t = times[lo : lo + EVAL_ROWS]
         with np.errstate(over="ignore", invalid="ignore"):
-            th = angle.eval(t)
-        worst = np.maximum(worst, np.abs(th[0]).max(axis=1, initial=0.0))
+            jet = magnitude.eval(t) + angle.eval(t)
+        worst = np.maximum(worst, np.abs(jet[3]).max(axis=1, initial=0.0))
         if (worst <= MAX_ANGLE).all():
-            yield slice(lo, lo + t.size), magnitude.eval(t) + th
+            yield slice(lo, lo + t.size), jet
     check_angle("signal", worst[:, None])
 
 
 def eval_arrays(models, times):
     """Exact analytic v, v', v'' of one model or of a sequence of M at
     each of N times (a time is N = 1), as (M*N, 3) arrays, model-major.
-    Raises FloatOverflow where one leaves the float64 range."""
+    Raises FloatOverflow (``geometry.check_overflow``) where one leaves
+    the float64 range."""
     M, table = _join(models)
     times = np.ravel(np.asarray(times, dtype=np.float64))
     out = np.zeros((3, M, times.size, 3))
     for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(table, times):
-        s, c = np.sin(th), np.cos(th)
         acc = out[:, :, rows].transpose(0, 1, 3, 2)  # a view: derivative, model, channel, time
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                terms = np.array((
-                    m * s,
-                    dm * s + m * dth * c,
-                    (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c,
-                ))
-                for k, ch in enumerate(table[0]):
-                    acc[:, ch // 3, ch % 3] += terms[:, k]  # in component order from zero, as a per-channel sum
-        except FloatingPointError:
-            raise FloatOverflow("the signal's derivatives overflow float64") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, c = np.sin(th), np.cos(th)
+            terms = np.array((
+                m * s,
+                dm * s + m * dth * c,
+                (ddm - m * dth**2) * s + (2.0 * dm * dth + m * ddth) * c,
+            ))
+            for k, ch in enumerate(table[0]):
+                acc[:, ch // 3, ch % 3] += terms[:, k]  # in component order from zero, as a per-channel sum
+        check_overflow("the signal's derivatives overflow float64", acc)
     return tuple(out.reshape(3, M * times.size, 3))
 
 
@@ -145,6 +147,9 @@ def phase_jets(models, t):
     z = sum_k m_k exp(i theta_k); magnitude and phase derivatives come
     from z, z', z''.  Where the envelope vanishes the jet is all zero
     (the closed-form contribution of the channel is zero there).
+    Raises FloatOverflow (``geometry.check_overflow``) where z, z', z'',
+    the products the jet divides by or is built from (conj(z) z',
+    conj(z) z'', |z|^2, |z'|^2) or the jet leave the float64 range.
     """
     from .threephase import PhaseJet  # deferred: generate and analyze build no PhaseJet
 
@@ -155,33 +160,36 @@ def phase_jets(models, t):
     t = np.ravel(np.asarray(t, dtype=np.float64))
     out = np.empty((6, M, t.size, 3))
     for rows, (m, dm, ddm, th, dth, ddth) in _component_jets(table, t):
-        e = np.exp(1j * th)
-        terms = np.array((
-            m * e,
-            (dm + 1j * m * dth) * e,
-            (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e,
-        ))
-        z, dz, ddz = acc = np.zeros((3, 3 * M, e.shape[-1]), dtype=np.complex128)
-        for k, ch in enumerate(table[0]):
-            acc[:, ch] += terms[:, k]
-        V = np.abs(z)
-        live = V > EPS_ENVELOPE
-        V = np.where(live, V, 1.0)  # 1.0 keeps the dead entries finite
-        zc = z.conjugate()
-        zdz, zddz = zc * dz, zc * ddz
-        dV = zdz.real / V
-        dtheta = zdz.imag / V**2
-        ddV = ((np.abs(dz) ** 2 + zddz.real) - dV**2) / V
-        ddtheta = zddz.imag / V**2 - 2.0 * (dV / V) * dtheta
-        jet = (V, dV, ddV, np.angle(z), dtheta, ddtheta)
-        out[:, :, rows] = np.where(live, jet, 0.0).reshape(6, M, 3, -1).transpose(0, 1, 3, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(1j * th)
+            terms = np.array((
+                m * e,
+                (dm + 1j * m * dth) * e,
+                (ddm + 2j * dm * dth + (1j * ddth - dth**2) * m) * e,
+            ))
+            z, dz, ddz = acc = np.zeros((3, 3 * M, e.shape[-1]), dtype=np.complex128)
+            for k, ch in enumerate(table[0]):
+                acc[:, ch] += terms[:, k]
+            V = np.abs(z)
+            live = V > EPS_ENVELOPE
+            V = np.where(live, V, 1.0)  # 1.0 keeps the dead entries finite
+            zc = z.conjugate()
+            zdz, zddz, V2, dz2 = zc * dz, zc * ddz, V**2, np.abs(dz) ** 2
+            dV = zdz.real / V
+            dtheta = zdz.imag / V2
+            ddV = ((dz2 + zddz.real) - dV**2) / V
+            ddtheta = zddz.imag / V2 - 2.0 * (dV / V) * dtheta
+            jet = np.where(live, (V, dV, ddV, np.angle(z), dtheta, ddtheta), 0.0)
+        # the products too: a quotient over an infinite |z|^2 would read 0
+        check_overflow("the signal's derivatives overflow float64", acc, zdz, zddz, V2, dz2, jet)
+        out[:, :, rows] = jet.reshape(6, M, 3, -1).transpose(0, 1, 3, 2)
     return PhaseJet(*out.reshape(6, *shape, 3))
 
 
-def sample_times(t0, t1, dt):
-    """The uniform grid t0 + k*dt, k = 0..n-1, whose last point is the
-    one nearest t1; at least 2 points and at most MAX_SAMPLES, all
-    finite.  Raises InvalidParameter otherwise, before allocating."""
+def grid_size(t0, t1, dt):
+    """The point count n of the grid t0 + k*dt, k = 0..n-1, whose last
+    point is the one nearest t1; at least 2 points and at most
+    MAX_SAMPLES, all finite.  Raises InvalidParameter otherwise."""
     check_positive("dt", dt)
     span = (t1 - t0) / dt
     n = int(round(span)) + 1 if 0.5 < span < math.inf else 0  # 0 for a NaN or infinite span
@@ -192,7 +200,13 @@ def sample_times(t0, t1, dt):
             f"range [{t0}, {t1}] with dt {dt} needs more than "
             f"MAX_SAMPLES = {MAX_SAMPLES} samples"
         )
-    return t0 + dt * np.arange(n)
+    return n
+
+
+def sample_times(t0, t1, dt):
+    """The uniform grid t0 + k*dt, k = 0..n-1, n = ``grid_size(t0, t1, dt)``,
+    which refuses a bad grid before it is allocated."""
+    return t0 + dt * np.arange(grid_size(t0, t1, dt))
 
 
 def sample(model, t0, t1, dt):

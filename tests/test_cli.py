@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,8 +420,10 @@ def test_hilbert_grid_is_half_open(tmp_path):
 
 def test_a_tone_past_nyquist_is_refused_before_it_is_built(monkeypatch, capsys):
     """990,000 samples past Nyquist: the signal kernel sees only the tone's
-    last time, where its |angle| is largest, and no tone is built (building
-    it first took 0.43-0.61 s and 128.1 MiB to reach the same refusal)."""
+    last time, where its |angle| is largest, and neither the tone nor its
+    time grid is built (building the tone first took 0.43-0.61 s and
+    128.1 MiB to reach the same refusal; building the grid alone, a
+    15.2 MiB tracemalloc peak)."""
     original = signals.eval_arrays
     sizes = []
 
@@ -433,9 +436,15 @@ def test_a_tone_past_nyquist_is_refused_before_it_is_built(monkeypatch, capsys):
 
     monkeypatch.setattr(signals, "eval_arrays", counted)
     monkeypatch.setattr(hilbert, "tone", built)
-    assert cli.main(["hilbert", "--freq", "6000", "--t1", "99", "--dt", "1e-4"]) == 2
+    tracemalloc.start()
+    try:
+        assert cli.main(["hilbert", "--freq", "6000", "--t1", "99", "--dt", "1e-4"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert "--freq 6000.0 is at or past the Nyquist limit" in capsys.readouterr().err
     assert sizes == [1]
+    assert peak < 2**20
 
 
 def test_hilbert_csv_writes_the_recordings_own_times(tmp_path):

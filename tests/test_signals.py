@@ -168,12 +168,33 @@ def test_sample_times_last_point_within_float64():
     assert signals.sample_times(0.0, 1.4e308, 1e308).tolist() == [0.0, 1e308]
 
 
-def test_derivative_overflow_is_raised_without_a_warning():
-    # the angle stays within the bound, but the rate 2 pi 1e200 rad/s
-    # squares past float64 in v'' (pytest turns a RuntimeWarning into an error)
-    model = signals.single_phase_model(1.0, 2.0 * math.pi * 1e200)
-    with pytest.raises(FloatOverflow, match="signal's derivatives overflow float64"):
-        signals.eval_arrays(model, [0.0, 1e-198])
+@pytest.mark.parametrize(
+    "model, t, v_overflows",
+    [
+        # a magnitude 1 + 1e308 t that is past float64 at t = 3 s
+        (signals.SignalModel(((signals.Component(signals.Profile(1.0, 1e308), signals.Profile(0.0, W_O)),),
+                              (), ())), 3.0, True),
+        # an angle within the bound whose rate w_o V makes v' overflow
+        (signals.three_phase_model(V=(1e200,) * 3, w_o=1e110), 1e-102, True),
+        # the angle stays within the bound, but the rate 2 pi 1e200 rad/s
+        # squares past float64 in v'' and in |z'|^2
+        (signals.single_phase_model(1.0, 2.0 * math.pi * 1e200), [0.0, 1e-198], True),
+        # v is finite, but the phasor jet divides by |z|^2 = 1e400
+        (signals.three_phase_model(V=(1e200,) * 3), 0.01, False),
+        (signals.dc_model(1e200), 0.01, False),
+    ],
+    ids=["magnitude-past-float64", "rate-past-float64", "rate-squared-past-float64",
+         "50Hz-at-1e200", "dc-at-1e200"],
+)
+def test_the_kernel_refuses_a_jet_past_float64_without_a_warning(model, t, v_overflows):
+    # pytest turns a RuntimeWarning into an error: each refusal is check_overflow's
+    with pytest.raises(FloatOverflow, match="^the signal's derivatives overflow float64$"):
+        signals.phase_jets(model, t)
+    if v_overflows:
+        with pytest.raises(FloatOverflow, match="^the signal's derivatives overflow float64$"):
+            signals.eval_arrays(model, t)
+    else:
+        assert all(np.isfinite(x).all() for x in signals.eval_arrays(model, t))
 
 
 def test_sample_long_window_finite():
